@@ -32,9 +32,8 @@ import numpy as np
 
 from . import __version__
 from .algorithms import ALGORITHMS
-from .datagen import SatGenConfig, gen_instance
+from .datagen import SatGenConfig, gen_instance, gen_quotas
 from .metrics import METRICS, evaluate, ratio, suite_optimum
-from .model import total_reserves
 
 DEFAULT_CAPACITIES = tuple(range(10, 100, 10))
 DEFAULT_ALGORITHMS = tuple(ALGORITHMS)
@@ -190,9 +189,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
         for qi, qc in enumerate(spec.capacities):
             seeds = [derive_seed(spec.master_seed, fi, qi, r) for r in range(spec.seeds_per_cell)]
             cells.append((spec.n_students, factor, fi, qc, qi, seeds, spec.algorithms))
-            reserves = total_reserves(
-                gen_instance(SatGenConfig(capacity=qc, seed=seeds[0], n_students=spec.n_students, psi_factor=factor))
-            )
+            quotas = gen_quotas(qc, factor)
+            reserves = sum(quotas.rank1) + sum(quotas.rank2)
             manifest_cells.append(
                 {"psi_factor": factor, "qc": qc, "total_reserves": reserves, "seeds": seeds}
             )

@@ -98,11 +98,6 @@ class ReservationGraph:
     def seat_count(self) -> int:
         return sum(p.capacity for p in self.pools)
 
-    def seats(self) -> Iterator[Seat]:
-        for pool in self.pools:
-            for i in range(pool.capacity):
-                yield Seat(pool.type, pool.rank, i)
-
     def edges(self) -> Iterator[tuple[StudentId, Seat]]:
         """Seat-level adjacency, mostly useful for debugging and tests."""
         for sid in self.students:
@@ -110,9 +105,6 @@ class ReservationGraph:
                 pool = self.pools[pi]
                 for i in range(pool.capacity):
                     yield sid, Seat(pool.type, pool.rank, i)
-
-    def has_student(self, sid: StudentId) -> bool:
-        return sid in self.adjacency
 
 
 def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> ReservationGraph:

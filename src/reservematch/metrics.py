@@ -48,18 +48,28 @@ def percentile(instance: Instance, sid: int) -> float:
 
 
 def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
-    """Metric values of an outcome produced on this instance."""
+    """Metric values of an outcome produced on this instance.
+
+    Raises ``ValueError`` when the outcome is not a valid seating: unknown
+    students or seats, a student or seat used twice, a reserved seat whose
+    type the student does not hold, or selected students that differ from
+    the matched ones.
+    """
     n = instance.n_students
     quotas = instance.quotas
     p1 = 0
     p2 = 0
     matched = set()
+    taken = set()
     for sid, seat in outcome.matching.pairs:
         if not 0 <= sid < n:
             raise ValueError(f"outcome references unknown student {sid}")
         if sid in matched:
             raise ValueError(f"student {sid} is matched twice")
+        if seat in taken:
+            raise ValueError(f"seat {seat.label()} is used twice")
         matched.add(sid)
+        taken.add(seat)
         if seat.type == UNIVERSAL_TYPE:
             if seat.rank != 3 or not 0 <= seat.index < instance.capacity:
                 raise ValueError(f"invalid universal seat {seat}")
@@ -68,6 +78,8 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
                 raise ValueError(f"outcome references unknown seat {seat}")
             if not 0 <= seat.index < quotas.quota(seat.type, seat.rank):
                 raise ValueError(f"seat index out of range: {seat}")
+            if seat.type not in instance.student(sid).types:
+                raise ValueError(f"student {sid} does not hold the type of seat {seat.label()}")
             if seat.rank == 1:
                 p1 += 1
             p2 += 1

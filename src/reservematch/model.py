@@ -188,11 +188,16 @@ class InstanceFormatError(ValueError):
     """Raised when an instance document cannot be parsed."""
 
 
+def _is_int(value: Any) -> bool:
+    """Whether a JSON value is an integer; JSON booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict[str, Any], key: str, kind: type) -> Any:
     if key not in doc:
         raise InstanceFormatError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise InstanceFormatError(f"field {key!r} must be {kind.__name__}")
     return value
 
@@ -205,7 +210,9 @@ def parse_instance(text: str) -> Instance:
     ``rank1``/``rank2`` integer arrays parallel to ``types``), ``students``
     (array of type-id lists, array order = priority order), and optionally
     ``scores`` (floats, priority order) and ``acceptable`` (int cutoff).
-    Students are re-identified as 0..n-1 in priority order.
+    Students are re-identified as 0..n-1 in priority order.  Raises
+    :class:`InstanceFormatError` on malformed JSON, on a boolean where an
+    integer belongs, and on any problem :func:`validate` reports.
     """
     try:
         doc = json.loads(text)
@@ -226,7 +233,7 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError("quotas must contain rank1 and rank2 arrays")
     if len(rank1) != n_real or len(rank2) != n_real:
         raise InstanceFormatError("quota arrays must be parallel to the types array")
-    if not all(isinstance(c, int) and c >= 0 for c in rank1 + rank2):
+    if not all(_is_int(c) and c >= 0 for c in rank1 + rank2):
         raise InstanceFormatError("quota entries must be non-negative integers")
 
     students = []
@@ -234,7 +241,7 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(entry, list):
             raise InstanceFormatError(f"students[{i}] must be a list of type ids")
         for t in entry:
-            if not isinstance(t, int) or not 1 <= t <= n_real:
+            if not _is_int(t) or not 1 <= t <= n_real:
                 raise InstanceFormatError(f"students[{i}]: type id {t!r} out of range")
         students.append(Student(i, frozenset(entry)))
 
@@ -246,10 +253,10 @@ def parse_instance(text: str) -> Instance:
         scores = tuple(float(x) for x in raw)
 
     acceptable = doc.get("acceptable")
-    if acceptable is not None and not isinstance(acceptable, int):
+    if acceptable is not None and not _is_int(acceptable):
         raise InstanceFormatError("acceptable must be an integer cutoff")
 
-    return Instance(
+    instance = Instance(
         students=tuple(students),
         priority=tuple(range(len(students))),
         capacity=capacity,
@@ -258,6 +265,10 @@ def parse_instance(text: str) -> Instance:
         type_names=tuple(str(x) for x in names),
         scores=scores,
     )
+    errors = validate(instance)
+    if errors:
+        raise InstanceFormatError("invalid instance: " + "; ".join(errors))
+    return instance
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -1,41 +1,40 @@
 """Rank-maximal matching engine with a global size cap and pinned students.
 
-The engine maintains a matching of students onto seat pools that maximizes
-the rank signature (rank-1 count first, then rank-2, then rank-3)
-lexicographically, subject to a size cap and to a set of "forced" students
-that must stay matched.
+The engine keeps a matching of students onto seat pools that maximizes the
+rank signature (rank-1 count first, then rank-2, then rank-3)
+lexicographically, subject to a size cap and to "forced" students that
+must stay matched.
 
-Seats of equal type and rank are interchangeable, which makes every
-augmenting or reshuffling chain weight-telescoping: moving a student out of
-a pool and another student in cancels exactly, so the net signature change
-of a chain depends only on its endpoints.  Three consequences drive the
-implementation:
+Seats of equal type and rank are interchangeable, and so are students with
+equal type sets: a signature depends only on how many students of each
+*class* (students sharing one adjacency tuple) sit in each pool.  So the
+engine solves a min-cost flow S -> class -> pool -> T of value equal to the
+target size.  S -> class carries the class's matched count, at least its
+number of pinned students; pool -> T is capped by the pool's seats and
+costs -B^2, -B or 0 for ranks 1, 2 and 3, with B = target size + 1, which
+orders costs like signatures.  Construction routes the pinned units first,
+then the rest, by successive shortest paths.  Every S -> T path costs the
+weight of its last pool, so each rank is one max-flow stage into that
+rank's free pools, best rank first.
 
-* an augmenting chain (unmatched student -> ... -> pool with a free slot)
-  improves the signature by exactly one seat at the final pool's rank, so
-  the best augmentation is found by breadth-first reachability, preferring
-  the lowest-rank free pool reached;
-* successive best augmentations have non-increasing gain, so once the best
-  reachable free slot is a universal (rank-3) slot, all remaining fill is a
-  straight priority scan;
-* forcing an unmatched student while preserving the signature is possible
-  exactly when there is an eviction chain from the student that ends by
-  unseating a non-forced student (net zero), or a chain to a free slot of
-  some rank combined with an independent chain that releases one seat of
-  the same rank elsewhere, again unseating a non-forced student.
-
-Augmenting one pinned student at a time via its best chain keeps the
-matching optimal among matchings covering the pinned set (the classic
-row-addition argument for assignment problems), which is what the greedy
-selection rules need.
+Pinning a student whose class has a matched unpinned unit only raises the
+class's lower bound.  Otherwise the class must gain a unit at zero cost.
+Potentials computed once after construction give every residual arc a
+non-negative reduced cost.  The difference between the current optimal
+flow and an optimal flow that also covers the student is a circulation of
+zero cost, so it splits into residual cycles of zero cost, made only of
+arcs of zero reduced cost, and one of them enters the class from S.  One
+search over those arcs for a cycle S -> class ~> S is therefore exact, and
+pushing a unit around it keeps the potentials valid.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+from collections import Counter
+from itertools import islice
+from typing import Iterable, Iterator
 
-from .graph import Matching, RankSignature, ReservationGraph, Seat, signature
+from .graph import Matching, RankSignature, ReservationGraph, Seat
 from .model import StudentId
 
 
@@ -43,172 +42,195 @@ class InfeasibleForcedError(ValueError):
     """More students were pinned than the size cap allows."""
 
 
-# BFS chain search outcome: terminal student, terminal pool, parent links.
-_Chain = tuple[int, int, dict[int, tuple[int, int] | None]]
-
-
 class RankMaximalMatcher:
     """Incremental rank-maximal matching over a reservation graph.
 
-    Students are handled by their position in the graph's priority-ordered
-    student tuple.  All tie-breaking is deterministic: students are explored
-    in priority order and pools in (rank, type) order, so identical inputs
-    always produce identical matchings.
+    Flow nodes: classes ``0..k-1`` (by highest-priority student), pools, S, T.
+    Each class matches its pinned students, then its highest-priority
+    unpinned ones, so identical inputs give identical matchings.
     """
 
     def __init__(self, graph: ReservationGraph, forced: Iterable[StudentId] = ()):
         self._graph = graph
         students = graph.students
         self._index = {sid: i for i, sid in enumerate(students)}
-        self._adj: list[tuple[int, ...]] = [graph.adjacency[sid] for sid in students]
-        self._capacity = [p.capacity for p in graph.pools]
-        self._rank = [p.rank for p in graph.pools]
-        self._universal = graph.universal_pool
+        self.target_size = min(graph.cap, len(students))
+        b = self.target_size + 1
+        self._rank_weight = (-b * b, -b, 0)
+        self._weight = [self._rank_weight[p.rank - 1] for p in graph.pools]
 
-        n = len(students)
-        self._pool_of = [-1] * n
-        self._members: list[set[int]] = [set() for _ in graph.pools]
-        self._used = [0] * len(graph.pools)
-        self._forced = [False] * n
-        self._n_forced = 0
-        self._size = 0
-        self.target_size = min(graph.cap, n)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, sid in enumerate(students):
+            groups.setdefault(graph.adjacency[sid], []).append(i)
+        self._adj = list(groups)
+        self._members = list(groups.values())
+        class_index = {adj: c for c, adj in enumerate(self._adj)}
+        self._class_of = [class_index[graph.adjacency[sid]] for sid in students]
+        k = len(self._members)
+        self._source = k + len(graph.pools)
+        self._sink = self._source + 1
 
-        pinned = []
-        seen = set()
+        self._pinned = [False] * len(students)
         for sid in forced:
             if sid not in self._index:
                 raise ValueError(f"forced student {sid} is not in the graph")
-            if sid not in seen:
-                seen.add(sid)
-                pinned.append(self._index[sid])
-        if len(pinned) > graph.cap:
-            raise InfeasibleForcedError(
-                f"cannot pin {len(pinned)} students with a cap of {graph.cap}"
-            )
-        pinned.sort()
+            self._pinned[self._index[sid]] = True
+        # lower bound of S -> class, and the flow on it
+        self._n_pinned = [sum(self._pinned[i] for i in members) for members in self._members]
+        self._flow = [0] * k
+        self._load: list[Counter[int]] = [Counter() for _ in graph.pools]  # class -> units
+        self._used = [0] * len(graph.pools)
+        n_forced = sum(self._n_pinned)
+        if n_forced > graph.cap:
+            raise InfeasibleForcedError(f"cannot pin {n_forced} students with a cap of {graph.cap}")
 
-        for i in pinned:
-            terminal, pool, came = self._find_chain([i])
-            self._shift_in(terminal, pool, came)
-            self._size += 1
-            self._forced[i] = True
-            self._n_forced += 1
-        self._fill()
+        self._ceiling = list(self._n_pinned)  # upper bound of S -> class
+        self._route(n_forced, pinned=True)
+        self._ceiling = [len(members) for members in self._members]
+        self._route(self.target_size - n_forced, pinned=False)
+        self._potential = self._potentials()
 
-    # ------------------------------------------------------------------
-    # construction
+    def _arcs(self, u: int) -> Iterator[tuple[int, int, int]]:
+        """Residual arcs ``(head, cost, capacity)`` leaving node ``u``."""
+        k, s, t = len(self._members), self._source, self._sink
+        if u < k:
+            if self._flow[u] > self._n_pinned[u]:
+                yield s, 0, self._flow[u] - self._n_pinned[u]
+            for p in self._adj[u]:
+                yield k + p, 0, len(self._members[u])
+        elif u < s:
+            p = u - k
+            free = self._graph.pools[p].capacity - self._used[p]
+            if free:
+                yield t, self._weight[p], free
+            for c, units in list(self._load[p].items()):
+                if units:
+                    yield c, 0, units
+        elif u == s:
+            for c in range(k):
+                if self._ceiling[c] > self._flow[c]:
+                    yield c, 0, self._ceiling[c] - self._flow[c]
+        else:
+            for p, used in enumerate(self._used):
+                if used:
+                    yield k + p, -self._weight[p], used
 
-    def _find_chain(self, sources: Sequence[int]) -> _Chain:
-        """Best augmenting chain from any source.
+    def _apply(self, u: int, v: int, units: int) -> None:
+        """Push ``units`` along the residual arc ``u -> v``."""
+        k, s, t = len(self._members), self._source, self._sink
+        if u == s:
+            self._flow[v] += units
+        elif v == s:
+            self._flow[u] -= units
+        elif t in (u, v):
+            return  # pool usage follows its class arcs
+        elif u < k:
+            self._load[v - k][u] += units
+            self._used[v - k] += units
+        else:
+            self._load[u - k][v] -= units
+            self._used[u - k] -= units
 
-        Explores eviction moves through full pools and returns the chain
-        reaching the free slot with the best (lowest) rank; rank 1 cannot be
-        beaten, so the search stops as soon as it touches one.
+    def _route(self, amount: int, pinned: bool) -> None:
+        """Send ``amount`` more units from S for the pinned or the unpinned
+        students by successive shortest paths: a max-flow stage into the
+        free rank-1 pools, one into the rank-2 pools, then the universal
+        pool directly, highest-priority students first.
+
+        A stage's paths have zero reduced cost when only T has a potential,
+        the weight.  Dead ends stay closed for the rest of a round of
+        searches; a round that finds nothing ends the stage.
         """
-        came: dict[int, tuple[int, int] | None] = {}
-        queue: deque[int] = deque()
-        for i in sources:
-            came[i] = None
-            queue.append(i)
-        best: tuple[int, int, int] | None = None  # (rank, student, pool)
-        scanned_pools: set[int] = set()
-        while queue:
-            x = queue.popleft()
-            for p in self._adj[x]:
-                if self._used[p] < self._capacity[p]:
-                    r = self._rank[p]
-                    if best is None or r < best[0]:
-                        best = (r, x, p)
-                        if r == 1:
-                            return x, p, came
-                # displacing an occupant is usage-preserving whether or not
-                # the pool is full, so every occupied pool is a thoroughfare
-                if self._used[p] > 0 and p not in scanned_pools:
-                    scanned_pools.add(p)
-                    for y in sorted(self._members[p]):
-                        if y not in came:
-                            came[y] = (x, p)
-                            queue.append(y)
-        if best is None:
-            raise AssertionError("no augmenting chain despite free capacity")
-        return best[1], best[2], came
+        for weight in self._rank_weight[:2]:
+            pi = [0] * self._sink + [weight]
+            pushed = amount
+            while amount and pushed:
+                seen: set[int] = set()
+                pushed = 0
+                while amount and (units := self._push(self._source, self._sink, amount, seen, pi)):
+                    amount -= units
+                    pushed += units
+        # units each class already routed in this phase
+        base = [0] * len(self._flow) if pinned else self._n_pinned
+        skip = [f - b for f, b in zip(self._flow, base)]
+        for i, c in enumerate(self._class_of):
+            if self._pinned[i] != pinned or not amount:
+                continue
+            if skip[c]:
+                skip[c] -= 1
+                continue
+            self._apply(self._source, c, 1)
+            self._apply(c, len(self._members) + self._graph.universal_pool, 1)
+            amount -= 1
 
-    def _shift_in(self, student: int, pool: int, came: dict[int, tuple[int, int] | None]) -> None:
-        """Place ``student`` into ``pool`` and ripple the eviction chain back
-        to its source.  Does not touch the size counter."""
-        while True:
-            old = self._pool_of[student]
-            if old >= 0:
-                self._members[old].remove(student)
-                self._used[old] -= 1
-            self._pool_of[student] = pool
-            self._members[pool].add(student)
-            self._used[pool] += 1
-            step = came[student]
-            if step is None:
-                return
-            student, pool = step
+    def _push(self, start: int, goal: int, limit: int, seen: set[int], pi: list[int]) -> int:
+        """Push up to ``limit`` units from ``start`` to ``goal`` along one
+        path of zero reduced cost under ``pi``, depth first around the nodes
+        in ``seen``, which gains the dead ends; returns the units pushed."""
+        seen.add(start)
+        stack = [(start, limit, self._arcs(start))]
+        while stack:
+            u, room, arcs = stack[-1]
+            for v, cost, cap in arcs:
+                if v not in seen and cost + pi[u] == pi[v]:
+                    break
+            else:
+                stack.pop()
+                continue
+            units = min(room, cap)
+            if v == goal:
+                path = [node for node, _, _ in stack] + [v]
+                for a, b in zip(path, path[1:]):
+                    self._apply(a, b, units)
+                seen.difference_update(path)
+                return units
+            seen.add(v)
+            stack.append((v, units, self._arcs(v)))
+        return 0
 
-    def _unseat(self, student: int, came: dict[int, tuple[int, int] | None]) -> None:
-        """Remove ``student`` from its pool and ripple the rest of its chain."""
-        pool = self._pool_of[student]
-        self._members[pool].remove(student)
-        self._used[pool] -= 1
-        self._pool_of[student] = -1
-        step = came[student]
-        if step is not None:
-            self._shift_in(step[0], step[1], came)
-
-    def _fill(self) -> None:
-        """Augment to the target size with best chains from all unmatched
-        students; once only universal slots remain reachable, finish with a
-        direct priority scan."""
-        n = len(self._pool_of)
-        while self._size < self.target_size:
-            sources = [i for i in range(n) if self._pool_of[i] < 0]
-            terminal, pool, came = self._find_chain(sources)
-            if self._rank[pool] == 3:
-                u = self._universal
-                for i in sources:
-                    if self._size >= self.target_size:
-                        break
-                    self._pool_of[i] = u
-                    self._members[u].add(i)
-                    self._used[u] += 1
-                    self._size += 1
-                return
-            self._shift_in(terminal, pool, came)
-            self._size += 1
-
-    # ------------------------------------------------------------------
-    # queries
+    def _potentials(self) -> list[int]:
+        """Bellman-Ford distances from a virtual root joined to every node
+        at cost 0: residual arcs have non-negative reduced costs."""
+        dist = [0] * (self._sink + 1)
+        changed = True
+        while changed:
+            changed = False
+            for u in range(len(dist)):
+                for v, cost, _ in self._arcs(u):
+                    if dist[u] + cost < dist[v]:
+                        dist[v] = dist[u] + cost
+                        changed = True
+        return dist
 
     def signature(self) -> RankSignature:
         counts = [0, 0, 0]
-        for p, used in enumerate(self._used):
-            counts[self._rank[p] - 1] += used
+        for pool, used in zip(self._graph.pools, self._used):
+            counts[pool.rank - 1] += used
         return RankSignature(*counts)
 
-    def is_matched(self, sid: StudentId) -> bool:
-        return self._pool_of[self._index[sid]] >= 0
+    def _chosen(self, c: int) -> list[int]:
+        """Matched members of class ``c``, in priority order."""
+        extra = self._flow[c] - self._n_pinned[c]
+        unpinned = [i for i in self._members[c] if not self._pinned[i]]
+        return sorted([i for i in self._members[c] if self._pinned[i]] + unpinned[:extra])
 
     def matched_students(self) -> tuple[StudentId, ...]:
-        return tuple(
-            sid for i, sid in enumerate(self._graph.students) if self._pool_of[i] >= 0
-        )
+        matched = sorted(i for c in range(len(self._members)) for i in self._chosen(c))
+        return tuple(self._graph.students[i] for i in matched)
 
     def matching(self) -> Matching:
-        """Materialize the pool assignment as seat-level pairs; within a pool
-        seats are indexed in priority order."""
+        """Materialize seat-level pairs: each class fills its pools in pool
+        order, and seats within a pool are indexed in priority order."""
+        seated: list[list[int]] = [[] for _ in self._graph.pools]
+        for c in range(len(self._members)):
+            chosen = iter(self._chosen(c))
+            for p in self._adj[c]:
+                seated[p].extend(islice(chosen, self._load[p][c]))
         pairs = []
         for p, pool in enumerate(self._graph.pools):
-            for idx, i in enumerate(sorted(self._members[p])):
+            for idx, i in enumerate(sorted(seated[p])):
                 pairs.append((self._graph.students[i], Seat(pool.type, pool.rank, idx)))
         return Matching(frozenset(pairs))
-
-    # ------------------------------------------------------------------
-    # pinning
 
     def try_force(self, sid: StudentId) -> bool:
         """Pin ``sid`` if doing so preserves the current rank signature.
@@ -218,140 +240,17 @@ class RankMaximalMatcher:
         leaves the state untouched and returns ``False``.
         """
         i = self._index[sid]
-        if self._forced[i]:
+        if self._pinned[i]:
             return True
-        if self._pool_of[i] >= 0:
-            self._forced[i] = True
-            self._n_forced += 1
-            return True
-        if self._n_forced >= self.target_size:
-            return False
-
-        # Fast path: swap onto the universal pool by unseating an unpinned
-        # occupant; rank-3 usage is unchanged.
-        victim = self._unpinned_member(self._universal)
-        if victim is not None:
-            came = {victim: None}
-            self._unseat(victim, came)
-            u = self._universal
-            self._pool_of[i] = u
-            self._members[u].add(i)
-            self._used[u] += 1
-            self._forced[i] = True
-            self._n_forced += 1
-            return True
-
-        if self._reconfigure(i):
-            self._forced[i] = True
-            self._n_forced += 1
-            return True
-        return False
-
-    def _unpinned_member(self, pool: int) -> int | None:
-        """Lowest-priority non-pinned occupant of a pool, if any."""
-        best = -1
-        for y in self._members[pool]:
-            if not self._forced[y] and y > best:
-                best = y
-        return best if best >= 0 else None
-
-    def _reconfigure(self, i: int) -> bool:
-        """Match student ``i`` without changing the signature, by eviction
-        chains.  Exact: returns False only when no signature-preserving
-        matching covering the pinned set plus ``i`` exists."""
-        came: dict[int, tuple[int, int] | None] = {i: None}
-        queue: deque[int] = deque([i])
-        free_ranks: dict[int, tuple[int, int]] = {}  # rank -> first (student, pool)
-        scanned_pools: set[int] = set()
-        while queue:
-            x = queue.popleft()
-            for p in self._adj[x]:
-                if self._used[p] < self._capacity[p]:
-                    free_ranks.setdefault(self._rank[p], (x, p))
-                if self._used[p] > 0 and p not in scanned_pools:
-                    scanned_pools.add(p)
-                    for y in sorted(self._members[p]):
-                        if y in came:
-                            continue
-                        came[y] = (x, p)
-                        if not self._forced[y]:
-                            # Net-zero exchange: i enters, y is unseated.
-                            self._unseat(y, came)
-                            return True
-                        queue.append(y)
-
-        # No direct exchange.  Try entering a free slot of some rank while an
-        # independent chain releases one seat of the same rank elsewhere.
-        for r in sorted(free_ranks):
-            shed = self._find_shed(r)
-            if shed is None:
-                continue
-            dump, shed_came = shed
-            if not set(shed_came) & set(came):
-                x, p = free_ranks[r]
-                self._shift_in(x, p, came)
-                self._size += 1
-                self._unseat(dump, shed_came)
-                self._size -= 1
-                return True
-            # The two chains touch; fall back to a fresh solve, which is
-            # exact, and adopt its state when the signature survives.
-            return self._refit_with(i)
-        return False
-
-    def _find_shed(self, rank_needed: int) -> tuple[int, dict[int, tuple[int, int] | None]] | None:
-        """Chain that lowers the seat count at ``rank_needed`` by one while
-        keeping every pinned student matched: some occupant of a pool of
-        that rank leaves, relocating through full pools until a non-pinned
-        student can be unseated."""
-        came: dict[int, tuple[int, int] | None] = {}
-        queue: deque[int] = deque()
-        for p, pool in enumerate(self._graph.pools):
-            if pool.rank != rank_needed or self._used[p] == 0:
-                continue
-            for y in sorted(self._members[p]):
-                if y in came:
-                    continue
-                came[y] = None
-                if not self._forced[y]:
-                    return y, came
-                queue.append(y)
-        scanned_pools: set[int] = set()
-        while queue:
-            x = queue.popleft()
-            for p in self._adj[x]:
-                # Relocations must displace an occupant; consuming a free
-                # slot would change some rank's count.
-                if p == self._pool_of[x] or self._used[p] == 0:
-                    continue
-                if p in scanned_pools:
-                    continue
-                scanned_pools.add(p)
-                for y in sorted(self._members[p]):
-                    if y in came:
-                        continue
-                    came[y] = (x, p)
-                    if not self._forced[y]:
-                        return y, came
-                    queue.append(y)
-        return None
-
-    def _refit_with(self, i: int) -> bool:
-        pinned = [
-            self._graph.students[j]
-            for j in range(len(self._pool_of))
-            if self._forced[j]
-        ]
-        pinned.append(self._graph.students[i])
-        fresh = RankMaximalMatcher(self._graph, pinned)
-        if fresh.signature() != self.signature():
-            return False
-        self._pool_of = fresh._pool_of
-        self._members = fresh._members
-        self._used = fresh._used
-        self._forced = fresh._forced
-        self._n_forced = fresh._n_forced
-        self._size = fresh._size
+        c = self._class_of[i]
+        if self._flow[c] == self._n_pinned[c]:
+            # look for a cycle S -> c ~> S of zero reduced cost
+            s, pi = self._source, self._potential
+            if pi[s] != pi[c] or not self._push(c, s, 1, set(), pi):
+                return False
+            self._apply(s, c, 1)
+        self._pinned[i] = True
+        self._n_pinned[c] += 1
         return True
 
 

@@ -66,6 +66,17 @@ def test_malformed_instance_is_runtime_error(tmp_path, capsys):
     assert main(["run", str(bad), "--algo", "as"]) == 2
 
 
+@pytest.mark.parametrize("field", ['"capacity": 0', '"capacity": true', '"capacity": 1, "acceptable": -3'])
+def test_invalid_instance_is_runtime_error(tmp_path, capsys, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{%s, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], []]}' % field,
+        encoding="utf-8",
+    )
+    assert main(["run", str(bad), "--algo", "as"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
 

@@ -61,6 +61,13 @@ def test_evaluate_rejects_unknown_seats(example):
     overflow = Outcome("as", (4,), Matching(frozenset({(4, Seat(1, 1, 5))})))
     with pytest.raises(ValueError):
         evaluate(example, overflow)
+    # student 0 holds no types, so it may not take a type-1 reserve
+    ineligible = Outcome("as", (0,), Matching(frozenset({(0, Seat(1, 1, 0))})))
+    with pytest.raises(ValueError, match="does not hold"):
+        evaluate(example, ineligible)
+    double = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0))})))
+    with pytest.raises(ValueError, match="used twice"):
+        evaluate(example, double)
 
 
 def test_ratios_on_the_example(example):

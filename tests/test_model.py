@@ -158,6 +158,14 @@ def test_serialize_permutes_into_priority_order(example):
         '{"capacity": 3, "types": ["a"], "quotas": {"rank1": [1], "rank2": [1, 2]}, "students": []}',
         '{"capacity": 3, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[2]]}',
         '{"capacity": 3, "types": ["a"], "quotas": {"rank1": [-1], "rank2": [0]}, "students": [[1]]}',
+        # problems only validate() reports
+        '{"capacity": 0, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]]}',
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]], "acceptable": -3}',
+        # JSON booleans are not integers
+        '{"capacity": true, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]]}',
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [true], "rank2": [0]}, "students": [[1]]}',
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[true]]}',
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]], "acceptable": false}',
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -152,8 +152,9 @@ def high_reserve_instance(rnd: random.Random):
     return Instance(students, tuple(priority), cap, QuotaTable((0, *rank1), (0, *rank2)))
 
 
-# 466 and 714 drive try_force through its exact fresh-solve fallback (the
-# entry and release chains touch); keep them pinned alongside a spread of
+# 466 and 714 start with pools where pinning needs a zero-cost cycle through
+# T: the student enters a free seat of some rank while a seat of the same
+# rank is released elsewhere; keep them pinned alongside a spread of
 # ordinary seeds
 @pytest.mark.parametrize("base", [55_000, 55_200, 55_400, 55_466, 55_714])
 def test_try_force_matches_oracle_in_the_high_reserve_regime(base):
