@@ -19,7 +19,7 @@ from .algorithms import (
     sy1_select,
     sy2_select,
 )
-from .datagen import SatGenConfig, gen_instance, gen_quotas, gen_score, gen_scores, gen_types
+from .datagen import SatGenConfig, gen_instance, gen_quotas, gen_scores, gen_types
 from .graph import (
     Matching,
     RankSignature,
@@ -74,7 +74,6 @@ __all__ = [
     "evaluate",
     "gen_instance",
     "gen_quotas",
-    "gen_score",
     "gen_scores",
     "gen_types",
     "is_compatible",

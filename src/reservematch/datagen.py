@@ -137,22 +137,14 @@ def gen_scores(
     stays within a point of the analytic truncated mean.
     """
     rng = _as_rng(seed)
-    means = np.array([score_mean(ts, model) for ts in type_sets], dtype=float)
+    mean_of = {ts: score_mean(ts, model) for ts in set(type_sets)}
+    means = np.array([mean_of[ts] for ts in type_sets], dtype=float)
     scores = rng.normal(means, model.sd)
     bad = (scores < model.lower) | (scores > model.upper)
     while bad.any():
         scores[bad] = rng.normal(means[bad], model.sd)
         bad = (scores < model.lower) | (scores > model.upper)
     return scores
-
-
-def gen_score(
-    seed: int | np.random.Generator,
-    types: frozenset[int],
-    model: ScoreModel = DEFAULT_SCORE_MODEL,
-) -> float:
-    """Single-score convenience wrapper around :func:`gen_scores`."""
-    return float(gen_scores(seed, [types], model)[0])
 
 
 def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> QuotaTable:

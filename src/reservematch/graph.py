@@ -112,7 +112,8 @@ def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> Res
 
     ``subset`` defaults to the acceptable pool.  Pools are created for every
     (type, rank) with a positive quota, plus the universal pool with
-    ``capacity`` rank-3 seats.
+    ``capacity`` rank-3 seats.  Adjacency is built once per distinct type
+    set and the tuple is shared by every student who holds that set.
     """
     if subset is None:
         members = list(instance.acceptable)
@@ -133,17 +134,16 @@ def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> Res
     universal = len(pools)
     pools.append(SeatPool(UNIVERSAL_TYPE, 3, instance.capacity))
 
+    by_types: dict[frozenset[TypeId], tuple[int, ...]] = {}
     adjacency: dict[StudentId, tuple[int, ...]] = {}
     for sid in members:
-        eligible = [
-            pool_of_type[(t, rank)]
-            for rank in (1, 2)
-            for t in sorted(instance.student(sid).types)
-            if (t, rank) in pool_of_type
-        ]
-        eligible.sort()
-        eligible.append(universal)
-        adjacency[sid] = tuple(eligible)
+        types = instance.student(sid).types
+        if types not in by_types:
+            eligible = sorted(
+                pool_of_type[(t, rank)] for rank in (1, 2) for t in types if (t, rank) in pool_of_type
+            )
+            by_types[types] = (*eligible, universal)
+        adjacency[sid] = by_types[types]
 
     return ReservationGraph(tuple(members), instance.capacity, tuple(pools), adjacency)
 

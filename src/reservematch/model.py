@@ -125,6 +125,11 @@ class Instance:
         return f"t{type_id}"
 
 
+def _is_int(value: Any) -> bool:
+    """Whether a value is an integer; booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(instance: Instance) -> list[str]:
     """Check the structural invariants of an instance.
 
@@ -135,8 +140,8 @@ def validate(instance: Instance) -> list[str]:
     errors: list[str] = []
     n = instance.n_students
 
-    if instance.capacity < 1:
-        errors.append(f"capacity: must be >= 1, got {instance.capacity}")
+    if not _is_int(instance.capacity) or instance.capacity < 1:
+        errors.append(f"capacity: must be an integer >= 1, got {instance.capacity!r}")
 
     ids = [s.id for s in instance.students]
     if ids != list(range(n)):
@@ -155,7 +160,7 @@ def validate(instance: Instance) -> list[str]:
             errors.append("quotas: universal type must have zero quota at both ranks")
         for rank, counts in ((1, quotas.rank1), (2, quotas.rank2)):
             for t, c in enumerate(counts):
-                if not isinstance(c, int) or c < 0:
+                if not _is_int(c) or c < 0:
                     errors.append(f"quotas: rank-{rank} count for type {t} must be a non-negative integer")
 
     declared = set(range(1, quotas.n_types))
@@ -166,8 +171,9 @@ def validate(instance: Instance) -> list[str]:
         if UNIVERSAL_TYPE in s.types:
             errors.append(f"student {s.id}: universal type must not be listed explicitly")
 
-    if instance.acceptable_count is not None and not 0 <= instance.acceptable_count <= n:
-        errors.append(f"acceptable_count: must be in [0, {n}], got {instance.acceptable_count}")
+    cut = instance.acceptable_count
+    if cut is not None and (not _is_int(cut) or not 0 <= cut <= n):
+        errors.append(f"acceptable_count: must be an integer in [0, {n}], got {cut!r}")
 
     if instance.type_names is not None and len(instance.type_names) != quotas.n_types - 1:
         errors.append("type_names: must name every non-universal type")
@@ -186,11 +192,6 @@ def total_reserves(instance: Instance) -> int:
 
 class InstanceFormatError(ValueError):
     """Raised when an instance document cannot be parsed."""
-
-
-def _is_int(value: Any) -> bool:
-    """Whether a JSON value is an integer; JSON booleans are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(doc: dict[str, Any], key: str, kind: type) -> Any:

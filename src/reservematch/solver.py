@@ -26,6 +26,12 @@ zero cost, so it splits into residual cycles of zero cost, made only of
 arcs of zero reduced cost, and one of them enters the class from S.  One
 search over those arcs for a cycle S -> class ~> S is therefore exact, and
 pushing a unit around it keeps the potentials valid.
+
+A class whose search fails (or whose potential differs from that of S) is
+rejected from then on in O(1).  Pins only add lower bounds, so the set of
+optimal flows that meet them only shrinks: if none of them gives the class
+one more unit now, none will after further pins.  A failed search changes
+no state, so skipping it leaves every flow and matching as it was.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ class RankMaximalMatcher:
         if n_forced > graph.cap:
             raise InfeasibleForcedError(f"cannot pin {n_forced} students with a cap of {graph.cap}")
 
+        self._dead = [False] * k  # classes try_force can no longer grow
         self._ceiling = list(self._n_pinned)  # upper bound of S -> class
         self._route(n_forced, pinned=True)
         self._ceiling = [len(members) for members in self._members]
@@ -153,15 +160,21 @@ class RankMaximalMatcher:
         # units each class already routed in this phase
         base = [0] * len(self._flow) if pinned else self._n_pinned
         skip = [f - b for f, b in zip(self._flow, base)]
+        fill: Counter[int] = Counter()  # units per class, in order of first use
         for i, c in enumerate(self._class_of):
-            if self._pinned[i] != pinned or not amount:
+            if not amount:
+                break
+            if self._pinned[i] != pinned:
                 continue
             if skip[c]:
                 skip[c] -= 1
                 continue
-            self._apply(self._source, c, 1)
-            self._apply(c, len(self._members) + self._graph.universal_pool, 1)
+            fill[c] += 1
             amount -= 1
+        universal = len(self._members) + self._graph.universal_pool
+        for c, units in fill.items():
+            self._apply(self._source, c, units)
+            self._apply(c, universal, units)
 
     def _push(self, start: int, goal: int, limit: int, seen: set[int], pi: list[int]) -> int:
         """Push up to ``limit`` units from ``start`` to ``goal`` along one
@@ -243,10 +256,13 @@ class RankMaximalMatcher:
         if self._pinned[i]:
             return True
         c = self._class_of[i]
+        if self._dead[c]:
+            return False
         if self._flow[c] == self._n_pinned[c]:
             # look for a cycle S -> c ~> S of zero reduced cost
             s, pi = self._source, self._potential
             if pi[s] != pi[c] or not self._push(c, s, 1, set(), pi):
+                self._dead[c] = True
                 return False
             self._apply(s, c, 1)
         self._pinned[i] = True

@@ -4,7 +4,6 @@ import pytest
 from reservematch import (
     gen_instance,
     gen_quotas,
-    gen_score,
     gen_scores,
     gen_types,
     parse_instance,
@@ -132,10 +131,6 @@ def test_empty_type_sample_mean_matches_truncnorm_oracle():
     assert abs(oracle - 1127.4735) < 0.001  # frozen oracle value
     sample = gen_scores(123, [frozenset()] * 100_000)
     assert abs(sample.mean() - oracle) < 3.0
-
-
-def test_single_score_wrapper_deterministic():
-    assert gen_score(11, frozenset({1})) == gen_score(11, frozenset({1}))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ def test_example_is_valid(example):
 
 
 def test_capacity_must_be_positive(example):
-    bad = Instance(example.students, example.priority, 0, example.quotas)
-    errors = validate(bad)
-    assert any("capacity" in e for e in errors)
+    for capacity in (0, True):
+        bad = Instance(example.students, example.priority, capacity, example.quotas)
+        errors = validate(bad)
+        assert any("capacity" in e for e in errors)
 
 
 def test_priority_must_be_permutation(example):
@@ -49,8 +50,9 @@ def test_undeclared_types_reported(example):
 
 
 def test_negative_quota_reported(example):
-    bad = Instance(example.students, example.priority, 3, QuotaTable((0, -1, 1, 0, 0), (0, 0, 0, 1, 1)))
-    assert any("non-negative" in e for e in validate(bad))
+    for rank1 in ((0, -1, 1, 0, 0), (0, True, 1, 0, 0)):
+        bad = Instance(example.students, example.priority, 3, QuotaTable(rank1, (0, 0, 0, 1, 1)))
+        assert any("non-negative" in e for e in validate(bad))
 
 
 def test_total_reserves_example(example):

@@ -4,8 +4,10 @@ import pytest
 
 from reservematch import (
     RankSignature,
+    SatGenConfig,
     Seat,
     build_graph,
+    gen_instance,
     is_compatible,
     max_signature,
     rank_maximal_matching,
@@ -110,11 +112,19 @@ def test_forcing_never_improves_the_signature():
 
 def test_try_force_agrees_with_naive_compatibility():
     # the incremental pinning used by the greedy rules must answer exactly
-    # like a fresh constrained solve, state updates included
+    # like a fresh constrained solve, state updates included; the generated
+    # pools have few classes, so most of them are rejected many times
     rnd = random.Random(213)
-    for _ in range(150):
-        inst = random_small_instance(rnd)
+    instances = [random_small_instance(rnd) for _ in range(150)]
+    instances += [
+        gen_instance(SatGenConfig(capacity=capacity, seed=seed, psi_factor=factor))
+        for capacity in (20, 60)
+        for factor in (1.0, 2.6154)
+        for seed in (5, 6)
+    ]
+    for inst in instances:
         g = build_graph(inst)
+        top = max_signature(g)
         matcher = RankMaximalMatcher(g)
         pinned: list[int] = []
         for sid in inst.acceptable:
@@ -125,7 +135,7 @@ def test_try_force_agrees_with_naive_compatibility():
             assert got == expected
             if got:
                 pinned.append(sid)
-                assert matcher.signature() == max_signature(g)
+                assert matcher.signature() == top
                 assert set(pinned) <= set(matcher.matched_students())
 
 
