@@ -133,6 +133,13 @@ def test_empty_type_sample_mean_matches_truncnorm_oracle():
     assert abs(sample.mean() - oracle) < 3.0
 
 
+def test_single_score_wrapper_deterministic():
+    # a one-element draw, as the former single-score wrapper made it
+    first = gen_scores(11, [frozenset({1})])
+    assert first.shape == (1,)
+    assert first[0] == gen_scores(11, [frozenset({1})])[0]
+
+
 # ---------------------------------------------------------------------------
 # whole instances
 
