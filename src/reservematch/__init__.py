@@ -27,10 +27,9 @@ from .graph import (
     Seat,
     SeatPool,
     build_graph,
-    dump_edges,
     signature,
 )
-from .metrics import MetricValues, RatioReport, evaluate, percentile, ratios
+from .metrics import MetricValues, evaluate, percentile
 from .model import (
     Instance,
     QuotaTable,
@@ -60,7 +59,6 @@ __all__ = [
     "QuotaTable",
     "RankMaximalMatcher",
     "RankSignature",
-    "RatioReport",
     "ReservationGraph",
     "SatGenConfig",
     "Seat",
@@ -69,7 +67,6 @@ __all__ = [
     "__version__",
     "a_s_select",
     "build_graph",
-    "dump_edges",
     "ehyy_select",
     "evaluate",
     "gen_instance",
@@ -84,7 +81,6 @@ __all__ = [
     "pog_select",
     "pos_select",
     "rank_maximal_matching",
-    "ratios",
     "run_algorithm",
     "save_instance",
     "serialize_instance",

@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 from .graph import Matching, Seat, build_graph
 from .model import Instance, QuotaTable, StudentId, UNIVERSAL_TYPE
-from .solver import RankMaximalMatcher
+from .solver import RankMaximalMatcher, rank_maximal_matching
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ def sy2_select(instance: Instance) -> Outcome:
         (0,) * instance.n_types,
     )
     chosen, _ = _greedy_scan(replace(instance, quotas=merged))
-    graph = build_graph(instance, set(chosen))
-    matcher = RankMaximalMatcher(graph, chosen)
-    return Outcome("sy2", chosen, matcher.matching())
+    return Outcome("sy2", chosen, rank_maximal_matching(build_graph(instance, set(chosen)), chosen))
 
 
 def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome:
@@ -173,9 +171,7 @@ def pos_select(instance: Instance) -> Outcome:
     pool = instance.acceptable
     target = min(instance.capacity, len(pool))
     chosen = pool[:target]
-    graph = build_graph(instance, set(chosen))
-    matcher = RankMaximalMatcher(graph, chosen)
-    return Outcome("pos", chosen, matcher.matching())
+    return Outcome("pos", chosen, rank_maximal_matching(build_graph(instance, set(chosen)), chosen))
 
 
 ALGORITHMS: dict[str, Callable[[Instance], Outcome]] = {

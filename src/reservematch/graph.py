@@ -42,10 +42,6 @@ class RankSignature(NamedTuple):
     rank2: int
     rank3: int
 
-    @property
-    def size(self) -> int:
-        return self.rank1 + self.rank2 + self.rank3
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -55,15 +51,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def students(self) -> frozenset[StudentId]:
-        return frozenset(sid for sid, _ in self.pairs)
-
-    def seat_of(self, sid: StudentId) -> Seat | None:
-        for s, seat in self.pairs:
-            if s == sid:
-                return seat
-        return None
 
 
 def signature(matching: Matching) -> RankSignature:
@@ -146,9 +133,3 @@ def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> Res
         adjacency[sid] = by_types[types]
 
     return ReservationGraph(tuple(members), instance.capacity, tuple(pools), adjacency)
-
-
-def dump_edges(graph: ReservationGraph) -> str:
-    """Text edge list, one ``student seat rank`` triple per line."""
-    lines = [f"s{sid} {seat.label()} {seat.rank}" for sid, seat in graph.edges()]
-    return "\n".join(lines) + ("\n" if lines else "")

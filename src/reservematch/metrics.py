@@ -1,22 +1,20 @@
-"""Diversity and merit metrics, plus cross-algorithm ratio reports.
+"""Diversity and merit metrics, and the per-instance ratio to the suite's best.
 
 Three per-outcome values are tracked: ``p1`` counts filled rank-1 reserves,
 ``p2`` counts filled reserves across both ranks (universal seats never
 count), and ``p3`` is the mean priority percentile of the selected
-students, where the top-priority student scores 100.  Reports normalize
-each value by the best value any algorithm in the suite achieved on the
-same instance, then aggregate the ratios as a mean and a minimum.
+students, where the top-priority student scores 100.  Each value is
+normalized by the best value any algorithm in the suite achieved on the
+same instance; the sweep averages and minimizes those ratios per cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from .algorithms import Outcome
-from .graph import build_graph
-from .model import Instance, QuotaTable, UNIVERSAL_TYPE
-from .solver import max_signature
+from .model import Instance, UNIVERSAL_TYPE
 
 METRICS = ("p1", "p2", "p3")
 
@@ -50,13 +48,16 @@ def percentile(instance: Instance, sid: int) -> float:
 def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     """Metric values of an outcome produced on this instance.
 
-    Raises ``ValueError`` when the outcome is not a valid seating: unknown
-    students or seats, a student or seat used twice, a reserved seat whose
-    type the student does not hold, or selected students that differ from
-    the matched ones.
+    Raises ``ValueError`` when the outcome is not a valid seating: more
+    students than the capacity, unknown students or seats, a student or seat
+    used twice, a reserved seat whose type the student does not hold, a
+    student below the acceptability cutoff, or selected students that differ
+    from the matched ones.
     """
     n = instance.n_students
     quotas = instance.quotas
+    if len(outcome.matching) > instance.capacity:
+        raise ValueError(f"outcome seats {len(outcome.matching)} students at capacity {instance.capacity}")
     p1 = 0
     p2 = 0
     matched = set()
@@ -85,6 +86,11 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
             p2 += 1
     if matched != set(outcome.selected):
         raise ValueError("selected students and matched students disagree")
+    cut = instance.acceptable_count
+    if cut is not None:
+        for sid in outcome.selected:
+            if instance.priority_position(sid) >= cut:
+                raise ValueError(f"student {sid} is below the acceptability cutoff {cut}")
 
     if outcome.selected:
         pcts = [percentile(instance, sid) for sid in outcome.selected]
@@ -95,45 +101,9 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     return MetricValues(p1, p2, p3, p3_min, p3_max)
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """Average and worst-case performance ratios per algorithm and metric."""
-
-    algorithms: tuple[str, ...]
-    n_instances: int
-    avg: dict[tuple[str, str], float]
-    worst: dict[tuple[str, str], float]
-    zero_optimum: dict[str, int]
-
-    def avg_ratio(self, algorithm: str, metric: str) -> float:
-        return self.avg[(algorithm, metric)]
-
-    def worst_ratio(self, algorithm: str, metric: str) -> float:
-        return self.worst[(algorithm, metric)]
-
-
 def suite_optimum(values: Mapping[str, MetricValues]) -> dict[str, float]:
     """Best value per metric over one instance's outcomes."""
     return {m: max(v.value(m) for v in values.values()) for m in METRICS}
-
-
-def true_optimum(instance: Instance) -> dict[str, float]:
-    """Best attainable value per metric, independent of the suite.
-
-    ``p1`` is the rank-1 count of the rank-maximal matching, ``p2`` the best
-    reserve fill with both ranks merged, and ``p3`` the mean percentile of
-    the top-capacity prefix.
-    """
-    opt_p1 = max_signature(build_graph(instance)).rank1
-    merged = QuotaTable(
-        tuple(a + b for a, b in zip(instance.quotas.rank1, instance.quotas.rank2)),
-        (0,) * instance.n_types,
-    )
-    opt_p2 = max_signature(build_graph(replace(instance, quotas=merged))).rank1
-    pool = instance.acceptable
-    top = pool[: min(instance.capacity, len(pool))]
-    opt_p3 = sum(percentile(instance, sid) for sid in top) / len(top) if top else 0.0
-    return {"p1": float(opt_p1), "p2": float(opt_p2), "p3": opt_p3}
 
 
 def ratio(value: float, optimum: float) -> float:
@@ -141,44 +111,3 @@ def ratio(value: float, optimum: float) -> float:
     if optimum == 0:
         return 1.0
     return value / optimum
-
-
-def ratios(
-    instances: Sequence[Instance],
-    outcomes: Mapping[str, Sequence[Outcome]],
-    *,
-    optimum: str = "suite",
-) -> RatioReport:
-    """Aggregate performance ratios over a set of instances.
-
-    ``outcomes`` maps each algorithm tag to one outcome per instance, in
-    instance order.  ``optimum`` selects the normalizer: ``"suite"`` uses
-    the best value achieved by the given algorithms on each instance (so on
-    every instance at least one algorithm scores ratio one), ``"true"``
-    computes the absolute optimum per instance instead.
-    """
-    if not instances:
-        raise ValueError("empty instance set")
-    if optimum not in ("suite", "true"):
-        raise ValueError(f"optimum must be 'suite' or 'true', got {optimum!r}")
-    algorithms = tuple(outcomes)
-    for tag, outs in outcomes.items():
-        if len(outs) != len(instances):
-            raise ValueError(f"algorithm {tag!r} has {len(outs)} outcomes for {len(instances)} instances")
-
-    per_ratio: dict[tuple[str, str], list[float]] = {
-        (a, m): [] for a in algorithms for m in METRICS
-    }
-    zero_opt = {m: 0 for m in METRICS}
-    for i, instance in enumerate(instances):
-        values = {a: evaluate(instance, outcomes[a][i]) for a in algorithms}
-        opts = suite_optimum(values) if optimum == "suite" else true_optimum(instance)
-        for m in METRICS:
-            if opts[m] == 0:
-                zero_opt[m] += 1
-            for a in algorithms:
-                per_ratio[(a, m)].append(ratio(values[a].value(m), opts[m]))
-
-    avg = {key: sum(r) / len(r) for key, r in per_ratio.items()}
-    worst = {key: min(r) for key, r in per_ratio.items()}
-    return RatioReport(algorithms, len(instances), avg, worst, zero_opt)

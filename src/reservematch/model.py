@@ -55,12 +55,6 @@ class QuotaTable:
             return self.rank2[type_id]
         raise ValueError(f"quota rank must be 1 or 2, got {rank}")
 
-    def scaled(self, factor: int) -> "QuotaTable":
-        return QuotaTable(
-            tuple(c * factor for c in self.rank1),
-            tuple(c * factor for c in self.rank2),
-        )
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -99,20 +93,12 @@ class Instance:
         """0-based position of a student in the priority order."""
         return self._rank_of[sid]
 
-    def student_at(self, position: int) -> StudentId:
-        return self.priority[position]
-
     @property
     def acceptable(self) -> tuple[StudentId, ...]:
         """Acceptable students, highest priority first."""
         if self.acceptable_count is None:
             return self.priority
         return self.priority[: self.acceptable_count]
-
-    def is_acceptable(self, sid: StudentId) -> bool:
-        if self.acceptable_count is None:
-            return True
-        return self._rank_of[sid] < self.acceptable_count
 
     def student(self, sid: StudentId) -> Student:
         return self.students[sid]
@@ -213,7 +199,8 @@ def parse_instance(text: str) -> Instance:
     ``scores`` (floats, priority order) and ``acceptable`` (int cutoff).
     Students are re-identified as 0..n-1 in priority order.  Raises
     :class:`InstanceFormatError` on malformed JSON, on a boolean where an
-    integer belongs, and on any problem :func:`validate` reports.
+    integer belongs, on a score that is not a number (booleans included),
+    and on any problem :func:`validate` reports.
     """
     try:
         doc = json.loads(text)
@@ -251,6 +238,9 @@ def parse_instance(text: str) -> Instance:
         raw = doc["scores"]
         if not isinstance(raw, list) or len(raw) != len(students):
             raise InstanceFormatError("scores must be a list with one entry per student")
+        for i, x in enumerate(raw):
+            if not (_is_int(x) or isinstance(x, float)):
+                raise InstanceFormatError(f"scores[{i}] must be a number, got {x!r}")
         scores = tuple(float(x) for x in raw)
 
     acceptable = doc.get("acceptable")

@@ -61,8 +61,8 @@ def check_outcome(instance: Instance, outcome) -> None:
     target = min(instance.capacity, len(instance.acceptable))
     assert len(outcome.selected) == target
     assert len(set(outcome.selected)) == len(outcome.selected)
-    assert all(instance.is_acceptable(sid) for sid in outcome.selected)
-    assert outcome.matching.students() == set(outcome.selected)
+    assert set(outcome.selected) <= set(instance.acceptable)
+    assert {sid for sid, _ in outcome.matching.pairs} == set(outcome.selected)
     assert len(outcome.matching) <= instance.capacity
 
     seats = [seat for _, seat in outcome.matching.pairs]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from reservematch import (
     a_s_select,
     build_graph,
     ehyy_select,
+    max_signature,
     pog_select,
     pos_select,
     run_algorithm,
@@ -144,7 +146,7 @@ def test_ehyy_seeded_mode_can_pick_the_other_seat(example):
     # student 3 is eligible for both rank-1 seats; across seeds both choices
     # must occur
     seats = {
-        ehyy_select(example, random.Random(seed)).matching.seat_of(3).type
+        dict(ehyy_select(example, random.Random(seed)).matching.pairs)[3].type
         for seed in range(12)
     }
     assert seats == {1, 2}
@@ -179,6 +181,11 @@ def test_structural_invariants_on_random_instances():
         # merging ranks maximizes the total reserve fill
         sy2_total = sigs["sy2"].rank1 + sigs["sy2"].rank2
         assert all(sy2_total >= s.rank1 + s.rank2 for s in sigs.values())
+        # ... and reaches the best fill of the merged reserves
+        merged = QuotaTable(
+            tuple(a + b for a, b in zip(inst.quotas.rank1, inst.quotas.rank2)), (0,) * inst.n_types
+        )
+        assert sy2_total == max_signature(build_graph(replace(inst, quotas=merged))).rank1
         # the priority-only rules agree on the selected prefix
         prefix = inst.acceptable[: min(inst.capacity, len(inst.acceptable))]
         assert outs["pog"].selected == prefix

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -66,7 +67,17 @@ def test_malformed_instance_is_runtime_error(tmp_path, capsys):
     assert main(["run", str(bad), "--algo", "as"]) == 2
 
 
-@pytest.mark.parametrize("field", ['"capacity": 0', '"capacity": true', '"capacity": 1, "acceptable": -3'])
+@pytest.mark.parametrize(
+    "field",
+    [
+        '"capacity": 0',
+        '"capacity": true',
+        '"capacity": 1, "acceptable": -3',
+        '"capacity": 1, "scores": [null, 1]',
+        '"capacity": 1, "scores": ["abc", 1]',
+        '"capacity": 1, "scores": [true, 1]',
+    ],
+)
 def test_invalid_instance_is_runtime_error(tmp_path, capsys, field):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -108,6 +119,24 @@ def test_sweep_outputs_and_determinism(tmp_path):
 
     for name in ("per_instance.csv", "ratios.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    # each ratios.csv row is the mean and min of its cell's rounded per-instance ratios
+    with open(first / "per_instance.csv", newline="") as fh:
+        per_instance = list(csv.DictReader(fh))
+    with open(first / "ratios.csv", newline="") as fh:
+        aggregated = list(csv.DictReader(fh))
+    assert len(aggregated) == 2 * 2 * 6 * 3
+    for row in aggregated:
+        key = (row["psi_factor"], row["qc"], row["algorithm"])
+        cell = [
+            float(r["ratio_" + row["metric"]])
+            for r in per_instance
+            if (r["psi_factor"], r["qc"], r["algorithm"]) == key
+        ]
+        assert int(row["n_instances"]) == len(cell) == 3
+        assert row["avg_ratio"] == f"{sum(cell) / len(cell):.6f}"
+        assert row["worst_ratio"] == f"{min(cell):.6f}"
+        assert float(row["worst_ratio"]) <= float(row["avg_ratio"])
 
     m1 = json.loads((first / "manifest.json").read_text())
     m2 = json.loads((second / "manifest.json").read_text())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reservematch import Matching, RankSignature, Seat, build_graph, dump_edges, signature
+from reservematch import Matching, RankSignature, Seat, build_graph, signature
 
 from conftest import random_instance
 
@@ -55,7 +55,6 @@ def test_signature_order_is_lexicographic():
     assert RankSignature(1, 0, 0) > RankSignature(0, 5, 5)
     assert RankSignature(2, 1, 0) > RankSignature(2, 0, 9)
     assert RankSignature(2, 1, 1) > RankSignature(2, 1, 0)
-    assert RankSignature(1, 2, 3).size == 6
 
 
 def test_pools_cover_quotas():
@@ -70,12 +69,3 @@ def test_pools_cover_quotas():
                 assert (len(pool) == 1 and pool[0].capacity == q) if q else not pool
         universal = [p for p in g.pools if p.rank == 3]
         assert universal == [(0, 3, inst.capacity)]
-
-
-def test_dump_edges_format(example):
-    g = build_graph(example, {0, 1})
-    text = dump_edges(g)
-    lines = text.strip().splitlines()
-    assert lines[0] == "s0 t0:r3:0 3"
-    assert "s1 t4:r2:0 2" in lines
-    assert len(lines) == 3 + 4  # three universal seats each, plus one reserve for student 1

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,13 +13,12 @@ from reservematch import (
     evaluate,
     percentile,
     pog_select,
-    ratios,
     run_algorithm,
     total_reserves,
 )
 from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
-from reservematch.metrics import METRICS, suite_optimum, true_optimum
+from reservematch.metrics import METRICS, ratio, suite_optimum
 
 from conftest import random_instance
 
@@ -68,90 +68,50 @@ def test_evaluate_rejects_unknown_seats(example):
     double = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0))})))
     with pytest.raises(ValueError, match="used twice"):
         evaluate(example, double)
+    # four valid seats, but the capacity is three
+    seats = {(0, Seat(0, 3, 0)), (1, Seat(4, 2, 0)), (3, Seat(2, 1, 0)), (4, Seat(1, 1, 0))}
+    crowded = Outcome("as", (0, 1, 3, 4), Matching(frozenset(seats)))
+    with pytest.raises(ValueError, match="capacity"):
+        evaluate(example, crowded)
+    late = Outcome("as", (5,), Matching(frozenset({(5, Seat(2, 1, 0))})))
+    with pytest.raises(ValueError, match="cutoff"):
+        evaluate(replace(example, acceptable_count=2), late)
+
+
+def suite_relative(instance, tags):
+    """Per-instance ratio of each (algorithm, metric) to the suite's best."""
+    values = {tag: evaluate(instance, run_algorithm(tag, instance)) for tag in tags}
+    opts = suite_optimum(values)
+    return {(tag, m): ratio(v.value(m), opts[m]) for tag, v in values.items() for m in METRICS}
 
 
 def test_ratios_on_the_example(example):
-    outs = {tag: [run_algorithm(tag, example)] for tag in ALGORITHMS}
-    report = ratios([example], outs)
-    assert report.avg_ratio("as", "p1") == 1.0
-    assert report.worst_ratio("as", "p1") == 1.0
-    assert report.avg_ratio("pog", "p1") == 0.0
-    assert report.avg_ratio("pog", "p3") == 1.0
+    r = suite_relative(example, ALGORITHMS)
+    assert r[("as", "p1")] == 1.0
+    assert r[("pog", "p1")] == 0.0
+    assert r[("pog", "p3")] == 1.0
     # every metric has a ratio-one algorithm by construction
     for metric in METRICS:
-        assert any(report.avg_ratio(tag, metric) == 1.0 for tag in ALGORITHMS)
+        assert any(r[(tag, metric)] == 1.0 for tag in ALGORITHMS)
 
 
 def test_single_algorithm_suite_is_self_normalized(example):
-    report = ratios([example], {"pog": [pog_select(example)]})
+    r = suite_relative(example, ["pog"])
     for metric in METRICS:
-        assert report.avg_ratio("pog", metric) == 1.0
-        assert report.worst_ratio("pog", metric) == 1.0
-
-
-def test_identical_algorithms_get_identical_reports(example):
-    outs = {"a": [a_s_select(example)], "b": [a_s_select(example)]}
-    report = ratios([example], outs)
-    for metric in METRICS:
-        assert report.avg_ratio("a", metric) == report.avg_ratio("b", metric)
-
-
-def test_ratios_permutation_invariant():
-    rnd = random.Random(8)
-    instances = [random_instance(rnd) for _ in range(6)]
-    outs = {tag: [run_algorithm(tag, inst) for inst in instances] for tag in ALGORITHMS}
-    fwd = ratios(instances, outs)
-    order = list(range(6))
-    rnd.shuffle(order)
-    back = ratios(
-        [instances[i] for i in order],
-        {tag: [outs[tag][i] for i in order] for tag in ALGORITHMS},
-    )
-    for key, value in fwd.avg.items():
-        assert back.avg[key] == pytest.approx(value)
-    for key, value in fwd.worst.items():
-        assert back.worst[key] == pytest.approx(value)
+        assert r[("pog", metric)] == 1.0
 
 
 def test_zero_optimum_counts_as_met():
     inst = Instance(
         tuple(Student(i) for i in range(3)), (0, 1, 2), 2, QuotaTable((0, 1), (0, 0))
     )
-    outs = {tag: [run_algorithm(tag, inst)] for tag in ALGORITHMS}
-    report = ratios([inst], outs)
+    values = {tag: evaluate(inst, run_algorithm(tag, inst)) for tag in ALGORITHMS}
+    opts = suite_optimum(values)
     # nobody holds a type, so the reserve optima are zero
-    assert report.zero_optimum["p1"] == 1
-    assert report.zero_optimum["p2"] == 1
+    assert opts["p1"] == 0 and opts["p2"] == 0
     for tag in ALGORITHMS:
-        assert report.avg_ratio(tag, "p1") == 1.0
-
-
-def test_worst_never_exceeds_average():
-    rnd = random.Random(9)
-    instances = [random_instance(rnd) for _ in range(10)]
-    outs = {tag: [run_algorithm(tag, inst) for inst in instances] for tag in ALGORITHMS}
-    report = ratios(instances, outs)
-    for key in report.avg:
-        assert report.worst[key] <= report.avg[key] + 1e-12
-
-
-def test_empty_instance_set_rejected():
-    with pytest.raises(ValueError):
-        ratios([], {})
-
-
-def test_true_optimum_dominates_suite(example):
-    outs = {tag: [run_algorithm(tag, example)] for tag in ALGORITHMS}
-    values = {tag: evaluate(example, outs[tag][0]) for tag in ALGORITHMS}
-    suite = suite_optimum(values)
-    true = true_optimum(example)
-    for metric in METRICS:
-        assert true[metric] >= suite[metric] - 1e-12
-    # the rank-maximal rule achieves the true rank-1 optimum
-    report = ratios([example], outs, optimum="true")
-    assert report.avg_ratio("as", "p1") == 1.0
-    assert report.avg_ratio("sy2", "p2") == 1.0
-    assert report.avg_ratio("pog", "p3") == 1.0
+        assert ratio(values[tag].p1, opts["p1"]) == 1.0
+        assert ratio(values[tag].p2, opts["p2"]) == 1.0
 
 
 def test_metric_bounds_on_random_instances():

@@ -75,7 +75,10 @@ def test_total_reserves_additive():
     rnd = random.Random(4)
     for _ in range(50):
         inst = random_instance(rnd)
-        doubled = Instance(inst.students, inst.priority, inst.capacity, inst.quotas.scaled(2))
+        quotas = QuotaTable(
+            tuple(2 * c for c in inst.quotas.rank1), tuple(2 * c for c in inst.quotas.rank2)
+        )
+        doubled = Instance(inst.students, inst.priority, inst.capacity, quotas)
         assert total_reserves(doubled) == 2 * total_reserves(inst)
 
 
@@ -84,14 +87,14 @@ def test_priority_round_trip():
     for _ in range(30):
         inst = random_instance(rnd)
         for pos in range(inst.n_students):
-            assert inst.priority_position(inst.student_at(pos)) == pos
+            assert inst.priority_position(inst.priority[pos]) == pos
 
 
 def test_acceptable_cutoff():
     inst = make_example()
     cut = Instance(inst.students, inst.priority, 3, inst.quotas, acceptable_count=2)
     assert cut.acceptable == (0, 1)
-    assert cut.is_acceptable(0) and not cut.is_acceptable(2)
+    assert 0 in cut.acceptable and 2 not in cut.acceptable
     assert validate(cut) == []
 
 
@@ -168,6 +171,10 @@ def test_serialize_permutes_into_priority_order(example):
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [true], "rank2": [0]}, "students": [[1]]}',
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[true]]}',
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]], "acceptable": false}',
+        # scores must be numbers
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": [null, 1, 2]}',
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": ["abc", 1, 2]}',
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": [true, 1, 2]}',
     ],
 )
 def test_parse_rejects_malformed(text):
