@@ -160,6 +160,75 @@ def test_determinism_of_all_defaults(example):
 
 
 # ---------------------------------------------------------------------------
+# greedy passes that end before the priority list does
+
+def types_instance(types, rank1, rank2, capacity, acceptable_count=None) -> Instance:
+    """Students 0..n-1 in priority order holding the given type sets."""
+    return Instance(
+        students=tuple(Student(i, frozenset(ts)) for i, ts in enumerate(types)),
+        priority=tuple(range(len(types))),
+        capacity=capacity,
+        quotas=QuotaTable(rank1, rank2),
+        acceptable_count=acceptable_count,
+    )
+
+
+def test_greedy_rules_when_rank1_seats_fill_early():
+    # both rank-1 seats are taken by students 0 and 1; six students remain
+    inst = types_instance([{1}, {1, 2}, {2}, {1}, {2}, set(), {1}, {2}], (0, 1, 1), (0, 1, 0), 5)
+    expected = frozenset({
+        (0, Seat(1, 1, 0)), (1, Seat(2, 1, 0)), (2, Seat(0, 3, 0)),
+        (3, Seat(1, 2, 0)), (4, Seat(0, 3, 1)),
+    })
+    for rule in (ehyy_select, pog_select):
+        out = rule(inst)
+        assert out.selected == (0, 1, 2, 3, 4)
+        assert out.matching.pairs == expected
+        check_outcome(inst, out)
+
+
+def test_type_set_closed_at_rank1_stays_open_at_rank2():
+    # {1} closes at rank 1 with student 0; student 1 then takes the rank-2 seat
+    inst = types_instance([{1}, {1}, {1}, {2}], (0, 1, 1), (0, 1, 0), 3)
+    ehyy = ehyy_select(inst)
+    assert ehyy.selected == (0, 1, 3)
+    assert ehyy.matching.pairs == frozenset({(0, Seat(1, 1, 0)), (3, Seat(2, 1, 0)), (1, Seat(1, 2, 0))})
+    pog = pog_select(inst)
+    assert pog.selected == (0, 1, 2)
+    assert pog.matching.pairs == frozenset({(0, Seat(1, 1, 0)), (1, Seat(1, 2, 0)), (2, Seat(0, 3, 0))})
+
+
+def test_greedy_rules_stop_at_the_acceptability_cutoff():
+    inst = types_instance([{1}, {1}, {1}, {2}], (0, 1, 1), (0, 1, 0), 3, acceptable_count=2)
+    for rule in (ehyy_select, pog_select):
+        out = rule(inst)
+        assert out.selected == (0, 1)
+        assert out.matching.pairs == frozenset({(0, Seat(1, 1, 0)), (1, Seat(1, 2, 0))})
+        check_outcome(inst, out)
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def choice(self, seq):
+        self.calls += 1
+        return super().choice(seq)
+
+
+def test_ehyy_draws_once_per_reserve_seat():
+    rnd = random.Random(45)
+    instances = [random_instance(rnd) for _ in range(100)]
+    instances.append(types_instance([{1}, {1, 2}, {2}, {1}, {2}, set(), {1}, {2}], (0, 1, 1), (0, 1, 0), 5))
+    for seed, inst in enumerate(instances):
+        counting = CountingRandom(seed)
+        out = ehyy_select(inst, counting)
+        assert counting.calls == sum(seat.rank != 3 for _, seat in out.matching.pairs)
+        assert out == ehyy_select(inst, random.Random(seed))
+
+
+# ---------------------------------------------------------------------------
 # cross-algorithm properties on random instances
 
 def test_structural_invariants_on_random_instances():

@@ -1,0 +1,114 @@
+"""Pins of every rule's output on three generated pools.
+
+The sweep hashes cover only n=100 pools and only the default ``ehyy``.
+This test adds the two ``large-pool`` benchmark pools (n=800, capacity 400,
+factors 1.0 and 2.0) and one n=100 pool at factor 2.6154, and pins, per
+pool: the serialized instance, the serialized outcome of all six rules, the
+seeded ``ehyy`` mode for three seeds, and the exact ``evaluate`` values.
+A deliberate change of behaviour must update the pins and explain itself
+in CHANGES.md.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from reservematch import ALGORITHMS, SatGenConfig, ehyy_select, evaluate, gen_instance
+from reservematch.algorithms import outcome_to_json
+from reservematch.experiment import derive_seed
+from reservematch.model import serialize_instance
+
+# name: (n_students, capacity, psi_factor, seed)
+POOLS = {
+    "large-1.0": (800, 400, "1.0", derive_seed(1729, 0, 0, 0)),
+    "large-2.0": (800, 400, "2.0", derive_seed(1729, 1, 0, 0)),
+    "small-2.6154": (100, 80, "2.6154", derive_seed(1729, 2, 3, 0)),
+}
+
+INSTANCE = {
+    "large-1.0": "1a21fb0c1f7a1d362aa47983c853312ccf11387d217e14034e701ea176d435d8",
+    "large-2.0": "a268753c4a608b398d18cf7692de9c7e1e3beaedb3a413b61001b870de97990d",
+    "small-2.6154": "a1a43f60ceabc5ce0ccbd9b061712314d6fb992fff5712804fe79bb8ed2d6cb9",
+}
+
+# name: {tag: (sha256 of outcome_to_json, repr of evaluate)}
+RULES = {
+    "large-1.0": {
+        "as": ("f44c4f6629d2b625a935183b7e5903a5971bc57d926ce4fc01d62d06a0954e57",
+               "MetricValues(p1=120, p2=260, p3=70.395625, p3_min=34.375, p3_max=100.0)"),
+        "ehyy": ("e044041da8289e86532a42ab9c772c98ed8655b6ada11edc01bf9b2a55534a5f",
+                 "MetricValues(p1=120, p2=260, p3=70.35, p3_min=31.375, p3_max=100.0)"),
+        "sy1": ("275765fab3bf52da6acea2ca7e0d73f0033225bd75606c2787ab77febd96e9d1",
+                "MetricValues(p1=120, p2=120, p3=75.0625, p3_min=50.125, p3_max=100.0)"),
+        "sy2": ("dba726acdadde988aef0574dff66fb463099dd7987166b6699fe5131c90a4457",
+                "MetricValues(p1=120, p2=260, p3=70.395625, p3_min=34.375, p3_max=100.0)"),
+        "pog": ("30be7b8f3c3dd5596cccab70c3b7055929217b8ba599611f30b6f1e40bc3509a",
+                "MetricValues(p1=120, p2=175, p3=75.0625, p3_min=50.125, p3_max=100.0)"),
+        "pos": ("d8fb9ea4f5c53f2f1bf491a11b80cf34f6c914e7563223acb7c373219f880c94",
+                "MetricValues(p1=120, p2=175, p3=75.0625, p3_min=50.125, p3_max=100.0)"),
+    },
+    "large-2.0": {
+        "as": ("44bc5bc0a7508b53545aaae9d875cf12272bfa990963bb0e2eae494f634fb481",
+               "MetricValues(p1=240, p2=400, p3=48.935, p3_min=14.125, p3_max=99.75)"),
+        "ehyy": ("7ad38989a114893495f53b51ae5aede7157689ad9fd45f5a4d93878b9fec63d9",
+                 "MetricValues(p1=240, p2=400, p3=48.935, p3_min=14.125, p3_max=99.75)"),
+        "sy1": ("ed1813b5e50c6d384f53b96d66e0a812d746fc7888f7cfde0c63d9edd20237c1",
+                "MetricValues(p1=240, p2=240, p3=72.7859375, p3_min=39.0, p3_max=100.0)"),
+        "sy2": ("14e8c4b2f35daf2f7bac571090fdcc89434fcbbb50ca124d3e6d4fe0e5340f82",
+                "MetricValues(p1=240, p2=400, p3=48.935, p3_min=14.125, p3_max=99.75)"),
+        "pog": ("41d3c79af57026da1aa5ad06e8261b9fe667a6d6c872669cf354489696ecc460",
+                "MetricValues(p1=181, p2=181, p3=75.0625, p3_min=50.125, p3_max=100.0)"),
+        "pos": ("f70eac4744ad48ad07cf75dd55b125f3388508ecb0823a94b4e67b2a6ad34087",
+                "MetricValues(p1=181, p2=181, p3=75.0625, p3_min=50.125, p3_max=100.0)"),
+    },
+    "small-2.6154": {
+        "as": ("b66dbd3a6d2ecafa2687e3fb6d93af76ed0e1e1a250c1e212e6ecf5fa8da66bd",
+               "MetricValues(p1=62, p2=62, p3=51.5375, p3_min=1.0, p3_max=100.0)"),
+        "ehyy": ("b5a9e67c496b5b174ab8fe504105b1f3c62e7a7edf2a764956e2d6ce49092d29",
+                 "MetricValues(p1=60, p2=62, p3=51.5375, p3_min=1.0, p3_max=100.0)"),
+        "sy1": ("bb0c3daf8300c6a816bfcf71a7bb0feaffc8b98dcd9609db7b4c895451f13b52",
+                "MetricValues(p1=62, p2=62, p3=51.5375, p3_min=1.0, p3_max=100.0)"),
+        "sy2": ("0359e97bf25ca6defc93121b89d4d10eb293f73c48692d29b89c1676303e8df7",
+                "MetricValues(p1=62, p2=62, p3=51.5375, p3_min=1.0, p3_max=100.0)"),
+        "pog": ("462e0679174a759a4f7b0e40916f9c1fbacc5106beff66bc28465e32c12f50ea",
+                "MetricValues(p1=44, p2=44, p3=60.5, p3_min=21.0, p3_max=100.0)"),
+        "pos": ("42d1e57a2b27ec884b7276db9775513d12345797456a3cc699ed6c913f4e3ede",
+                "MetricValues(p1=44, p2=44, p3=60.5, p3_min=21.0, p3_max=100.0)"),
+    },
+}
+
+# name: sha256 of outcome_to_json(ehyy_select(instance, random.Random(s))) for s = 0, 1, 2
+EHYY_SEEDED = {
+    "large-1.0": (
+        "5bff0b19a19c286b408e31c3c2a908c1147c6ae31540aaebc745ffbdf629dc7c",
+        "c6691e18fabd85b85a163fd751a2e0f1795deb124c1eb9dbbb677bfd150ff585",
+        "b3d1efa05de9018ae605c922f25aeed222c2d20fc159d5ea397e316f9ef8f4dc",
+    ),
+    "large-2.0": (
+        "9328f3efbaee9c983ccb64559c7dd40d4bd2e7a88716824fef994e68544f35a4",
+        "880fe89aaa336ceba379c926a52299fac6c369a93f132f2e81d1eaabca323151",
+        "63d3a30bed72f2288cbea0c2c83e629a6495bca5e8b09cc5e74750d3b6f33833",
+    ),
+    "small-2.6154": (
+        "b83d30ca34a505ca2a413c654ef0075ca72866ead9382a2eaf887be227807617",
+        "dc24e83b9b0a879fa820f8be40344bff7e390c113e5fff010830904d7a2a6653",
+        "63fbc131dbc03369ad1dae3fcf7d72ba10c0470065c1c46fc0212dfe30014eb4",
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", POOLS)
+def test_rule_outputs_are_pinned(name):
+    n, capacity, factor, seed = POOLS[name]
+    instance = gen_instance(SatGenConfig(capacity=capacity, seed=seed, n_students=n, psi_factor=factor))
+    assert sha256(serialize_instance(instance)) == INSTANCE[name]
+    for tag, rule in ALGORITHMS.items():
+        outcome = rule(instance)
+        assert (sha256(outcome_to_json(outcome)), repr(evaluate(instance, outcome))) == RULES[name][tag], tag
+    seeded = tuple(sha256(outcome_to_json(ehyy_select(instance, random.Random(s)))) for s in range(3))
+    assert seeded == EHYY_SEEDED[name]
