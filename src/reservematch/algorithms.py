@@ -93,35 +93,38 @@ def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome
     then unfilled rank-2 seats, then plain fill to capacity.
 
     A student eligible for several open seats takes the lowest-numbered
-    type; pass ``rng`` to resolve such ties uniformly at random instead.
+    type; pass ``rng`` to resolve such ties uniformly at random instead
+    (one ``rng.choice`` per student seated in a reserve pass).  A reserve
+    pass ends once its seats are full.
     """
     pool = instance.acceptable
     target = min(instance.capacity, len(pool))
-    quotas = instance.quotas
-    used: dict[tuple[int, int], int] = {}
+    students = instance.students
+    type_order = {ts: sorted(ts) for ts in {students[sid].types for sid in pool}}
     chosen: list[StudentId] = []
     pairs: list[tuple[StudentId, Seat]] = []
     taken: set[StudentId] = set()
 
-    for rank in (1, 2):
+    for rank, quota in ((1, instance.quotas.rank1), (2, instance.quotas.rank2)):
+        used = [0] * len(quota)
+        open_seats = sum(quota)
+        closed: set[frozenset[int]] = set()  # type sets with no open seat; seats only fill
         for sid in pool:
-            if len(chosen) == target:
+            if len(chosen) == target or not open_seats:
                 break
-            if sid in taken:
+            types = students[sid].types
+            if sid in taken or types in closed:
                 continue
-            open_types = [
-                t
-                for t in sorted(instance.student(sid).types)
-                if used.get((t, rank), 0) < quotas.quota(t, rank)
-            ]
+            open_types = [t for t in type_order[types] if used[t] < quota[t]]
             if not open_types:
+                closed.add(types)
                 continue
             t = rng.choice(open_types) if rng is not None else open_types[0]
-            idx = used.get((t, rank), 0)
-            used[(t, rank)] = idx + 1
+            pairs.append((sid, Seat(t, rank, used[t])))
+            used[t] += 1
+            open_seats -= 1
             taken.add(sid)
             chosen.append(sid)
-            pairs.append((sid, Seat(t, rank, idx)))
 
     universal_used = 0
     for sid in pool:
@@ -144,21 +147,26 @@ def pog_select(instance: Instance) -> Outcome:
     pool = instance.acceptable
     target = min(instance.capacity, len(pool))
     chosen = pool[:target]
+    students = instance.students
+    type_order = {ts: sorted(ts) for ts in {students[sid].types for sid in chosen}}
     quotas = instance.quotas
-    used: dict[tuple[int, int], int] = {}
+    ranks = [(rank, quota, [0] * len(quota)) for rank, quota in ((1, quotas.rank1), (2, quotas.rank2))]
+    open_seats = sum(quotas.rank1) + sum(quotas.rank2)
     universal_used = 0
     pairs: list[tuple[StudentId, Seat]] = []
     for sid in chosen:
         seat: Seat | None = None
-        for rank in (1, 2):
-            for t in sorted(instance.student(sid).types):
-                idx = used.get((t, rank), 0)
-                if idx < quotas.quota(t, rank):
-                    used[(t, rank)] = idx + 1
-                    seat = Seat(t, rank, idx)
+        if open_seats:
+            types = type_order[students[sid].types]
+            for rank, quota, used in ranks:
+                for t in types:
+                    if used[t] < quota[t]:
+                        seat = Seat(t, rank, used[t])
+                        used[t] += 1
+                        open_seats -= 1
+                        break
+                if seat is not None:
                     break
-            if seat is not None:
-                break
         if seat is None:
             seat = Seat(UNIVERSAL_TYPE, 3, universal_used)
             universal_used += 1

@@ -89,8 +89,15 @@ def _as_fraction(value: float | int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
+# The 8 possible type sets, indexed by a 3-bit code: bit k-1 set iff type k is held.
+_TYPE_SETS = tuple(frozenset(t for t in (1, 2, 3) if code >> (t - 1) & 1) for code in range(8))
+
+
 def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
-    """Draw type sets for ``n`` students per the conditional model."""
+    """Draw type sets for ``n`` students per the conditional model.
+
+    Students with equal type sets share one frozenset object.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _as_rng(seed)
@@ -103,17 +110,8 @@ def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
         np.where(t1 ^ t2, P_TYPE3_GIVEN_ONE, P_TYPE3_GIVEN_NONE),
     )
     t3 = u[:, 2] < p3
-    out = []
-    for a, b, c in zip(t1, t2, t3):
-        types = set()
-        if a:
-            types.add(1)
-        if b:
-            types.add(2)
-        if c:
-            types.add(3)
-        out.append(frozenset(types))
-    return out
+    codes = t1 + 2 * t2 + 4 * t3
+    return [_TYPE_SETS[c] for c in codes.tolist()]
 
 
 def score_mean(types: frozenset[int], model: ScoreModel = DEFAULT_SCORE_MODEL) -> float:
@@ -181,14 +179,14 @@ def gen_instance(config: SatGenConfig, model: ScoreModel = DEFAULT_SCORE_MODEL) 
     type_sets = gen_types(rng, n)
     scores = gen_scores(rng, type_sets, model)
     order = np.lexsort((np.arange(n), -scores))
-    students = tuple(Student(i, type_sets[j]) for i, j in enumerate(order))
+    students = tuple(Student(i, type_sets[j]) for i, j in enumerate(order.tolist()))
     instance = Instance(
         students=students,
         priority=tuple(range(n)),
         capacity=config.capacity,
         quotas=gen_quotas(config.capacity, config.psi_factor),
         type_names=DEFAULT_TYPE_NAMES,
-        scores=tuple(float(scores[j]) for j in order),
+        scores=tuple(scores[order].tolist()),
     )
     problems = validate(instance)
     if problems:

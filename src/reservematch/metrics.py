@@ -52,12 +52,16 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     students than the capacity, unknown students or seats, a student or seat
     used twice, a reserved seat whose type the student does not hold, a
     student below the acceptability cutoff, or selected students that differ
-    from the matched ones.
+    from the matched ones or list a student twice.
     """
-    n = instance.n_students
-    quotas = instance.quotas
-    if len(outcome.matching) > instance.capacity:
-        raise ValueError(f"outcome seats {len(outcome.matching)} students at capacity {instance.capacity}")
+    students = instance.students
+    n = len(students)
+    capacity = instance.capacity
+    rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
+    n_types = len(rank1)
+    position = instance._rank_of
+    if len(outcome.matching) > capacity:
+        raise ValueError(f"outcome seats {len(outcome.matching)} students at capacity {capacity}")
     p1 = 0
     p2 = 0
     matched = set()
@@ -71,29 +75,32 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
             raise ValueError(f"seat {seat.label()} is used twice")
         matched.add(sid)
         taken.add(seat)
-        if seat.type == UNIVERSAL_TYPE:
-            if seat.rank != 3 or not 0 <= seat.index < instance.capacity:
+        t, rank, index = seat
+        if t == UNIVERSAL_TYPE:
+            if rank != 3 or not 0 <= index < capacity:
                 raise ValueError(f"invalid universal seat {seat}")
         else:
-            if not 1 <= seat.type < instance.n_types or seat.rank not in (1, 2):
+            if not 1 <= t < n_types or rank not in (1, 2):
                 raise ValueError(f"outcome references unknown seat {seat}")
-            if not 0 <= seat.index < quotas.quota(seat.type, seat.rank):
+            if not 0 <= index < (rank1[t] if rank == 1 else rank2[t]):
                 raise ValueError(f"seat index out of range: {seat}")
-            if seat.type not in instance.student(sid).types:
+            if t not in students[sid].types:
                 raise ValueError(f"student {sid} does not hold the type of seat {seat.label()}")
-            if seat.rank == 1:
+            if rank == 1:
                 p1 += 1
             p2 += 1
     if matched != set(outcome.selected):
         raise ValueError("selected students and matched students disagree")
+    if len(outcome.selected) != len(matched):
+        raise ValueError(f"outcome selects {len(outcome.selected)} entries for {len(matched)} matched students")
     cut = instance.acceptable_count
     if cut is not None:
         for sid in outcome.selected:
-            if instance.priority_position(sid) >= cut:
+            if position[sid] >= cut:
                 raise ValueError(f"student {sid} is below the acceptability cutoff {cut}")
 
     if outcome.selected:
-        pcts = [percentile(instance, sid) for sid in outcome.selected]
+        pcts = [100.0 * (n - position[sid]) / n for sid in outcome.selected]  # percentile(), inlined
         p3 = sum(pcts) / len(pcts)
         p3_min, p3_max = min(pcts), max(pcts)
     else:

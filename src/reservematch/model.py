@@ -199,8 +199,9 @@ def parse_instance(text: str) -> Instance:
     ``scores`` (floats, priority order) and ``acceptable`` (int cutoff).
     Students are re-identified as 0..n-1 in priority order.  Raises
     :class:`InstanceFormatError` on malformed JSON, on a boolean where an
-    integer belongs, on a score that is not a number (booleans included),
-    and on any problem :func:`validate` reports.
+    integer belongs, on a score that is not a number (booleans included)
+    or is an integer too large for a float, and on any problem
+    :func:`validate` reports.
     """
     try:
         doc = json.loads(text)
@@ -238,10 +239,15 @@ def parse_instance(text: str) -> Instance:
         raw = doc["scores"]
         if not isinstance(raw, list) or len(raw) != len(students):
             raise InstanceFormatError("scores must be a list with one entry per student")
+        converted = []
         for i, x in enumerate(raw):
             if not (_is_int(x) or isinstance(x, float)):
                 raise InstanceFormatError(f"scores[{i}] must be a number, got {x!r}")
-        scores = tuple(float(x) for x in raw)
+            try:
+                converted.append(float(x))
+            except OverflowError:
+                raise InstanceFormatError(f"scores[{i}] is too large for a float") from None
+        scores = tuple(converted)
 
     acceptable = doc.get("acceptable")
     if acceptable is not None and not _is_int(acceptable):

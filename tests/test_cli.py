@@ -76,6 +76,7 @@ def test_malformed_instance_is_runtime_error(tmp_path, capsys):
         '"capacity": 1, "scores": [null, 1]',
         '"capacity": 1, "scores": ["abc", 1]',
         '"capacity": 1, "scores": [true, 1]',
+        '"capacity": 1, "scores": [%d, 1]' % 10**400,
     ],
 )
 def test_invalid_instance_is_runtime_error(tmp_path, capsys, field):

@@ -76,6 +76,10 @@ def test_evaluate_rejects_unknown_seats(example):
     late = Outcome("as", (5,), Matching(frozenset({(5, Seat(2, 1, 0))})))
     with pytest.raises(ValueError, match="cutoff"):
         evaluate(replace(example, acceptable_count=2), late)
+    # student 0 listed twice among the selected would weight p3 twice
+    repeated = Outcome("as", (0, 0, 1), Matching(frozenset({(0, Seat(0, 3, 0)), (1, Seat(4, 2, 0))})))
+    with pytest.raises(ValueError, match="entries"):
+        evaluate(example, repeated)
 
 
 def suite_relative(instance, tags):

@@ -175,6 +175,9 @@ def test_serialize_permutes_into_priority_order(example):
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": [null, 1, 2]}',
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": ["abc", 1, 2]}',
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": [true, 1, 2]}',
+        # an integer score too large for a float
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": [%d, 1, 2]}'
+        % 10**400,
     ],
 )
 def test_parse_rejects_malformed(text):
