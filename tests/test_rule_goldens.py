@@ -5,7 +5,9 @@ This test adds the two ``large-pool`` benchmark pools (n=800, capacity 400,
 factors 1.0 and 2.0) and one n=100 pool at factor 2.6154, and pins, per
 pool: the serialized instance, the serialized outcome of all six rules, the
 seeded ``ehyy`` mode for three seeds, and the exact ``evaluate`` values.
-A deliberate change of behaviour must update the pins and explain itself
+No generated pool has two type sets with the same pools (every type has a
+positive rank-1 quota), so one hand-built instance pins all six rules where
+such type sets share a class.  A deliberate change of behaviour must update the pins and explain itself
 in CHANGES.md.
 """
 
@@ -14,7 +16,17 @@ import random
 
 import pytest
 
-from reservematch import ALGORITHMS, SatGenConfig, ehyy_select, evaluate, gen_instance
+from reservematch import (
+    ALGORITHMS,
+    Instance,
+    QuotaTable,
+    SatGenConfig,
+    Student,
+    build_graph,
+    ehyy_select,
+    evaluate,
+    gen_instance,
+)
 from reservematch.algorithms import outcome_to_json
 from reservematch.experiment import derive_seed
 from reservematch.model import serialize_instance
@@ -112,3 +124,49 @@ def test_rule_outputs_are_pinned(name):
         assert (sha256(outcome_to_json(outcome)), repr(evaluate(instance, outcome))) == RULES[name][tag], tag
     seeded = tuple(sha256(outcome_to_json(ehyy_select(instance, random.Random(s)))) for s in range(3))
     assert seeded == EHYY_SEEDED[name]
+
+
+# tag: (sha256 of outcome_to_json, repr of evaluate) on merged_instance()
+MERGED = {
+    "as": ("5a7e06b50b3836317ed90658f72064ebc8b7cd2c7eccadf0528edc09fe558278",
+           "MetricValues(p1=8, p2=12, p3=75.41666666666667, p3_min=50.0, p3_max=100.0)"),
+    "ehyy": ("27c530f259eba73d2b979169d9831ff310193c1e994658e81f9cc1d436ddff6b",
+             "MetricValues(p1=8, p2=12, p3=74.79166666666667, p3_min=42.5, p3_max=100.0)"),
+    "sy1": ("587bc8ac16a7829e66c4689e603256ba58c07bed26dff78db16586181fbb7942",
+            "MetricValues(p1=8, p2=8, p3=85.625, p3_min=67.5, p3_max=100.0)"),
+    "sy2": ("6db73e935cd384127ecf2c5a96be060224f4e60d802ebe2f65a6724ea8db4db1",
+            "MetricValues(p1=8, p2=12, p3=75.41666666666667, p3_min=50.0, p3_max=100.0)"),
+    "pog": ("2f652c078f9733695b84dcb95d549ee978a990adcff0c18401d027bf8f8b56fb",
+            "MetricValues(p1=7, p2=7, p3=86.25, p3_min=72.5, p3_max=100.0)"),
+    "pos": ("a907b92d78488ad0acd427a64f301dda9dd1aeef0bdeed3b3313525db12adcd3",
+            "MetricValues(p1=7, p2=7, p3=86.25, p3_min=72.5, p3_max=100.0)"),
+}
+
+
+def merged_instance() -> Instance:
+    """40 students in a shuffled priority with a cutoff at 34; type 4 has
+    no seats at either rank, so {1, 4} reaches the same pools as {1}."""
+    rnd = random.Random(2024)
+    n = 40
+    students = tuple(
+        Student(i, frozenset(t for t in (1, 2, 3, 4) if rnd.random() < 0.25)) for i in range(n)
+    )
+    priority = list(range(n))
+    rnd.shuffle(priority)
+    return Instance(
+        students=students,
+        priority=tuple(priority),
+        capacity=12,
+        quotas=QuotaTable((0, 3, 3, 2, 0), (0, 2, 2, 0, 0)),
+        acceptable_count=34,
+    )
+
+
+def test_merged_class_outputs_are_pinned():
+    instance = merged_instance()
+    graph = build_graph(instance)
+    type_sets = {instance.student(sid).types for sid in graph.students}
+    assert len(set(graph.adjacency.values())) < len(type_sets)  # some type sets share pools
+    for tag, rule in ALGORITHMS.items():
+        outcome = rule(instance)
+        assert (sha256(outcome_to_json(outcome)), repr(evaluate(instance, outcome))) == MERGED[tag], tag
