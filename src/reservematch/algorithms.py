@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .graph import Matching, Seat, build_graph
+from .graph import Matching, Seat, build_graph, seat_row
 from .model import Instance, QuotaTable, StudentId, UNIVERSAL_TYPE
 from .solver import RankMaximalMatcher, rank_maximal_matching
 
@@ -107,6 +107,7 @@ def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome
 
     for rank, quota in ((1, instance.quotas.rank1), (2, instance.quotas.rank2)):
         used = [0] * len(quota)
+        rows = [seat_row(t, rank, min(q, target)) for t, q in enumerate(quota)]
         open_seats = sum(quota)
         closed: set[frozenset[int]] = set()  # type sets with no open seat; seats only fill
         for sid in pool:
@@ -120,13 +121,13 @@ def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome
                 closed.add(types)
                 continue
             t = rng.choice(open_types) if rng is not None else open_types[0]
-            pairs.append((sid, Seat(t, rank, used[t])))
+            pairs.append((sid, rows[t][used[t]]))
             used[t] += 1
             open_seats -= 1
             taken.add(sid)
             chosen.append(sid)
 
-    universal_used = 0
+    universal = iter(seat_row(UNIVERSAL_TYPE, 3, target))
     for sid in pool:
         if len(chosen) == target:
             break
@@ -134,8 +135,7 @@ def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome
             continue
         taken.add(sid)
         chosen.append(sid)
-        pairs.append((sid, Seat(UNIVERSAL_TYPE, 3, universal_used)))
-        universal_used += 1
+        pairs.append((sid, next(universal)))
 
     chosen.sort(key=instance.priority_position)
     return Outcome("ehyy", tuple(chosen), Matching(frozenset(pairs)))
@@ -150,26 +150,28 @@ def pog_select(instance: Instance) -> Outcome:
     students = instance.students
     type_order = {ts: sorted(ts) for ts in {students[sid].types for sid in chosen}}
     quotas = instance.quotas
-    ranks = [(rank, quota, [0] * len(quota)) for rank, quota in ((1, quotas.rank1), (2, quotas.rank2))]
+    ranks = [
+        (quota, [0] * len(quota), [seat_row(t, rank, min(q, target)) for t, q in enumerate(quota)])
+        for rank, quota in ((1, quotas.rank1), (2, quotas.rank2))
+    ]
     open_seats = sum(quotas.rank1) + sum(quotas.rank2)
-    universal_used = 0
+    universal = iter(seat_row(UNIVERSAL_TYPE, 3, target))
     pairs: list[tuple[StudentId, Seat]] = []
     for sid in chosen:
         seat: Seat | None = None
         if open_seats:
             types = type_order[students[sid].types]
-            for rank, quota, used in ranks:
+            for quota, used, rows in ranks:
                 for t in types:
                     if used[t] < quota[t]:
-                        seat = Seat(t, rank, used[t])
+                        seat = rows[t][used[t]]
                         used[t] += 1
                         open_seats -= 1
                         break
                 if seat is not None:
                     break
         if seat is None:
-            seat = Seat(UNIVERSAL_TYPE, 3, universal_used)
-            universal_used += 1
+            seat = next(universal)
         pairs.append((sid, seat))
     return Outcome("pog", chosen, Matching(frozenset(pairs)))
 

@@ -137,6 +137,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     try:
         spec.check()
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     paths = run_experiment(spec, jobs=args.jobs, progress=not args.quiet)

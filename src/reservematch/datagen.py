@@ -72,8 +72,7 @@ class SatGenConfig:
             raise ValueError("n_students must be >= 1")
         if not 1 <= self.capacity <= self.n_students:
             raise ValueError("capacity must be in [1, n_students]")
-        if _as_fraction(self.psi_factor) <= 0:
-            raise ValueError("psi_factor must be positive")
+        parse_factor(self.psi_factor)
 
 
 def _as_rng(seed: int | np.random.Generator | np.random.SeedSequence) -> np.random.Generator:
@@ -82,11 +81,17 @@ def _as_rng(seed: int | np.random.Generator | np.random.SeedSequence) -> np.rand
     return np.random.default_rng(seed)
 
 
-def _as_fraction(value: float | int | str | Fraction) -> Fraction:
-    # Floats go through their decimal repr so 2.3077 means exactly 2.3077.
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+def parse_factor(value: float | int | str | Fraction) -> Fraction:
+    """A reserve factor as an exact fraction; raises ``ValueError`` unless it
+    is a positive number.  Floats go through their decimal repr so 2.3077
+    means exactly 2.3077."""
+    try:
+        factor = Fraction(str(value) if isinstance(value, float) else value)
+        if factor > 0:
+            return factor
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"psi_factor must be a positive number, got {value!r}")
 
 
 # The 8 possible type sets, indexed by a 3-bit code: bit k-1 set iff type k is held.
@@ -154,9 +159,7 @@ def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> Q
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    factor = _as_fraction(psi_factor)
-    if factor <= 0:
-        raise ValueError("psi_factor must be positive")
+    factor = parse_factor(psi_factor)
     half = Fraction(1, 2)
     rank1 = [0]
     rank2 = [0]

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import ALGORITHMS
-from .datagen import SatGenConfig, gen_instance, gen_quotas
+from .datagen import SatGenConfig, gen_instance, gen_quotas, parse_factor
 from .metrics import METRICS, evaluate, ratio, suite_optimum
 
 DEFAULT_CAPACITIES = tuple(range(10, 100, 10))
@@ -88,6 +88,8 @@ class ExperimentSpec:
                 raise ValueError(f"capacity {qc} outside [1, {self.n_students}]")
         if not self.psi_factors:
             raise ValueError("no reserve factors given")
+        for factor in self.psi_factors:
+            parse_factor(factor)
         for tag in self.algorithms:
             if tag not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm tag {tag!r}")
@@ -177,9 +179,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
 
     Returns the paths of the written files.  With ``jobs > 1`` cells run in
     separate processes; rows are assembled in cell order either way, so the
-    outputs do not depend on the degree of parallelism.
+    outputs do not depend on the degree of parallelism.  An invalid spec or
+    ``jobs < 1`` raises ``ValueError`` before any cell runs.
     """
     spec.check()
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

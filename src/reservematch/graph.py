@@ -4,13 +4,15 @@ Seats come in three ranks: rank 1 and rank 2 seats belong to real diversity
 types according to the quota table, and the universal type contributes
 exactly ``capacity`` rank-3 seats that every student may take.  Seats of the
 same type and rank are interchangeable, so the graph stores them as pools
-with a capacity; individual :class:`Seat` objects are materialized only in
-matchings.
+with a capacity, and students who reach the same pools as classes.
+Individual :class:`Seat` objects appear only in matchings, which share them
+through :func:`seat_row`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE
@@ -23,6 +25,21 @@ class Seat(NamedTuple):
 
     def label(self) -> str:
         return f"t{self.type}:r{self.rank}:{self.index}"
+
+
+_SEAT_ROWS: dict[tuple[TypeId, int], tuple[Seat, ...]] = {}
+
+
+def seat_row(type_id: TypeId, rank: int, count: int) -> tuple[Seat, ...]:
+    """At least the first ``count`` seats of the (type, rank) pool, in index
+    order.  Seats are immutable, so every matching shares one row; a longer
+    request replaces the row whole, so no reader sees a seat at the wrong
+    index."""
+    row = _SEAT_ROWS.get((type_id, rank), ())
+    if len(row) < count:
+        row = tuple(Seat(type_id, rank, i) for i in range(count))
+        _SEAT_ROWS[type_id, rank] = row
+    return row
 
 
 class SeatPool(NamedTuple):
@@ -66,16 +83,23 @@ class ReservationGraph:
     """Students on one side, seat pools on the other.
 
     ``students`` is the participating subset in priority order.  ``pools``
-    is ordered by (rank, type) with the universal pool last, and
-    ``adjacency`` maps each student to the indices of the pools it may use
-    (always including the universal pool).  ``cap`` bounds the size of any
-    matching taken on this graph.
+    is ordered by (rank, type) with the universal pool last.  ``classes``
+    holds one ``(pool indices, member positions)`` pair per distinct set of
+    usable pools (always including the universal pool): members are
+    ascending positions in ``students``, and classes are ordered by their
+    first member.  ``cap`` bounds the size of any matching taken on this
+    graph.
     """
 
     students: tuple[StudentId, ...]
     cap: int
     pools: tuple[SeatPool, ...]
-    adjacency: dict[StudentId, tuple[int, ...]]
+    classes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    @cached_property
+    def adjacency(self) -> dict[StudentId, tuple[int, ...]]:
+        """Indices of the pools each student may use, derived from ``classes``."""
+        return {self.students[i]: adj for adj, members in self.classes for i in members}
 
     @property
     def universal_pool(self) -> int:
@@ -99,8 +123,9 @@ def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> Res
 
     ``subset`` defaults to the acceptable pool.  Pools are created for every
     (type, rank) with a positive quota, plus the universal pool with
-    ``capacity`` rank-3 seats.  Adjacency is built once per distinct type
-    set and the tuple is shared by every student who holds that set.
+    ``capacity`` rank-3 seats.  Pools are looked up once per distinct type
+    set, and type sets that reach the same pools (a type without seats adds
+    none) share one class.
     """
     if subset is None:
         members = list(instance.acceptable)
@@ -121,15 +146,13 @@ def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> Res
     universal = len(pools)
     pools.append(SeatPool(UNIVERSAL_TYPE, 3, instance.capacity))
 
-    by_types: dict[frozenset[TypeId], tuple[int, ...]] = {}
-    adjacency: dict[StudentId, tuple[int, ...]] = {}
-    for sid in members:
-        types = instance.student(sid).types
-        if types not in by_types:
-            eligible = sorted(
-                pool_of_type[(t, rank)] for rank in (1, 2) for t in types if (t, rank) in pool_of_type
-            )
-            by_types[types] = (*eligible, universal)
-        adjacency[sid] = by_types[types]
-
-    return ReservationGraph(tuple(members), instance.capacity, tuple(pools), adjacency)
+    students = instance.students
+    by_types: dict[frozenset[TypeId], list[int]] = {}
+    for i, sid in enumerate(members):
+        by_types.setdefault(students[sid].types, []).append(i)
+    by_adj: dict[tuple[int, ...], list[int]] = {}
+    for types, positions in by_types.items():
+        eligible = sorted(pool_of_type[(t, rank)] for rank in (1, 2) for t in types if (t, rank) in pool_of_type)
+        by_adj.setdefault((*eligible, universal), []).extend(positions)
+    classes = tuple((adj, tuple(sorted(positions))) for adj, positions in by_adj.items())
+    return ReservationGraph(tuple(members), instance.capacity, tuple(pools), classes)

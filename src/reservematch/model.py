@@ -10,6 +10,7 @@ share across worker processes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -244,9 +245,12 @@ def parse_instance(text: str) -> Instance:
             if not (_is_int(x) or isinstance(x, float)):
                 raise InstanceFormatError(f"scores[{i}] must be a number, got {x!r}")
             try:
-                converted.append(float(x))
+                value = float(x)
             except OverflowError:
                 raise InstanceFormatError(f"scores[{i}] is too large for a float") from None
+            if not math.isfinite(value):
+                raise InstanceFormatError(f"scores[{i}] must be finite, got {x!r}")
+            converted.append(value)
         scores = tuple(converted)
 
     acceptable = doc.get("acceptable")

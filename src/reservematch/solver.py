@@ -7,20 +7,22 @@ must stay matched.
 
 Seats of equal type and rank are interchangeable, and so are students with
 equal type sets: a signature depends only on how many students of each
-*class* (students sharing one adjacency tuple) sit in each pool.  So the
-engine solves a min-cost flow S -> class -> pool -> T of value equal to the
-target size.  S -> class carries the class's matched count, at least its
-number of pinned students; pool -> T is capped by the pool's seats and
-costs -B^2, -B or 0 for ranks 1, 2 and 3, with B = target size + 1, which
-orders costs like signatures.  Construction routes the pinned units first,
-then the rest, by successive shortest paths.  Every S -> T path costs the
-weight of its last pool, so each rank is one max-flow stage into that
-rank's free pools, best rank first.
+*class* (students sharing one adjacency tuple, as ``build_graph`` groups
+them) sit in each pool.  So the engine solves a min-cost flow S -> class
+-> pool -> T of value equal to the target size.  S -> class carries the
+class's matched count, at least its number of pinned students; pool -> T
+is capped by the pool's seats and costs -B^2, -B or 0 for ranks 1, 2 and
+3, with B = target size + 1, which orders costs like signatures.
+Construction routes the pinned units first, then the rest, by successive
+shortest paths.  Every S -> T path costs the weight of its last pool, so
+each rank is one max-flow stage into that rank's free pools, best rank
+first.
 
 Pinning a student whose class has a matched unpinned unit only raises the
 class's lower bound.  Otherwise the class must gain a unit at zero cost.
 Potentials computed once after construction give every residual arc a
-non-negative reduced cost.  The difference between the current optimal
+non-negative reduced cost; when every student is pinned, no search can run
+and none are computed.  The difference between the current optimal
 flow and an optimal flow that also covers the student is a circulation of
 zero cost, so it splits into residual cycles of zero cost, made only of
 arcs of zero reduced cost, and one of them enters the class from S.  One
@@ -40,7 +42,7 @@ from collections import Counter
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .graph import Matching, RankSignature, ReservationGraph, Seat
+from .graph import Matching, RankSignature, ReservationGraph, Seat, seat_row
 from .model import StudentId
 
 
@@ -51,7 +53,7 @@ class InfeasibleForcedError(ValueError):
 class RankMaximalMatcher:
     """Incremental rank-maximal matching over a reservation graph.
 
-    Flow nodes: classes ``0..k-1`` (by highest-priority student), pools, S, T.
+    Flow nodes: the graph's classes ``0..k-1``, pools, S, T.
     Each class matches its pinned students, then its highest-priority
     unpinned ones, so identical inputs give identical matchings.
     """
@@ -65,24 +67,26 @@ class RankMaximalMatcher:
         self._rank_weight = (-b * b, -b, 0)
         self._weight = [self._rank_weight[p.rank - 1] for p in graph.pools]
 
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, sid in enumerate(students):
-            groups.setdefault(graph.adjacency[sid], []).append(i)
-        self._adj = list(groups)
-        self._members = list(groups.values())
-        class_index = {adj: c for c, adj in enumerate(self._adj)}
-        self._class_of = [class_index[graph.adjacency[sid]] for sid in students]
+        self._adj = [adj for adj, _ in graph.classes]
+        self._members = [members for _, members in graph.classes]
+        self._class_of = [0] * len(students)
+        for c, members in enumerate(self._members):
+            for i in members:
+                self._class_of[i] = c
         k = len(self._members)
         self._source = k + len(graph.pools)
         self._sink = self._source + 1
 
         self._pinned = [False] * len(students)
-        for sid in forced:
-            if sid not in self._index:
-                raise ValueError(f"forced student {sid} is not in the graph")
-            self._pinned[self._index[sid]] = True
         # lower bound of S -> class, and the flow on it
-        self._n_pinned = [sum(self._pinned[i] for i in members) for members in self._members]
+        self._n_pinned = [0] * k
+        for sid in forced:
+            i = self._index.get(sid)
+            if i is None:
+                raise ValueError(f"forced student {sid} is not in the graph")
+            if not self._pinned[i]:
+                self._pinned[i] = True
+                self._n_pinned[self._class_of[i]] += 1
         self._flow = [0] * k
         self._load: list[Counter[int]] = [Counter() for _ in graph.pools]  # class -> units
         self._used = [0] * len(graph.pools)
@@ -95,7 +99,8 @@ class RankMaximalMatcher:
         self._route(n_forced, pinned=True)
         self._ceiling = [len(members) for members in self._members]
         self._route(self.target_size - n_forced, pinned=False)
-        self._potential = self._potentials()
+        # with every student pinned, try_force never searches
+        self._potential = self._potentials() if n_forced < len(students) else []
 
     def _arcs(self, u: int) -> Iterator[tuple[int, int, int]]:
         """Residual arcs ``(head, cost, capacity)`` leaving node ``u``."""
@@ -233,16 +238,20 @@ class RankMaximalMatcher:
 
     def matching(self) -> Matching:
         """Materialize seat-level pairs: each class fills its pools in pool
-        order, and seats within a pool are indexed in priority order."""
+        order, and seats within a pool are indexed in priority order.  The
+        seats come from :func:`~reservematch.graph.seat_row`, shared by
+        every matching."""
         seated: list[list[int]] = [[] for _ in self._graph.pools]
-        for c in range(len(self._members)):
+        for c, adj in enumerate(self._adj):
             chosen = iter(self._chosen(c))
-            for p in self._adj[c]:
+            for p in adj:
                 seated[p].extend(islice(chosen, self._load[p][c]))
-        pairs = []
-        for p, pool in enumerate(self._graph.pools):
-            for idx, i in enumerate(sorted(seated[p])):
-                pairs.append((self._graph.students[i], Seat(pool.type, pool.rank, idx)))
+        students = self._graph.students
+        pairs: list[tuple[StudentId, Seat]] = []
+        for pool, row in zip(self._graph.pools, seated):
+            row.sort()
+            seats = seat_row(pool.type, pool.rank, min(pool.capacity, self.target_size))
+            pairs.extend(zip([students[i] for i in row], seats))
         return Matching(frozenset(pairs))
 
     def try_force(self, sid: StudentId) -> bool:

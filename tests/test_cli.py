@@ -77,6 +77,8 @@ def test_malformed_instance_is_runtime_error(tmp_path, capsys):
         '"capacity": 1, "scores": ["abc", 1]',
         '"capacity": 1, "scores": [true, 1]',
         '"capacity": 1, "scores": [%d, 1]' % 10**400,
+        '"capacity": 1, "scores": [1e400, 1]',
+        '"capacity": 1, "scores": [NaN, 1]',
     ],
 )
 def test_invalid_instance_is_runtime_error(tmp_path, capsys, field):
@@ -155,6 +157,24 @@ def test_sweep_different_master_seed_differs(tmp_path):
 def test_sweep_rejects_capacity_above_pool(tmp_path):
     rc = main(["sweep", "--out", str(tmp_path / "x"), "--n", "30", "--qc", "50", "--quiet"])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["--psi-factors=1.0,abc", "--psi-factors=1.0,0", "--psi-factors=-2", "--jobs=0", "--jobs=-3"],
+)
+def test_sweep_rejects_bad_input_before_any_cell(tmp_path, extra):
+    out = tmp_path / "x"
+    rc = main(["sweep", "--out", str(out), "--n", "30", "--qc", "5", "--seeds-per-cell", "1", "--quiet", extra])
+    assert rc == 1
+    assert not out.exists()
+
+
+def test_run_experiment_rejects_zero_jobs(tmp_path):
+    spec = ExperimentSpec(out_dir=tmp_path / "x", n_students=30, capacities=(5,), seeds_per_cell=1)
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(spec, jobs=0, progress=False)
+    assert not (tmp_path / "x").exists()
 
 
 def test_single_instance_smoke_sweep_is_fast(tmp_path):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from reservematch import Matching, RankSignature, Seat, build_graph, signature
+from reservematch import Matching, RankSignature, Seat, build_graph, rank_maximal_matching, signature
+from reservematch.graph import seat_row
 
 from conftest import random_instance
 
@@ -69,3 +70,63 @@ def test_pools_cover_quotas():
                 assert (len(pool) == 1 and pool[0].capacity == q) if q else not pool
         universal = [p for p in g.pools if p.rank == 3]
         assert universal == [(0, 3, inst.capacity)]
+
+
+def grouped_by_pools(inst, g):
+    """Classes recomputed from the instance: students grouped by the pools
+    their types reach, in student order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, sid in enumerate(g.students):
+        types = inst.student(sid).types
+        adj = tuple(p for p, pool in enumerate(g.pools) if pool.rank == 3 or pool.type in types)
+        groups.setdefault(adj, []).append(i)
+    return tuple((adj, tuple(members)) for adj, members in groups.items())
+
+
+def test_classes_partition_students_by_pools(example):
+    rnd = random.Random(12)
+    merged = 0
+    cases = [(example, None), (example, {1, 3, 5})]
+    for _ in range(200):
+        inst = random_instance(rnd, max_types=5)
+        subset = None if rnd.random() < 0.5 else set(rnd.sample(inst.priority, rnd.randint(0, inst.n_students)))
+        cases.append((inst, subset))
+    for inst, subset in cases:
+        g = build_graph(inst, subset)
+        assert g.classes == grouped_by_pools(inst, g)
+        merged += len(g.classes) < len({inst.student(sid).types for sid in g.students})
+    assert merged  # some type sets reached the same pools
+
+
+def test_adjacency_round_trips():
+    rnd = random.Random(13)
+    for _ in range(100):
+        g = build_graph(random_instance(rnd, max_types=5))
+        assert set(g.adjacency) == set(g.students)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, sid in enumerate(g.students):
+            groups.setdefault(g.adjacency[sid], []).append(i)
+        assert tuple((adj, tuple(members)) for adj, members in groups.items()) == g.classes
+
+
+def test_seat_row_values():
+    row = seat_row(97, 2, 5)
+    assert len(row) >= 5
+    assert row[:5] == tuple(Seat(97, 2, i) for i in range(5))
+    assert seat_row(97, 2, 0)[:0] == ()
+
+
+def test_seat_row_longer_request_keeps_the_prefix():
+    short = seat_row(98, 1, 3)
+    long = seat_row(98, 1, 12)
+    assert long[:12] == tuple(Seat(98, 1, i) for i in range(12))
+    assert short[:3] == long[:3]
+    assert seat_row(98, 1, 2)[:2] == (Seat(98, 1, 0), Seat(98, 1, 1))
+
+
+def test_matchings_share_seat_objects(example):
+    g = build_graph(example)
+    first = {seat: seat for _, seat in rank_maximal_matching(g).pairs}
+    shared = [seat for _, seat in rank_maximal_matching(g, {0}).pairs if seat in first]
+    assert shared
+    assert all(first[seat] is seat for seat in shared)

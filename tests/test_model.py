@@ -178,6 +178,9 @@ def test_serialize_permutes_into_priority_order(example):
         # an integer score too large for a float
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": [%d, 1, 2]}'
         % 10**400,
+        # non-finite scores: JSON reads 1e400 as infinity and accepts NaN
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": [1e400, 1, 2]}',
+        '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], [], []], "scores": [NaN, 1, 2]}',
     ],
 )
 def test_parse_rejects_malformed(text):

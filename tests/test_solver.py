@@ -198,3 +198,32 @@ def test_matcher_seats_are_well_formed(example):
     for sid, seat in m.pairs:
         pool = [p for p in g.pools if p.type == seat.type and p.rank == seat.rank]
         assert pool and 0 <= seat.index < pool[0].capacity
+
+
+def test_forced_student_outside_the_graph_is_rejected(example):
+    g = build_graph(example, {0, 1})
+    for forced in ([3], [0, 99]):
+        with pytest.raises(ValueError, match="not in the graph"):
+            RankMaximalMatcher(g, forced)
+
+
+def test_duplicate_forced_ids_count_once(example):
+    g = build_graph(example)
+    # four entries but two students: within the cap of 3
+    assert rank_maximal_matching(g, [1, 3, 1, 3]) == rank_maximal_matching(g, [1, 3])
+    assert rank_maximal_matching(g, [0, 0, 0, 0, 5]) == rank_maximal_matching(g, [0, 5])
+
+
+def test_try_force_with_everyone_pinned_accepts(example):
+    rnd = random.Random(214)
+    cases = [(example, (1, 3, 4))]
+    for _ in range(50):
+        inst = random_small_instance(rnd)
+        cases.append((inst, inst.acceptable[: inst.capacity]))
+    for inst, chosen in cases:
+        g = build_graph(inst, set(chosen))
+        matcher = RankMaximalMatcher(g, chosen)
+        before = matcher.matching()
+        assert all(matcher.try_force(sid) for sid in chosen)
+        assert matcher.matching() == before
+        assert matcher.matched_students() == g.students
