@@ -90,6 +90,12 @@ class ExperimentSpec:
             raise ValueError("no reserve factors given")
         for factor in self.psi_factors:
             parse_factor(factor)
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
+        if not self.algorithms:
+            raise ValueError("no algorithms given")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError("an algorithm tag is given twice")
         for tag in self.algorithms:
             if tag not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm tag {tag!r}")

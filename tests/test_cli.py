@@ -161,7 +161,16 @@ def test_sweep_rejects_capacity_above_pool(tmp_path):
 
 @pytest.mark.parametrize(
     "extra",
-    ["--psi-factors=1.0,abc", "--psi-factors=1.0,0", "--psi-factors=-2", "--jobs=0", "--jobs=-3"],
+    [
+        "--psi-factors=1.0,abc",
+        "--psi-factors=1.0,0",
+        "--psi-factors=-2",
+        "--jobs=0",
+        "--jobs=-3",
+        "--algos=,",
+        "--algos=as,as",
+        "--seed=-1",
+    ],
 )
 def test_sweep_rejects_bad_input_before_any_cell(tmp_path, extra):
     out = tmp_path / "x"
