@@ -21,7 +21,8 @@ from reservematch import (
     sy1_select,
     sy2_select,
 )
-from reservematch.algorithms import outcome_from_json, outcome_to_json
+from reservematch.algorithms import Outcome, outcome_from_json, outcome_to_json
+from reservematch.graph import Matching
 from reservematch.oracle import oracle_as_select, random_small_instance
 
 from conftest import check_outcome, random_instance
@@ -215,6 +216,65 @@ class CountingRandom(random.Random):
     def choice(self, seq):
         self.calls += 1
         return super().choice(seq)
+
+
+def naive_pog(inst):
+    """Each student of the top-capacity prefix takes an open rank-1 seat of
+    its lowest such type, else an open rank-2 seat, else a universal seat."""
+    prefix = inst.acceptable[: min(inst.capacity, len(inst.acceptable))]
+    used = {1: [0] * inst.n_types, 2: [0] * inst.n_types}
+    universal = 0
+    pairs = set()
+    for sid in prefix:
+        seat = None
+        for rank in (1, 2):
+            for t in sorted(inst.student(sid).types):
+                if used[rank][t] < inst.quotas.quota(t, rank):
+                    seat = Seat(t, rank, used[rank][t])
+                    used[rank][t] += 1
+                    break
+            if seat is not None:
+                break
+        if seat is None:
+            seat = Seat(0, 3, universal)
+            universal += 1
+        pairs.add((sid, seat))
+    return Outcome("pog", prefix, Matching(frozenset(pairs)))
+
+
+def naive_ehyy(inst, rng=None):
+    """Three full scans of the pool: open rank-1 seats, open rank-2 seats,
+    then universal seats, each scan seating students until the target."""
+    pool = inst.acceptable
+    target = min(inst.capacity, len(pool))
+    seat_of = {}
+    for rank in (1, 2):
+        used = [0] * inst.n_types
+        for sid in pool:
+            if sid in seat_of or len(seat_of) == target:
+                continue
+            open_types = [t for t in sorted(inst.student(sid).types) if used[t] < inst.quotas.quota(t, rank)]
+            if open_types:
+                t = rng.choice(open_types) if rng is not None else open_types[0]
+                seat_of[sid] = Seat(t, rank, used[t])
+                used[t] += 1
+    for sid in pool:
+        if sid not in seat_of and len(seat_of) < target:
+            seat_of[sid] = Seat(0, 3, sum(seat.rank == 3 for seat in seat_of.values()))
+    selected = tuple(sorted(seat_of, key=inst.priority_position))
+    return Outcome("ehyy", selected, Matching(frozenset(seat_of.items())))
+
+
+def test_greedy_rules_match_naive_passes():
+    rnd = random.Random(46)
+    for i in range(400):
+        inst = random_instance(rnd, max_students=30, max_types=5, max_capacity=35)
+        if i % 3 == 0:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        assert pog_select(inst) == naive_pog(inst)
+        assert ehyy_select(inst) == naive_ehyy(inst)
+        for seed in (0, 1):
+            assert ehyy_select(inst, random.Random(seed)) == naive_ehyy(inst, random.Random(seed))
 
 
 def test_ehyy_draws_once_per_reserve_seat():
