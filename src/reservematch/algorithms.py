@@ -15,7 +15,8 @@ Tags used throughout the package and the CLI:
             fill to capacity
 ``sy1``     rank-maximal selection with rank-2 reserves removed
 ``sy2``     rank-maximal selection with both ranks merged into one
-``pog``     top-capacity students by priority, seats assigned greedily
+``pog``     top-capacity students by priority, seated by ``ehyy``'s
+            passes
 ``pos``     same students as ``pog``, seats assigned optimally
 ==========  ========================================================
 """
@@ -25,9 +26,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from .graph import Matching, Seat, build_graph, seat_row
+from .graph import Matching, Seat, build_graph, seat_row, signature
 from .model import Instance, QuotaTable, StudentId, UNIVERSAL_TYPE
 from .solver import RankMaximalMatcher, rank_maximal_matching
 
@@ -88,22 +89,22 @@ def sy2_select(instance: Instance) -> Outcome:
     return Outcome("sy2", chosen, rank_maximal_matching(build_graph(instance, set(chosen)), chosen))
 
 
-def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome:
-    """Three greedy passes down the priority list: unfilled rank-1 seats,
-    then unfilled rank-2 seats, then plain fill to capacity.
+def _greedy_seats(
+    instance: Instance, pool: Sequence[StudentId], rng: random.Random | None = None
+) -> dict[StudentId, Seat]:
+    """Seat up to ``min(capacity, len(pool))`` students of ``pool`` in three
+    passes down it: unfilled rank-1 seats, then unfilled rank-2 seats, then
+    universal seats.
 
     A student eligible for several open seats takes the lowest-numbered
     type; pass ``rng`` to resolve such ties uniformly at random instead
     (one ``rng.choice`` per student seated in a reserve pass).  A reserve
     pass ends once its seats are full.
     """
-    pool = instance.acceptable
     target = min(instance.capacity, len(pool))
     students = instance.students
     type_order = {ts: sorted(ts) for ts in {students[sid].types for sid in pool}}
-    chosen: list[StudentId] = []
-    pairs: list[tuple[StudentId, Seat]] = []
-    taken: set[StudentId] = set()
+    seat_of: dict[StudentId, Seat] = {}
 
     for rank, quota in ((1, instance.quotas.rank1), (2, instance.quotas.rank2)):
         used = [0] * len(quota)
@@ -111,69 +112,46 @@ def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome
         open_seats = sum(quota)
         closed: set[frozenset[int]] = set()  # type sets with no open seat; seats only fill
         for sid in pool:
-            if len(chosen) == target or not open_seats:
+            if len(seat_of) == target or not open_seats:
                 break
             types = students[sid].types
-            if sid in taken or types in closed:
+            if sid in seat_of or types in closed:
                 continue
             open_types = [t for t in type_order[types] if used[t] < quota[t]]
             if not open_types:
                 closed.add(types)
                 continue
             t = rng.choice(open_types) if rng is not None else open_types[0]
-            pairs.append((sid, rows[t][used[t]]))
+            seat_of[sid] = rows[t][used[t]]
             used[t] += 1
             open_seats -= 1
-            taken.add(sid)
-            chosen.append(sid)
 
     universal = iter(seat_row(UNIVERSAL_TYPE, 3, target))
     for sid in pool:
-        if len(chosen) == target:
+        if len(seat_of) == target:
             break
-        if sid in taken:
-            continue
-        taken.add(sid)
-        chosen.append(sid)
-        pairs.append((sid, next(universal)))
+        if sid not in seat_of:
+            seat_of[sid] = next(universal)
+    return seat_of
 
-    chosen.sort(key=instance.priority_position)
-    return Outcome("ehyy", tuple(chosen), Matching(frozenset(pairs)))
+
+def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome:
+    """Three greedy passes down the priority list: unfilled rank-1 seats,
+    then unfilled rank-2 seats, then plain fill to capacity.  ``rng``
+    breaks ties between open seats; see :func:`_greedy_seats`."""
+    seat_of = _greedy_seats(instance, instance.acceptable, rng)
+    selected = tuple(sorted(seat_of, key=instance.priority_position))
+    return Outcome("ehyy", selected, Matching(frozenset(seat_of.items())))
 
 
 def pog_select(instance: Instance) -> Outcome:
-    """Top students by priority; each takes an open rank-1 seat of one of
-    its types if any, else an open rank-2 seat, else a universal seat."""
+    """Top students by priority, seated by ``ehyy``'s passes.  With every
+    student of the prefix seated, each one takes an open rank-1 seat of
+    one of its types if any, else an open rank-2 seat, else a universal
+    seat."""
     pool = instance.acceptable
-    target = min(instance.capacity, len(pool))
-    chosen = pool[:target]
-    students = instance.students
-    type_order = {ts: sorted(ts) for ts in {students[sid].types for sid in chosen}}
-    quotas = instance.quotas
-    ranks = [
-        (quota, [0] * len(quota), [seat_row(t, rank, min(q, target)) for t, q in enumerate(quota)])
-        for rank, quota in ((1, quotas.rank1), (2, quotas.rank2))
-    ]
-    open_seats = sum(quotas.rank1) + sum(quotas.rank2)
-    universal = iter(seat_row(UNIVERSAL_TYPE, 3, target))
-    pairs: list[tuple[StudentId, Seat]] = []
-    for sid in chosen:
-        seat: Seat | None = None
-        if open_seats:
-            types = type_order[students[sid].types]
-            for quota, used, rows in ranks:
-                for t in types:
-                    if used[t] < quota[t]:
-                        seat = rows[t][used[t]]
-                        used[t] += 1
-                        open_seats -= 1
-                        break
-                if seat is not None:
-                    break
-        if seat is None:
-            seat = next(universal)
-        pairs.append((sid, seat))
-    return Outcome("pog", chosen, Matching(frozenset(pairs)))
+    prefix = pool[: min(instance.capacity, len(pool))]
+    return Outcome("pog", prefix, Matching(frozenset(_greedy_seats(instance, prefix).items())))
 
 
 def pos_select(instance: Instance) -> Outcome:
@@ -205,8 +183,6 @@ def run_algorithm(tag: str, instance: Instance) -> Outcome:
 def outcome_to_json(outcome: Outcome) -> str:
     """Serialize an outcome: tag, selected ids in priority order, the seat
     pairs as (student, type, rank, index) rows, and the signature triple."""
-    from .graph import signature
-
     doc: dict[str, Any] = {
         "algorithm": outcome.algorithm,
         "selected": list(outcome.selected),
@@ -217,10 +193,3 @@ def outcome_to_json(outcome: Outcome) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-def outcome_from_json(text: str) -> Outcome:
-    doc = json.loads(text)
-    pairs = frozenset(
-        (sid, Seat(t, rank, idx)) for sid, t, rank, idx in doc["matching"]
-    )
-    return Outcome(doc["algorithm"], tuple(doc["selected"]), Matching(pairs))

@@ -86,10 +86,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_settings(settings: SatGenConfig | ExperimentSpec) -> None:
+    """Run ``settings.check()``, reporting a bad setting as a usage error."""
+    try:
+        settings.check()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = SatGenConfig(
         capacity=args.capacity, seed=args.seed, n_students=args.n, psi_factor=args.psi_factor
     )
+    _check_settings(config)
     instance = gen_instance(config)
     save_instance(instance, args.out)
     meta = {k: (str(v) if not isinstance(v, (int, float)) else v) for k, v in asdict(config).items()}
@@ -135,12 +144,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         algorithms=tuple(args.algos),
     )
-    try:
-        spec.check()
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    _check_settings(spec)
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
     paths = run_experiment(spec, jobs=args.jobs, progress=not args.quiet)
     for name, path in paths.items():
         print(f"[sweep] {name}: {path}", file=sys.stderr)

@@ -119,28 +119,25 @@ def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
     return [_TYPE_SETS[c] for c in codes.tolist()]
 
 
-def score_mean(types: frozenset[int], model: ScoreModel = DEFAULT_SCORE_MODEL) -> float:
+def score_mean(types: frozenset[int]) -> float:
     """Expected (pre-truncation) score: each held type's penalty is divided
     by its 1-based position among the held types, heaviest penalty first,
     and rounded up."""
-    held = [model.penalties[t - 1] for t in (1, 2, 3) if t in types]
+    held = [DEFAULT_SCORE_MODEL.penalties[t - 1] for t in (1, 2, 3) if t in types]
     reduction = sum(math.ceil(Fraction(p, k)) for k, p in enumerate(held, start=1))
-    return model.base_mean - reduction
+    return DEFAULT_SCORE_MODEL.base_mean - reduction
 
 
-def gen_scores(
-    seed: int | np.random.Generator,
-    type_sets: Sequence[frozenset[int]],
-    model: ScoreModel = DEFAULT_SCORE_MODEL,
-) -> np.ndarray:
+def gen_scores(seed: int | np.random.Generator, type_sets: Sequence[frozenset[int]]) -> np.ndarray:
     """Truncated-normal scores, one per type set.
 
     Sampling rejects draws outside the domain and redraws; at the default
     parameters the acceptance rate is essentially one, and the sample mean
     stays within a point of the analytic truncated mean.
     """
+    model = DEFAULT_SCORE_MODEL
     rng = _as_rng(seed)
-    mean_of = {ts: score_mean(ts, model) for ts in set(type_sets)}
+    mean_of = {ts: score_mean(ts) for ts in set(type_sets)}
     means = np.array([mean_of[ts] for ts in type_sets], dtype=float)
     scores = rng.normal(means, model.sd)
     bad = (scores < model.lower) | (scores > model.upper)
@@ -169,7 +166,7 @@ def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> Q
     return QuotaTable(tuple(rank1), tuple(rank2))
 
 
-def gen_instance(config: SatGenConfig, model: ScoreModel = DEFAULT_SCORE_MODEL) -> Instance:
+def gen_instance(config: SatGenConfig) -> Instance:
     """Assemble a full instance from a config.
 
     Students are relabeled so ids follow the priority order (descending
@@ -180,7 +177,7 @@ def gen_instance(config: SatGenConfig, model: ScoreModel = DEFAULT_SCORE_MODEL) 
     rng = _as_rng(config.seed)
     n = config.n_students
     type_sets = gen_types(rng, n)
-    scores = gen_scores(rng, type_sets, model)
+    scores = gen_scores(rng, type_sets)
     order = np.lexsort((np.arange(n), -scores))
     students = tuple(Student(i, type_sets[j]) for i, j in enumerate(order.tolist()))
     instance = Instance(

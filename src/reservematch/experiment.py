@@ -24,6 +24,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -37,16 +38,6 @@ from .metrics import METRICS, evaluate, ratio, suite_optimum
 
 DEFAULT_CAPACITIES = tuple(range(10, 100, 10))
 DEFAULT_ALGORITHMS = tuple(ALGORITHMS)
-
-# Reserve-scale factors that hit the commonly studied reserve/capacity
-# ratios: the baseline fractions sum to 0.65, so scaling by 2.0 yields
-# total reserves of 1.3x the capacity, and so on.
-FACTOR_FOR_RESERVE_RATIO = {
-    "0.65": "1.0",
-    "1.3": "2.0",
-    "1.5": "2.3077",
-    "1.7": "2.6154",
-}
 
 PER_INSTANCE_FIELDS = (
     "psi_factor",
@@ -145,18 +136,11 @@ def _cell_rows(args: tuple) -> list[dict]:
 
 def _aggregate(rows: Sequence[dict]) -> list[dict]:
     """Collapse per-instance rows into per-cell ratio rows."""
-    grouped: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
+    grouped: dict[tuple, list[dict]] = {}  # cells in first-row order
     for row in rows:
-        key = (row["psi_factor"], row["qc"], row["algorithm"])
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(row)
+        grouped.setdefault((row["psi_factor"], row["qc"], row["algorithm"]), []).append(row)
     out = []
-    for key in order:
-        factor, qc, tag = key
-        cell = grouped[key]
+    for (factor, qc, tag), cell in grouped.items():
         for metric in METRICS:
             values = [float(r[f"ratio_{metric}"]) for r in cell]
             out.append(
@@ -207,15 +191,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
             )
 
     rows: list[dict] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, cell_rows in enumerate(pool.map(_cell_rows, cells)):
-                rows.extend(cell_rows)
-                if progress:
-                    print(f"[sweep] cell {i + 1}/{len(cells)} done", file=sys.stderr)
-    else:
-        for i, cell in enumerate(cells):
-            rows.extend(_cell_rows(cell))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        cell_map = pool.map if pool is not None else map
+        for i, cell_rows in enumerate(cell_map(_cell_rows, cells)):
+            rows.extend(cell_rows)
             if progress:
                 print(f"[sweep] cell {i + 1}/{len(cells)} done", file=sys.stderr)
 

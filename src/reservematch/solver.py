@@ -259,9 +259,13 @@ class RankMaximalMatcher:
 
         Returns ``True`` and updates the matching when a signature-preserving
         matching covering all pinned students plus ``sid`` exists; otherwise
-        leaves the state untouched and returns ``False``.
+        leaves the state untouched and returns ``False``.  An id outside
+        the graph raises ``ValueError``.
         """
-        i = self._index[sid]
+        try:
+            i = self._index[sid]
+        except KeyError:
+            raise ValueError(f"forced student {sid} is not in the graph") from None
         if self._pinned[i]:
             return True
         c = self._class_of[i]

@@ -21,7 +21,7 @@ from reservematch import (
     sy1_select,
     sy2_select,
 )
-from reservematch.algorithms import Outcome, outcome_from_json, outcome_to_json
+from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
 from reservematch.oracle import oracle_as_select, random_small_instance
 
@@ -349,8 +349,3 @@ def test_ehyy_equals_a_s_when_everyone_holds_every_type():
         )
         assert ehyy_select(inst).selected == a_s_select(inst).selected
 
-
-def test_outcome_json_roundtrip(example):
-    out = a_s_select(example)
-    again = outcome_from_json(outcome_to_json(out))
-    assert again == out

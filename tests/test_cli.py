@@ -4,6 +4,7 @@ import json
 import pytest
 
 from reservematch import load_instance, serialize_instance, total_reserves, validate
+from reservematch import experiment
 from reservematch.cli import main
 from reservematch.experiment import ExperimentSpec, derive_seed, emit_plot_data, run_experiment
 
@@ -26,6 +27,23 @@ def test_gen_writes_instance_and_sidecar(tmp_path):
     assert inst.capacity == 20 and inst.n_students == 50
     meta = json.loads((tmp_path / "pool.json.meta.json").read_text())
     assert meta["seed"] == 5 and meta["capacity"] == 20
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["--n", "0", "--capacity", "1"],
+        ["--capacity", "0"],
+        ["--capacity", "200"],
+        ["--capacity", "10", "--psi-factor", "abc"],
+        ["--capacity", "10", "--psi-factor", "0"],
+    ],
+)
+def test_gen_rejects_bad_settings_as_usage_error(tmp_path, capsys, settings):
+    out = tmp_path / "pool.json"
+    assert main(["gen", "--seed", "1", "--out", str(out), *settings]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_prints_selection(example_file, capsys):
@@ -246,6 +264,22 @@ def test_parallel_sweep_is_byte_identical(tmp_path):
     assert (tmp_path / "serial" / "per_instance.csv").read_bytes() == (
         tmp_path / "parallel" / "per_instance.csv"
     ).read_bytes()
+
+
+def test_serial_sweep_runs_each_cell_once(tmp_path, monkeypatch):
+    calls = []
+    cell_rows = experiment._cell_rows
+
+    def counting(args):
+        calls.append(args)
+        return cell_rows(args)
+
+    monkeypatch.setattr(experiment, "_cell_rows", counting)
+    spec = ExperimentSpec(
+        out_dir=tmp_path / "x", n_students=20, capacities=(5, 10), psi_factors=("1.0", "2.0"), seeds_per_cell=1
+    )
+    run_experiment(spec, 1, False)
+    assert [(args[1], args[3]) for args in calls] == [("1.0", 5), ("1.0", 10), ("2.0", 5), ("2.0", 10)]
 
 
 def test_plotdata_wide_tables(tmp_path, capsys):

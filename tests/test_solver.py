@@ -205,6 +205,8 @@ def test_forced_student_outside_the_graph_is_rejected(example):
     for forced in ([3], [0, 99]):
         with pytest.raises(ValueError, match="not in the graph"):
             RankMaximalMatcher(g, forced)
+    with pytest.raises(ValueError, match="forced student 3 is not in the graph"):
+        RankMaximalMatcher(g).try_force(3)
 
 
 def test_duplicate_forced_ids_count_once(example):
