@@ -29,7 +29,7 @@ from .graph import (
     build_graph,
     signature,
 )
-from .metrics import MetricValues, evaluate, percentile
+from .metrics import MetricValues, evaluate
 from .model import (
     Instance,
     QuotaTable,
@@ -38,14 +38,11 @@ from .model import (
     parse_instance,
     save_instance,
     serialize_instance,
-    total_reserves,
     validate,
 )
 from .solver import (
     InfeasibleForcedError,
     RankMaximalMatcher,
-    is_compatible,
-    max_signature,
     rank_maximal_matching,
 )
 
@@ -73,11 +70,8 @@ __all__ = [
     "gen_quotas",
     "gen_scores",
     "gen_types",
-    "is_compatible",
     "load_instance",
-    "max_signature",
     "parse_instance",
-    "percentile",
     "pog_select",
     "pos_select",
     "rank_maximal_matching",
@@ -87,6 +81,5 @@ __all__ = [
     "signature",
     "sy1_select",
     "sy2_select",
-    "total_reserves",
     "validate",
 ]

@@ -72,13 +72,9 @@ class SatGenConfig:
             raise ValueError("n_students must be >= 1")
         if not 1 <= self.capacity <= self.n_students:
             raise ValueError("capacity must be in [1, n_students]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         parse_factor(self.psi_factor)
-
-
-def _as_rng(seed: int | np.random.Generator | np.random.SeedSequence) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def parse_factor(value: float | int | str | Fraction) -> Fraction:
@@ -105,7 +101,7 @@ def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     u = rng.random((n, 3))
     t1 = u[:, 0] < P_TYPE1
     t2 = u[:, 1] < np.where(t1, P_TYPE2_GIVEN_T1, P_TYPE2_OTHERWISE)
@@ -136,7 +132,7 @@ def gen_scores(seed: int | np.random.Generator, type_sets: Sequence[frozenset[in
     stays within a point of the analytic truncated mean.
     """
     model = DEFAULT_SCORE_MODEL
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     mean_of = {ts: score_mean(ts) for ts in set(type_sets)}
     means = np.array([mean_of[ts] for ts in type_sets], dtype=float)
     scores = rng.normal(means, model.sd)
@@ -174,7 +170,7 @@ def gen_instance(config: SatGenConfig) -> Instance:
     the order used by the instance file format.
     """
     config.check()
-    rng = _as_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     n = config.n_students
     type_sets = gen_types(rng, n)
     scores = gen_scores(rng, type_sets)

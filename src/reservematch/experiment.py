@@ -74,11 +74,15 @@ class ExperimentSpec:
             raise ValueError("seeds_per_cell must be >= 1")
         if not self.capacities:
             raise ValueError("no capacities given")
+        if len(set(self.capacities)) != len(self.capacities):
+            raise ValueError("a capacity is given twice")
         for qc in self.capacities:
             if not 1 <= qc <= self.n_students:
                 raise ValueError(f"capacity {qc} outside [1, {self.n_students}]")
         if not self.psi_factors:
             raise ValueError("no reserve factors given")
+        if len(set(self.psi_factors)) != len(self.psi_factors):
+            raise ValueError("a reserve factor is given twice")
         for factor in self.psi_factors:
             parse_factor(factor)
         if self.master_seed < 0:

@@ -12,8 +12,7 @@ through :func:`seat_row`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE
 
@@ -96,26 +95,9 @@ class ReservationGraph:
     pools: tuple[SeatPool, ...]
     classes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
-    @cached_property
-    def adjacency(self) -> dict[StudentId, tuple[int, ...]]:
-        """Indices of the pools each student may use, derived from ``classes``."""
-        return {self.students[i]: adj for adj, members in self.classes for i in members}
-
     @property
     def universal_pool(self) -> int:
         return len(self.pools) - 1
-
-    @property
-    def seat_count(self) -> int:
-        return sum(p.capacity for p in self.pools)
-
-    def edges(self) -> Iterator[tuple[StudentId, Seat]]:
-        """Seat-level adjacency, mostly useful for debugging and tests."""
-        for sid in self.students:
-            for pi in self.adjacency[sid]:
-                pool = self.pools[pi]
-                for i in range(pool.capacity):
-                    yield sid, Seat(pool.type, pool.rank, i)
 
 
 def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> ReservationGraph:

@@ -39,12 +39,6 @@ class MetricValues:
         return getattr(self, metric)
 
 
-def percentile(instance: Instance, sid: int) -> float:
-    """Priority percentile in (0, 100]; the top student scores 100."""
-    n = instance.n_students
-    return 100.0 * (n - instance.priority_position(sid)) / n
-
-
 def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     """Metric values of an outcome produced on this instance.
 
@@ -100,7 +94,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
                 raise ValueError(f"student {sid} is below the acceptability cutoff {cut}")
 
     if outcome.selected:
-        pcts = [100.0 * (n - position[sid]) / n for sid in outcome.selected]  # percentile(), inlined
+        pcts = [100.0 * (n - position[sid]) / n for sid in outcome.selected]
         p3 = sum(pcts) / len(pcts)
         p3_min, p3_max = min(pcts), max(pcts)
     else:

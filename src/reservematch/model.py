@@ -150,8 +150,18 @@ def validate(instance: Instance) -> list[str]:
                 if not _is_int(c) or c < 0:
                     errors.append(f"quotas: rank-{rank} count for type {t} must be a non-negative integer")
 
+    # Each type-set object is checked once, for the first student holding
+    # it.  Objects, not values: {1} and {True} are equal sets.
     declared = set(range(1, quotas.n_types))
+    checked: set[int] = set()
     for s in instance.students:
+        if id(s.types) in checked:
+            continue
+        checked.add(id(s.types))
+        odd = [t for t in s.types if not _is_int(t)]
+        if odd:
+            errors.append(f"student {s.id}: type ids must be integers, got {', '.join(sorted(map(repr, odd)))}")
+            continue
         extra = s.types - declared
         if extra:
             errors.append(f"student {s.id}: undeclared types {sorted(extra)}")
@@ -169,12 +179,6 @@ def validate(instance: Instance) -> list[str]:
         errors.append("scores: must have one entry per student")
 
     return errors
-
-
-def total_reserves(instance: Instance) -> int:
-    """Total number of reserved seats across both ranks (the universal type
-    contributes nothing)."""
-    return sum(instance.quotas.rank1) + sum(instance.quotas.rank2)
 
 
 class InstanceFormatError(ValueError):

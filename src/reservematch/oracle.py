@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Matching, RankSignature, ReservationGraph, Seat, build_graph
+from .graph import RankSignature, ReservationGraph, build_graph
 from .model import Instance, QuotaTable, Student, StudentId
 from .solver import InfeasibleForcedError
 
@@ -26,10 +26,9 @@ def _check_bounds(graph: ReservationGraph) -> None:
         raise SizeLimitError(
             f"{len(graph.students)} students exceed the enumeration bound of {MAX_STUDENTS}"
         )
-    if graph.seat_count > MAX_SEATS:
-        raise SizeLimitError(
-            f"{graph.seat_count} seats exceed the enumeration bound of {MAX_SEATS}"
-        )
+    seats = sum(pool.capacity for pool in graph.pools)
+    if seats > MAX_SEATS:
+        raise SizeLimitError(f"{seats} seats exceed the enumeration bound of {MAX_SEATS}")
 
 
 class MatchingOracle:
@@ -50,7 +49,10 @@ class MatchingOracle:
     def _enumerate(self) -> None:
         graph = self._graph
         n = len(graph.students)
-        adj = [graph.adjacency[sid] for sid in graph.students]
+        adj: list[tuple[int, ...]] = [()] * n
+        for pools, members in graph.classes:
+            for i in members:
+                adj[i] = pools
         capacity = [p.capacity for p in graph.pools]
         rank = [p.rank for p in graph.pools]
         used = [0] * len(graph.pools)
@@ -115,49 +117,6 @@ class MatchingOracle:
             if self.best_signature(set(chosen) | {sid}) == top:
                 chosen.append(sid)
         return tuple(chosen)
-
-
-def enumerate_matchings(graph: ReservationGraph) -> list[Matching]:
-    """Every matching of size at most the cap, the empty one included.
-
-    Seats inside one (type, rank) class are interchangeable, so assignments
-    that differ only by permuting such seats are produced once, with seat
-    indices allocated in student order.
-    """
-    _check_bounds(graph)
-    n = len(graph.students)
-    adj = [graph.adjacency[sid] for sid in graph.students]
-    capacity = [p.capacity for p in graph.pools]
-    pools = graph.pools
-    used = [0] * len(pools)
-    current: list[tuple[StudentId, Seat]] = []
-    out: list[Matching] = []
-
-    def recurse(i: int, size: int) -> None:
-        if i == n:
-            out.append(Matching(frozenset(current)))
-            return
-        recurse(i + 1, size)
-        if size < graph.cap:
-            sid = graph.students[i]
-            for p in adj[i]:
-                if used[p] < capacity[p]:
-                    seat = Seat(pools[p].type, pools[p].rank, used[p])
-                    used[p] += 1
-                    current.append((sid, seat))
-                    recurse(i + 1, size + 1)
-                    current.pop()
-                    used[p] -= 1
-
-    recurse(0, 0)
-    return out
-
-
-def oracle_rank_max_signature(
-    graph: ReservationGraph, forced: set[StudentId] | frozenset[StudentId] = frozenset()
-) -> RankSignature:
-    """Exhaustive counterpart of the engine's constrained signature."""
-    return MatchingOracle(graph).best_signature(forced)
 
 
 def oracle_as_select(instance: Instance) -> tuple[StudentId, ...]:

@@ -42,7 +42,7 @@ from collections import Counter
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .graph import Matching, RankSignature, ReservationGraph, Seat, seat_row
+from .graph import Matching, ReservationGraph, Seat, seat_row
 from .model import StudentId
 
 
@@ -220,12 +220,6 @@ class RankMaximalMatcher:
                         changed = True
         return dist
 
-    def signature(self) -> RankSignature:
-        counts = [0, 0, 0]
-        for pool, used in zip(self._graph.pools, self._used):
-            counts[pool.rank - 1] += used
-        return RankSignature(*counts)
-
     def _chosen(self, c: int) -> list[int]:
         """Matched members of class ``c``, in priority order."""
         extra = self._flow[c] - self._n_pinned[c]
@@ -294,18 +288,3 @@ def rank_maximal_matching(
     are forced; any smaller set is feasible thanks to the universal seats.
     """
     return RankMaximalMatcher(graph, forced).matching()
-
-
-def max_signature(graph: ReservationGraph) -> RankSignature:
-    """Signature of the unconstrained rank-maximal matching."""
-    return RankMaximalMatcher(graph).signature()
-
-
-def is_compatible(graph: ReservationGraph, forced: Iterable[StudentId]) -> bool:
-    """Whether some matching achieves the unconstrained rank-maximal
-    signature while matching every student in ``forced``."""
-    forced = tuple(forced)
-    if len(set(forced)) > graph.cap:
-        return False
-    constrained = RankMaximalMatcher(graph, forced).signature()
-    return constrained == max_signature(graph)

@@ -13,9 +13,9 @@ from reservematch import (
     a_s_select,
     build_graph,
     ehyy_select,
-    max_signature,
     pog_select,
     pos_select,
+    rank_maximal_matching,
     run_algorithm,
     signature,
     sy1_select,
@@ -314,7 +314,8 @@ def test_structural_invariants_on_random_instances():
         merged = QuotaTable(
             tuple(a + b for a, b in zip(inst.quotas.rank1, inst.quotas.rank2)), (0,) * inst.n_types
         )
-        assert sy2_total == max_signature(build_graph(replace(inst, quotas=merged))).rank1
+        merged_graph = build_graph(replace(inst, quotas=merged))
+        assert sy2_total == signature(rank_maximal_matching(merged_graph)).rank1
         # the priority-only rules agree on the selected prefix
         prefix = inst.acceptable[: min(inst.capacity, len(inst.acceptable))]
         assert outs["pog"].selected == prefix

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from reservematch import load_instance, serialize_instance, total_reserves, validate
+from reservematch import load_instance, serialize_instance, validate
 from reservematch import experiment
 from reservematch.cli import main
 from reservematch.experiment import ExperimentSpec, derive_seed, emit_plot_data, run_experiment
@@ -37,6 +37,7 @@ def test_gen_writes_instance_and_sidecar(tmp_path):
         ["--capacity", "200"],
         ["--capacity", "10", "--psi-factor", "abc"],
         ["--capacity", "10", "--psi-factor", "0"],
+        ["--capacity", "10", "--seed", "-1"],
     ],
 )
 def test_gen_rejects_bad_settings_as_usage_error(tmp_path, capsys, settings):
@@ -188,6 +189,8 @@ def test_sweep_rejects_capacity_above_pool(tmp_path):
         "--algos=,",
         "--algos=as,as",
         "--seed=-1",
+        "--qc=5,5",
+        "--psi-factors=1.0,1.0",
     ],
 )
 def test_sweep_rejects_bad_input_before_any_cell(tmp_path, extra):
@@ -233,7 +236,7 @@ def test_manifest_reserves_match_instances(tmp_path):
                     psi_factor=cell["psi_factor"],
                 )
             )
-            assert total_reserves(inst) == cell["total_reserves"]
+            assert sum(inst.quotas.rank1) + sum(inst.quotas.rank2) == cell["total_reserves"]
 
 
 def test_derived_seeds_are_independent_of_cell_order():

@@ -10,31 +10,36 @@ from conftest import random_instance
 
 def test_example_graph_shape(example):
     g = build_graph(example)
-    assert g.seat_count == 7  # 4 reserved + 3 universal
+    assert sum(p.capacity for p in g.pools) == 7  # 4 reserved + 3 universal
     assert g.cap == 3
     assert [tuple(p) for p in g.pools] == [(1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1), (0, 3, 3)]
 
 
+def pools_of(g, sid):
+    i = g.students.index(sid)
+    return [g.pools[p] for adj, members in g.classes if i in members for p in adj]
+
+
 def test_example_adjacency(example):
     g = build_graph(example)
-    seats_of = lambda sid: {seat for s, seat in g.edges() if s == sid}
     # student 3 reaches both rank-1 seats and the type-3 rank-2 seat
-    assert {(s.type, s.rank) for s in seats_of(3)} == {(1, 1), (2, 1), (3, 2), (0, 3)}
+    assert {(p.type, p.rank) for p in pools_of(g, 3)} == {(1, 1), (2, 1), (3, 2), (0, 3)}
     # the untyped student only reaches the three universal seats
-    assert seats_of(0) == {Seat(0, 3, 0), Seat(0, 3, 1), Seat(0, 3, 2)}
+    assert pools_of(g, 0) == [(0, 3, 3)]
 
 
 def test_empty_subset(example):
     g = build_graph(example, set())
     assert g.students == ()
-    assert g.seat_count == 7
-    assert list(g.edges()) == []
+    assert sum(p.capacity for p in g.pools) == 7
+    assert g.classes == ()
 
 
 def test_single_student_subset(example):
     g = build_graph(example, {0})
     assert g.students == (0,)
-    assert len(list(g.edges())) == 3  # universal seats only
+    assert g.classes == (((g.universal_pool,), (0,)),)  # universal seats only
+    assert g.pools[g.universal_pool].capacity == 3
 
 
 def test_subset_must_be_known(example):
@@ -96,17 +101,6 @@ def test_classes_partition_students_by_pools(example):
         assert g.classes == grouped_by_pools(inst, g)
         merged += len(g.classes) < len({inst.student(sid).types for sid in g.students})
     assert merged  # some type sets reached the same pools
-
-
-def test_adjacency_round_trips():
-    rnd = random.Random(13)
-    for _ in range(100):
-        g = build_graph(random_instance(rnd, max_types=5))
-        assert set(g.adjacency) == set(g.students)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, sid in enumerate(g.students):
-            groups.setdefault(g.adjacency[sid], []).append(i)
-        assert tuple((adj, tuple(members)) for adj, members in groups.items()) == g.classes
 
 
 def test_seat_row_values():

@@ -11,10 +11,8 @@ from reservematch import (
     Student,
     a_s_select,
     evaluate,
-    percentile,
     pog_select,
     run_algorithm,
-    total_reserves,
 )
 from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
@@ -33,11 +31,6 @@ def test_example_pog_percentiles(example):
     assert v.p3 == pytest.approx(100 * (6 + 5 + 4) / (3 * 6))
     assert v.p3_max == pytest.approx(100.0)
     assert v.p3_min == pytest.approx(100 * 4 / 6)
-
-
-def test_percentile_definition(example):
-    assert percentile(example, 0) == pytest.approx(100.0)
-    assert percentile(example, 5) == pytest.approx(100 / 6)
 
 
 def test_single_student_no_quotas():
@@ -125,7 +118,7 @@ def test_metric_bounds_on_random_instances():
         for tag in ALGORITHMS:
             v = evaluate(inst, run_algorithm(tag, inst))
             assert 0 <= v.p1 <= v.p2 <= inst.capacity
-            assert v.p2 <= total_reserves(inst)
+            assert v.p2 <= sum(inst.quotas.rank1) + sum(inst.quotas.rank2)
             assert v.p1 <= sum(inst.quotas.rank1)
             if v.p3:
                 assert v.p3_min <= v.p3 <= v.p3_max <= 100.0

@@ -26,14 +26,15 @@ from reservematch import (
     a_s_select,
     build_graph,
     gen_instance,
-    max_signature,
+    rank_maximal_matching,
+    signature,
 )
 
 
 def milp_signature(graph, pinned=()) -> RankSignature:
     """Best signature of a matching within the cap that covers ``pinned``."""
     students = graph.students
-    cols = [(i, p) for i, sid in enumerate(students) for p in graph.adjacency[sid]]
+    cols = sorted((i, p) for adj, members in graph.classes for i in members for p in adj)
     b = min(graph.cap, len(students)) + 1
     weight = {1: b * b, 2: b, 3: 1}
     n, m = len(students), len(graph.pools)
@@ -60,7 +61,7 @@ def milp_signature(graph, pinned=()) -> RankSignature:
 def assert_engine_matches_oracle(inst) -> None:
     graph = build_graph(inst)
     top = milp_signature(graph)
-    assert max_signature(graph) == top
+    assert signature(rank_maximal_matching(graph)) == top
 
     # the greedy definition of ``as``, answered by the oracle alone
     chosen: list[int] = []
@@ -105,5 +106,5 @@ def hand_built_pool(seed: int) -> Instance:
 @pytest.mark.parametrize("seed", [438, 551])
 def test_engine_matches_the_milp_oracle_without_universal_seats(seed):
     inst = hand_built_pool(seed)
-    assert max_signature(build_graph(inst)).rank3 == 0
+    assert signature(rank_maximal_matching(build_graph(inst))).rank3 == 0
     assert_engine_matches_oracle(inst)

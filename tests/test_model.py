@@ -8,7 +8,6 @@ from reservematch import (
     Student,
     parse_instance,
     serialize_instance,
-    total_reserves,
     validate,
 )
 from reservematch.model import InstanceFormatError
@@ -49,37 +48,19 @@ def test_undeclared_types_reported(example):
     assert any("undeclared" in e for e in validate(bad))
 
 
+@pytest.mark.parametrize("type_id", [True, 1.0])
+def test_non_integer_type_ids_reported(example, type_id):
+    # {True} and {1.0} equal {1}, a declared type that student 4 holds, yet
+    # no file can hold them
+    students = example.students[:5] + (Student(5, frozenset({type_id})),)
+    bad = Instance(students, example.priority, 3, example.quotas)
+    assert validate(bad) == [f"student 5: type ids must be integers, got {type_id!r}"]
+
+
 def test_negative_quota_reported(example):
     for rank1 in ((0, -1, 1, 0, 0), (0, True, 1, 0, 0)):
         bad = Instance(example.students, example.priority, 3, QuotaTable(rank1, (0, 0, 0, 1, 1)))
         assert any("non-negative" in e for e in validate(bad))
-
-
-def test_total_reserves_example(example):
-    assert total_reserves(example) == 4
-
-
-def test_total_reserves_zero():
-    inst = Instance((Student(0),), (0,), 1, QuotaTable((0,), (0,)))
-    assert total_reserves(inst) == 0
-
-
-def test_total_reserves_sat_baseline():
-    # 15+20+10+10+5+5 at capacity 100
-    quotas = QuotaTable((0, 15, 10, 5), (0, 20, 10, 5))
-    inst = Instance((Student(0),), (0,), 100, quotas)
-    assert total_reserves(inst) == 65
-
-
-def test_total_reserves_additive():
-    rnd = random.Random(4)
-    for _ in range(50):
-        inst = random_instance(rnd)
-        quotas = QuotaTable(
-            tuple(2 * c for c in inst.quotas.rank1), tuple(2 * c for c in inst.quotas.rank2)
-        )
-        doubled = Instance(inst.students, inst.priority, inst.capacity, quotas)
-        assert total_reserves(doubled) == 2 * total_reserves(inst)
 
 
 def test_priority_round_trip():

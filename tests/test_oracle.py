@@ -6,94 +6,17 @@ from reservematch import (
     Instance,
     QuotaTable,
     RankSignature,
-    Seat,
     Student,
     build_graph,
-    signature,
     validate,
 )
 from reservematch.oracle import (
     MatchingOracle,
     SizeLimitError,
-    enumerate_matchings,
     oracle_as_select,
-    oracle_rank_max_signature,
     random_small_instance,
 )
 from reservematch.solver import InfeasibleForcedError
-
-
-def two_by_two() -> Instance:
-    # two students, two seats of distinct (type, rank) classes, everyone eligible
-    return Instance(
-        students=(Student(0, frozenset({1, 2})), Student(1, frozenset({1, 2}))),
-        priority=(0, 1),
-        capacity=2,
-        quotas=QuotaTable((0, 1, 0), (0, 0, 1)),
-    )
-
-
-def test_two_by_two_matching_count():
-    g = build_graph(two_by_two(), {0, 1})
-    # restrict to the two reserved seats: drop universal pairs by filtering
-    matchings = enumerate_matchings(g)
-    reserved_only = [
-        m for m in matchings if all(seat.type != 0 for _, seat in m.pairs)
-    ]
-    # hand enumeration of the 2x2 complete bipartite graph: empty, four
-    # singletons, two perfect matchings
-    assert len(reserved_only) == 7
-
-
-def test_enumeration_contains_the_five_rank_maximal_matchings(example):
-    g = build_graph(example)
-    matchings = enumerate_matchings(g)
-    best = max(signature(m) for m in matchings)
-    maximal = {frozenset(m.pairs) for m in matchings if signature(m) == best}
-    expected = [
-        {(1, Seat(4, 2, 0)), (3, Seat(2, 1, 0)), (4, Seat(1, 1, 0))},
-        {(1, Seat(4, 2, 0)), (3, Seat(1, 1, 0)), (5, Seat(2, 1, 0))},
-        {(2, Seat(3, 2, 0)), (3, Seat(2, 1, 0)), (4, Seat(1, 1, 0))},
-        {(2, Seat(3, 2, 0)), (3, Seat(1, 1, 0)), (5, Seat(2, 1, 0))},
-        {(3, Seat(3, 2, 0)), (4, Seat(1, 1, 0)), (5, Seat(2, 1, 0))},
-    ]
-    assert best == RankSignature(2, 1, 0)
-    # the enumeration must contain the five known rank-maximal matchings (it
-    # finds three more that seat students 4 and 5 on both rank-1 seats)
-    assert {frozenset(m) for m in expected} <= maximal
-    assert len(maximal) == 8
-
-
-def test_enumeration_without_edges_uses_universal_seats_only():
-    inst = Instance(
-        students=tuple(Student(i) for i in range(4)),
-        priority=(0, 1, 2, 3),
-        capacity=3,
-        quotas=QuotaTable((0, 1), (0, 1)),
-    )
-    g = build_graph(inst)
-    matchings = enumerate_matchings(g)
-    assert all(seat.type == 0 for m in matchings for _, seat in m.pairs)
-    assert Matching_sizes(matchings) == {0, 1, 2, 3}
-    assert max(len(m) for m in matchings) == 3  # the cap binds
-
-
-def Matching_sizes(matchings):
-    return {len(m) for m in matchings}
-
-
-def test_enumeration_has_no_duplicates_and_valid_matchings(example):
-    g = build_graph(example)
-    matchings = enumerate_matchings(g)
-    assert len({frozenset(m.pairs) for m in matchings}) == len(matchings)
-    edges = set(g.edges())
-    for m in matchings:
-        assert len(m) <= g.cap
-        students = [sid for sid, _ in m.pairs]
-        seats = [seat for _, seat in m.pairs]
-        assert len(set(students)) == len(students)
-        assert len(set(seats)) == len(seats)
-        assert set(m.pairs) <= edges
 
 
 def test_size_limits_enforced():
@@ -103,8 +26,8 @@ def test_size_limits_enforced():
         capacity=1,
         quotas=QuotaTable((0,), (0,)),
     )
-    with pytest.raises(SizeLimitError):
-        enumerate_matchings(build_graph(big))
+    with pytest.raises(SizeLimitError, match="11 students"):
+        MatchingOracle(build_graph(big))
     wide = Instance(
         students=(Student(0),),
         priority=(0,),
@@ -116,9 +39,9 @@ def test_size_limits_enforced():
 
 
 def test_oracle_signature_example(example):
-    g = build_graph(example)
-    assert oracle_rank_max_signature(g) == RankSignature(2, 1, 0)
-    assert oracle_rank_max_signature(g, {0, 1, 2}) == RankSignature(0, 2, 1)
+    oracle = MatchingOracle(build_graph(example))
+    assert oracle.best_signature() == RankSignature(2, 1, 0)
+    assert oracle.best_signature({0, 1, 2}) == RankSignature(0, 2, 1)
 
 
 def test_oracle_signature_universal_only():
@@ -128,14 +51,13 @@ def test_oracle_signature_universal_only():
         capacity=3,
         quotas=QuotaTable((0, 2), (0, 0)),
     )
-    g = build_graph(inst)
-    assert oracle_rank_max_signature(g) == RankSignature(0, 0, 3)
+    assert MatchingOracle(build_graph(inst)).best_signature() == RankSignature(0, 0, 3)
 
 
 def test_oracle_infeasible_forced(example):
-    g = build_graph(example)
+    oracle = MatchingOracle(build_graph(example))
     with pytest.raises(InfeasibleForcedError):
-        oracle_rank_max_signature(g, {0, 1, 2, 3})
+        oracle.best_signature({0, 1, 2, 3})
 
 
 def test_oracle_greedy_example(example):
@@ -159,4 +81,4 @@ def test_random_small_instances_are_valid_and_in_bounds():
         assert validate(inst) == []
         g = build_graph(inst)
         assert len(g.students) <= 8
-        assert g.seat_count <= 12
+        assert sum(p.capacity for p in g.pools) <= 12

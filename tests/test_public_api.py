@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import reservematch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Names the benchmark under perfbench/ imports from the package root.
 BENCHMARK_NAMES = (
@@ -24,3 +29,26 @@ def test_exports_have_no_duplicates():
 
 def test_benchmark_names_are_exported():
     assert set(BENCHMARK_NAMES) <= set(reservematch.__all__)
+
+
+def used_names(path: Path) -> set[str]:
+    """Names a module reads, attributes it takes and names it imports;
+    docstrings and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    # the package's own re-exports and its test oracle are not callers
+    package = Path(reservematch.__file__).parent
+    modules = [p for p in package.glob("*.py") if p.name not in ("__init__.py", "oracle.py")]
+    modules += (ROOT / "perfbench").glob("*.py")
+    used = set().union(*map(used_names, modules))
+    assert sorted(set(reservematch.__all__) - used) == []

@@ -8,8 +8,6 @@ from reservematch import (
     Seat,
     build_graph,
     gen_instance,
-    is_compatible,
-    max_signature,
     rank_maximal_matching,
     signature,
 )
@@ -19,8 +17,19 @@ from reservematch.solver import InfeasibleForcedError, RankMaximalMatcher
 from conftest import make_example
 
 
+def is_compatible(graph, forced) -> bool:
+    """Fresh-solve reference for ``try_force``: whether some matching keeps
+    the unconstrained rank-maximal signature while matching every student
+    in ``forced``."""
+    try:
+        constrained = rank_maximal_matching(graph, forced)
+    except InfeasibleForcedError:
+        return False
+    return signature(constrained) == signature(rank_maximal_matching(graph))
+
+
 def test_unconstrained_signature(example):
-    assert max_signature(build_graph(example)) == RankSignature(2, 1, 0)
+    assert signature(rank_maximal_matching(build_graph(example))) == RankSignature(2, 1, 0)
 
 
 def test_forced_final_matching_is_unique(example):
@@ -77,7 +86,7 @@ def test_signature_matches_oracle_on_random_instances():
     for _ in range(150):
         inst = random_small_instance(rnd)
         g = build_graph(inst)
-        assert max_signature(g) == MatchingOracle(g).best_signature()
+        assert signature(rank_maximal_matching(g)) == MatchingOracle(g).best_signature()
 
 
 def test_forced_signature_and_compatibility_match_oracle():
@@ -101,7 +110,7 @@ def test_forcing_never_improves_the_signature():
     for _ in range(100):
         inst = random_small_instance(rnd)
         g = build_graph(inst)
-        top = max_signature(g)
+        top = signature(rank_maximal_matching(g))
         students = list(g.students)
         size = rnd.randint(0, min(len(students), inst.capacity))
         forced = frozenset(rnd.sample(students, size))
@@ -124,7 +133,7 @@ def test_try_force_agrees_with_naive_compatibility():
     ]
     for inst in instances:
         g = build_graph(inst)
-        top = max_signature(g)
+        top = signature(rank_maximal_matching(g))
         matcher = RankMaximalMatcher(g)
         pinned: list[int] = []
         for sid in inst.acceptable:
@@ -135,7 +144,7 @@ def test_try_force_agrees_with_naive_compatibility():
             assert got == expected
             if got:
                 pinned.append(sid)
-                assert matcher.signature() == top
+                assert signature(matcher.matching()) == top
                 assert set(pinned) <= set(matcher.matched_students())
 
 
@@ -175,7 +184,7 @@ def test_try_force_matches_oracle_in_the_high_reserve_regime(base):
         inst = high_reserve_instance(rnd)
         g = build_graph(inst)
         oracle = MatchingOracle(g)
-        top = max_signature(g)
+        top = signature(rank_maximal_matching(g))
         assert top == oracle.best_signature()
         matcher = RankMaximalMatcher(g)
         pinned: list[int] = []
@@ -186,7 +195,7 @@ def test_try_force_matches_oracle_in_the_high_reserve_regime(base):
             assert matcher.try_force(sid) == want
             if want:
                 pinned.append(sid)
-                assert matcher.signature() == top
+                assert signature(matcher.matching()) == top
         assert tuple(pinned) == oracle.greedy_selection()
 
 
