@@ -33,6 +33,15 @@ def test_example_pog_percentiles(example):
     assert v.p3_min == pytest.approx(100 * 4 / 6)
 
 
+def test_percentile_definition(example):
+    # a lone selected student's percentile is p3, p3_min and p3_max at once;
+    # the top student scores 100 and the last of six scores 100/6
+    for sid, pct in ((0, 100.0), (5, 100 / 6)):
+        out = Outcome("as", (sid,), Matching(frozenset({(sid, Seat(0, 3, 0))})))
+        v = evaluate(example, out)
+        assert (v.p3, v.p3_min, v.p3_max) == pytest.approx((pct, pct, pct))
+
+
 def test_single_student_no_quotas():
     inst = Instance((Student(0),), (0,), 1, QuotaTable((0,), (0,)))
     out = run_algorithm("as", inst)
