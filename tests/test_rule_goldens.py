@@ -7,8 +7,10 @@ pool: the serialized instance, the serialized outcome of all six rules, the
 seeded ``ehyy`` mode for three seeds, and the exact ``evaluate`` values.
 No generated pool has two type sets with the same pools (every type has a
 positive rank-1 quota), so one hand-built instance pins all six rules where
-such type sets share a class.  A deliberate change of behaviour must update the pins and explain itself
-in CHANGES.md.
+such type sets share a class.  A second one, with 292 classes, pins the
+engine rules where a pool's classes arrive in an order other than class
+order.  A deliberate change of behaviour must update the pins and explain
+itself in CHANGES.md.
 """
 
 import hashlib
@@ -170,3 +172,44 @@ def test_merged_class_outputs_are_pinned():
     for tag, rule in ALGORITHMS.items():
         outcome = rule(instance)
         assert (sha256(outcome_to_json(outcome)), repr(evaluate(instance, outcome))) == MERGED[tag], tag
+
+
+# tag: (sha256 of outcome_to_json, repr of evaluate) on many_class_instance()
+MANY_CLASS = {
+    "as": ("256b1fd6c513e2fb56d2044b72c81ce5c1137b05846ee1b6490376571dbc5da3",
+           "MetricValues(p1=30, p2=30, p3=96.375, p3_min=92.75, p3_max=100.0)"),
+    "sy1": ("f0c5fb904622f1d7bd881fe7607378210e1a43c785b72f6a8d6083acc8c365dc",
+            "MetricValues(p1=30, p2=30, p3=96.375, p3_min=92.75, p3_max=100.0)"),
+    "sy2": ("29c135fcd7f77a44e5489b8348ddda6eb62cc7e44cd4cdefe506aa078ed4022d",
+            "MetricValues(p1=30, p2=30, p3=96.375, p3_min=92.75, p3_max=100.0)"),
+    "pos": ("0705147892bf289be7bd123220a1e9efcfeb4ff2b48dbd25a8f02984cc64a0e1",
+            "MetricValues(p1=30, p2=30, p3=96.375, p3_min=92.75, p3_max=100.0)"),
+}
+
+
+def many_class_instance() -> Instance:
+    """400 students in a shuffled priority with a cutoff at 360, each
+    holding each of 12 types with probability 0.3, against 30 seats and
+    reserves of 2-4 (rank 1) and 1-3 (rank 2) per type."""
+    rnd = random.Random(4242)
+    n = 400
+    students = tuple(
+        Student(i, frozenset(t for t in range(1, 13) if rnd.random() < 0.3)) for i in range(n)
+    )
+    priority = list(range(n))
+    rnd.shuffle(priority)
+    return Instance(
+        students=students,
+        priority=tuple(priority),
+        capacity=30,
+        quotas=QuotaTable((0, 2, 2, 2, 2, 4, 3, 2, 4, 3, 3, 3, 4), (0, 1, 2, 1, 2, 2, 1, 1, 1, 2, 2, 1, 3)),
+        acceptable_count=360,
+    )
+
+
+def test_many_class_outputs_are_pinned():
+    instance = many_class_instance()
+    assert len(build_graph(instance).classes) >= 100
+    for tag, (digest, values) in MANY_CLASS.items():
+        outcome = ALGORITHMS[tag](instance)
+        assert (sha256(outcome_to_json(outcome)), repr(evaluate(instance, outcome))) == (digest, values), tag
