@@ -81,10 +81,9 @@ class ExperimentSpec:
                 raise ValueError(f"capacity {qc} outside [1, {self.n_students}]")
         if not self.psi_factors:
             raise ValueError("no reserve factors given")
-        if len(set(self.psi_factors)) != len(self.psi_factors):
+        # compare values, so "1" and "1.0" count as one factor
+        if len({parse_factor(factor) for factor in self.psi_factors}) != len(self.psi_factors):
             raise ValueError("a reserve factor is given twice")
-        for factor in self.psi_factors:
-            parse_factor(factor)
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if not self.algorithms:

@@ -27,7 +27,9 @@ flow and an optimal flow that also covers the student is a circulation of
 zero cost, so it splits into residual cycles of zero cost, made only of
 arcs of zero reduced cost, and one of them enters the class from S.  One
 search over those arcs for a cycle S -> class ~> S is therefore exact, and
-pushing a unit around it keeps the potentials valid.
+pushing a unit around it keeps the potentials valid.  Every search walks a
+table of the arcs of zero reduced cost, built once per potential: once per
+stage of construction, and once for all the pins that follow.
 
 A class whose search fails (or whose potential differs from that of S) is
 rejected from then on in O(1).  Pins only add lower bounds, so the set of
@@ -38,9 +40,8 @@ no state, so skipping it leaves every flow and matching as it was.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import accumulate, islice
+from typing import Iterable
 
 from .graph import Matching, ReservationGraph, Seat, seat_row
 from .model import StudentId
@@ -53,7 +54,10 @@ class InfeasibleForcedError(ValueError):
 class RankMaximalMatcher:
     """Incremental rank-maximal matching over a reservation graph.
 
-    Flow nodes: the graph's classes ``0..k-1``, pools, S, T.
+    Flow nodes: the graph's classes ``0..k-1``, pools ``k..k+P-1``, S, T.
+    Residual arcs come in pairs ``e``, ``e ^ 1``: S -> class ``c`` is arc
+    ``2c``, pool ``p`` -> T is arc ``2(k + p)``, and each class's arcs to
+    its pools follow, in ``adj`` order, each before its reverse.
     Each class matches its pinned students, then its highest-priority
     unpinned ones, so identical inputs give identical matchings.
     """
@@ -65,7 +69,6 @@ class RankMaximalMatcher:
         self.target_size = min(graph.cap, len(students))
         b = self.target_size + 1
         self._rank_weight = (-b * b, -b, 0)
-        self._weight = [self._rank_weight[p.rank - 1] for p in graph.pools]
 
         self._adj = [adj for adj, _ in graph.classes]
         self._members = [members for _, members in graph.classes]
@@ -73,75 +76,86 @@ class RankMaximalMatcher:
         for c, members in enumerate(self._members):
             for i in members:
                 self._class_of[i] = c
-        k = len(self._members)
-        self._source = k + len(graph.pools)
-        self._sink = self._source + 1
+        k, n_pools = len(self._members), len(graph.pools)
+        s = self._source = k + n_pools
+        t = self._sink = s + 1
 
         self._pinned = [False] * len(students)
-        # lower bound of S -> class, and the flow on it
-        self._n_pinned = [0] * k
+        pins = [0] * k
         for sid in forced:
             i = self._index.get(sid)
             if i is None:
                 raise ValueError(f"forced student {sid} is not in the graph")
             if not self._pinned[i]:
                 self._pinned[i] = True
-                self._n_pinned[self._class_of[i]] += 1
-        self._flow = [0] * k
-        self._load: list[Counter[int]] = [Counter() for _ in graph.pools]  # class -> units
-        self._used = [0] * len(graph.pools)
-        n_forced = sum(self._n_pinned)
+                pins[self._class_of[i]] += 1
+        n_forced = sum(pins)
         if n_forced > graph.cap:
             raise InfeasibleForcedError(f"cannot pin {n_forced} students with a cap of {graph.cap}")
 
+        # Residual capacities: S -> class is its ceiling less its flow, and
+        # class -> S its flow less its pins (negative until the pinned units
+        # are routed); pool -> T is the free seats, T -> pool the used ones;
+        # class -> pool is the class size less the class's load on the pool,
+        # and pool -> class is that load.
+        head: list[int] = []
+        cost: list[int] = []
+        res: list[int] = []
+        for c in range(k):
+            head += (c, s)
+            cost += (0, 0)
+            res += (pins[c], -pins[c])
+        for p, pool in enumerate(graph.pools):
+            weight = self._rank_weight[pool.rank - 1]
+            head += (t, k + p)
+            cost += (weight, -weight)
+            res += (pool.capacity, 0)
+        for c, (adj, members) in enumerate(graph.classes):
+            for p in adj:
+                head += (k + p, c)
+                cost += (0, 0)
+                res += (len(members), 0)
+        self._head, self._cost, self._res = head, cost, res
+        # class c's arcs to its pools lie in range(_class_arc[c], _class_arc[c + 1], 2)
+        self._class_arc = [2 * (k + n_pools + j) for j in accumulate(map(len, self._adj), initial=0)]
+        # Arcs leaving each node, in search order: a class tries S, then its
+        # pools; a pool tries T, then its classes in the order units first
+        # reached them; S tries classes by index, T pools by index.
+        self._out = [[2 * c + 1, *range(self._class_arc[c], self._class_arc[c + 1], 2)] for c in range(k)]
+        self._out += [[2 * (k + p)] for p in range(n_pools)]
+        self._out += [list(range(0, 2 * k, 2)), list(range(2 * k + 1, 2 * (k + n_pools), 2))]
+        self._unlisted = set(range(2 * (k + n_pools), len(head), 2))  # class -> pool, never crossed
+
         self._dead = [False] * k  # classes try_force can no longer grow
-        self._ceiling = list(self._n_pinned)  # upper bound of S -> class
         self._route(n_forced, pinned=True)
-        self._ceiling = [len(members) for members in self._members]
+        for c, members in enumerate(self._members):
+            self._res[2 * c] += len(members) - pins[c]  # the ceiling rises to the class size
         self._route(self.target_size - n_forced, pinned=False)
         # with every student pinned, try_force never searches
-        self._potential = self._potentials() if n_forced < len(students) else []
+        if n_forced < len(students):
+            self._potential = self._potentials()
+            self._admit(self._potential)
 
-    def _arcs(self, u: int) -> Iterator[tuple[int, int, int]]:
-        """Residual arcs ``(head, cost, capacity)`` leaving node ``u``."""
-        k, s, t = len(self._members), self._source, self._sink
-        if u < k:
-            if self._flow[u] > self._n_pinned[u]:
-                yield s, 0, self._flow[u] - self._n_pinned[u]
-            for p in self._adj[u]:
-                yield k + p, 0, len(self._members[u])
-        elif u < s:
-            p = u - k
-            free = self._graph.pools[p].capacity - self._used[p]
-            if free:
-                yield t, self._weight[p], free
-            for c, units in list(self._load[p].items()):
-                if units:
-                    yield c, 0, units
-        elif u == s:
-            for c in range(k):
-                if self._ceiling[c] > self._flow[c]:
-                    yield c, 0, self._ceiling[c] - self._flow[c]
-        else:
-            for p, used in enumerate(self._used):
-                if used:
-                    yield k + p, -self._weight[p], used
+    def _admit(self, pi: list[int]) -> None:
+        """Keep, per node, the arcs of zero reduced cost under ``pi``: the
+        only arcs a search may take until the potentials change."""
+        head, cost = self._head, self._cost
+        self._table = [[e for e in arcs if cost[e] + pi[u] == pi[head[e]]] for u, arcs in enumerate(self._out)]
 
-    def _apply(self, u: int, v: int, units: int) -> None:
-        """Push ``units`` along the residual arc ``u -> v``."""
-        k, s, t = len(self._members), self._source, self._sink
-        if u == s:
-            self._flow[v] += units
-        elif v == s:
-            self._flow[u] -= units
-        elif t in (u, v):
-            return  # pool usage follows its class arcs
-        elif u < k:
-            self._load[v - k][u] += units
-            self._used[v - k] += units
-        else:
-            self._load[u - k][v] -= units
-            self._used[u - k] -= units
+    def _augment(self, path: list[int], units: int) -> None:
+        """Push ``units`` along the arcs of ``path``.  A unit crossing a
+        class -> pool arc for the first time lists its reverse at the pool,
+        in the admissible table too: the reverse of an arc of zero reduced
+        cost has zero reduced cost."""
+        res = self._res
+        for e in path:
+            res[e] -= units
+            res[e ^ 1] += units
+            if e in self._unlisted:
+                self._unlisted.remove(e)
+                pool = self._head[e]
+                self._out[pool].append(e ^ 1)
+                self._table[pool].append(e ^ 1)
 
     def _route(self, amount: int, pinned: bool) -> None:
         """Send ``amount`` more units from S for the pinned or the unpinned
@@ -153,19 +167,22 @@ class RankMaximalMatcher:
         the weight.  Dead ends stay closed for the rest of a round of
         searches; a round that finds nothing ends the stage.
         """
+        res, k = self._res, len(self._members)
+        before = res[1 : 2 * k : 2]  # flow of each class above its pins
         for weight in self._rank_weight[:2]:
-            pi = [0] * self._sink + [weight]
+            if not amount:
+                break
+            self._admit([0] * self._sink + [weight])
             pushed = amount
             while amount and pushed:
                 seen: set[int] = set()
                 pushed = 0
-                while amount and (units := self._push(self._source, self._sink, amount, seen, pi)):
+                while amount and (units := self._push(self._source, self._sink, amount, seen)):
                     amount -= units
                     pushed += units
         # units each class already routed in this phase
-        base = [0] * len(self._flow) if pinned else self._n_pinned
-        skip = [f - b for f, b in zip(self._flow, base)]
-        fill: Counter[int] = Counter()  # units per class, in order of first use
+        skip = [after - b for after, b in zip(res[1 : 2 * k : 2], before)]
+        fill: dict[int, int] = {}  # units per class, in order of first use
         for i, c in enumerate(self._class_of):
             if not amount:
                 break
@@ -174,55 +191,61 @@ class RankMaximalMatcher:
             if skip[c]:
                 skip[c] -= 1
                 continue
-            fill[c] += 1
+            fill[c] = fill.get(c, 0) + 1
             amount -= 1
-        universal = len(self._members) + self._graph.universal_pool
+        # every class reaches the universal pool last
+        to_sink = 2 * (k + self._graph.universal_pool)
         for c, units in fill.items():
-            self._apply(self._source, c, units)
-            self._apply(c, universal, units)
+            self._augment([2 * c, self._class_arc[c + 1] - 2, to_sink], units)
 
-    def _push(self, start: int, goal: int, limit: int, seen: set[int], pi: list[int]) -> int:
+    def _push(self, start: int, goal: int, limit: int, seen: set[int]) -> int:
         """Push up to ``limit`` units from ``start`` to ``goal`` along one
-        path of zero reduced cost under ``pi``, depth first around the nodes
-        in ``seen``, which gains the dead ends; returns the units pushed."""
+        path of the admissible table, depth first around the nodes in
+        ``seen``, which gains the dead ends; returns the units pushed."""
+        res, head, table = self._res, self._head, self._table
         seen.add(start)
-        stack = [(start, limit, self._arcs(start))]
-        while stack:
-            u, room, arcs = stack[-1]
-            for v, cost, cap in arcs:
-                if v not in seen and cost + pi[u] == pi[v]:
+        path: list[int] = []  # arcs from start to the node on top
+        arcs = [iter(table[start])]
+        while arcs:
+            for e in arcs[-1]:
+                v = head[e]
+                if res[e] > 0 and v not in seen:
                     break
             else:
-                stack.pop()
+                arcs.pop()
+                if path:
+                    path.pop()
                 continue
-            units = min(room, cap)
+            path.append(e)
             if v == goal:
-                path = [node for node, _, _ in stack] + [v]
-                for a, b in zip(path, path[1:]):
-                    self._apply(a, b, units)
-                seen.difference_update(path)
+                units = min(limit, *[res[a] for a in path])
+                self._augment(path, units)
+                seen.discard(start)
+                seen.difference_update([head[a] for a in path])
                 return units
             seen.add(v)
-            stack.append((v, units, self._arcs(v)))
+            arcs.append(iter(table[v]))
         return 0
 
     def _potentials(self) -> list[int]:
         """Bellman-Ford distances from a virtual root joined to every node
         at cost 0: residual arcs have non-negative reduced costs."""
+        head, cost, res = self._head, self._cost, self._res
         dist = [0] * (self._sink + 1)
         changed = True
         while changed:
             changed = False
-            for u in range(len(dist)):
-                for v, cost, _ in self._arcs(u):
-                    if dist[u] + cost < dist[v]:
-                        dist[v] = dist[u] + cost
+            for u, arcs in enumerate(self._out):
+                for e in arcs:
+                    v = head[e]
+                    if res[e] > 0 and dist[u] + cost[e] < dist[v]:
+                        dist[v] = dist[u] + cost[e]
                         changed = True
         return dist
 
     def _chosen(self, c: int) -> list[int]:
         """Matched members of class ``c``, in priority order."""
-        extra = self._flow[c] - self._n_pinned[c]
+        extra = self._res[2 * c + 1]
         unpinned = [i for i in self._members[c] if not self._pinned[i]]
         return sorted([i for i in self._members[c] if self._pinned[i]] + unpinned[:extra])
 
@@ -238,8 +261,9 @@ class RankMaximalMatcher:
         seated: list[list[int]] = [[] for _ in self._graph.pools]
         for c, adj in enumerate(self._adj):
             chosen = iter(self._chosen(c))
-            for p in adj:
-                seated[p].extend(islice(chosen, self._load[p][c]))
+            loads = self._res[self._class_arc[c] + 1 : self._class_arc[c + 1] : 2]
+            for p, load in zip(adj, loads):
+                seated[p].extend(islice(chosen, load))
         students = self._graph.students
         pairs: list[tuple[StudentId, Seat]] = []
         for pool, row in zip(self._graph.pools, seated):
@@ -265,15 +289,17 @@ class RankMaximalMatcher:
         c = self._class_of[i]
         if self._dead[c]:
             return False
-        if self._flow[c] == self._n_pinned[c]:
-            # look for a cycle S -> c ~> S of zero reduced cost
+        res = self._res
+        if res[2 * c + 1]:
+            res[2 * c + 1] -= 1  # pin a matched unpinned unit
+        else:
+            # a cycle S -> c ~> S of zero reduced cost brings c the unit to pin
             s, pi = self._source, self._potential
-            if pi[s] != pi[c] or not self._push(c, s, 1, set(), pi):
+            if pi[s] != pi[c] or not self._push(c, s, 1, set()):
                 self._dead[c] = True
                 return False
-            self._apply(s, c, 1)
+            res[2 * c] -= 1
         self._pinned[i] = True
-        self._n_pinned[c] += 1
         return True
 
 

@@ -16,7 +16,6 @@ import pytest
 
 from reservematch import (
     RankSignature,
-    Seat,
     a_s_select,
     build_graph,
     ehyy_select,

@@ -191,6 +191,8 @@ def test_sweep_rejects_capacity_above_pool(tmp_path):
         "--seed=-1",
         "--qc=5,5",
         "--psi-factors=1.0,1.0",
+        "--psi-factors=1,1.0",
+        "--psi-factors=2,2.0,2.00",
     ],
 )
 def test_sweep_rejects_bad_input_before_any_cell(tmp_path, extra):

@@ -1,0 +1,55 @@
+"""Every name a module imports is read somewhere in that module.
+
+A standard-library ``ast`` scan, so the suite needs no linter.  Names listed
+in a module's ``__all__`` count as read (the package root re-exports), and
+``from __future__`` imports are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "reservematch").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the imports of ``source`` that it never reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}  # bound name -> line
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_scan_flags_an_unused_import_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from json import dumps, loads as parse\n"
+        "from .graph import Seat\n"
+        "__all__ = ['Seat']\n"
+        "def f(x: np.ndarray) -> str:\n"
+        "    return dumps(os.path.sep)\n"
+    )
+    assert unused_imports(source) == ["line 4: parse"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
