@@ -1,9 +1,9 @@
 """Applicant selection under two-rank diversity reservations.
 
 The package bundles a rank-maximal matching engine over ranked reserved
-seats, six selection rules built on it, exhaustive verification oracles,
-seeded synthetic pool generators, diversity/merit metrics, and a CLI for
-running reproducible experiment sweeps.
+seats, six selection rules built on it, seeded synthetic pool generators,
+diversity/merit metrics, and a CLI for running reproducible experiment
+sweeps.
 """
 
 __version__ = "0.1.0"

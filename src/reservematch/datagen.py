@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Instance, QuotaTable, Student, validate
+from .model import Instance, QuotaTable, Student, _is_int
 
 DEFAULT_TYPE_NAMES = ("minority", "low_parent_edu", "low_income")
 
@@ -34,6 +34,14 @@ P_TYPE3_GIVEN_BOTH = 0.30
 P_TYPE3_GIVEN_ONE = 0.26
 P_TYPE3_GIVEN_NONE = 0.10
 
+# Score model: a normal truncated to [SCORE_LOWER, SCORE_UPPER] whose mean
+# drops from SCORE_MEAN by the per-type penalties (see ``score_mean``).
+SCORE_MEAN = 1135.0
+SCORE_SD = 211.0
+SCORE_LOWER = 0.0
+SCORE_UPPER = 1600.0
+SCORE_PENALTIES = (172, 171, 86)
+
 # Quota fractions of the capacity per (type, rank); scaled by the reserve
 # factor and rounded half-up.  Summing to 0.65 means the baseline setting
 # reserves 65% of the capacity across both ranks.
@@ -42,20 +50,6 @@ BASE_QUOTA_FRACTIONS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(10, 100), Fraction(10, 100)),
     (Fraction(5, 100), Fraction(5, 100)),
 )
-
-
-@dataclass(frozen=True)
-class ScoreModel:
-    """Truncated-normal score distribution with per-type mean penalties."""
-
-    base_mean: float = 1135.0
-    sd: float = 211.0
-    lower: float = 0.0
-    upper: float = 1600.0
-    penalties: tuple[int, ...] = (172, 171, 86)
-
-
-DEFAULT_SCORE_MODEL = ScoreModel()
 
 
 @dataclass(frozen=True)
@@ -68,22 +62,22 @@ class SatGenConfig:
     psi_factor: float | int | str | Fraction = 1
 
     def check(self) -> None:
-        if self.n_students < 1:
-            raise ValueError("n_students must be >= 1")
-        if not 1 <= self.capacity <= self.n_students:
-            raise ValueError("capacity must be in [1, n_students]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not _is_int(self.n_students) or self.n_students < 1:
+            raise ValueError("n_students must be an integer >= 1")
+        if not _is_int(self.capacity) or not 1 <= self.capacity <= self.n_students:
+            raise ValueError("capacity must be an integer in [1, n_students]")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         parse_factor(self.psi_factor)
 
 
 def parse_factor(value: float | int | str | Fraction) -> Fraction:
     """A reserve factor as an exact fraction; raises ``ValueError`` unless it
-    is a positive number.  Floats go through their decimal repr so 2.3077
-    means exactly 2.3077."""
+    is a positive number; booleans are not.  Floats go through their decimal
+    repr so 2.3077 means exactly 2.3077."""
     try:
         factor = Fraction(str(value) if isinstance(value, float) else value)
-        if factor > 0:
+        if factor > 0 and not isinstance(value, bool):
             return factor
     except (TypeError, ValueError, ZeroDivisionError):
         pass
@@ -119,9 +113,9 @@ def score_mean(types: frozenset[int]) -> float:
     """Expected (pre-truncation) score: each held type's penalty is divided
     by its 1-based position among the held types, heaviest penalty first,
     and rounded up."""
-    held = [DEFAULT_SCORE_MODEL.penalties[t - 1] for t in (1, 2, 3) if t in types]
+    held = [SCORE_PENALTIES[t - 1] for t in (1, 2, 3) if t in types]
     reduction = sum(math.ceil(Fraction(p, k)) for k, p in enumerate(held, start=1))
-    return DEFAULT_SCORE_MODEL.base_mean - reduction
+    return SCORE_MEAN - reduction
 
 
 def gen_scores(seed: int | np.random.Generator, type_sets: Sequence[frozenset[int]]) -> np.ndarray:
@@ -131,15 +125,14 @@ def gen_scores(seed: int | np.random.Generator, type_sets: Sequence[frozenset[in
     parameters the acceptance rate is essentially one, and the sample mean
     stays within a point of the analytic truncated mean.
     """
-    model = DEFAULT_SCORE_MODEL
     rng = np.random.default_rng(seed)
     mean_of = {ts: score_mean(ts) for ts in set(type_sets)}
     means = np.array([mean_of[ts] for ts in type_sets], dtype=float)
-    scores = rng.normal(means, model.sd)
-    bad = (scores < model.lower) | (scores > model.upper)
+    scores = rng.normal(means, SCORE_SD)
+    bad = (scores < SCORE_LOWER) | (scores > SCORE_UPPER)
     while bad.any():
-        scores[bad] = rng.normal(means[bad], model.sd)
-        bad = (scores < model.lower) | (scores > model.upper)
+        scores[bad] = rng.normal(means[bad], SCORE_SD)
+        bad = (scores < SCORE_LOWER) | (scores > SCORE_UPPER)
     return scores
 
 
@@ -167,7 +160,8 @@ def gen_instance(config: SatGenConfig) -> Instance:
 
     Students are relabeled so ids follow the priority order (descending
     score, generation index breaking the measure-zero ties), which is also
-    the order used by the instance file format.
+    the order used by the instance file format.  ``config.check()`` makes
+    the result valid by construction.
     """
     config.check()
     rng = np.random.default_rng(config.seed)
@@ -176,7 +170,7 @@ def gen_instance(config: SatGenConfig) -> Instance:
     scores = gen_scores(rng, type_sets)
     order = np.lexsort((np.arange(n), -scores))
     students = tuple(Student(i, type_sets[j]) for i, j in enumerate(order.tolist()))
-    instance = Instance(
+    return Instance(
         students=students,
         priority=tuple(range(n)),
         capacity=config.capacity,
@@ -184,7 +178,3 @@ def gen_instance(config: SatGenConfig) -> Instance:
         type_names=DEFAULT_TYPE_NAMES,
         scores=tuple(scores[order].tolist()),
     )
-    problems = validate(instance)
-    if problems:
-        raise AssertionError(f"generated instance failed validation: {problems}")
-    return instance

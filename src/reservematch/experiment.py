@@ -35,6 +35,7 @@ from . import __version__
 from .algorithms import ALGORITHMS
 from .datagen import SatGenConfig, gen_instance, gen_quotas, parse_factor
 from .metrics import METRICS, evaluate, ratio, suite_optimum
+from .model import _is_int
 
 DEFAULT_CAPACITIES = tuple(range(10, 100, 10))
 DEFAULT_ALGORITHMS = tuple(ALGORITHMS)
@@ -70,22 +71,24 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
 
     def check(self) -> None:
-        if self.seeds_per_cell < 1:
-            raise ValueError("seeds_per_cell must be >= 1")
+        if not _is_int(self.n_students):
+            raise ValueError("n_students must be an integer")
+        if not _is_int(self.seeds_per_cell) or self.seeds_per_cell < 1:
+            raise ValueError("seeds_per_cell must be an integer >= 1")
         if not self.capacities:
             raise ValueError("no capacities given")
+        for qc in self.capacities:
+            if not _is_int(qc) or not 1 <= qc <= self.n_students:
+                raise ValueError(f"capacity {qc!r} must be an integer in [1, {self.n_students}]")
         if len(set(self.capacities)) != len(self.capacities):
             raise ValueError("a capacity is given twice")
-        for qc in self.capacities:
-            if not 1 <= qc <= self.n_students:
-                raise ValueError(f"capacity {qc} outside [1, {self.n_students}]")
         if not self.psi_factors:
             raise ValueError("no reserve factors given")
         # compare values, so "1" and "1.0" count as one factor
         if len({parse_factor(factor) for factor in self.psi_factors}) != len(self.psi_factors):
             raise ValueError("a reserve factor is given twice")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ValueError("master_seed must be an integer >= 0")
         if not self.algorithms:
             raise ValueError("no algorithms given")
         if len(set(self.algorithms)) != len(self.algorithms):

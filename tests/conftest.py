@@ -1,8 +1,11 @@
 import random
+import time
+from pathlib import Path
 
 import pytest
 
 from reservematch import Instance, QuotaTable, Student
+from reservematch.experiment import ExperimentSpec, run_experiment
 from reservematch.model import UNIVERSAL_TYPE
 
 
@@ -31,6 +34,16 @@ def make_example() -> Instance:
 @pytest.fixture
 def example() -> Instance:
     return make_example()
+
+
+@pytest.fixture(scope="session")
+def default_baseline_sweep(tmp_path_factory) -> tuple[Path, float]:
+    """The default baseline sweep, run once per session for every test that
+    reads it: its output directory and its wall time in seconds."""
+    out_dir = tmp_path_factory.mktemp("baseline")
+    start = time.perf_counter()
+    run_experiment(ExperimentSpec(out_dir=out_dir), jobs=1, progress=False)
+    return out_dir, time.perf_counter() - start
 
 
 def random_instance(rnd: random.Random, *, max_students: int = 12, max_types: int = 4,

@@ -9,9 +9,16 @@ from __future__ import annotations
 
 import random
 
-from .graph import RankSignature, ReservationGraph, build_graph
-from .model import Instance, QuotaTable, Student, StudentId
-from .solver import InfeasibleForcedError
+from reservematch import (
+    InfeasibleForcedError,
+    Instance,
+    QuotaTable,
+    RankSignature,
+    ReservationGraph,
+    Student,
+    build_graph,
+)
+from reservematch.model import StudentId
 
 MAX_STUDENTS = 10
 MAX_SEATS = 12

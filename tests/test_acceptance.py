@@ -27,10 +27,10 @@ from reservematch import (
     sy2_select,
 )
 from reservematch.experiment import ExperimentSpec, run_experiment
-from reservematch.oracle import MatchingOracle, random_small_instance
 from reservematch.solver import RankMaximalMatcher
 
 from conftest import make_example
+from oracle import MatchingOracle, random_small_instance
 
 GRID = tuple(range(10, 100, 10))
 HIGH_GRID = (20, 40, 60, 80)
@@ -51,7 +51,6 @@ def criterion(number: int, description: str):
 class Sweep:
     out_dir: Path
     elapsed: float
-    spec: ExperimentSpec
 
     def ratio_rows(self) -> list[dict]:
         with open(self.out_dir / "ratios.csv", newline="") as fh:
@@ -75,11 +74,8 @@ class Sweep:
 
 
 @pytest.fixture(scope="module")
-def baseline_sweep(tmp_path_factory) -> Sweep:
-    spec = ExperimentSpec(out_dir=tmp_path_factory.mktemp("baseline"))
-    start = time.perf_counter()
-    run_experiment(spec, jobs=1, progress=False)
-    return Sweep(Path(spec.out_dir), time.perf_counter() - start, spec)
+def baseline_sweep(default_baseline_sweep) -> Sweep:
+    return Sweep(*default_baseline_sweep)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +87,7 @@ def high_reserve_sweep(tmp_path_factory) -> Sweep:
     )
     start = time.perf_counter()
     run_experiment(spec, jobs=1, progress=False)
-    return Sweep(Path(spec.out_dir), time.perf_counter() - start, spec)
+    return Sweep(Path(spec.out_dir), time.perf_counter() - start)
 
 
 def row_signature(row: dict) -> RankSignature:

@@ -23,9 +23,9 @@ from reservematch import (
 )
 from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
-from reservematch.oracle import oracle_as_select, random_small_instance
 
 from conftest import check_outcome, random_instance
+from oracle import oracle_as_select, random_small_instance
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,26 @@ def test_run_experiment_rejects_zero_jobs(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"n_students": 30.0},
+        {"capacities": (10.0,)},
+        {"capacities": ([5],)},
+        {"seeds_per_cell": True},
+        {"master_seed": 1.5},
+        {"psi_factors": (True,)},
+    ],
+)
+def test_run_experiment_rejects_non_integer_settings(tmp_path, settings):
+    # booleans are neither counts, seeds nor reserve factors
+    fields = {"out_dir": tmp_path / "x", "n_students": 30, "capacities": (5,), "seeds_per_cell": 1}
+    spec = ExperimentSpec(**{**fields, **settings})
+    with pytest.raises(ValueError):
+        run_experiment(spec, progress=False)
+    assert not (tmp_path / "x").exists()
+
+
 def test_single_instance_smoke_sweep_is_fast(tmp_path):
     import time
 

@@ -10,13 +10,16 @@ from reservematch import (
     validate,
 )
 from reservematch.datagen import (
-    DEFAULT_SCORE_MODEL,
     P_TYPE1,
     P_TYPE2_GIVEN_T1,
     P_TYPE2_OTHERWISE,
     P_TYPE3_GIVEN_BOTH,
     P_TYPE3_GIVEN_NONE,
     P_TYPE3_GIVEN_ONE,
+    SCORE_LOWER,
+    SCORE_MEAN,
+    SCORE_SD,
+    SCORE_UPPER,
     SatGenConfig,
     score_mean,
 )
@@ -122,10 +125,9 @@ def test_scores_respect_the_domain():
 def test_empty_type_sample_mean_matches_truncnorm_oracle():
     # independent oracle: numerically integrated truncated-normal mean
     stats = pytest.importorskip("scipy.stats")
-    m = DEFAULT_SCORE_MODEL
-    a = (m.lower - m.base_mean) / m.sd
-    b = (m.upper - m.base_mean) / m.sd
-    oracle = stats.truncnorm.mean(a, b, loc=m.base_mean, scale=m.sd)
+    a = (SCORE_LOWER - SCORE_MEAN) / SCORE_SD
+    b = (SCORE_UPPER - SCORE_MEAN) / SCORE_SD
+    oracle = stats.truncnorm.mean(a, b, loc=SCORE_MEAN, scale=SCORE_SD)
     assert abs(oracle - 1127.4735) < 0.001  # frozen oracle value
     sample = gen_scores(123, [frozenset()] * 100_000)
     assert abs(sample.mean() - oracle) < 3.0
@@ -150,10 +152,17 @@ def test_instance_pinned_reserve_total():
 
 
 def test_instances_validate_across_seeds():
-    for seed in range(25):
-        inst = gen_instance(SatGenConfig(capacity=30, seed=seed))
-        assert validate(inst) == []
-        assert inst.n_students == 100
+    # gen_instance does not validate its output: the benchmark's shapes
+    # (n, capacities, reserve factors, seeds) are checked here instead
+    shapes = [(100, range(10, 100, 10), ("1.0", "2.6154"), 25), (800, [400], ("1.0", "2.0"), 10)]
+    for n, capacities, factors, seeds in shapes:
+        for capacity in capacities:
+            for factor in factors:
+                for seed in range(seeds):
+                    config = SatGenConfig(capacity=capacity, seed=seed, n_students=n, psi_factor=factor)
+                    inst = gen_instance(config)
+                    assert validate(inst) == [], config
+                    assert inst.n_students == n
 
 
 def test_instance_determinism():
@@ -175,9 +184,16 @@ def test_generated_instance_roundtrips():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        gen_instance(SatGenConfig(capacity=0, seed=1))
-    with pytest.raises(ValueError):
-        gen_instance(SatGenConfig(capacity=101, seed=1))
-    with pytest.raises(ValueError):
-        gen_instance(SatGenConfig(capacity=10, seed=1, psi_factor=-1))
+    for settings in (
+        {"capacity": 0, "seed": 1},
+        {"capacity": 101, "seed": 1},
+        {"capacity": 10, "seed": 1, "psi_factor": -1},
+        # non-integer counts and seeds; booleans are not numbers here
+        {"capacity": 2.0, "seed": 1},
+        {"capacity": True, "seed": 1},
+        {"capacity": 10, "seed": 1.5},
+        {"capacity": 10, "seed": 1, "n_students": 100.0},
+        {"capacity": 10, "seed": 1, "psi_factor": True},
+    ):
+        with pytest.raises(ValueError):
+            gen_instance(SatGenConfig(**settings))

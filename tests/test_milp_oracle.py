@@ -1,6 +1,6 @@
 """An integer-programming oracle for the engine on n=100 pools.
 
-The enumeration oracle in ``reservematch.oracle`` stops at 10 students.
+The enumeration oracle in ``tests/oracle.py`` stops at 10 students.
 This one states rank-maximal matching directly as a 0/1 program solved by
 HiGHS through ``scipy.optimize.milp``: one variable per (student, eligible
 pool) with weight B^2, B or 1 for ranks 1, 2 and 3 (B = target size + 1,

@@ -11,13 +11,14 @@ from reservematch import (
     build_graph,
     validate,
 )
-from reservematch.oracle import (
+from reservematch.solver import InfeasibleForcedError
+
+from oracle import (
     MatchingOracle,
     SizeLimitError,
     oracle_as_select,
     random_small_instance,
 )
-from reservematch.solver import InfeasibleForcedError
 
 
 def two_by_two() -> Instance:

@@ -46,9 +46,9 @@ def used_names(path: Path) -> set[str]:
 
 
 def test_every_exported_name_has_a_caller():
-    # the package's own re-exports and its test oracle are not callers
+    # the package's own re-exports are not callers
     package = Path(reservematch.__file__).parent
-    modules = [p for p in package.glob("*.py") if p.name not in ("__init__.py", "oracle.py")]
+    modules = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     modules += (ROOT / "perfbench").glob("*.py")
     used = set().union(*map(used_names, modules))
     assert sorted(set(reservematch.__all__) - used) == []

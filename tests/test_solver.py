@@ -11,10 +11,10 @@ from reservematch import (
     rank_maximal_matching,
     signature,
 )
-from reservematch.oracle import MatchingOracle, random_small_instance
 from reservematch.solver import InfeasibleForcedError, RankMaximalMatcher
 
 from conftest import make_example
+from oracle import MatchingOracle, random_small_instance
 
 
 def is_compatible(graph, forced) -> bool:
@@ -177,8 +177,6 @@ def high_reserve_instance(rnd: random.Random):
 # ordinary seeds
 @pytest.mark.parametrize("base", [55_000, 55_200, 55_400, 55_466, 55_714])
 def test_try_force_matches_oracle_in_the_high_reserve_regime(base):
-    from reservematch.oracle import MatchingOracle
-
     for offset in range(60):
         rnd = random.Random(base + offset)
         inst = high_reserve_instance(rnd)
