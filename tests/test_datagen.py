@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from reservematch import (
@@ -10,6 +13,7 @@ from reservematch import (
     validate,
 )
 from reservematch.datagen import (
+    BASE_QUOTA_FRACTIONS,
     P_TYPE1,
     P_TYPE2_GIVEN_T1,
     P_TYPE2_OTHERWISE,
@@ -18,9 +22,11 @@ from reservematch.datagen import (
     P_TYPE3_GIVEN_ONE,
     SCORE_LOWER,
     SCORE_MEAN,
+    SCORE_PENALTIES,
     SCORE_SD,
     SCORE_UPPER,
     SatGenConfig,
+    parse_factor,
     score_mean,
 )
 
@@ -60,6 +66,18 @@ def test_quotas_decimal_factor_is_exact():
     q = gen_quotas(80, 2.3077)
     assert q.rank1 == (0, 28, 18, 9)
     assert q.rank2 == (0, 37, 18, 9)
+
+
+def test_quotas_match_exact_rational_rounding():
+    for factor in ("0.5", 1.0, 2, 2.0, 2.3077, "2.6154", Fraction(1, 3), 7):
+        x = parse_factor(factor)
+        for capacity in range(1, 401):
+            expected = [[0], [0]]
+            for fractions in BASE_QUOTA_FRACTIONS:
+                for row, f in zip(expected, fractions):
+                    row.append(math.floor(f * x * capacity + Fraction(1, 2)))
+            q = gen_quotas(capacity, factor)
+            assert [list(q.rank1), list(q.rank2)] == expected, (factor, capacity)
 
 
 def test_quotas_reject_bad_inputs():
@@ -114,6 +132,14 @@ def test_score_mean_reductions():
     assert score_mean(frozenset({1, 2, 3})) == 1135 - 287
     assert score_mean(frozenset({2, 3})) == 1135 - 171 - 43
     assert score_mean(frozenset({1, 3})) == 1135 - 172 - 43
+
+
+def test_score_mean_matches_exact_rational_ceiling():
+    for code in range(8):
+        types = frozenset(t for t in (1, 2, 3) if code >> (t - 1) & 1)
+        held = [SCORE_PENALTIES[t - 1] for t in (1, 2, 3) if t in types]
+        expected = SCORE_MEAN - sum(math.ceil(Fraction(p, k)) for k, p in enumerate(held, start=1))
+        assert score_mean(types) == expected and type(score_mean(types)) is float, types
 
 
 def test_scores_respect_the_domain():
