@@ -16,7 +16,9 @@ is capped by the pool's seats and costs -B^2, -B or 0 for ranks 1, 2 and
 Construction routes the pinned units first, then the rest, by successive
 shortest paths.  Every S -> T path costs the weight of its last pool, so
 each rank is one max-flow stage into that rank's free pools, best rank
-first.
+first.  The arcs into T of a stage's pools form a cut, so a stage stops
+once their seats are taken, and one that starts with none free runs no
+search.
 
 Pinning a student whose class has a matched unpinned unit only raises the
 class's lower bound.  Otherwise the class must gain a unit at zero cost.
@@ -28,8 +30,10 @@ zero cost, so it splits into residual cycles of zero cost, made only of
 arcs of zero reduced cost, and one of them enters the class from S.  One
 search over those arcs for a cycle S -> class ~> S is therefore exact, and
 pushing a unit around it keeps the potentials valid.  Every search walks a
-table of the arcs of zero reduced cost, built once per potential: once per
-stage of construction, and once for all the pins that follow.
+table of the arcs of zero reduced cost.  A stage of construction patches
+its table from the arc lists, since only the arcs to and from T differ
+between stages; after construction it is built once, for all the pins that
+follow.
 
 A class whose search fails (or whose potential differs from that of S) is
 rejected from then on in O(1).  Pins only add lower bounds, so the set of
@@ -126,6 +130,7 @@ class RankMaximalMatcher:
         self._out += [list(range(0, 2 * k, 2)), list(range(2 * k + 1, 2 * (k + n_pools), 2))]
         self._unlisted = set(range(2 * (k + n_pools), len(head), 2))  # class -> pool, never crossed
 
+        self._table: list[list[int]] = [[] for _ in self._out]  # _augment lists new arcs here too
         self._dead = [False] * k  # classes try_force can no longer grow
         self._route(n_forced, pinned=True)
         for c, members in enumerate(self._members):
@@ -141,6 +146,21 @@ class RankMaximalMatcher:
         only arcs a search may take until the potentials change."""
         head, cost = self._head, self._cost
         self._table = [[e for e in arcs if cost[e] + pi[u] == pi[head[e]]] for u, arcs in enumerate(self._out)]
+
+    def _stage_table(self, weight: int) -> None:
+        """The admissible table of a construction stage, patched from
+        ``_out``: with only T's potential set, to ``weight``, every arc that
+        does not touch T has zero reduced cost, and a pool's arcs to and
+        from T have it exactly when the pool's weight is ``weight``.  Class
+        rows and S's row never change within a stage, so they are shared;
+        pool rows are copied, since ``_augment`` appends to both tables."""
+        out, k, t = self._out, len(self._members), self._sink
+        pool_rows = out[k : t - 1]  # each starts with the pool's arc to T
+        admitted = [self._cost[row[0]] == weight for row in pool_rows]
+        table = out[:k]
+        table += [row[:] if ok else row[1:] for row, ok in zip(pool_rows, admitted)]
+        table += [out[t - 1], [e for e, ok in zip(out[t], admitted) if ok]]
+        self._table = table
 
     def _augment(self, path: list[int], units: int) -> None:
         """Push ``units`` along the arcs of ``path``.  A unit crossing a
@@ -164,21 +184,28 @@ class RankMaximalMatcher:
         pool directly, highest-priority students first.
 
         A stage's paths have zero reduced cost when only T has a potential,
-        the weight.  Dead ends stay closed for the rest of a round of
-        searches; a round that finds nothing ends the stage.
+        the weight, and each ends on the arc to T of a pool of that weight.
+        So the stage is over once those pools' free seats are taken: it runs
+        no search then, and none at all when it starts with none free.
+        Dead ends stay closed for the rest of a round of searches; a round
+        that finds nothing ends the stage too.
         """
-        res, k = self._res, len(self._members)
+        res, cost, k = self._res, self._cost, len(self._members)
         before = res[1 : 2 * k : 2]  # flow of each class above its pins
         for weight in self._rank_weight[:2]:
             if not amount:
                 break
-            self._admit([0] * self._sink + [weight])
+            free = sum(res[e] for e in range(2 * k, 2 * self._source, 2) if cost[e] == weight)  # pool -> T
+            if not free:
+                continue
+            self._stage_table(weight)
             pushed = amount
-            while amount and pushed:
+            while amount and free and pushed:
                 seen: set[int] = set()
                 pushed = 0
-                while amount and (units := self._push(self._source, self._sink, amount, seen)):
+                while amount and free and (units := self._push(self._source, self._sink, amount, seen)):
                     amount -= units
+                    free -= units
                     pushed += units
         # units each class already routed in this phase
         skip = [after - b for after, b in zip(res[1 : 2 * k : 2], before)]
