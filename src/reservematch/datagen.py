@@ -14,7 +14,6 @@ keys; see :mod:`reservematch.experiment`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -114,7 +113,7 @@ def score_mean(types: frozenset[int]) -> float:
     by its 1-based position among the held types, heaviest penalty first,
     and rounded up."""
     held = [SCORE_PENALTIES[t - 1] for t in (1, 2, 3) if t in types]
-    reduction = sum(math.ceil(Fraction(p, k)) for k, p in enumerate(held, start=1))
+    reduction = sum(-(-p // k) for k, p in enumerate(held, start=1))
     return SCORE_MEAN - reduction
 
 
@@ -141,18 +140,20 @@ def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> Q
 
     Each baseline fraction is scaled by ``psi_factor`` and by the capacity,
     then rounded half-up (so a 0.05 share of capacity 30 yields 2 seats).
-    The arithmetic is exact, decimal factors like 2.3077 included.
+    The arithmetic is exact, decimal factors like 2.3077 included, and done
+    in integers: a fraction a/b of num/den seats rounds to
+    (2·a·num + b·den) // (2·b·den).
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     factor = parse_factor(psi_factor)
-    half = Fraction(1, 2)
-    rank1 = [0]
-    rank2 = [0]
-    for f1, f2 in BASE_QUOTA_FRACTIONS:
-        rank1.append(math.floor(f1 * factor * capacity + half))
-        rank2.append(math.floor(f2 * factor * capacity + half))
-    return QuotaTable(tuple(rank1), tuple(rank2))
+    num, den = factor.numerator * capacity, factor.denominator
+    rows: tuple[list[int], list[int]] = ([0], [0])
+    for fractions in BASE_QUOTA_FRACTIONS:
+        for row, f in zip(rows, fractions):
+            b = f.denominator * den
+            row.append((2 * f.numerator * num + b) // (2 * b))
+    return QuotaTable(tuple(rows[0]), tuple(rows[1]))
 
 
 def gen_instance(config: SatGenConfig) -> Instance:
