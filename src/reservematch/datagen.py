@@ -92,8 +92,8 @@ def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
 
     Students with equal type sets share one frozenset object.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not _is_int(n) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random((n, 3))
     t1 = u[:, 0] < P_TYPE1
@@ -144,8 +144,8 @@ def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> Q
     in integers: a fraction a/b of num/den seats rounds to
     (2·a·num + b·den) // (2·b·den).
     """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
+    if not _is_int(capacity) or capacity < 1:
+        raise ValueError("capacity must be an integer >= 1")
     factor = parse_factor(psi_factor)
     num, den = factor.numerator * capacity, factor.denominator
     rows: tuple[list[int], list[int]] = ([0], [0])

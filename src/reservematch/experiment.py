@@ -91,11 +91,11 @@ class ExperimentSpec:
             raise ValueError("master_seed must be an integer >= 0")
         if not self.algorithms:
             raise ValueError("no algorithms given")
+        for tag in self.algorithms:
+            if not isinstance(tag, str) or tag not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm tag {tag!r}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("an algorithm tag is given twice")
-        for tag in self.algorithms:
-            if tag not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm tag {tag!r}")
 
 
 def derive_seed(master_seed: int, factor_index: int, capacity_index: int, replicate: int) -> int:

@@ -151,16 +151,17 @@ def validate(instance: Instance) -> list[str]:
                     errors.append(f"quotas: rank-{rank} count for type {t} must be a non-negative integer")
 
     declared = set(range(1, quotas.n_types))
+    holders: dict[int, list[int]] = {}  # type id not declared -> [students holding it, first of them]
     for s in instance.students:
         odd = [t for t in s.types if not _is_int(t)]
         if odd:
             errors.append(f"student {s.id}: type ids must be integers, got {', '.join(sorted(map(repr, odd)))}")
             continue
-        extra = s.types - declared
-        if extra:
-            errors.append(f"student {s.id}: undeclared types {sorted(extra)}")
-        if UNIVERSAL_TYPE in s.types:
-            errors.append(f"student {s.id}: universal type must not be listed explicitly")
+        for t in s.types - declared:
+            holders.setdefault(t, [0, s.id])[0] += 1
+    for t, (count, first) in sorted(holders.items()):
+        what = "the universal type, which must not be listed" if t == UNIVERSAL_TYPE else "undeclared"
+        errors.append(f"students: type {t} is {what}; {count} student(s) hold it, first student {first}")
 
     cut = instance.acceptable_count
     if cut is not None and (not _is_int(cut) or not 0 <= cut <= n):

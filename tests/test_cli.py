@@ -218,6 +218,7 @@ def test_run_experiment_rejects_zero_jobs(tmp_path):
         {"seeds_per_cell": True},
         {"master_seed": 1.5},
         {"psi_factors": (True,)},
+        {"algorithms": (["as"],)},
     ],
 )
 def test_run_experiment_rejects_non_integer_settings(tmp_path, settings):

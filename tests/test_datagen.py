@@ -85,6 +85,12 @@ def test_quotas_reject_bad_inputs():
         gen_quotas(0)
     with pytest.raises(ValueError):
         gen_quotas(10, 0)
+    # the capacity must be an integer, and booleans are not
+    for capacity in (2.5, 10.0, True):
+        with pytest.raises(ValueError):
+            gen_quotas(capacity)
+    with pytest.raises(ValueError):
+        gen_types(0, 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -46,6 +47,19 @@ def test_undeclared_types_reported(example):
     students = example.students[:3] + (Student(3, frozenset({9})),) + example.students[4:]
     bad = Instance(students, example.priority, 3, example.quotas)
     assert any("undeclared" in e for e in validate(bad))
+
+
+def test_undeclared_type_reported_once_for_many_students():
+    # 1,000 students all hold type 2 and the universal type 0, but only
+    # type 1 is declared: one message per type id, not one per student
+    doc = {"capacity": 10, "types": ["t1"], "quotas": {"rank1": [1], "rank2": [0]},
+           "students": [[2, 0]] * 1000}
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(json.dumps(doc))
+    message = str(info.value)
+    assert len(message) < 300, message
+    assert "type 2 is undeclared; 1000 student(s) hold it, first student 0" in message
+    assert "type 0 is the universal type, which must not be listed; 1000 student(s)" in message
 
 
 @pytest.mark.parametrize("type_id", [True, 1.0])
