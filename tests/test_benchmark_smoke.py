@@ -1,0 +1,25 @@
+"""The benchmark under perfbench/ runs against this checkout's package.
+
+perfbench imports ``build_graph``, ``RankMaximalMatcher``, ``Matching`` and
+``Seat`` and drives the rules from outside the package, so an API change
+that breaks it fails here, not only when the benchmark is next run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_short_benchmark_run_is_correct(trace):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "baseline-sweep", "--short", "--trace", trace]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["correct"] is True and doc["failed"] == 0, proc.stderr[-2000:]
+    assert doc["attempted"] > 0 and doc["metrics"]

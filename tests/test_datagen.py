@@ -1,9 +1,12 @@
+import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from reservematch import (
+    Student,
     gen_instance,
     gen_quotas,
     gen_scores,
@@ -91,6 +94,12 @@ def test_quotas_reject_bad_inputs():
             gen_quotas(capacity)
     with pytest.raises(ValueError):
         gen_types(0, 2.5)
+    # an unhashable factor, and True after the equal factor 1 was used
+    with pytest.raises(ValueError):
+        gen_quotas(10, [2])
+    gen_quotas(10, 1)
+    with pytest.raises(ValueError):
+        gen_quotas(10, True)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +235,33 @@ def test_config_validation():
         {"capacity": 10, "seed": 1.5},
         {"capacity": 10, "seed": 1, "n_students": 100.0},
         {"capacity": 10, "seed": 1, "psi_factor": True},
+        {"capacity": 10, "seed": 1, "psi_factor": [2]},
     ):
         with pytest.raises(ValueError):
             gen_instance(SatGenConfig(**settings))
+
+
+# sizes in an order that grows and shrinks n, so state kept between calls
+# of gen_instance must not leak from one pool into the next
+GOLDEN_SIZES = (800, 100, 800, 1, 30, 2, 100, 800, 1, 100, 30, 2)
+GOLDEN_FACTORS = ("1.0", 2.3077, "2.6154", Fraction(1, 3), 7)
+INSTANCES_DIGEST = "0816fce28a329a50a148cacb2838d5149c4e51d39203d7de7dc2994c4847a8f3"
+
+
+def golden_configs():
+    # 60 configs: every size slot meets every factor once (lcm of 12 and 5)
+    for k in range(60):
+        n = GOLDEN_SIZES[k % len(GOLDEN_SIZES)]
+        capacity = (1, max(1, n // 3), n)[k % 3]
+        yield SatGenConfig(capacity=capacity, seed=7919 * k + 3, n_students=n,
+                           psi_factor=GOLDEN_FACTORS[k % len(GOLDEN_FACTORS)])
+
+
+def test_generated_instances_are_pinned():
+    digest = hashlib.sha256()
+    for config in golden_configs():
+        inst = gen_instance(config)
+        digest.update(serialize_instance(inst).encode())
+        fresh = tuple(Student(i, frozenset(s.types)) for i, s in enumerate(inst.students))
+        assert inst == replace(inst, students=fresh), config
+    assert digest.hexdigest() == INSTANCES_DIGEST
