@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .graph import Matching, Seat, build_graph, seat_row, signature
@@ -42,10 +42,13 @@ class Outcome:
     matching: Matching
 
 
-def _greedy_scan(instance: Instance) -> tuple[tuple[StudentId, ...], RankMaximalMatcher]:
+def _greedy_scan(
+    instance: Instance, quotas: QuotaTable | None = None
+) -> tuple[tuple[StudentId, ...], RankMaximalMatcher]:
     """Scan students by priority, pinning each one whose selection keeps the
-    rank signature maximal, until the capacity is reached."""
-    graph = build_graph(instance)
+    rank signature maximal under ``quotas`` (by default the instance's),
+    until the capacity is reached."""
+    graph = build_graph(instance, quotas=quotas)
     matcher = RankMaximalMatcher(graph)
     chosen: list[StudentId] = []
     for sid in instance.acceptable:
@@ -68,7 +71,7 @@ def sy1_select(instance: Instance) -> Outcome:
     The returned matching uses rank-1 and universal seats only.
     """
     reduced = QuotaTable(instance.quotas.rank1, (0,) * instance.n_types)
-    chosen, matcher = _greedy_scan(replace(instance, quotas=reduced))
+    chosen, matcher = _greedy_scan(instance, reduced)
     return Outcome("sy1", chosen, matcher.matching())
 
 
@@ -85,7 +88,7 @@ def sy2_select(instance: Instance) -> Outcome:
         tuple(a + b for a, b in zip(instance.quotas.rank1, instance.quotas.rank2)),
         (0,) * instance.n_types,
     )
-    chosen, _ = _greedy_scan(replace(instance, quotas=merged))
+    chosen, _ = _greedy_scan(instance, merged)
     return Outcome("sy2", chosen, rank_maximal_matching(build_graph(instance, set(chosen)), chosen))
 
 

@@ -10,12 +10,20 @@ Streams are consumed in a fixed order (all type draws, then all score
 draws), so one integer seed pins an instance bit for bit.  Cells of an
 experiment derive independent seeds via ``numpy.random.SeedSequence`` spawn
 keys; see :mod:`reservematch.experiment`.
+
+A sweep generates thousands of pools of one size, and a generated student
+is only an id and one of 8 type sets.  So what every pool would rebuild is
+built once per process: one row of :class:`Student` objects per type set,
+grown to the largest size requested (students are frozen, so pools share
+them), a table of the 8 score means, and the parsed form of each reserve
+factor seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -75,6 +83,16 @@ def parse_factor(value: float | int | str | Fraction) -> Fraction:
     is a positive number; booleans are not.  Floats go through their decimal
     repr so 2.3077 means exactly 2.3077."""
     try:
+        return _parse_factor(value)
+    except TypeError:  # unhashable, so no number
+        raise ValueError(f"psi_factor must be a positive number, got {value!r}") from None
+
+
+# Typed, so True is not served the entry of 1.  A pool parses its factor in
+# SatGenConfig.check() and again in gen_quotas; a sweep uses a few factors.
+@lru_cache(maxsize=64, typed=True)
+def _parse_factor(value: float | int | str | Fraction) -> Fraction:
+    try:
         factor = Fraction(str(value) if isinstance(value, float) else value)
         if factor > 0 and not isinstance(value, bool):
             return factor
@@ -85,6 +103,17 @@ def parse_factor(value: float | int | str | Fraction) -> Fraction:
 
 # The 8 possible type sets, indexed by a 3-bit code: bit k-1 set iff type k is held.
 _TYPE_SETS = tuple(frozenset(t for t in (1, 2, 3) if code >> (t - 1) & 1) for code in range(8))
+
+# One row of students per type set: row[i] is Student(i, type set).
+_STUDENT_ROWS: dict[frozenset[int], tuple[Student, ...]] = {}
+
+
+def _student_rows(n: int) -> dict[frozenset[int], tuple[Student, ...]]:
+    """The student rows, each at least ``n`` long.  A longer request
+    replaces every row whole, so no reader sees a student at the wrong id."""
+    if len(_STUDENT_ROWS.get(_TYPE_SETS[0], ())) < n:
+        _STUDENT_ROWS.update({ts: tuple([Student(i, ts) for i in range(n)]) for ts in _TYPE_SETS})
+    return _STUDENT_ROWS
 
 
 def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
@@ -117,6 +146,9 @@ def score_mean(types: frozenset[int]) -> float:
     return SCORE_MEAN - reduction
 
 
+_SCORE_MEANS = {ts: score_mean(ts) for ts in _TYPE_SETS}
+
+
 def gen_scores(seed: int | np.random.Generator, type_sets: Sequence[frozenset[int]]) -> np.ndarray:
     """Truncated-normal scores, one per type set.
 
@@ -125,7 +157,9 @@ def gen_scores(seed: int | np.random.Generator, type_sets: Sequence[frozenset[in
     stays within a point of the analytic truncated mean.
     """
     rng = np.random.default_rng(seed)
-    mean_of = {ts: score_mean(ts) for ts in set(type_sets)}
+    mean_of = _SCORE_MEANS
+    if not mean_of.keys() >= set(type_sets):  # a type beyond 1-3
+        mean_of = {ts: score_mean(ts) for ts in set(type_sets)}
     means = np.array([mean_of[ts] for ts in type_sets], dtype=float)
     scores = rng.normal(means, SCORE_SD)
     bad = (scores < SCORE_LOWER) | (scores > SCORE_UPPER)
@@ -170,7 +204,8 @@ def gen_instance(config: SatGenConfig) -> Instance:
     type_sets = gen_types(rng, n)
     scores = gen_scores(rng, type_sets)
     order = np.lexsort((np.arange(n), -scores))
-    students = tuple(Student(i, type_sets[j]) for i, j in enumerate(order.tolist()))
+    rows = _student_rows(n)
+    students = tuple([rows[type_sets[j]][i] for i, j in enumerate(order.tolist())])
     return Instance(
         students=students,
         priority=tuple(range(n)),

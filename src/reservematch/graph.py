@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, group_by_types
 
 
 class Seat(NamedTuple):
@@ -100,41 +100,46 @@ class ReservationGraph:
         return len(self.pools) - 1
 
 
-def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> ReservationGraph:
+def build_graph(
+    instance: Instance, subset: set[StudentId] | None = None, *, quotas: QuotaTable | None = None
+) -> ReservationGraph:
     """Construct the reservation graph for a subset of students.
 
-    ``subset`` defaults to the acceptable pool.  Pools are created for every
-    (type, rank) with a positive quota, plus the universal pool with
-    ``capacity`` rank-3 seats.  Pools are looked up once per distinct type
-    set, and type sets that reach the same pools (a type without seats adds
-    none) share one class.
+    ``subset`` defaults to the acceptable pool, whose grouping by type set
+    the instance caches (:attr:`Instance.type_groups`).  ``quotas``
+    defaults to the instance's; the rules that select under another table
+    pass it here, so the cached grouping serves all their graphs.  Pools
+    are created for every (type, rank) with a positive quota, plus the
+    universal pool with ``capacity`` rank-3 seats.  Pools are looked up
+    once per distinct type set, and type sets that reach the same pools (a
+    type without seats adds none) share one class.
     """
     if subset is None:
-        members = list(instance.acceptable)
+        members = instance.acceptable
+        by_types = instance.type_groups
     else:
-        members = [sid for sid in instance.priority if sid in subset]
+        members = tuple([sid for sid in instance.priority if sid in subset])
         if len(members) != len(subset):
             unknown = set(subset) - set(members)
             raise ValueError(f"subset contains unknown students: {sorted(unknown)}")
+        by_types = group_by_types(instance.students, members)
+    if quotas is None:
+        quotas = instance.quotas
 
     pools: list[SeatPool] = []
     pool_of_type: dict[tuple[TypeId, int], int] = {}
     for rank in (1, 2):
-        for t in range(1, instance.n_types):
-            q = instance.quotas.quota(t, rank)
+        for t in range(1, quotas.n_types):
+            q = quotas.quota(t, rank)
             if q > 0:
                 pool_of_type[(t, rank)] = len(pools)
                 pools.append(SeatPool(t, rank, q))
     universal = len(pools)
     pools.append(SeatPool(UNIVERSAL_TYPE, 3, instance.capacity))
 
-    students = instance.students
-    by_types: dict[frozenset[TypeId], list[int]] = {}
-    for i, sid in enumerate(members):
-        by_types.setdefault(students[sid].types, []).append(i)
     by_adj: dict[tuple[int, ...], list[int]] = {}
     for types, positions in by_types.items():
         eligible = sorted(pool_of_type[(t, rank)] for rank in (1, 2) for t in types if (t, rank) in pool_of_type)
         by_adj.setdefault((*eligible, universal), []).extend(positions)
     classes = tuple((adj, tuple(sorted(positions))) for adj, positions in by_adj.items())
-    return ReservationGraph(tuple(members), instance.capacity, tuple(pools), classes)
+    return ReservationGraph(members, instance.capacity, tuple(pools), classes)

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Sequence
 
 UNIVERSAL_TYPE = 0
 
@@ -94,6 +94,14 @@ class Instance:
         """0-based position of a student in the priority order."""
         return self._rank_of[sid]
 
+    @cached_property
+    def type_groups(self) -> dict[frozenset[TypeId], list[int]]:
+        """Positions in ``acceptable`` grouped by type set, each group
+        ascending and the groups in order of their first member.  Every
+        graph over the acceptable pool starts from this grouping, whatever
+        its quotas, so an instance computes it once.  Read only."""
+        return group_by_types(self.students, self.acceptable)
+
     @property
     def acceptable(self) -> tuple[StudentId, ...]:
         """Acceptable students, highest priority first."""
@@ -110,6 +118,15 @@ class Instance:
         if self.type_names is not None:
             return self.type_names[type_id - 1]
         return f"t{type_id}"
+
+
+def group_by_types(students: Sequence[Student], members: Sequence[StudentId]) -> dict[frozenset[TypeId], list[int]]:
+    """Positions in ``members`` grouped by the type set of the student there,
+    each group ascending and the groups in order of their first member."""
+    groups: dict[frozenset[TypeId], list[int]] = {}
+    for i, sid in enumerate(members):
+        groups.setdefault(students[sid].types, []).append(i)
+    return groups
 
 
 def _is_int(value: Any) -> bool:
@@ -151,14 +168,20 @@ def validate(instance: Instance) -> list[str]:
                     errors.append(f"quotas: rank-{rank} count for type {t} must be a non-negative integer")
 
     declared = set(range(1, quotas.n_types))
-    holders: dict[int, list[int]] = {}  # type id not declared -> [students holding it, first of them]
+    # bad type id -> [students holding it, first of them]; non-integer ids
+    # are keyed by repr, since True, 1.0 and 1 are equal as keys
+    odd_holders: dict[str, list[int]] = {}
+    holders: dict[int, list[int]] = {}
     for s in instance.students:
-        odd = [t for t in s.types if not _is_int(t)]
+        odd = [repr(t) for t in s.types if not _is_int(t)]
+        for t in odd:
+            odd_holders.setdefault(t, [0, s.id])[0] += 1
         if odd:
-            errors.append(f"student {s.id}: type ids must be integers, got {', '.join(sorted(map(repr, odd)))}")
             continue
         for t in s.types - declared:
             holders.setdefault(t, [0, s.id])[0] += 1
+    for t, (count, first) in sorted(odd_holders.items()):
+        errors.append(f"students: type id {t} is not an integer; {count} student(s) hold it, first student {first}")
     for t, (count, first) in sorted(holders.items()):
         what = "the universal type, which must not be listed" if t == UNIVERSAL_TYPE else "undeclared"
         errors.append(f"students: type {t} is {what}; {count} student(s) hold it, first student {first}")

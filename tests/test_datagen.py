@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from reservematch import datagen
 from reservematch import (
     Student,
     gen_instance,
@@ -163,6 +164,14 @@ def test_scores_respect_the_domain():
     assert scores.max() <= 1600.0
 
 
+def test_scores_of_type_sets_outside_the_model():
+    # types beyond 1-3 carry no penalty, so their draws are those of the
+    # empty type set, and held model types still count
+    outside = [frozenset({4}), frozenset({1, 5})] * 50
+    inside = [frozenset(), frozenset({1})] * 50
+    assert gen_scores(8, outside).tolist() == gen_scores(8, inside).tolist()
+
+
 def test_empty_type_sample_mean_matches_truncnorm_oracle():
     # independent oracle: numerically integrated truncated-normal mean
     stats = pytest.importorskip("scipy.stats")
@@ -255,6 +264,18 @@ def golden_configs():
         capacity = (1, max(1, n // 3), n)[k % 3]
         yield SatGenConfig(capacity=capacity, seed=7919 * k + 3, n_students=n,
                            psi_factor=GOLDEN_FACTORS[k % len(GOLDEN_FACTORS)])
+
+
+def test_student_rows_grow_whole(monkeypatch):
+    # from empty rows, pools that grow and shrink n hold the same students
+    # as fresh ones, and a longer pool replaces all 8 rows
+    monkeypatch.setattr(datagen, "_STUDENT_ROWS", {})
+    largest = 0
+    for n in (1, 30, 800, 100, 801, 2):
+        largest = max(largest, n)
+        inst = gen_instance(SatGenConfig(capacity=1, seed=n, n_students=n))
+        assert inst.students == tuple(Student(i, frozenset(s.types)) for i, s in enumerate(inst.students))
+        assert [len(row) for row in datagen._STUDENT_ROWS.values()] == [largest] * 8
 
 
 def test_generated_instances_are_pinned():

@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from reservematch import Matching, RankSignature, Seat, build_graph, rank_maximal_matching, signature
+from reservematch import Matching, QuotaTable, RankSignature, Seat, build_graph, rank_maximal_matching, signature
 from reservematch.graph import seat_row
 
 from conftest import random_instance
@@ -101,6 +102,31 @@ def test_classes_partition_students_by_pools(example):
         assert g.classes == grouped_by_pools(inst, g)
         merged += len(g.classes) < len({inst.student(sid).types for sid in g.students})
     assert merged  # some type sets reached the same pools
+
+
+def test_quotas_keyword_matches_a_replaced_instance():
+    # one instance serves graphs under several tables: its own, the tables
+    # sy1 and sy2 build, and one with the ranks swapped; each must equal the
+    # graph of a fresh instance that holds the table, with and without a
+    # subset, with cutoffs and with types that have no seats
+    rnd = random.Random(13)
+    for _ in range(200):
+        inst = random_instance(rnd, max_types=5)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        q, zeros = inst.quotas, (0,) * inst.n_types
+        tables = (
+            QuotaTable(q.rank1, zeros),
+            QuotaTable(tuple(a + b for a, b in zip(q.rank1, q.rank2)), zeros),
+            QuotaTable(q.rank2, q.rank1),
+            q,
+        )
+        for quotas in tables:
+            subset = set(rnd.sample(inst.priority, rnd.randint(0, inst.n_students)))
+            for members in (None, subset):
+                expected = build_graph(replace(inst, quotas=quotas), members)
+                assert build_graph(inst, members, quotas=quotas) == expected
+        assert build_graph(inst) == build_graph(replace(inst, quotas=q))
 
 
 def test_seat_row_values():

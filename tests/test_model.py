@@ -68,7 +68,19 @@ def test_non_integer_type_ids_reported(example, type_id):
     # no file can hold them
     students = example.students[:5] + (Student(5, frozenset({type_id})),)
     bad = Instance(students, example.priority, 3, example.quotas)
-    assert validate(bad) == [f"student 5: type ids must be integers, got {type_id!r}"]
+    assert validate(bad) == [f"students: type id {type_id!r} is not an integer; 1 student(s) hold it, first student 5"]
+
+
+def test_non_integer_type_ids_reported_once_for_many_students():
+    # 1,000 students each hold {True, 5}, and the last one also 2.5: one
+    # message per bad id, not one per student
+    students = [Student(i, frozenset({True, 5})) for i in range(1000)]
+    students[-1] = Student(999, frozenset({True, 5, 2.5}))
+    bad = Instance(tuple(students), tuple(range(1000)), 3, QuotaTable((0, 1), (0, 0)))
+    message = "; ".join(validate(bad))
+    assert len(message) < 300, message
+    assert "type id True is not an integer; 1000 student(s) hold it, first student 0" in message
+    assert "type id 2.5 is not an integer; 1 student(s) hold it, first student 999" in message
 
 
 def test_negative_quota_reported(example):
