@@ -15,8 +15,8 @@ A sweep generates thousands of pools of one size, and a generated student
 is only an id and one of 8 type sets.  So what every pool would rebuild is
 built once per process: one row of :class:`Student` objects per type set,
 grown to the largest size requested (students are frozen, so pools share
-them), a table of the 8 score means, and the parsed form of each reserve
-factor seen.
+them), a table of the 8 score means, and the parsed form of the reserve
+factors in use.
 """
 
 from __future__ import annotations

@@ -127,19 +127,19 @@ def build_graph(
         quotas = instance.quotas
 
     pools: list[SeatPool] = []
-    pool_of_type: dict[tuple[TypeId, int], int] = {}
+    pools_of_type: dict[TypeId, list[int]] = {}
     for rank in (1, 2):
         for t in range(1, quotas.n_types):
             q = quotas.quota(t, rank)
             if q > 0:
-                pool_of_type[(t, rank)] = len(pools)
+                pools_of_type.setdefault(t, []).append(len(pools))
                 pools.append(SeatPool(t, rank, q))
     universal = len(pools)
     pools.append(SeatPool(UNIVERSAL_TYPE, 3, instance.capacity))
 
     by_adj: dict[tuple[int, ...], list[int]] = {}
     for types, positions in by_types.items():
-        eligible = sorted(pool_of_type[(t, rank)] for rank in (1, 2) for t in types if (t, rank) in pool_of_type)
+        eligible = sorted([p for t in types for p in pools_of_type.get(t, ())])
         by_adj.setdefault((*eligible, universal), []).extend(positions)
     classes = tuple((adj, tuple(sorted(positions))) for adj, positions in by_adj.items())
     return ReservationGraph(members, instance.capacity, tuple(pools), classes)
