@@ -84,7 +84,7 @@ def parse_factor(value: float | int | str | Fraction) -> Fraction:
     repr so 2.3077 means exactly 2.3077."""
     try:
         return _parse_factor(value)
-    except TypeError:  # unhashable, so no number
+    except TypeError:  # unhashable, so not a number
         raise ValueError(f"psi_factor must be a positive number, got {value!r}") from None
 
 

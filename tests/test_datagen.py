@@ -1,13 +1,12 @@
 import hashlib
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from reservematch import datagen
 from reservematch import (
     Student,
+    datagen,
     gen_instance,
     gen_quotas,
     gen_scores,
@@ -266,6 +265,16 @@ def golden_configs():
                            psi_factor=GOLDEN_FACTORS[k % len(GOLDEN_FACTORS)])
 
 
+def test_generated_instances_are_pinned():
+    digest = hashlib.sha256()
+    for config in golden_configs():
+        inst = gen_instance(config)
+        digest.update(serialize_instance(inst).encode())
+        fresh = tuple(Student(i, frozenset(s.types)) for i, s in enumerate(inst.students))
+        assert inst.students == fresh, config
+    assert digest.hexdigest() == INSTANCES_DIGEST
+
+
 def test_student_rows_grow_whole(monkeypatch):
     # from empty rows, pools that grow and shrink n hold the same students
     # as fresh ones, and a longer pool replaces all 8 rows
@@ -276,13 +285,3 @@ def test_student_rows_grow_whole(monkeypatch):
         inst = gen_instance(SatGenConfig(capacity=1, seed=n, n_students=n))
         assert inst.students == tuple(Student(i, frozenset(s.types)) for i, s in enumerate(inst.students))
         assert [len(row) for row in datagen._STUDENT_ROWS.values()] == [largest] * 8
-
-
-def test_generated_instances_are_pinned():
-    digest = hashlib.sha256()
-    for config in golden_configs():
-        inst = gen_instance(config)
-        digest.update(serialize_instance(inst).encode())
-        fresh = tuple(Student(i, frozenset(s.types)) for i, s in enumerate(inst.students))
-        assert inst == replace(inst, students=fresh), config
-    assert digest.hexdigest() == INSTANCES_DIGEST
