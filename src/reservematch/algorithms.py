@@ -3,8 +3,7 @@
 All six rules share one interface: they take an instance and return an
 :class:`Outcome` holding the selected students (in priority order) and the
 seat matching that justifies the selection.  They are pure functions of the
-instance; the only optional nondeterminism is the seeded tie-breaking mode
-of :func:`ehyy_select`.
+instance.
 
 Tags used throughout the package and the CLI:
 
@@ -24,7 +23,6 @@ Tags used throughout the package and the CLI:
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -92,21 +90,16 @@ def sy2_select(instance: Instance) -> Outcome:
     return Outcome("sy2", chosen, rank_maximal_matching(build_graph(instance, set(chosen)), chosen))
 
 
-def _greedy_seats(
-    instance: Instance, pool: Sequence[StudentId], rng: random.Random | None = None
-) -> dict[StudentId, Seat]:
+def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> dict[StudentId, Seat]:
     """Seat up to ``min(capacity, len(pool))`` students of ``pool`` in three
     passes down it: unfilled rank-1 seats, then unfilled rank-2 seats, then
     universal seats.
 
     A student eligible for several open seats takes the lowest-numbered
-    type; pass ``rng`` to resolve such ties uniformly at random instead
-    (one ``rng.choice`` per student seated in a reserve pass).  A reserve
-    pass ends once its seats are full.
+    type.  A reserve pass ends once its seats are full.
     """
     target = min(instance.capacity, len(pool))
     students = instance.students
-    type_order = {ts: sorted(ts) for ts in {students[sid].types for sid in pool}}
     seat_of: dict[StudentId, Seat] = {}
 
     for rank, quota in ((1, instance.quotas.rank1), (2, instance.quotas.rank2)):
@@ -120,11 +113,11 @@ def _greedy_seats(
             types = students[sid].types
             if sid in seat_of or types in closed:
                 continue
-            open_types = [t for t in type_order[types] if used[t] < quota[t]]
+            open_types = [t for t in types if used[t] < quota[t]]
             if not open_types:
                 closed.add(types)
                 continue
-            t = rng.choice(open_types) if rng is not None else open_types[0]
+            t = min(open_types)
             seat_of[sid] = rows[t][used[t]]
             used[t] += 1
             open_seats -= 1
@@ -138,11 +131,11 @@ def _greedy_seats(
     return seat_of
 
 
-def ehyy_select(instance: Instance, rng: random.Random | None = None) -> Outcome:
+def ehyy_select(instance: Instance) -> Outcome:
     """Three greedy passes down the priority list: unfilled rank-1 seats,
-    then unfilled rank-2 seats, then plain fill to capacity.  ``rng``
-    breaks ties between open seats; see :func:`_greedy_seats`."""
-    seat_of = _greedy_seats(instance, instance.acceptable, rng)
+    then unfilled rank-2 seats, then plain fill to capacity; ties between
+    open seats go to the lowest-numbered type."""
+    seat_of = _greedy_seats(instance, instance.acceptable)
     selected = tuple(sorted(seat_of, key=instance.priority_position))
     return Outcome("ehyy", selected, Matching(frozenset(seat_of.items())))
 

@@ -120,13 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"p1 {values.p1} p2 {values.p2} p3 {values.p3:.6f}")
     if args.out is not None:
         doc = json.loads(outcome_to_json(outcome))
-        doc["metrics"] = {
-            "p1": values.p1,
-            "p2": values.p2,
-            "p3": values.p3,
-            "p3_min": values.p3_min,
-            "p3_max": values.p3_max,
-        }
+        doc["metrics"] = asdict(values)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

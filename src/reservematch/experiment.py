@@ -106,7 +106,7 @@ def derive_seed(master_seed: int, factor_index: int, capacity_index: int, replic
 
 def _cell_rows(args: tuple) -> list[dict]:
     """Run one cell and return its per-instance rows (worker function)."""
-    n_students, factor, factor_index, qc, capacity_index, seeds, algorithms = args
+    n_students, factor, qc, seeds, algorithms = args
     rows: list[dict] = []
     for replicate, seed in enumerate(seeds):
         config = SatGenConfig(capacity=qc, seed=seed, n_students=n_students, psi_factor=factor)
@@ -189,7 +189,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
     for fi, factor in enumerate(spec.psi_factors):
         for qi, qc in enumerate(spec.capacities):
             seeds = [derive_seed(spec.master_seed, fi, qi, r) for r in range(spec.seeds_per_cell)]
-            cells.append((spec.n_students, factor, fi, qc, qi, seeds, spec.algorithms))
+            cells.append((spec.n_students, factor, qc, seeds, spec.algorithms))
             quotas = gen_quotas(qc, factor)
             reserves = sum(quotas.rank1) + sum(quotas.rank2)
             manifest_cells.append(

@@ -11,6 +11,7 @@ through :func:`seat_row`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,7 +122,10 @@ def build_graph(
         members = tuple([sid for sid in instance.priority if sid in subset])
         if len(members) != len(subset):
             unknown = set(subset) - set(members)
-            raise ValueError(f"subset contains unknown students: {sorted(unknown)}")
+            if unknown:
+                raise ValueError(f"subset contains unknown students: {sorted(unknown)}")
+            repeated = sorted(sid for sid, count in Counter(subset).items() if count > 1)
+            raise ValueError(f"subset repeats students: {repeated}")
         by_types = group_by_types(instance.students, members)
     if quotas is None:
         quotas = instance.quotas

@@ -61,7 +61,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     matched = set()
     taken = set()
     for sid, seat in outcome.matching.pairs:
-        if not 0 <= sid < n:
+        if sid not in position:
             raise ValueError(f"outcome references unknown student {sid}")
         if sid in matched:
             raise ValueError(f"student {sid} is matched twice")
@@ -76,7 +76,8 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
         else:
             if not 1 <= t < n_types or rank not in (1, 2):
                 raise ValueError(f"outcome references unknown seat {seat}")
-            if not 0 <= index < (rank1[t] if rank == 1 else rank2[t]):
+            # a non-integer index would be one more seat in a full pool
+            if not isinstance(index, int) or not 0 <= index < (rank1[t] if rank == 1 else rank2[t]):
                 raise ValueError(f"seat index out of range: {seat}")
             if t not in students[sid].types:
                 raise ValueError(f"student {sid} does not hold the type of seat {seat.label()}")

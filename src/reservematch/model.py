@@ -289,12 +289,12 @@ def parse_instance(text: str) -> Instance:
 def serialize_instance(instance: Instance) -> str:
     """Render an instance in the JSON format accepted by ``parse_instance``.
 
-    Students are written in priority order, so parsing the output of this
-    function reproduces the instance exactly when its ids already follow the
-    priority order (which holds for everything the generators emit), and an
-    equivalent relabeled instance otherwise.
+    Students are written in priority order, and types by name.  Parsing
+    the output reproduces the instance exactly when its ids follow the
+    priority order and it has ``type_names`` (both hold for everything the
+    generators emit).  Otherwise the parsed instance is relabeled in
+    priority order, and unnamed types come back named ``t1..tk``.
     """
-    n_real = instance.n_types - 1
     names = [instance.type_name(t) for t in range(1, instance.n_types)]
     doc: dict[str, Any] = {
         "capacity": instance.capacity,

@@ -135,23 +135,7 @@ def test_unknown_tag_rejected(example):
 
 
 # ---------------------------------------------------------------------------
-# tie-breaking
-
-def test_ehyy_seeded_mode_is_deterministic_per_seed(example):
-    a = ehyy_select(example, random.Random(3))
-    b = ehyy_select(example, random.Random(3))
-    assert a.matching.pairs == b.matching.pairs
-
-
-def test_ehyy_seeded_mode_can_pick_the_other_seat(example):
-    # student 3 is eligible for both rank-1 seats; across seeds both choices
-    # must occur
-    seats = {
-        dict(ehyy_select(example, random.Random(seed)).matching.pairs)[3].type
-        for seed in range(12)
-    }
-    assert seats == {1, 2}
-
+# determinism
 
 def test_determinism_of_all_defaults(example):
     for tag in ALGORITHMS:
@@ -208,16 +192,6 @@ def test_greedy_rules_stop_at_the_acceptability_cutoff():
         check_outcome(inst, out)
 
 
-class CountingRandom(random.Random):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = 0
-
-    def choice(self, seq):
-        self.calls += 1
-        return super().choice(seq)
-
-
 def naive_pog(inst):
     """Each student of the top-capacity prefix takes an open rank-1 seat of
     its lowest such type, else an open rank-2 seat, else a universal seat."""
@@ -242,7 +216,7 @@ def naive_pog(inst):
     return Outcome("pog", prefix, Matching(frozenset(pairs)))
 
 
-def naive_ehyy(inst, rng=None):
+def naive_ehyy(inst):
     """Three full scans of the pool: open rank-1 seats, open rank-2 seats,
     then universal seats, each scan seating students until the target."""
     pool = inst.acceptable
@@ -255,7 +229,7 @@ def naive_ehyy(inst, rng=None):
                 continue
             open_types = [t for t in sorted(inst.student(sid).types) if used[t] < inst.quotas.quota(t, rank)]
             if open_types:
-                t = rng.choice(open_types) if rng is not None else open_types[0]
+                t = open_types[0]
                 seat_of[sid] = Seat(t, rank, used[t])
                 used[t] += 1
     for sid in pool:
@@ -273,19 +247,6 @@ def test_greedy_rules_match_naive_passes():
             inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
         assert pog_select(inst) == naive_pog(inst)
         assert ehyy_select(inst) == naive_ehyy(inst)
-        for seed in (0, 1):
-            assert ehyy_select(inst, random.Random(seed)) == naive_ehyy(inst, random.Random(seed))
-
-
-def test_ehyy_draws_once_per_reserve_seat():
-    rnd = random.Random(45)
-    instances = [random_instance(rnd) for _ in range(100)]
-    instances.append(types_instance([{1}, {1, 2}, {2}, {1}, {2}, set(), {1}, {2}], (0, 1, 1), (0, 1, 0), 5))
-    for seed, inst in enumerate(instances):
-        counting = CountingRandom(seed)
-        out = ehyy_select(inst, counting)
-        assert counting.calls == sum(seat.rank != 3 for _, seat in out.matching.pairs)
-        assert out == ehyy_select(inst, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,7 @@ def test_serial_sweep_runs_each_cell_once(tmp_path, monkeypatch):
         out_dir=tmp_path / "x", n_students=20, capacities=(5, 10), psi_factors=("1.0", "2.0"), seeds_per_cell=1
     )
     run_experiment(spec, 1, False)
-    assert [(args[1], args[3]) for args in calls] == [("1.0", 5), ("1.0", 10), ("2.0", 5), ("2.0", 10)]
+    assert [(args[1], args[2]) for args in calls] == [("1.0", 5), ("1.0", 10), ("2.0", 5), ("2.0", 10)]
 
 
 def test_plotdata_wide_tables(tmp_path, capsys):

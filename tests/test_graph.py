@@ -48,6 +48,11 @@ def test_subset_must_be_known(example):
         build_graph(example, {99})
 
 
+def test_subset_must_not_repeat_a_student(example):
+    with pytest.raises(ValueError, match=r"subset repeats students: \[0\]"):
+        build_graph(example, [0, 0, 1])
+
+
 def test_signature_counts():
     m = Matching(frozenset({(4, Seat(1, 1, 0)), (3, Seat(2, 1, 0)), (0, Seat(0, 3, 0))}))
     assert signature(m) == RankSignature(2, 0, 1)

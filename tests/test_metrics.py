@@ -51,9 +51,11 @@ def test_single_student_no_quotas():
 
 
 def test_evaluate_rejects_foreign_students(example):
-    bad = Outcome("as", (9,), Matching(frozenset({(9, Seat(0, 3, 0))})))
-    with pytest.raises(ValueError):
-        evaluate(example, bad)
+    # a fractional id is no student, on a universal seat or on a reserve seat
+    for sid, seat in ((9, Seat(0, 3, 0)), (0.5, Seat(0, 3, 0)), (0.5, Seat(1, 1, 0))):
+        bad = Outcome("as", (sid,), Matching(frozenset({(sid, seat)})))
+        with pytest.raises(ValueError, match=f"unknown student {sid}"):
+            evaluate(example, bad)
 
 
 def test_evaluate_rejects_unknown_seats(example):
@@ -63,6 +65,10 @@ def test_evaluate_rejects_unknown_seats(example):
     overflow = Outcome("as", (4,), Matching(frozenset({(4, Seat(1, 1, 5))})))
     with pytest.raises(ValueError):
         evaluate(example, overflow)
+    # index 0.5 is no seat, so type 1's one rank-1 seat would hold two students
+    between = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0.5))})))
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate(example, between)
     # student 0 holds no types, so it may not take a type-1 reserve
     ineligible = Outcome("as", (0,), Matching(frozenset({(0, Seat(1, 1, 0))})))
     with pytest.raises(ValueError, match="does not hold"):

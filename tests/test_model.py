@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -130,6 +131,13 @@ def test_serialize_then_parse_is_identity(example):
 def test_parse_then_serialize_is_stable():
     canonical = serialize_instance(parse_instance(EXAMPLE_DOC))
     assert serialize_instance(parse_instance(canonical)) == canonical
+
+
+def test_unnamed_types_parse_back_named(example):
+    unnamed = replace(example, type_names=None)
+    parsed = parse_instance(serialize_instance(unnamed))
+    assert parsed != unnamed
+    assert parsed == replace(unnamed, type_names=("t1", "t2", "t3", "t4"))
 
 
 def test_roundtrip_with_scores_and_cutoff(example):

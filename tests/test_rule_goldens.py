@@ -3,8 +3,8 @@
 The sweep hashes cover only n=100 pools and only the default ``ehyy``.
 This test adds the two ``large-pool`` benchmark pools (n=800, capacity 400,
 factors 1.0 and 2.0) and one n=100 pool at factor 2.6154, and pins, per
-pool: the serialized instance, the serialized outcome of all six rules, the
-seeded ``ehyy`` mode for three seeds, and the exact ``evaluate`` values.
+pool: the serialized instance, the serialized outcome of all six rules, and
+the exact ``evaluate`` values.
 No generated pool has two type sets with the same pools (every type has a
 positive rank-1 quota), so one hand-built instance pins all six rules where
 such type sets share a class.  A second one, with 292 classes, pins the
@@ -25,7 +25,6 @@ from reservematch import (
     SatGenConfig,
     Student,
     build_graph,
-    ehyy_select,
     evaluate,
     gen_instance,
 )
@@ -92,26 +91,6 @@ RULES = {
     },
 }
 
-# name: sha256 of outcome_to_json(ehyy_select(instance, random.Random(s))) for s = 0, 1, 2
-EHYY_SEEDED = {
-    "large-1.0": (
-        "5bff0b19a19c286b408e31c3c2a908c1147c6ae31540aaebc745ffbdf629dc7c",
-        "c6691e18fabd85b85a163fd751a2e0f1795deb124c1eb9dbbb677bfd150ff585",
-        "b3d1efa05de9018ae605c922f25aeed222c2d20fc159d5ea397e316f9ef8f4dc",
-    ),
-    "large-2.0": (
-        "9328f3efbaee9c983ccb64559c7dd40d4bd2e7a88716824fef994e68544f35a4",
-        "880fe89aaa336ceba379c926a52299fac6c369a93f132f2e81d1eaabca323151",
-        "63d3a30bed72f2288cbea0c2c83e629a6495bca5e8b09cc5e74750d3b6f33833",
-    ),
-    "small-2.6154": (
-        "b83d30ca34a505ca2a413c654ef0075ca72866ead9382a2eaf887be227807617",
-        "dc24e83b9b0a879fa820f8be40344bff7e390c113e5fff010830904d7a2a6653",
-        "63fbc131dbc03369ad1dae3fcf7d72ba10c0470065c1c46fc0212dfe30014eb4",
-    ),
-}
-
-
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -124,8 +103,6 @@ def test_rule_outputs_are_pinned(name):
     for tag, rule in ALGORITHMS.items():
         outcome = rule(instance)
         assert (sha256(outcome_to_json(outcome)), repr(evaluate(instance, outcome))) == RULES[name][tag], tag
-    seeded = tuple(sha256(outcome_to_json(ehyy_select(instance, random.Random(s)))) for s in range(3))
-    assert seeded == EHYY_SEEDED[name]
 
 
 # tag: (sha256 of outcome_to_json, repr of evaluate) on merged_instance()

@@ -1,8 +1,10 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and every
+local a package function assigns is read somewhere in that function.
 
 A standard-library ``ast`` scan, so the suite needs no linter.  Names listed
 in a module's ``__all__`` count as read (the package root re-exports), and
-``from __future__`` imports are skipped.
+``from __future__`` imports are skipped.  Locals whose names start with
+``_`` are exempt, and a nested function's reads count for its outer one.
 """
 
 import ast
@@ -11,7 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "reservematch").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "reservematch").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +57,46 @@ def test_scan_flags_an_unused_import_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_locals(source: str) -> list[str]:
+    """Names the functions of ``source`` assign but never read."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)]
+    nested = {id(inner) for f in functions for inner in ast.walk(f) if inner is not f and isinstance(inner, FUNCTIONS)}
+    found = []
+    for f in functions:
+        if id(f) in nested:
+            continue
+        stored: dict[str, int] = {}  # assigned name -> first line
+        read: set[str] = set()
+        for node in ast.walk(f):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        found += [f"line {line}: {name}" for name, line in stored.items() if name not in read and name[0] != "_"]
+    return found
+
+
+def test_scan_flags_an_unread_local_only():
+    source = (
+        "LIMIT = 3\n"
+        "def f(xs):\n"
+        "    total, _skipped = 0, 0\n"
+        "    spare = len(xs)\n"
+        "    for i, x in enumerate(xs):\n"
+        "        total += x * i\n"
+        "    def g():\n"
+        "        return total\n"
+        "    return g\n"
+    )
+    assert unused_locals(source) == ["line 4: spare"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_function_reads_every_local(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []
