@@ -19,7 +19,7 @@ from .algorithms import (
     sy1_select,
     sy2_select,
 )
-from .datagen import SatGenConfig, gen_instance, gen_quotas, gen_scores, gen_types
+from .datagen import SatGenConfig, SettingsError, gen_instance, gen_quotas, gen_scores, gen_types
 from .graph import (
     Matching,
     RankSignature,
@@ -60,6 +60,7 @@ __all__ = [
     "SatGenConfig",
     "Seat",
     "SeatPool",
+    "SettingsError",
     "Student",
     "__version__",
     "a_s_select",

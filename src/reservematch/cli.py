@@ -4,8 +4,9 @@ Subcommands: ``gen`` writes a synthetic instance file, ``run`` applies one
 algorithm to an instance file, ``sweep`` executes a full experiment grid,
 and ``plotdata`` turns sweep results into wide per-figure tables.  Progress
 and diagnostics go to stderr; results go to files (plus a short stdout
-summary for ``run``).  Exit codes: 0 success, 1 usage error, 2 runtime
-error.
+summary for ``run``).  Exit codes: 0 success, 1 usage error (a
+``SettingsError`` from the library's checks or the parser), 2 runtime
+error.  A flag left out takes the library's default.
 """
 
 from __future__ import annotations
@@ -13,30 +14,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import Iterable
 
 from .algorithms import ALGORITHMS, outcome_to_json, run_algorithm
-from .datagen import SatGenConfig, gen_instance
-from .experiment import (
-    DEFAULT_ALGORITHMS,
-    DEFAULT_CAPACITIES,
-    ExperimentSpec,
-    emit_plot_data,
-    run_experiment,
-)
+from .datagen import SatGenConfig, SettingsError, gen_instance
+from .experiment import ExperimentSpec, emit_plot_data, run_experiment
 from .graph import signature
 from .metrics import evaluate
-from .model import InstanceFormatError, load_instance, save_instance
-
-
-class _UsageError(Exception):
-    pass
+from .model import load_instance, save_instance
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise SettingsError(message)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -50,15 +42,22 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x for x in text.split(",") if x)
 
 
+def _settings_parser(sub: argparse._SubParsersAction, name: str, help: str, settings: type) -> _Parser:
+    """A subcommand whose flags fill the dataclass ``settings``.  A flag left
+    out is absent from the namespace, so the field's default applies."""
+    defaults = ", ".join(f"{f.name}={f.default}" for f in fields(settings) if f.default is not MISSING)
+    return sub.add_parser(name, help=help, epilog=f"defaults: {defaults}", argument_default=argparse.SUPPRESS)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reservematch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic instance file")
-    gen.add_argument("--capacity", "--qc", dest="capacity", type=int, required=True)
+    gen = _settings_parser(sub, "gen", "generate a synthetic instance file", SatGenConfig)
+    gen.add_argument("--capacity", "--qc", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--n", type=int, default=100, help="number of students (default 100)")
-    gen.add_argument("--psi-factor", default="1.0", help="reserve scale factor (default 1.0)")
+    gen.add_argument("--n", dest="n_students", type=int, help="number of students")
+    gen.add_argument("--psi-factor", help="reserve scale factor")
     gen.add_argument("--out", type=Path, required=True, help="instance file to write")
 
     run = sub.add_parser("run", help="run one algorithm on an instance file")
@@ -66,16 +65,16 @@ def _build_parser() -> _Parser:
     run.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     run.add_argument("--out", type=Path, help="outcome file to write")
 
-    sweep = sub.add_parser("sweep", help="run an experiment grid")
-    sweep.add_argument("--out", type=Path, required=True, help="output directory")
-    sweep.add_argument("--n", type=int, default=100)
-    sweep.add_argument("--qc", type=_int_list, default=DEFAULT_CAPACITIES, help="comma-separated capacities")
-    sweep.add_argument("--psi-factors", type=_str_list, default=("1.0",), help="comma-separated reserve factors")
-    sweep.add_argument("--seeds-per-cell", type=int, default=100)
-    sweep.add_argument("--seed", type=int, default=1729, help="master seed")
-    sweep.add_argument("--algos", type=_str_list, default=DEFAULT_ALGORITHMS)
-    sweep.add_argument("--jobs", type=int, default=1)
-    sweep.add_argument("--quiet", action="store_true")
+    sweep = _settings_parser(sub, "sweep", "run an experiment grid", ExperimentSpec)
+    sweep.add_argument("--out", dest="out_dir", type=Path, required=True, help="output directory")
+    sweep.add_argument("--n", dest="n_students", type=int)
+    sweep.add_argument("--qc", dest="capacities", type=_int_list, help="comma-separated capacities")
+    sweep.add_argument("--psi-factors", type=_str_list, help="comma-separated reserve factors")
+    sweep.add_argument("--seeds-per-cell", type=int)
+    sweep.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    sweep.add_argument("--algos", dest="algorithms", type=_str_list)
+    sweep.add_argument("--jobs", type=int)
+    sweep.add_argument("--quiet", action="store_true", default=False)
 
     plot = sub.add_parser("plotdata", help="emit plot-ready wide tables from sweep results")
     plot.add_argument("--results", type=Path, required=True, help="sweep output directory")
@@ -86,19 +85,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_settings(settings: SatGenConfig | ExperimentSpec) -> None:
-    """Run ``settings.check()``, reporting a bad setting as a usage error."""
-    try:
-        settings.check()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+def _given(args: argparse.Namespace, names: Iterable[str]) -> dict:
+    """The flags given among ``names``, by name."""
+    return {k: getattr(args, k) for k in names if k in args}
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    config = SatGenConfig(
-        capacity=args.capacity, seed=args.seed, n_students=args.n, psi_factor=args.psi_factor
-    )
-    _check_settings(config)
+    config = SatGenConfig(**_given(args, (f.name for f in fields(SatGenConfig))))
     instance = gen_instance(config)
     save_instance(instance, args.out)
     meta = {k: (str(v) if not isinstance(v, (int, float)) else v) for k, v in asdict(config).items()}
@@ -129,19 +122,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        out_dir=args.out,
-        n_students=args.n,
-        capacities=tuple(args.qc),
-        psi_factors=tuple(args.psi_factors),
-        seeds_per_cell=args.seeds_per_cell,
-        master_seed=args.seed,
-        algorithms=tuple(args.algos),
-    )
-    _check_settings(spec)
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
-    paths = run_experiment(spec, jobs=args.jobs, progress=not args.quiet)
+    spec = ExperimentSpec(**_given(args, (f.name for f in fields(ExperimentSpec))))
+    paths = run_experiment(spec, progress=not args.quiet, **_given(args, ["jobs"]))
     for name, path in paths.items():
         print(f"[sweep] {name}: {path}", file=sys.stderr)
     return 0
@@ -163,20 +145,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except SettingsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, InstanceFormatError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

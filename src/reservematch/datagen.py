@@ -59,6 +59,10 @@ BASE_QUOTA_FRACTIONS: tuple[tuple[Fraction, Fraction], ...] = (
 )
 
 
+class SettingsError(ValueError):
+    """A generation or sweep setting that is out of range or of the wrong type."""
+
+
 @dataclass(frozen=True)
 class SatGenConfig:
     """Parameters for one generated applicant pool."""
@@ -66,26 +70,28 @@ class SatGenConfig:
     capacity: int
     seed: int
     n_students: int = 100
-    psi_factor: float | int | str | Fraction = 1
+    psi_factor: float | int | str | Fraction = "1.0"
 
     def check(self) -> None:
-        if not _is_int(self.n_students) or self.n_students < 1:
-            raise ValueError("n_students must be an integer >= 1")
-        if not _is_int(self.capacity) or not 1 <= self.capacity <= self.n_students:
-            raise ValueError("capacity must be an integer in [1, n_students]")
+        """Raise :class:`SettingsError` unless every field is valid."""
+        n = self.n_students
+        if not _is_int(n) or n < 1:
+            raise SettingsError(f"n_students must be an integer >= 1, got {n!r}")
+        if not _is_int(self.capacity) or not 1 <= self.capacity <= n:
+            raise SettingsError(f"capacity {self.capacity!r} must be an integer in [1, {n}]")
         if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
+            raise SettingsError(f"seed must be an integer >= 0, got {self.seed!r}")
         parse_factor(self.psi_factor)
 
 
 def parse_factor(value: float | int | str | Fraction) -> Fraction:
-    """A reserve factor as an exact fraction; raises ``ValueError`` unless it
-    is a positive number; booleans are not.  Floats go through their decimal
-    repr so 2.3077 means exactly 2.3077."""
+    """A reserve factor as an exact fraction; raises :class:`SettingsError`
+    unless it is a positive number; booleans are not.  Floats go through
+    their decimal repr so 2.3077 means exactly 2.3077."""
     try:
         return _parse_factor(value)
     except TypeError:  # unhashable, so not a number
-        raise ValueError(f"psi_factor must be a positive number, got {value!r}") from None
+        raise SettingsError(f"psi_factor must be a positive number, got {value!r}") from None
 
 
 # Typed, so True is not served the entry of 1.  A pool parses its factor in
@@ -98,7 +104,7 @@ def _parse_factor(value: float | int | str | Fraction) -> Fraction:
             return factor
     except (TypeError, ValueError, ZeroDivisionError):
         pass
-    raise ValueError(f"psi_factor must be a positive number, got {value!r}")
+    raise SettingsError(f"psi_factor must be a positive number, got {value!r}")
 
 
 # The 8 possible type sets, indexed by a 3-bit code: bit k-1 set iff type k is held.

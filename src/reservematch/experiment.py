@@ -33,12 +33,9 @@ import numpy as np
 
 from . import __version__
 from .algorithms import ALGORITHMS
-from .datagen import SatGenConfig, gen_instance, gen_quotas, parse_factor
+from .datagen import SatGenConfig, SettingsError, gen_instance, gen_quotas, parse_factor
 from .metrics import METRICS, evaluate, ratio, suite_optimum
 from .model import _is_int
-
-DEFAULT_CAPACITIES = tuple(range(10, 100, 10))
-DEFAULT_ALGORITHMS = tuple(ALGORITHMS)
 
 PER_INSTANCE_FIELDS = (
     "psi_factor",
@@ -64,38 +61,38 @@ class ExperimentSpec:
 
     out_dir: Path
     n_students: int = 100
-    capacities: tuple[int, ...] = DEFAULT_CAPACITIES
+    capacities: tuple[int, ...] = tuple(range(10, 100, 10))
     psi_factors: tuple[str, ...] = ("1.0",)
     seeds_per_cell: int = 100
     master_seed: int = 1729
-    algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
+    algorithms: tuple[str, ...] = tuple(ALGORITHMS)
 
     def check(self) -> None:
-        if not _is_int(self.n_students):
-            raise ValueError("n_students must be an integer")
-        if not _is_int(self.seeds_per_cell) or self.seeds_per_cell < 1:
-            raise ValueError("seeds_per_cell must be an integer >= 1")
+        """Raise :class:`SettingsError` unless the whole grid is valid; each
+        cell's pool settings go through ``SatGenConfig.check()``."""
         if not self.capacities:
-            raise ValueError("no capacities given")
-        for qc in self.capacities:
-            if not _is_int(qc) or not 1 <= qc <= self.n_students:
-                raise ValueError(f"capacity {qc!r} must be an integer in [1, {self.n_students}]")
-        if len(set(self.capacities)) != len(self.capacities):
-            raise ValueError("a capacity is given twice")
+            raise SettingsError("no capacities given")
         if not self.psi_factors:
-            raise ValueError("no reserve factors given")
+            raise SettingsError("no reserve factors given")
+        if not self.algorithms:
+            raise SettingsError("no algorithms given")
+        for factor in self.psi_factors:
+            for qc in self.capacities:
+                SatGenConfig(capacity=qc, seed=0, n_students=self.n_students, psi_factor=factor).check()
+        if len(set(self.capacities)) != len(self.capacities):
+            raise SettingsError("a capacity is given twice")
         # compare values, so "1" and "1.0" count as one factor
         if len({parse_factor(factor) for factor in self.psi_factors}) != len(self.psi_factors):
-            raise ValueError("a reserve factor is given twice")
+            raise SettingsError("a reserve factor is given twice")
+        if not _is_int(self.seeds_per_cell) or self.seeds_per_cell < 1:
+            raise SettingsError("seeds_per_cell must be an integer >= 1")
         if not _is_int(self.master_seed) or self.master_seed < 0:
-            raise ValueError("master_seed must be an integer >= 0")
-        if not self.algorithms:
-            raise ValueError("no algorithms given")
+            raise SettingsError("master_seed must be an integer >= 0")
         for tag in self.algorithms:
             if not isinstance(tag, str) or tag not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm tag {tag!r}")
+                raise SettingsError(f"unknown algorithm tag {tag!r}")
         if len(set(self.algorithms)) != len(self.algorithms):
-            raise ValueError("an algorithm tag is given twice")
+            raise SettingsError("an algorithm tag is given twice")
 
 
 def derive_seed(master_seed: int, factor_index: int, capacity_index: int, replicate: int) -> int:
@@ -176,11 +173,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
     Returns the paths of the written files.  With ``jobs > 1`` cells run in
     separate processes; rows are assembled in cell order either way, so the
     outputs do not depend on the degree of parallelism.  An invalid spec or
-    ``jobs < 1`` raises ``ValueError`` before any cell runs.
+    ``jobs < 1`` raises :class:`SettingsError` before any cell runs.
     """
     spec.check()
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if not _is_int(jobs) or jobs < 1:
+        raise SettingsError(f"jobs must be an integer >= 1, got {jobs!r}")
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

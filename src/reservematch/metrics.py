@@ -43,10 +43,11 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     """Metric values of an outcome produced on this instance.
 
     Raises ``ValueError`` when the outcome is not a valid seating: more
-    students than the capacity, unknown students or seats, a student or seat
-    used twice, a reserved seat whose type the student does not hold, a
-    student below the acceptability cutoff, or selected students that differ
-    from the matched ones or list a student twice.
+    students than the capacity, unknown students (any id that is not an
+    ``int``, too) or seats, a student or seat used twice, a reserved seat
+    whose type the student does not hold, a student below the acceptability
+    cutoff, or selected students that differ from the matched ones or list
+    a student twice.
     """
     students = instance.students
     n = len(students)
@@ -61,7 +62,8 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     matched = set()
     taken = set()
     for sid, seat in outcome.matching.pairs:
-        if sid not in position:
+        # 4.0 and True hash like students 4 and 1, but no id is a float or a bool
+        if type(sid) is not int or sid not in position:
             raise ValueError(f"outcome references unknown student {sid}")
         if sid in matched:
             raise ValueError(f"student {sid} is matched twice")

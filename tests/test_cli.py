@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from reservematch import load_instance, serialize_instance, validate
+from reservematch import SatGenConfig, SettingsError, load_instance, serialize_instance, validate
 from reservematch import experiment
 from reservematch.cli import main
 from reservematch.experiment import ExperimentSpec, derive_seed, emit_plot_data, run_experiment
@@ -202,9 +202,31 @@ def test_sweep_rejects_bad_input_before_any_cell(tmp_path, extra):
     assert not out.exists()
 
 
+def test_each_command_checks_its_settings_once(tmp_path, monkeypatch):
+    calls = {SatGenConfig: 0, ExperimentSpec: 0}
+
+    def counting(cls):
+        check = cls.check
+
+        def counted(self):
+            calls[cls] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "check", counted)
+
+    counting(SatGenConfig)
+    counting(ExperimentSpec)
+    assert main(["gen", "--capacity", "5", "--seed", "1", "--n", "20", "--out", str(tmp_path / "pool.json")]) == 0
+    assert calls == {SatGenConfig: 1, ExperimentSpec: 0}
+    calls[SatGenConfig] = 0
+    sweep = ["sweep", "--out", str(tmp_path / "sweep"), "--n", "20", "--qc", "5", "--seeds-per-cell", "1", "--quiet"]
+    assert main(sweep) == 0
+    assert calls[ExperimentSpec] == 1
+
+
 def test_run_experiment_rejects_zero_jobs(tmp_path):
     spec = ExperimentSpec(out_dir=tmp_path / "x", n_students=30, capacities=(5,), seeds_per_cell=1)
-    with pytest.raises(ValueError, match="jobs"):
+    with pytest.raises(SettingsError, match="jobs"):
         run_experiment(spec, jobs=0, progress=False)
     assert not (tmp_path / "x").exists()
 
@@ -225,7 +247,7 @@ def test_run_experiment_rejects_non_integer_settings(tmp_path, settings):
     # booleans are neither counts, seeds nor reserve factors
     fields = {"out_dir": tmp_path / "x", "n_students": 30, "capacities": (5,), "seeds_per_cell": 1}
     spec = ExperimentSpec(**{**fields, **settings})
-    with pytest.raises(ValueError):
+    with pytest.raises(SettingsError):
         run_experiment(spec, progress=False)
     assert not (tmp_path / "x").exists()
 

@@ -29,6 +29,7 @@ from reservematch.datagen import (
     SCORE_SD,
     SCORE_UPPER,
     SatGenConfig,
+    SettingsError,
     parse_factor,
     score_mean,
 )
@@ -86,7 +87,7 @@ def test_quotas_match_exact_rational_rounding():
 def test_quotas_reject_bad_inputs():
     with pytest.raises(ValueError):
         gen_quotas(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SettingsError):
         gen_quotas(10, 0)
     # the capacity must be an integer, and booleans are not
     for capacity in (2.5, 10.0, True):
@@ -95,10 +96,10 @@ def test_quotas_reject_bad_inputs():
     with pytest.raises(ValueError):
         gen_types(0, 2.5)
     # an unhashable factor, and True after the equal factor 1 was used
-    with pytest.raises(ValueError):
+    with pytest.raises(SettingsError):
         gen_quotas(10, [2])
     gen_quotas(10, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SettingsError):
         gen_quotas(10, True)
 
 
@@ -245,7 +246,7 @@ def test_config_validation():
         {"capacity": 10, "seed": 1, "psi_factor": True},
         {"capacity": 10, "seed": 1, "psi_factor": [2]},
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(SettingsError):
             gen_instance(SatGenConfig(**settings))
 
 

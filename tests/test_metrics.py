@@ -51,8 +51,16 @@ def test_single_student_no_quotas():
 
 
 def test_evaluate_rejects_foreign_students(example):
-    # a fractional id is no student, on a universal seat or on a reserve seat
-    for sid, seat in ((9, Seat(0, 3, 0)), (0.5, Seat(0, 3, 0)), (0.5, Seat(1, 1, 0))):
+    # a fractional id is no student, on a universal seat or on a reserve seat,
+    # and neither is a float or a bool equal to a student's id
+    for sid, seat in (
+        (9, Seat(0, 3, 0)),
+        (0.5, Seat(0, 3, 0)),
+        (0.5, Seat(1, 1, 0)),
+        (4.0, Seat(0, 3, 0)),
+        (4.0, Seat(1, 1, 0)),
+        (True, Seat(0, 3, 0)),
+    ):
         bad = Outcome("as", (sid,), Matching(frozenset({(sid, seat)})))
         with pytest.raises(ValueError, match=f"unknown student {sid}"):
             evaluate(example, bad)
