@@ -1,14 +1,18 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from reservematch import SatGenConfig, SettingsError, load_instance, serialize_instance, validate
+from reservematch import ALGORITHMS, SatGenConfig, SettingsError, load_instance, serialize_instance, validate
 from reservematch import experiment
 from reservematch.cli import main
 from reservematch.experiment import ExperimentSpec, derive_seed, emit_plot_data, run_experiment
 
 from conftest import make_example
+
+# the bytes `run --out` writes on the worked example, one file per rule
+RUN_OUT = Path(__file__).parent / "golden" / "run_out"
 
 
 @pytest.fixture
@@ -70,6 +74,13 @@ def test_run_writes_outcome_file(example_file, tmp_path, capsys):
     assert doc["selected"] == [0, 1, 2]
     assert doc["signature"] == [0, 2, 1]
     assert doc["metrics"]["p2"] == 2
+
+
+@pytest.mark.parametrize("tag", sorted(ALGORITHMS))
+def test_run_out_is_pinned(example_file, tmp_path, tag):
+    out = tmp_path / "outcome.json"
+    assert main(["run", str(example_file), "--algo", tag, "--out", str(out)]) == 0
+    assert out.read_bytes() == (RUN_OUT / f"{tag}.json").read_bytes()
 
 
 def test_unknown_algorithm_is_usage_error(example_file):
