@@ -29,7 +29,7 @@ from .graph import (
     build_graph,
     signature,
 )
-from .metrics import MetricValues, evaluate
+from .metrics import MetricValues, OutcomeError, evaluate
 from .model import (
     Instance,
     QuotaTable,
@@ -53,6 +53,7 @@ __all__ = [
     "Matching",
     "MetricValues",
     "Outcome",
+    "OutcomeError",
     "QuotaTable",
     "RankMaximalMatcher",
     "RankSignature",

@@ -77,17 +77,18 @@ def sy2_select(instance: Instance) -> Outcome:
     """Merge both reserve ranks into one and select rank-maximally.
 
     The selected students are then re-seated on the original two-rank seats
-    with the engine, all of them pinned.  That matching realizes the same
-    total reserve fill as the merged optimum (re-seating a fixed student
-    set never loses merged seats) while reporting honest per-rank counts:
-    rank-1 seats are used as well as the selected set allows.
+    by the engine, on a graph of those students alone, so every one of them
+    is matched.  That matching realizes the same total reserve fill as the
+    merged optimum (re-seating a fixed student set never loses merged
+    seats) while reporting honest per-rank counts: rank-1 seats are used as
+    well as the selected set allows.
     """
     merged = QuotaTable(
         tuple(a + b for a, b in zip(instance.quotas.rank1, instance.quotas.rank2)),
         (0,) * instance.n_types,
     )
     chosen, _ = _greedy_scan(instance, merged)
-    return Outcome("sy2", chosen, rank_maximal_matching(build_graph(instance, set(chosen)), chosen))
+    return Outcome("sy2", chosen, rank_maximal_matching(build_graph(instance, set(chosen))))
 
 
 def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> dict[StudentId, Seat]:
@@ -155,7 +156,7 @@ def pos_select(instance: Instance) -> Outcome:
     pool = instance.acceptable
     target = min(instance.capacity, len(pool))
     chosen = pool[:target]
-    return Outcome("pos", chosen, rank_maximal_matching(build_graph(instance, set(chosen)), chosen))
+    return Outcome("pos", chosen, rank_maximal_matching(build_graph(instance, set(chosen))))
 
 
 ALGORITHMS: dict[str, Callable[[Instance], Outcome]] = {

@@ -39,15 +39,22 @@ class MetricValues:
         return getattr(self, metric)
 
 
+class OutcomeError(ValueError):
+    """An outcome that is not a valid seating of its instance."""
+
+
 def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     """Metric values of an outcome produced on this instance.
 
-    Raises ``ValueError`` when the outcome is not a valid seating: more
-    students than the capacity, unknown students (any id that is not an
-    ``int``, too) or seats, a student or seat used twice, a reserved seat
-    whose type the student does not hold, a student below the acceptability
-    cutoff, or selected students that differ from the matched ones or list
-    a student twice.
+    This is the one check of an outcome's validity.  It raises
+    :class:`OutcomeError` when the outcome is not a valid seating: more
+    students than the capacity, unknown students (any id, matched or
+    selected, that is not an ``int``, too) or seats, a student or seat used
+    twice, a reserved seat whose type the student does not hold, a student
+    below the acceptability cutoff, or selected students that differ from
+    the matched ones or list a student twice.  How many students a rule
+    must select is the rule's property, not the seating's, and is not
+    checked.
     """
     students = instance.students
     n = len(students)
@@ -56,7 +63,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     n_types = len(rank1)
     position = instance._rank_of
     if len(outcome.matching) > capacity:
-        raise ValueError(f"outcome seats {len(outcome.matching)} students at capacity {capacity}")
+        raise OutcomeError(f"outcome seats {len(outcome.matching)} students at capacity {capacity}")
     p1 = 0
     p2 = 0
     matched = set()
@@ -64,40 +71,42 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     for sid, seat in outcome.matching.pairs:
         # 4.0 and True hash like students 4 and 1, but no id is a float or a bool
         if type(sid) is not int or sid not in position:
-            raise ValueError(f"outcome references unknown student {sid}")
+            raise OutcomeError(f"outcome references unknown student {sid}")
         if sid in matched:
-            raise ValueError(f"student {sid} is matched twice")
+            raise OutcomeError(f"student {sid} is matched twice")
         if seat in taken:
-            raise ValueError(f"seat {seat.label()} is used twice")
+            raise OutcomeError(f"seat {seat.label()} is used twice")
         matched.add(sid)
         taken.add(seat)
         t, rank, index = seat
         if t == UNIVERSAL_TYPE:
             if rank != 3 or not 0 <= index < capacity:
-                raise ValueError(f"invalid universal seat {seat}")
+                raise OutcomeError(f"invalid universal seat {seat}")
         else:
             if not 1 <= t < n_types or rank not in (1, 2):
-                raise ValueError(f"outcome references unknown seat {seat}")
+                raise OutcomeError(f"outcome references unknown seat {seat}")
             # a non-integer index would be one more seat in a full pool
             if not isinstance(index, int) or not 0 <= index < (rank1[t] if rank == 1 else rank2[t]):
-                raise ValueError(f"seat index out of range: {seat}")
+                raise OutcomeError(f"seat index out of range: {seat}")
             if t not in students[sid].types:
-                raise ValueError(f"student {sid} does not hold the type of seat {seat.label()}")
+                raise OutcomeError(f"student {sid} does not hold the type of seat {seat.label()}")
             if rank == 1:
                 p1 += 1
             p2 += 1
-    if matched != set(outcome.selected):
-        raise ValueError("selected students and matched students disagree")
-    if len(outcome.selected) != len(matched):
-        raise ValueError(f"outcome selects {len(outcome.selected)} entries for {len(matched)} matched students")
+    selected = outcome.selected
+    if matched != set(selected):
+        raise OutcomeError("selected students and matched students disagree")
+    if len(selected) != len(matched):
+        raise OutcomeError(f"outcome selects {len(selected)} entries for {len(matched)} matched students")
     cut = instance.acceptable_count
-    if cut is not None:
-        for sid in outcome.selected:
-            if position[sid] >= cut:
-                raise ValueError(f"student {sid} is below the acceptability cutoff {cut}")
+    for sid in selected:
+        if type(sid) is not int:
+            raise OutcomeError(f"outcome references unknown student {sid}")
+        if cut is not None and position[sid] >= cut:
+            raise OutcomeError(f"student {sid} is below the acceptability cutoff {cut}")
 
-    if outcome.selected:
-        pcts = [100.0 * (n - position[sid]) / n for sid in outcome.selected]
+    if selected:
+        pcts = [100.0 * (n - position[sid]) / n for sid in selected]
         p3 = sum(pcts) / len(pcts)
         p3_min, p3_max = min(pcts), max(pcts)
     else:

@@ -23,17 +23,17 @@ search.
 Pinning a student whose class has a matched unpinned unit only raises the
 class's lower bound.  Otherwise the class must gain a unit at zero cost.
 Potentials computed once after construction give every residual arc a
-non-negative reduced cost; when every student is pinned, no search can run
-and none are computed.  The difference between the current optimal
-flow and an optimal flow that also covers the student is a circulation of
-zero cost, so it splits into residual cycles of zero cost, made only of
-arcs of zero reduced cost, and one of them enters the class from S.  One
-search over those arcs for a cycle S -> class ~> S is therefore exact, and
-pushing a unit around it keeps the potentials valid.  Every search walks a
-table of the arcs of zero reduced cost.  A stage of construction patches
-its table from the arc lists, since only the arcs to and from T differ
-between stages; after construction it is built once, for all the pins that
-follow.
+non-negative reduced cost; when every student is matched, every pin takes
+a matched unit, so no search can run and none are computed.  The
+difference between the current optimal flow and an optimal flow that also
+covers the student is a circulation of zero cost, so it splits into
+residual cycles of zero cost, made only of arcs of zero reduced cost, and
+one of them enters the class from S.  One search over those arcs for a
+cycle S -> class ~> S is therefore exact, and pushing a unit around it
+keeps the potentials valid.  Every search walks a table of the arcs of zero
+reduced cost.  A stage of construction patches its table from the arc
+lists, since only the arcs to and from T differ between stages; after
+construction it is built once, for all the pins that follow.
 
 A class whose search fails (or whose potential differs from that of S) is
 rejected from then on in O(1).  Pins only add lower bounds, so the set of
@@ -136,8 +136,8 @@ class RankMaximalMatcher:
         for c, members in enumerate(self._members):
             self._res[2 * c] += len(members) - pins[c]  # the ceiling rises to the class size
         self._route(self.target_size - n_forced, pinned=False)
-        # with every student pinned, try_force never searches
-        if n_forced < len(students):
+        # with every student matched, try_force never searches
+        if self.target_size < len(students):
             self._potential = self._potentials()
             self._admit(self._potential)
 

@@ -6,6 +6,7 @@ import pytest
 from reservematch import (
     ALGORITHMS,
     Instance,
+    OutcomeError,
     QuotaTable,
     RankSignature,
     Seat,
@@ -127,6 +128,13 @@ def test_acceptability_cutoff_restricts_selection(example):
         out = run_algorithm(tag, cut)
         assert set(out.selected) == {0, 1}, tag
         check_outcome(cut, out)
+
+
+def test_check_outcome_rejects_a_student_matched_twice(example):
+    # the right number of the right students, but student 0 holds two seats
+    pairs = {(0, Seat(0, 3, 0)), (0, Seat(0, 3, 1)), (1, Seat(4, 2, 0))}
+    with pytest.raises(OutcomeError, match="matched twice"):
+        check_outcome(replace(example, acceptable_count=2), Outcome("as", (0, 1), Matching(frozenset(pairs))))
 
 
 def test_unknown_tag_rejected(example):

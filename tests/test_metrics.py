@@ -6,6 +6,7 @@ import pytest
 from reservematch import (
     ALGORITHMS,
     Instance,
+    OutcomeError,
     QuotaTable,
     Seat,
     Student,
@@ -52,49 +53,52 @@ def test_single_student_no_quotas():
 
 def test_evaluate_rejects_foreign_students(example):
     # a fractional id is no student, on a universal seat or on a reserve seat,
-    # and neither is a float or a bool equal to a student's id
-    for sid, seat in (
-        (9, Seat(0, 3, 0)),
-        (0.5, Seat(0, 3, 0)),
-        (0.5, Seat(1, 1, 0)),
-        (4.0, Seat(0, 3, 0)),
-        (4.0, Seat(1, 1, 0)),
-        (True, Seat(0, 3, 0)),
+    # and neither is a float or a bool equal to a student's id, whether it is
+    # matched or only selected
+    for sid, matched, seat in (
+        (9, 9, Seat(0, 3, 0)),
+        (0.5, 0.5, Seat(0, 3, 0)),
+        (0.5, 0.5, Seat(1, 1, 0)),
+        (4.0, 4.0, Seat(0, 3, 0)),
+        (4.0, 4.0, Seat(1, 1, 0)),
+        (True, True, Seat(0, 3, 0)),
+        (4.0, 4, Seat(0, 3, 0)),
+        (True, 1, Seat(0, 3, 0)),
     ):
-        bad = Outcome("as", (sid,), Matching(frozenset({(sid, seat)})))
-        with pytest.raises(ValueError, match=f"unknown student {sid}"):
+        bad = Outcome("as", (sid,), Matching(frozenset({(matched, seat)})))
+        with pytest.raises(OutcomeError, match=f"unknown student {sid}"):
             evaluate(example, bad)
 
 
 def test_evaluate_rejects_unknown_seats(example):
     bad = Outcome("as", (1,), Matching(frozenset({(1, Seat(7, 1, 0))})))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutcomeError, match="unknown seat"):
         evaluate(example, bad)
     overflow = Outcome("as", (4,), Matching(frozenset({(4, Seat(1, 1, 5))})))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutcomeError, match="out of range"):
         evaluate(example, overflow)
     # index 0.5 is no seat, so type 1's one rank-1 seat would hold two students
     between = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0.5))})))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(OutcomeError, match="out of range"):
         evaluate(example, between)
     # student 0 holds no types, so it may not take a type-1 reserve
     ineligible = Outcome("as", (0,), Matching(frozenset({(0, Seat(1, 1, 0))})))
-    with pytest.raises(ValueError, match="does not hold"):
+    with pytest.raises(OutcomeError, match="does not hold"):
         evaluate(example, ineligible)
     double = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0))})))
-    with pytest.raises(ValueError, match="used twice"):
+    with pytest.raises(OutcomeError, match="used twice"):
         evaluate(example, double)
     # four valid seats, but the capacity is three
     seats = {(0, Seat(0, 3, 0)), (1, Seat(4, 2, 0)), (3, Seat(2, 1, 0)), (4, Seat(1, 1, 0))}
     crowded = Outcome("as", (0, 1, 3, 4), Matching(frozenset(seats)))
-    with pytest.raises(ValueError, match="capacity"):
+    with pytest.raises(OutcomeError, match="capacity"):
         evaluate(example, crowded)
     late = Outcome("as", (5,), Matching(frozenset({(5, Seat(2, 1, 0))})))
-    with pytest.raises(ValueError, match="cutoff"):
+    with pytest.raises(OutcomeError, match="cutoff"):
         evaluate(replace(example, acceptable_count=2), late)
     # student 0 listed twice among the selected would weight p3 twice
     repeated = Outcome("as", (0, 0, 1), Matching(frozenset({(0, Seat(0, 3, 0)), (1, Seat(4, 2, 0))})))
-    with pytest.raises(ValueError, match="entries"):
+    with pytest.raises(OutcomeError, match="entries"):
         evaluate(example, repeated)
 
 
