@@ -44,17 +44,15 @@ class OutcomeError(ValueError):
 
 
 def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
-    """Metric values of an outcome produced on this instance.
+    """Metric values of an outcome produced on this instance, and the one
+    check that the outcome is a valid seating.
 
-    This is the one check of an outcome's validity.  It raises
-    :class:`OutcomeError` when the outcome is not a valid seating: more
-    students than the capacity, unknown students (any id, matched or
-    selected, that is not an ``int``, too) or seats, a student or seat used
-    twice, a reserved seat whose type the student does not hold, a student
-    below the acceptability cutoff, or selected students that differ from
-    the matched ones or list a student twice.  How many students a rule
-    must select is the rule's property, not the seating's, and is not
-    checked.
+    Raises :class:`OutcomeError` when it is not: more students than the
+    capacity, unknown students (any id, matched or selected, that is not an
+    ``int``, too) or seats, a student or seat used twice, a reserved seat
+    whose type the student does not hold, a student below the acceptability
+    cutoff, or selected students that differ from the matched ones or list
+    a student twice.  How many students a rule must select is not checked.
     """
     students = instance.students
     n = len(students)
