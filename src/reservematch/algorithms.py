@@ -103,9 +103,12 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> dict[Student
     students = instance.students
     seat_of: dict[StudentId, Seat] = {}
 
+    n_types = instance.n_types
     for rank, quota in ((1, instance.quotas.rank1), (2, instance.quotas.rank2)):
         used = [0] * len(quota)
-        rows = [seat_row(t, rank, min(q, target)) for t, q in enumerate(quota)]
+        rows = []
+        for t, q in enumerate(quota):
+            rows.append(seat_row(t, rank, min(q, target)))
         open_seats = sum(quota)
         closed: set[frozenset[int]] = set()  # type sets with no open seat; seats only fill
         for sid in pool:
@@ -114,11 +117,13 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> dict[Student
             types = students[sid].types
             if sid in seat_of or types in closed:
                 continue
-            open_types = [t for t in types if used[t] < quota[t]]
-            if not open_types:
+            t = n_types  # the lowest held type with an open seat, if below n_types
+            for u in types:
+                if u < t and used[u] < quota[u]:
+                    t = u
+            if t == n_types:
                 closed.add(types)
                 continue
-            t = min(open_types)
             seat_of[sid] = rows[t][used[t]]
             used[t] += 1
             open_seats -= 1

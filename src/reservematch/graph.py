@@ -143,7 +143,10 @@ def build_graph(
 
     by_adj: dict[tuple[int, ...], list[int]] = {}
     for types, positions in by_types.items():
-        eligible = sorted([p for t in types for p in pools_of_type.get(t, ())])
+        eligible: list[int] = []
+        for t in types:
+            eligible += pools_of_type.get(t, ())
+        eligible.sort()
         by_adj.setdefault((*eligible, universal), []).extend(positions)
     classes = tuple((adj, tuple(sorted(positions))) for adj, positions in by_adj.items())
     return ReservationGraph(members, instance.capacity, tuple(pools), classes)

@@ -49,8 +49,9 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
 
     Raises :class:`OutcomeError` when it is not: more students than the
     capacity, unknown students (any id, matched or selected, that is not an
-    ``int``, too) or seats, a student or seat used twice, a reserved seat
-    whose type the student does not hold, a student below the acceptability
+    ``int``, too) or seats (a seat index that is not an ``int``, universal
+    or reserved, too), a student or seat used twice, a reserved seat whose
+    type the student does not hold, a student below the acceptability
     cutoff, or selected students that differ from the matched ones or list
     a student twice.  How many students a rule must select is not checked.
     """
@@ -78,7 +79,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
         taken.add(seat)
         t, rank, index = seat
         if t == UNIVERSAL_TYPE:
-            if rank != 3 or not 0 <= index < capacity:
+            if rank != 3 or not isinstance(index, int) or not 0 <= index < capacity:
                 raise OutcomeError(f"invalid universal seat {seat}")
         else:
             if not 1 <= t < n_types or rank not in (1, 2):

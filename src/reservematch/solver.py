@@ -44,8 +44,8 @@ no state, so skipping it leaves every flow and matching as it was.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .graph import Matching, ReservationGraph, Seat, seat_row
 from .model import StudentId
@@ -145,7 +145,14 @@ class RankMaximalMatcher:
         """Keep, per node, the arcs of zero reduced cost under ``pi``: the
         only arcs a search may take until the potentials change."""
         head, cost = self._head, self._cost
-        self._table = [[e for e in arcs if cost[e] + pi[u] == pi[head[e]]] for u, arcs in enumerate(self._out)]
+        table: list[list[int]] = []
+        for u, arcs in enumerate(self._out):
+            row: list[int] = []
+            for e in arcs:
+                if cost[e] + pi[u] == pi[head[e]]:
+                    row.append(e)
+            table.append(row)
+        self._table = table
 
     def _stage_table(self, weight: int) -> None:
         """The admissible table of a construction stage, patched from
@@ -195,7 +202,10 @@ class RankMaximalMatcher:
         for weight in self._rank_weight[:2]:
             if not amount:
                 break
-            free = sum(res[e] for e in range(2 * k, 2 * self._source, 2) if cost[e] == weight)  # pool -> T
+            free = 0
+            for e in range(2 * k, 2 * self._source, 2):  # pool -> T
+                if cost[e] == weight:
+                    free += res[e]
             if not free:
                 continue
             self._stage_table(weight)
@@ -228,7 +238,9 @@ class RankMaximalMatcher:
     def _push(self, start: int, goal: int, limit: int, seen: set[int]) -> int:
         """Push up to ``limit`` units from ``start`` to ``goal`` along one
         path of the admissible table, depth first around the nodes in
-        ``seen``, which gains the dead ends; returns the units pushed."""
+        ``seen``, which gains the dead ends; returns the units pushed.  One
+        loop over the path finds its bottleneck and takes its nodes back out
+        of ``seen``, so a search builds no temporary list."""
         res, head, table = self._res, self._head, self._table
         seen.add(start)
         path: list[int] = []  # arcs from start to the node on top
@@ -245,10 +257,13 @@ class RankMaximalMatcher:
                 continue
             path.append(e)
             if v == goal:
-                units = min(limit, *[res[a] for a in path])
-                self._augment(path, units)
+                units = limit
                 seen.discard(start)
-                seen.difference_update([head[a] for a in path])
+                for a in path:
+                    if res[a] < units:
+                        units = res[a]
+                    seen.discard(head[a])
+                self._augment(path, units)
                 return units
             seen.add(v)
             arcs.append(iter(table[v]))
@@ -270,11 +285,26 @@ class RankMaximalMatcher:
                         changed = True
         return dist
 
-    def _chosen(self, c: int) -> list[int]:
-        """Matched members of class ``c``, in priority order."""
-        extra = self._res[2 * c + 1]
-        unpinned = [i for i in self._members[c] if not self._pinned[i]]
-        return sorted([i for i in self._members[c] if self._pinned[i]] + unpinned[:extra])
+    def _chosen(self, c: int) -> Sequence[int]:
+        """Matched members of class ``c``, in priority order: its pinned
+        members and its ``extra`` highest-priority unpinned ones.  Its size
+        less the residuals of its arcs from and to S counts its pins, so a
+        class with none takes a slice of its members, one with no matched
+        unpinned unit a filter, and any other one pass."""
+        res, members, pinned = self._res, self._members[c], self._pinned
+        extra = res[2 * c + 1]
+        if len(members) == res[2 * c] + extra:  # no pins
+            return members[:extra]
+        if not extra:
+            return list(filter(pinned.__getitem__, members))
+        chosen: list[int] = []
+        for i in members:
+            if pinned[i]:
+                chosen.append(i)
+            elif extra:
+                chosen.append(i)
+                extra -= 1
+        return chosen
 
     def matched_students(self) -> tuple[StudentId, ...]:
         matched = sorted(i for c in range(len(self._members)) for i in self._chosen(c))
@@ -282,21 +312,23 @@ class RankMaximalMatcher:
 
     def matching(self) -> Matching:
         """Materialize seat-level pairs: each class fills its pools in pool
-        order, and seats within a pool are indexed in priority order.  The
-        seats come from :func:`~reservematch.graph.seat_row`, shared by
-        every matching."""
+        order, a slice of its matched members per pool, and seats within a
+        pool are indexed in priority order.  The seats come from
+        :func:`~reservematch.graph.seat_row`, shared by every matching."""
+        res, class_arc = self._res, self._class_arc
         seated: list[list[int]] = [[] for _ in self._graph.pools]
         for c, adj in enumerate(self._adj):
-            chosen = iter(self._chosen(c))
-            loads = self._res[self._class_arc[c] + 1 : self._class_arc[c + 1] : 2]
-            for p, load in zip(adj, loads):
-                seated[p].extend(islice(chosen, load))
-        students = self._graph.students
+            chosen = self._chosen(c)
+            start = 0
+            for p, load in zip(adj, res[class_arc[c] + 1 : class_arc[c + 1] : 2]):
+                seated[p] += chosen[start : start + load]
+                start += load
+        student_at = self._graph.students.__getitem__
         pairs: list[tuple[StudentId, Seat]] = []
         for pool, row in zip(self._graph.pools, seated):
             row.sort()
             seats = seat_row(pool.type, pool.rank, min(pool.capacity, self.target_size))
-            pairs.extend(zip([students[i] for i in row], seats))
+            pairs.extend(zip(map(student_at, row), seats))
         return Matching(frozenset(pairs))
 
     def try_force(self, sid: StudentId) -> bool:

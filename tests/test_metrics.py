@@ -81,6 +81,11 @@ def test_evaluate_rejects_unknown_seats(example):
     between = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0.5))})))
     with pytest.raises(OutcomeError, match="out of range"):
         evaluate(example, between)
+    # nor is a non-integer index a universal seat, even an integral float
+    for index in (0.5, 2.0):
+        floating = Outcome("as", (0,), Matching(frozenset({(0, Seat(0, 3, index))})))
+        with pytest.raises(OutcomeError, match="invalid universal seat"):
+            evaluate(example, floating)
     # student 0 holds no types, so it may not take a type-1 reserve
     ineligible = Outcome("as", (0,), Matching(frozenset({(0, Seat(1, 1, 0))})))
     with pytest.raises(OutcomeError, match="does not hold"):

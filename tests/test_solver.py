@@ -3,9 +3,12 @@ import random
 import pytest
 
 from reservematch import (
+    Instance,
+    QuotaTable,
     RankSignature,
     SatGenConfig,
     Seat,
+    Student,
     build_graph,
     gen_instance,
     rank_maximal_matching,
@@ -151,8 +154,6 @@ def test_try_force_agrees_with_naive_compatibility():
 def high_reserve_instance(rnd: random.Random):
     """Sparse membership, reserves well above the cap: stresses the
     reconfiguration chains (free-slot entry repaid elsewhere)."""
-    from reservematch import Instance, QuotaTable, Student
-
     n = rnd.randint(2, 8)
     m = rnd.randint(1, 3)
     cap = rnd.randint(1, 3)
@@ -236,3 +237,37 @@ def test_try_force_with_everyone_pinned_accepts(example):
         assert all(matcher.try_force(sid) for sid in chosen)
         assert matcher.matching() == before
         assert matcher.matched_students() == g.students
+
+
+@pytest.mark.parametrize(
+    "forced, matched",
+    [
+        ((), (4, 2, 0, 5)),  # no pins: the top four by priority
+        ((0, 5, 1, 3), (0, 5, 1, 3)),  # every matched unit pinned
+        ((3,), (4, 2, 0, 3)),  # the last member pinned, then the top three
+    ],
+)
+def test_a_class_matches_its_pins_then_its_top_members(forced, matched):
+    # one class of six students holding type 1, whose two rank-1 seats come
+    # before the universal ones; the cap of four leaves two unmatched
+    inst = Instance(
+        students=tuple(Student(i, frozenset({1})) for i in range(6)),
+        priority=(4, 2, 0, 5, 1, 3),
+        capacity=4,
+        quotas=QuotaTable((0, 2), (0, 0)),
+    )
+    g = build_graph(inst)
+    assert len(g.classes) == 1
+    matchers = [RankMaximalMatcher(g, forced)]
+    if len(forced) == 1:  # the scan's way to the same pin
+        matchers.append(RankMaximalMatcher(g))
+        assert matchers[1].try_force(forced[0])
+    for matcher in matchers:
+        assert matcher.matched_students() == matched
+        # the class fills the rank-1 pool first; each pool seats by priority
+        assert matcher.matching().pairs == {
+            (matched[0], Seat(1, 1, 0)),
+            (matched[1], Seat(1, 1, 1)),
+            (matched[2], Seat(0, 3, 0)),
+            (matched[3], Seat(0, 3, 1)),
+        }

@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and every
-local a package function assigns is read somewhere in that function.
+"""Every name a module imports is read somewhere in that module, every
+local a package function assigns is read somewhere in that function, and
+the engine modules build no comprehension inside a loop.
 
 A standard-library ``ast`` scan, so the suite needs no linter.  Names listed
 in a module's ``__all__`` count as read (the package root re-exports), and
@@ -16,6 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "reservematch").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+LOOPS = (ast.For, ast.AsyncFor, ast.While)
+# the modules every pool runs through, per augmenting path, student and class
+POOL_PATH = [ROOT / "src" / "reservematch" / name for name in ("solver.py", "algorithms.py", "graph.py")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,3 +105,68 @@ def test_scan_flags_an_unread_local_only():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_function_reads_every_local(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def looped_comprehensions(source: str) -> list[str]:
+    """Comprehensions and generator expressions of ``source`` that run once
+    per pass of a loop: in the body or condition of a ``for`` or ``while``,
+    or in the part of another comprehension that runs per element (all but
+    its first iterable).
+
+    On CPython 3.10 and 3.11 each of them is a call of a nested function,
+    with a frame of its own, every time it is evaluated; only 3.12 inlines
+    list, set and dict comprehensions (PEP 709), and never generator
+    expressions.  Inside the engine's loops that cost is paid per augmenting
+    path, student or class, so there a plain loop, a slice or a C-level call
+    such as ``map`` or ``filter`` does the work.  A function defined inside a
+    loop starts afresh: its body runs when it is called.
+    """
+    found: list[str] = []
+
+    def visit(node: ast.AST, looped: bool) -> None:
+        if isinstance(node, COMPREHENSIONS):
+            if looped:
+                found.append(f"line {node.lineno}")
+            first = node.generators[0].iter
+            visit(first, looped)
+            for child in ast.iter_child_nodes(node):
+                if child is not node.generators[0]:
+                    visit(child, True)
+            for child in ast.iter_child_nodes(node.generators[0]):
+                if child is not first:
+                    visit(child, True)
+            return
+        if isinstance(node, (*FUNCTIONS, ast.Lambda)):
+            looped = False
+        for field, value in ast.iter_fields(node):
+            inner = looped or (isinstance(node, LOOPS) and field in ("body", "test"))
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, inner)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_scan_flags_a_looped_comprehension_only():
+    source = (
+        "top = [x for x in range(3)]\n"
+        "for row in [r for r in top]:\n"
+        "    total = sum(v for v in row)\n"
+        "else:\n"
+        "    done = {k: 0 for k in top}\n"
+        "while any(x for x in top):\n"
+        "    top.pop()\n"
+        "grid = [[c for c in row] for row in (r for r in top)]\n"
+        "def f(rows):\n"
+        "    for r in rows:\n"
+        "        def g():\n"
+        "            return [x for x in r]\n"
+        "    return g\n"
+    )
+    assert looped_comprehensions(source) == ["line 3", "line 6", "line 8"]
+
+
+@pytest.mark.parametrize("path", POOL_PATH, ids=lambda p: p.name)
+def test_pool_path_builds_no_comprehension_in_a_loop(path):
+    assert looped_comprehensions(path.read_text(encoding="utf-8")) == []
