@@ -45,16 +45,12 @@ def _greedy_scan(
 ) -> tuple[tuple[StudentId, ...], RankMaximalMatcher]:
     """Scan students by priority, pinning each one whose selection keeps the
     rank signature maximal under ``quotas`` (by default the instance's),
-    until the capacity is reached."""
-    graph = build_graph(instance, quotas=quotas)
-    matcher = RankMaximalMatcher(graph)
-    chosen: list[StudentId] = []
-    for sid in instance.acceptable:
-        if len(chosen) == matcher.target_size:
-            break
-        if matcher.try_force(sid):
-            chosen.append(sid)
-    return tuple(chosen), matcher
+    until the capacity is reached.  The scan runs inside the engine
+    (:meth:`RankMaximalMatcher.select`), over the graph's positions, which
+    are the acceptable students in priority order; ``try_force`` is its
+    one-student case, and only a caller pinning by id builds the id index."""
+    matcher = RankMaximalMatcher(build_graph(instance, quotas=quotas))
+    return matcher.select(), matcher
 
 
 def a_s_select(instance: Instance) -> Outcome:
@@ -142,7 +138,7 @@ def ehyy_select(instance: Instance) -> Outcome:
     then unfilled rank-2 seats, then plain fill to capacity; ties between
     open seats go to the lowest-numbered type."""
     seat_of = _greedy_seats(instance, instance.acceptable)
-    selected = tuple(sorted(seat_of, key=instance.priority_position))
+    selected = tuple(sorted(seat_of, key=instance._rank_of.__getitem__))
     return Outcome("ehyy", selected, Matching(frozenset(seat_of.items())))
 
 

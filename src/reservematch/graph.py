@@ -119,6 +119,10 @@ def build_graph(
         members = instance.acceptable
         by_types = instance.type_groups
     else:
+        # True and 2.0 hash like students 1 and 2, but no id is a bool or a float
+        if not {int}.issuperset(map(type, subset)):
+            strays = [sid for sid in subset if type(sid) is not int]
+            raise ValueError(f"subset contains unknown students: {sorted(strays, key=repr)}")
         members = tuple([sid for sid in instance.priority if sid in subset])
         if len(members) != len(subset):
             unknown = set(subset) - set(members)

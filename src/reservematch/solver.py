@@ -40,10 +40,17 @@ rejected from then on in O(1).  Pins only add lower bounds, so the set of
 optimal flows that meet them only shrinks: if none of them gives the class
 one more unit now, none will after further pins.  A failed search changes
 no state, so skipping it leaves every flow and matching as it was.
+
+The rules' greedy scan runs inside the engine: ``select`` walks the
+graph's positions in priority order through one pin loop, and
+``try_force`` is the same loop on one student.  The map from ids to
+positions is built only when a caller pins by id, through ``forced`` or
+``try_force``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -69,7 +76,6 @@ class RankMaximalMatcher:
     def __init__(self, graph: ReservationGraph, forced: Iterable[StudentId] = ()):
         self._graph = graph
         students = graph.students
-        self._index = {sid: i for i, sid in enumerate(students)}
         self.target_size = min(graph.cap, len(students))
         b = self.target_size + 1
         self._rank_weight = (-b * b, -b, 0)
@@ -87,9 +93,7 @@ class RankMaximalMatcher:
         self._pinned = [False] * len(students)
         pins = [0] * k
         for sid in forced:
-            i = self._index.get(sid)
-            if i is None:
-                raise ValueError(f"forced student {sid} is not in the graph")
+            i = self._position(sid)
             if not self._pinned[i]:
                 self._pinned[i] = True
                 pins[self._class_of[i]] += 1
@@ -140,6 +144,19 @@ class RankMaximalMatcher:
         if self.target_size < len(students):
             self._potential = self._potentials()
             self._admit(self._potential)
+
+    @cached_property
+    def _index(self) -> dict[StudentId, int]:
+        # built only when a caller pins by id: the scan walks positions
+        return {sid: i for i, sid in enumerate(self._graph.students)}
+
+    def _position(self, sid: StudentId) -> int:
+        """Position of ``sid`` in the graph.  True and 4.0 hash like
+        students 1 and 4, but no id is a bool or a float."""
+        i = self._index.get(sid) if type(sid) is int else None
+        if i is None:
+            raise ValueError(f"forced student {sid} is not in the graph")
+        return i
 
     def _admit(self, pi: list[int]) -> None:
         """Keep, per node, the arcs of zero reduced cost under ``pi``: the
@@ -331,35 +348,54 @@ class RankMaximalMatcher:
             pairs.extend(zip(map(student_at, row), seats))
         return Matching(frozenset(pairs))
 
+    def _pin_in_order(self, positions: Iterable[int], room: int) -> list[int]:
+        """Pin each student of ``positions`` in turn whose pin preserves the
+        current rank signature, until ``room`` are chosen; an already pinned
+        student counts as chosen.  Returns the chosen positions.  A rejected
+        student leaves the flow and the matching as they were."""
+        chosen: list[int] = []
+        if not room:
+            return chosen
+        pinned, dead, class_of, res = self._pinned, self._dead, self._class_of, self._res
+        for i in positions:
+            if not pinned[i]:
+                c = class_of[i]
+                if dead[c]:
+                    continue
+                if res[2 * c + 1]:
+                    res[2 * c + 1] -= 1  # pin a matched unpinned unit
+                else:
+                    # a cycle S -> c ~> S of zero reduced cost brings c the unit to pin
+                    s, pi = self._source, self._potential
+                    if pi[s] != pi[c] or not self._push(c, s, 1, set()):
+                        dead[c] = True
+                        continue
+                    res[2 * c] -= 1
+                pinned[i] = True
+            chosen.append(i)
+            if len(chosen) == room:
+                break
+        return chosen
+
+    def select(self) -> tuple[StudentId, ...]:
+        """The greedy scan of the rules: pin the students in priority order
+        whenever the pin preserves the rank signature, until ``target_size``
+        are pinned.  Returns every pinned student, in priority order; pins
+        made earlier count, in their place."""
+        students = self._graph.students
+        chosen = self._pin_in_order(range(len(students)), self.target_size)
+        return tuple(map(students.__getitem__, chosen))
+
     def try_force(self, sid: StudentId) -> bool:
-        """Pin ``sid`` if doing so preserves the current rank signature.
+        """Pin ``sid`` if doing so preserves the current rank signature: the
+        scan of :meth:`select` on one student.
 
         Returns ``True`` and updates the matching when a signature-preserving
         matching covering all pinned students plus ``sid`` exists; otherwise
         leaves the state untouched and returns ``False``.  An id outside
         the graph raises ``ValueError``.
         """
-        try:
-            i = self._index[sid]
-        except KeyError:
-            raise ValueError(f"forced student {sid} is not in the graph") from None
-        if self._pinned[i]:
-            return True
-        c = self._class_of[i]
-        if self._dead[c]:
-            return False
-        res = self._res
-        if res[2 * c + 1]:
-            res[2 * c + 1] -= 1  # pin a matched unpinned unit
-        else:
-            # a cycle S -> c ~> S of zero reduced cost brings c the unit to pin
-            s, pi = self._source, self._potential
-            if pi[s] != pi[c] or not self._push(c, s, 1, set()):
-                self._dead[c] = True
-                return False
-            res[2 * c] -= 1
-        self._pinned[i] = True
-        return True
+        return bool(self._pin_in_order((self._position(sid),), 1))
 
 
 def rank_maximal_matching(

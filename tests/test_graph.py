@@ -44,8 +44,10 @@ def test_single_student_subset(example):
 
 
 def test_subset_must_be_known(example):
-    with pytest.raises(ValueError):
-        build_graph(example, {99})
+    # True and 2.0 hash like students 1 and 2, but no id is a bool or a float
+    for subset in ({99}, {True, 2.0}, {0, 1.0}, {3, True}):
+        with pytest.raises(ValueError, match="subset contains unknown students"):
+            build_graph(example, subset)
 
 
 def test_subset_must_not_repeat_a_student(example):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from reservematch import (
 )
 from reservematch.solver import InfeasibleForcedError, RankMaximalMatcher
 
-from conftest import make_example
+from conftest import make_example, random_instance
 from oracle import MatchingOracle, random_small_instance
 
 
@@ -210,11 +211,13 @@ def test_matcher_seats_are_well_formed(example):
 
 def test_forced_student_outside_the_graph_is_rejected(example):
     g = build_graph(example, {0, 1})
-    for forced in ([3], [0, 99]):
+    # True and 1.0 hash like student 1, but no id is a bool or a float
+    for forced in ([3], [0, 99], [True], [0, 1.0]):
         with pytest.raises(ValueError, match="not in the graph"):
             RankMaximalMatcher(g, forced)
-    with pytest.raises(ValueError, match="forced student 3 is not in the graph"):
-        RankMaximalMatcher(g).try_force(3)
+    for sid in (3, True, 1.0):
+        with pytest.raises(ValueError, match=f"forced student {sid} is not in the graph"):
+            RankMaximalMatcher(g).try_force(sid)
 
 
 def test_duplicate_forced_ids_count_once(example):
@@ -271,3 +274,46 @@ def test_a_class_matches_its_pins_then_its_top_members(forced, matched):
             (matched[2], Seat(0, 3, 0)),
             (matched[3], Seat(0, 3, 1)),
         }
+
+
+def scan_by_try_force(matcher, students) -> tuple:
+    """The rules' scan as a caller pinning by id runs it: one ``try_force``
+    per student, in priority order, until the target size is chosen."""
+    chosen = []
+    for sid in students:
+        if len(chosen) == matcher.target_size:
+            break
+        if matcher.try_force(sid):
+            chosen.append(sid)
+    return tuple(chosen)
+
+
+def test_select_equals_the_try_force_scan(example):
+    # the engine's scan over positions must choose and seat exactly like
+    # the per-student pins: on generated pools, on hand-built pools with
+    # cutoffs, up to 10 types and shuffled priorities, and after pins
+    # made at construction
+    rnd = random.Random(215)
+    cases = [
+        (gen_instance(SatGenConfig(capacity=capacity, seed=seed, psi_factor=factor)), ())
+        for capacity in (20, 60)
+        for factor in (1.0, 2.6154)
+        for seed in (7, 8)
+    ]
+    for _ in range(300):
+        inst = random_instance(rnd, max_students=30, max_types=10, max_capacity=12)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        cases.append((inst, ()))
+    late = gen_instance(SatGenConfig(capacity=20, seed=9, psi_factor=2.6154))
+    cases += [(example, (5,)), (late, late.acceptable[-3:])]
+    rejected = 0
+    for inst, forced in cases:
+        g = build_graph(inst)
+        fast, slow = RankMaximalMatcher(g, forced), RankMaximalMatcher(g, forced)
+        chosen = fast.select()
+        assert chosen == scan_by_try_force(slow, g.students)
+        assert fast.matching() == slow.matching()
+        assert set(forced) <= set(chosen)
+        rejected += chosen != g.students[: len(chosen)]
+    assert rejected > 50  # a quarter of the scans skip a student
