@@ -49,8 +49,8 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
 
     Raises :class:`OutcomeError` when it is not: more students than the
     capacity, unknown students (any id, matched or selected, that is not an
-    ``int``, too) or seats (a seat index that is not an ``int``, universal
-    or reserved, too), a student or seat used twice, a reserved seat whose
+    ``int``, too) or seats (any seat type, rank or index that is not an
+    ``int``, too), a student or seat used twice, a reserved seat whose
     type the student does not hold, a student below the acceptability
     cutoff, or selected students that differ from the matched ones or list
     a student twice.  How many students a rule must select is not checked.
@@ -78,14 +78,17 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
         matched.add(sid)
         taken.add(seat)
         t, rank, index = seat
+        # like ids, no seat field is a bool or a float: Seat(True, 1, 0) is no seat
+        if type(t) is not int or type(rank) is not int:
+            raise OutcomeError(f"outcome references unknown seat {seat}")
         if t == UNIVERSAL_TYPE:
-            if rank != 3 or not isinstance(index, int) or not 0 <= index < capacity:
+            if rank != 3 or type(index) is not int or not 0 <= index < capacity:
                 raise OutcomeError(f"invalid universal seat {seat}")
         else:
             if not 1 <= t < n_types or rank not in (1, 2):
                 raise OutcomeError(f"outcome references unknown seat {seat}")
             # a non-integer index would be one more seat in a full pool
-            if not isinstance(index, int) or not 0 <= index < (rank1[t] if rank == 1 else rank2[t]):
+            if type(index) is not int or not 0 <= index < (rank1[t] if rank == 1 else rank2[t]):
                 raise OutcomeError(f"seat index out of range: {seat}")
             if t not in students[sid].types:
                 raise OutcomeError(f"student {sid} does not hold the type of seat {seat.label()}")
@@ -93,16 +96,19 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
                 p1 += 1
             p2 += 1
     selected = outcome.selected
+    # before the set is built: an entry that cannot be hashed is no student either
+    for sid in selected:
+        if type(sid) is not int:
+            raise OutcomeError(f"outcome references unknown student {sid}")
     if matched != set(selected):
         raise OutcomeError("selected students and matched students disagree")
     if len(selected) != len(matched):
         raise OutcomeError(f"outcome selects {len(selected)} entries for {len(matched)} matched students")
     cut = instance.acceptable_count
-    for sid in selected:
-        if type(sid) is not int:
-            raise OutcomeError(f"outcome references unknown student {sid}")
-        if cut is not None and position[sid] >= cut:
-            raise OutcomeError(f"student {sid} is below the acceptability cutoff {cut}")
+    if cut is not None:
+        for sid in selected:
+            if position[sid] >= cut:
+                raise OutcomeError(f"student {sid} is below the acceptability cutoff {cut}")
 
     if selected:
         pcts = [100.0 * (n - position[sid]) / n for sid in selected]

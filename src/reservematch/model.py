@@ -90,10 +90,6 @@ class Instance:
         # Inverse priority map; the algorithms repeatedly need O(1) lookups.
         return {sid: pos for pos, sid in enumerate(self.priority)}
 
-    def priority_position(self, sid: StudentId) -> int:
-        """0-based position of a student in the priority order."""
-        return self._rank_of[sid]
-
     @cached_property
     def type_groups(self) -> dict[frozenset[TypeId], list[int]]:
         """Positions in ``acceptable`` grouped by type set, each group

@@ -31,9 +31,9 @@ residual cycles of zero cost, made only of arcs of zero reduced cost, and
 one of them enters the class from S.  One search over those arcs for a
 cycle S -> class ~> S is therefore exact, and pushing a unit around it
 keeps the potentials valid.  Every search walks a table of the arcs of zero
-reduced cost.  A stage of construction patches its table from the arc
-lists, since only the arcs to and from T differ between stages; after
-construction it is built once, for all the pins that follow.
+reduced cost, and one builder makes it: for each construction stage under
+the stage's potential, and once after construction for all the pins that
+follow.
 
 A class whose search fails (or whose potential differs from that of S) is
 rejected from then on in O(1).  Pins only add lower bounds, so the set of
@@ -160,7 +160,8 @@ class RankMaximalMatcher:
 
     def _admit(self, pi: list[int]) -> None:
         """Keep, per node, the arcs of zero reduced cost under ``pi``: the
-        only arcs a search may take until the potentials change."""
+        only arcs a search may take until the potentials change.  A
+        construction stage's ``pi`` is 0 everywhere but at T, its weight."""
         head, cost = self._head, self._cost
         table: list[list[int]] = []
         for u, arcs in enumerate(self._out):
@@ -169,21 +170,6 @@ class RankMaximalMatcher:
                 if cost[e] + pi[u] == pi[head[e]]:
                     row.append(e)
             table.append(row)
-        self._table = table
-
-    def _stage_table(self, weight: int) -> None:
-        """The admissible table of a construction stage, patched from
-        ``_out``: with only T's potential set, to ``weight``, every arc that
-        does not touch T has zero reduced cost, and a pool's arcs to and
-        from T have it exactly when the pool's weight is ``weight``.  Class
-        rows and S's row never change within a stage, so they are shared;
-        pool rows are copied, since ``_augment`` appends to both tables."""
-        out, k, t = self._out, len(self._members), self._sink
-        pool_rows = out[k : t - 1]  # each starts with the pool's arc to T
-        admitted = [self._cost[row[0]] == weight for row in pool_rows]
-        table = out[:k]
-        table += [row[:] if ok else row[1:] for row, ok in zip(pool_rows, admitted)]
-        table += [out[t - 1], [e for e, ok in zip(out[t], admitted) if ok]]
         self._table = table
 
     def _augment(self, path: list[int], units: int) -> None:
@@ -208,9 +194,11 @@ class RankMaximalMatcher:
         pool directly, highest-priority students first.
 
         A stage's paths have zero reduced cost when only T has a potential,
-        the weight, and each ends on the arc to T of a pool of that weight.
-        So the stage is over once those pools' free seats are taken: it runs
-        no search then, and none at all when it starts with none free.
+        the weight: every arc that does not touch T, and a pool's arcs to
+        and from T when the pool has that weight.  So each path ends on the
+        arc to T of such a pool, and the stage is over once their free seats
+        are taken: it runs no search then, and none at all when it starts
+        with none free.
         Dead ends stay closed for the rest of a round of searches; a round
         that finds nothing ends the stage too.
         """
@@ -225,7 +213,7 @@ class RankMaximalMatcher:
                     free += res[e]
             if not free:
                 continue
-            self._stage_table(weight)
+            self._admit([0] * self._sink + [weight])
             pushed = amount
             while amount and free and pushed:
                 seen: set[int] = set()

@@ -243,7 +243,7 @@ def naive_ehyy(inst):
     for sid in pool:
         if sid not in seat_of and len(seat_of) < target:
             seat_of[sid] = Seat(0, 3, sum(seat.rank == 3 for seat in seat_of.values()))
-    selected = tuple(sorted(seat_of, key=inst.priority_position))
+    selected = tuple(sorted(seat_of, key=inst._rank_of.__getitem__))
     return Outcome("ehyy", selected, Matching(frozenset(seat_of.items())))
 
 

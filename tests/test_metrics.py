@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -54,7 +55,7 @@ def test_single_student_no_quotas():
 def test_evaluate_rejects_foreign_students(example):
     # a fractional id is no student, on a universal seat or on a reserve seat,
     # and neither is a float or a bool equal to a student's id, whether it is
-    # matched or only selected
+    # matched or only selected, nor a selected entry that cannot be hashed
     for sid, matched, seat in (
         (9, 9, Seat(0, 3, 0)),
         (0.5, 0.5, Seat(0, 3, 0)),
@@ -64,9 +65,10 @@ def test_evaluate_rejects_foreign_students(example):
         (True, True, Seat(0, 3, 0)),
         (4.0, 4, Seat(0, 3, 0)),
         (True, 1, Seat(0, 3, 0)),
+        ([1], 1, Seat(0, 3, 0)),
     ):
         bad = Outcome("as", (sid,), Matching(frozenset({(matched, seat)})))
-        with pytest.raises(OutcomeError, match=f"unknown student {sid}"):
+        with pytest.raises(OutcomeError, match=re.escape(f"unknown student {sid}")):
             evaluate(example, bad)
 
 
@@ -74,15 +76,28 @@ def test_evaluate_rejects_unknown_seats(example):
     bad = Outcome("as", (1,), Matching(frozenset({(1, Seat(7, 1, 0))})))
     with pytest.raises(OutcomeError, match="unknown seat"):
         evaluate(example, bad)
-    overflow = Outcome("as", (4,), Matching(frozenset({(4, Seat(1, 1, 5))})))
-    with pytest.raises(OutcomeError, match="out of range"):
-        evaluate(example, overflow)
+    # a seat type or rank that is a float or a bool is no seat, even where it
+    # equals one: student 4 holds type 1, and student 0 may take a universal seat
+    for sid, seat in (
+        (4, Seat(1.0, 1, 0)),
+        (4, Seat(True, 1, 0)),
+        (4, Seat(1, 1.0, 0)),
+        (4, Seat(1, True, 0)),
+        (0, Seat(False, 3, 0)),
+        (0, Seat(0, 3.0, 0)),
+    ):
+        with pytest.raises(OutcomeError, match="unknown seat"):
+            evaluate(example, Outcome("as", (sid,), Matching(frozenset({(sid, seat)}))))
+    for index in (5, False):
+        overflow = Outcome("as", (4,), Matching(frozenset({(4, Seat(1, 1, index))})))
+        with pytest.raises(OutcomeError, match="out of range"):
+            evaluate(example, overflow)
     # index 0.5 is no seat, so type 1's one rank-1 seat would hold two students
     between = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0.5))})))
     with pytest.raises(OutcomeError, match="out of range"):
         evaluate(example, between)
-    # nor is a non-integer index a universal seat, even an integral float
-    for index in (0.5, 2.0):
+    # nor is a non-integer index a universal seat, even an integral float or a bool
+    for index in (0.5, 2.0, True):
         floating = Outcome("as", (0,), Matching(frozenset({(0, Seat(0, 3, index))})))
         with pytest.raises(OutcomeError, match="invalid universal seat"):
             evaluate(example, floating)

@@ -91,11 +91,13 @@ def test_negative_quota_reported(example):
 
 
 def test_priority_round_trip():
+    # _rank_of, which evaluate and ehyy read, inverts the priority order
     rnd = random.Random(5)
     for _ in range(30):
         inst = random_instance(rnd)
+        assert len(inst._rank_of) == inst.n_students
         for pos in range(inst.n_students):
-            assert inst.priority_position(inst.priority[pos]) == pos
+            assert inst._rank_of[inst.priority[pos]] == pos
 
 
 def test_acceptable_cutoff():

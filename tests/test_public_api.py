@@ -4,6 +4,7 @@ from pathlib import Path
 import reservematch
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(reservematch.__file__).parent
 
 # Names the benchmark under perfbench/ imports from the package root.
 BENCHMARK_NAMES = (
@@ -45,10 +46,30 @@ def used_names(path: Path) -> set[str]:
     return names
 
 
-def test_every_exported_name_has_a_caller():
-    # the package's own re-exports are not callers
-    package = Path(reservematch.__file__).parent
-    modules = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+def caller_names() -> set[str]:
+    """Names used by the package's modules and the benchmark; the package's
+    own re-exports are not callers."""
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     modules += (ROOT / "perfbench").glob("*.py")
-    used = set().union(*map(used_names, modules))
-    assert sorted(set(reservematch.__all__) - used) == []
+    return set().union(*map(used_names, modules))
+
+
+def test_every_exported_name_has_a_caller():
+    assert sorted(set(reservematch.__all__) - caller_names()) == []
+
+
+def public_methods(path: Path) -> set[str]:
+    """Public methods and properties defined in the classes of a module."""
+    return {
+        item.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def test_every_public_method_has_a_caller():
+    # a method only tests call is dead weight in the library
+    methods = set().union(*map(public_methods, PACKAGE.glob("*.py")))
+    assert sorted(methods - caller_names()) == []
