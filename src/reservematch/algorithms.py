@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable, Sequence
 
-from .graph import Matching, Seat, build_graph, seat_row, signature
-from .model import Instance, QuotaTable, StudentId, UNIVERSAL_TYPE
+from .graph import Matching, build_graph, signature
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE
 from .solver import RankMaximalMatcher, rank_maximal_matching
 
 
@@ -87,31 +88,34 @@ def sy2_select(instance: Instance) -> Outcome:
     return Outcome("sy2", chosen, rank_maximal_matching(build_graph(instance, set(chosen))))
 
 
-def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> dict[StudentId, Seat]:
+def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[StudentId, ...], Matching]:
     """Seat up to ``min(capacity, len(pool))`` students of ``pool`` in three
     passes down it: unfilled rank-1 seats, then unfilled rank-2 seats, then
-    universal seats.
+    universal seats.  Returns the seated students, in ``pool`` order, and
+    their seat rows, one for each pool that seats a student.
 
     A student eligible for several open seats takes the lowest-numbered
     type.  A reserve pass ends once its seats are full.
     """
     target = min(instance.capacity, len(pool))
     students = instance.students
-    seat_of: dict[StudentId, Seat] = {}
+    seated = [False] * len(pool)
+    count = 0
+    rows: dict[tuple[TypeId, int], list[StudentId]] = {}
 
     n_types = instance.n_types
     for rank, quota in ((1, instance.quotas.rank1), (2, instance.quotas.rank2)):
         used = [0] * len(quota)
-        rows = []
-        for t, q in enumerate(quota):
-            rows.append(seat_row(t, rank, min(q, target)))
+        taken: list[list[StudentId]] = []  # per type, its seats' students in seat order
+        for _ in quota:
+            taken.append([])
         open_seats = sum(quota)
         closed: set[frozenset[int]] = set()  # type sets with no open seat; seats only fill
-        for sid in pool:
-            if len(seat_of) == target or not open_seats:
+        for i, sid in enumerate(pool):
+            if count == target or not open_seats:
                 break
             types = students[sid].types
-            if sid in seat_of or types in closed:
+            if seated[i] or types in closed:
                 continue
             t = n_types  # the lowest held type with an open seat, if below n_types
             for u in types:
@@ -120,26 +124,33 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> dict[Student
             if t == n_types:
                 closed.add(types)
                 continue
-            seat_of[sid] = rows[t][used[t]]
+            taken[t].append(sid)
+            seated[i] = True
+            count += 1
             used[t] += 1
             open_seats -= 1
+        for t, row in enumerate(taken):
+            if row:
+                rows[t, rank] = row
 
-    universal = iter(seat_row(UNIVERSAL_TYPE, 3, target))
-    for sid in pool:
-        if len(seat_of) == target:
+    universal: list[StudentId] = []
+    for i, sid in enumerate(pool):
+        if count == target:
             break
-        if sid not in seat_of:
-            seat_of[sid] = next(universal)
-    return seat_of
+        if not seated[i]:
+            universal.append(sid)
+            seated[i] = True
+            count += 1
+    if universal:
+        rows[UNIVERSAL_TYPE, 3] = universal
+    return tuple(compress(pool, seated)), Matching(rows=rows)
 
 
 def ehyy_select(instance: Instance) -> Outcome:
     """Three greedy passes down the priority list: unfilled rank-1 seats,
     then unfilled rank-2 seats, then plain fill to capacity; ties between
     open seats go to the lowest-numbered type."""
-    seat_of = _greedy_seats(instance, instance.acceptable)
-    selected = tuple(sorted(seat_of, key=instance._rank_of.__getitem__))
-    return Outcome("ehyy", selected, Matching(frozenset(seat_of.items())))
+    return Outcome("ehyy", *_greedy_seats(instance, instance.acceptable))
 
 
 def pog_select(instance: Instance) -> Outcome:
@@ -149,15 +160,13 @@ def pog_select(instance: Instance) -> Outcome:
     seat."""
     pool = instance.acceptable
     prefix = pool[: min(instance.capacity, len(pool))]
-    return Outcome("pog", prefix, Matching(frozenset(_greedy_seats(instance, prefix).items())))
+    return Outcome("pog", *_greedy_seats(instance, prefix))
 
 
 def pos_select(instance: Instance) -> Outcome:
     """Same students as ``pog``, but re-seated rank-maximally."""
-    pool = instance.acceptable
-    target = min(instance.capacity, len(pool))
-    chosen = pool[:target]
-    return Outcome("pos", chosen, rank_maximal_matching(build_graph(instance, set(chosen))))
+    graph = build_graph(instance, prefix=min(instance.capacity, len(instance.acceptable)))
+    return Outcome("pos", graph.students, rank_maximal_matching(graph))
 
 
 ALGORITHMS: dict[str, Callable[[Instance], Outcome]] = {

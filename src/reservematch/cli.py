@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     except SettingsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

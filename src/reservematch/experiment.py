@@ -224,11 +224,48 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
     return {"per_instance": per_instance, "ratios": ratio_path, "manifest": manifest_path}
 
 
+class ResultsFormatError(ValueError):
+    """A results file that cannot be read as a sweep wrote it; the message
+    names the file, the line and the column."""
+
+
+def _read_ratios(path: Path, metric: str, column: str) -> list[dict]:
+    """The rows of ``ratios.csv`` for ``metric``, each checked for the
+    columns a plot table reads: a known rule in ``algorithm``, a value in
+    ``column`` and an integer ``qc``, which the row then holds as an
+    ``int``."""
+    needed = ("psi_factor", "qc", "algorithm", "metric", column)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or ()
+        for name in needed:
+            if name not in header:
+                raise ResultsFormatError(f"{path}, line 1: no column {name!r}")
+        rows = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            for name in needed:
+                if row[name] is None:
+                    raise ResultsFormatError(f"{where}: no value in column {name!r}")
+            if row["metric"] != metric:
+                continue
+            if row["algorithm"] not in ALGORITHMS:
+                raise ResultsFormatError(f"{where}, column 'algorithm': unknown rule {row['algorithm']!r}")
+            try:
+                row["qc"] = int(row["qc"])
+            except ValueError:
+                raise ResultsFormatError(f"{where}, column 'qc': not a capacity: {row['qc']!r}") from None
+            rows.append(row)
+    return rows
+
+
 def emit_plot_data(results_dir: Path, metric: str, case: str, out_dir: Path | None = None) -> list[Path]:
     """Write one wide plot table per reserve factor found in the results.
 
     Rows are capacities, columns are algorithms, values are the chosen
-    ratio (``case`` is ``avg`` or ``worst``).
+    ratio (``case`` is ``avg`` or ``worst``).  A ``ratios.csv`` that lacks
+    a needed column or a cell's rule, or names an unknown rule, raises
+    :class:`ResultsFormatError`.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -238,12 +275,11 @@ def emit_plot_data(results_dir: Path, metric: str, case: str, out_dir: Path | No
     ratio_path = results_dir / "ratios.csv"
     if not ratio_path.exists():
         raise FileNotFoundError(f"no ratios.csv under {results_dir}")
-    with open(ratio_path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.DictReader(fh) if row["metric"] == metric]
+    column = f"{case}_ratio"
+    rows = _read_ratios(ratio_path, metric, column)
     if not rows:
         raise ValueError(f"no rows for metric {metric!r} in {ratio_path}")
 
-    column = f"{case}_ratio"
     out_dir = Path(out_dir) if out_dir is not None else results_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -251,8 +287,14 @@ def emit_plot_data(results_dir: Path, metric: str, case: str, out_dir: Path | No
     for factor in factors:
         subset = [row for row in rows if row["psi_factor"] == factor]
         algorithms = sorted({row["algorithm"] for row in subset}, key=list(ALGORITHMS).index)
-        capacities = sorted({int(row["qc"]) for row in subset})
-        table = {(int(r["qc"]), r["algorithm"]): r[column] for r in subset}
+        capacities = sorted({row["qc"] for row in subset})
+        table = {(r["qc"], r["algorithm"]): r[column] for r in subset}
+        for qc in capacities:
+            for a in algorithms:
+                if (qc, a) not in table:
+                    raise ResultsFormatError(
+                        f"{ratio_path}: no row for rule {a!r} at psi_factor {factor}, qc {qc}, metric {metric!r}"
+                    )
         path = out_dir / f"plot_{metric}_{case}_psi{factor}.csv"
         out_rows = [
             {"qc": qc, **{a: table[(qc, a)] for a in algorithms}} for qc in capacities

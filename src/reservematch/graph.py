@@ -5,15 +5,18 @@ types according to the quota table, and the universal type contributes
 exactly ``capacity`` rank-3 seats that every student may take.  Seats of the
 same type and rank are interchangeable, so the graph stores them as pools
 with a capacity, and students who reach the same pools as classes.
-Individual :class:`Seat` objects appear only in matchings, which share them
-through :func:`seat_row`.
+A matching keeps one row of students per (type, rank) pool, in seat order.
+Individual :class:`Seat` objects appear only when a matching's ``pairs``
+are read, and they come from one shared row per pool (:func:`seat_row`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, group_by_types
 
@@ -60,21 +63,66 @@ class RankSignature(NamedTuple):
     rank3: int
 
 
-@dataclass(frozen=True)
 class Matching:
-    """A set of (student, seat) pairs, each side used at most once."""
+    """A seating of students, each student and each seat used at most once.
 
-    pairs: frozenset[tuple[StudentId, Seat]]
+    ``rows[type, rank]`` lists the students of that pool in seat order, so
+    ``rows[type, rank][i]`` sits on seat ``i``, and a pool that seats no one
+    may have no row; the rules build this form.
+    ``pairs``, the same seating as ``(student, Seat)`` pairs, is derived
+    when first read.  ``Matching(pairs)`` keeps the pairs exactly as given
+    and has no rows (``rows`` is ``None``); :func:`~reservematch.metrics.evaluate`
+    checks either form.  Matchings are equal when their pairs are.
+    Read only.
+    """
+
+    def __init__(
+        self,
+        pairs: frozenset[tuple[StudentId, Seat]] | None = None,
+        *,
+        rows: Mapping[tuple[TypeId, int], Sequence[StudentId]] | None = None,
+    ):
+        if (pairs is None) == (rows is None):
+            raise TypeError("a Matching takes either pairs or rows")
+        if pairs is not None:
+            self.pairs = pairs
+        self.rows = rows
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[StudentId, Seat]]:
+        pairs: list[tuple[StudentId, Seat]] = []
+        for (t, rank), row in self.rows.items():
+            pairs += zip(row, seat_row(t, rank, len(row)))
+        return frozenset(pairs)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        if self.rows is None:
+            return len(self.pairs)
+        return sum(map(len, self.rows.values()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matching):
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __repr__(self) -> str:
+        if self.rows is None:
+            return f"Matching({self.pairs!r})"
+        return f"Matching(rows={self.rows!r})"
 
 
 def signature(matching: Matching) -> RankSignature:
     """Count matched seats by rank; universal-type seats count as rank 3."""
     counts = [0, 0, 0]
-    for _, seat in matching.pairs:
-        counts[seat.rank - 1] += 1
+    if matching.rows is None:
+        for _, seat in matching.pairs:
+            counts[seat.rank - 1] += 1
+    else:
+        for (_, rank), row in matching.rows.items():
+            counts[rank - 1] += len(row)
     return RankSignature(*counts)
 
 
@@ -102,12 +150,18 @@ class ReservationGraph:
 
 
 def build_graph(
-    instance: Instance, subset: set[StudentId] | None = None, *, quotas: QuotaTable | None = None
+    instance: Instance,
+    subset: set[StudentId] | None = None,
+    *,
+    quotas: QuotaTable | None = None,
+    prefix: int | None = None,
 ) -> ReservationGraph:
     """Construct the reservation graph for a subset of students.
 
     ``subset`` defaults to the acceptable pool, whose grouping by type set
-    the instance caches (:attr:`Instance.type_groups`).  ``quotas``
+    the instance caches (:attr:`Instance.type_groups`).  ``prefix``, in
+    place of a subset, takes the first ``prefix`` acceptable students: the
+    cached groups cut at that position.  ``quotas``
     defaults to the instance's; the rules that select under another table
     pass it here, so the cached grouping serves all their graphs.  Pools
     are created for every (type, rank) with a positive quota, plus the
@@ -118,6 +172,14 @@ def build_graph(
     if subset is None:
         members = instance.acceptable
         by_types = instance.type_groups
+        if prefix is not None:
+            members = members[:prefix]
+            by_types = {}
+            for types, positions in instance.type_groups.items():
+                if positions[0] < prefix:
+                    by_types[types] = positions[: bisect_left(positions, prefix)]
+    elif prefix is not None:
+        raise ValueError("build_graph takes a subset or a prefix, not both")
     else:
         # True and 2.0 hash like students 1 and 2, but no id is a bool or a float
         if not {int}.issuperset(map(type, subset)):

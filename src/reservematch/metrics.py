@@ -10,11 +10,15 @@ same instance; the sweep averages and minimizes those ratios per cell.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain, repeat
+from operator import attrgetter, contains, methodcaller
+from typing import Iterable, Mapping, Sequence
 
 from .algorithms import Outcome
-from .model import Instance, UNIVERSAL_TYPE
+from .graph import Seat
+from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE
 
 METRICS = ("p1", "p2", "p3")
 
@@ -43,40 +47,22 @@ class OutcomeError(ValueError):
     """An outcome that is not a valid seating of its instance."""
 
 
-def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
-    """Metric values of an outcome produced on this instance, and the one
-    check that the outcome is a valid seating.
+def _pool_label(t: object, rank: object) -> str:
+    return f"t{t}:r{rank}"
 
-    Raises :class:`OutcomeError` when it is not: more students than the
-    capacity, unknown students (any id, matched or selected, that is not an
-    ``int``, too) or seats (any seat type, rank or index that is not an
-    ``int``, too), a student or seat used twice, a reserved seat whose
-    type the student does not hold, a student below the acceptability
-    cutoff, or selected students that differ from the matched ones or list
-    a student twice.  How many students a rule must select is not checked.
-    """
-    students = instance.students
-    n = len(students)
+
+def _seat_rows(
+    instance: Instance, pairs: Iterable[tuple[StudentId, Seat]]
+) -> dict[tuple[TypeId, int], list[StudentId]]:
+    """The seat rows of a matching given as pairs, each in seat order.  The
+    one check of seats themselves: fields that are ``int`` (no bool, no
+    float), a known (type, rank), an index inside the pool, and no seat
+    used twice."""
     capacity = instance.capacity
     rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
     n_types = len(rank1)
-    position = instance._rank_of
-    if len(outcome.matching) > capacity:
-        raise OutcomeError(f"outcome seats {len(outcome.matching)} students at capacity {capacity}")
-    p1 = 0
-    p2 = 0
-    matched = set()
-    taken = set()
-    for sid, seat in outcome.matching.pairs:
-        # 4.0 and True hash like students 4 and 1, but no id is a float or a bool
-        if type(sid) is not int or sid not in position:
-            raise OutcomeError(f"outcome references unknown student {sid}")
-        if sid in matched:
-            raise OutcomeError(f"student {sid} is matched twice")
-        if seat in taken:
-            raise OutcomeError(f"seat {seat.label()} is used twice")
-        matched.add(sid)
-        taken.add(seat)
+    taken: dict[tuple[TypeId, int], dict[int, StudentId]] = {}
+    for sid, seat in pairs:
         t, rank, index = seat
         # like ids, no seat field is a bool or a float: Seat(True, 1, 0) is no seat
         if type(t) is not int or type(rank) is not int:
@@ -90,28 +76,93 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
             # a non-integer index would be one more seat in a full pool
             if type(index) is not int or not 0 <= index < (rank1[t] if rank == 1 else rank2[t]):
                 raise OutcomeError(f"seat index out of range: {seat}")
-            if t not in students[sid].types:
-                raise OutcomeError(f"student {sid} does not hold the type of seat {seat.label()}")
+        row = taken.setdefault((t, rank), {})
+        if index in row:
+            raise OutcomeError(f"seat {seat.label()} is used twice")
+        row[index] = sid
+    return {key: list(map(row.__getitem__, sorted(row))) for key, row in taken.items()}
+
+
+def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
+    """Metric values of an outcome produced on this instance, and the one
+    check that the outcome is a valid seating.
+
+    The checks run over the matching's seat rows; a matching given as pairs
+    is turned into rows first, and that step checks the seats.  Raises
+    :class:`OutcomeError` when the outcome is no valid seating: more
+    students than the capacity, unknown students (any id, matched or
+    selected, that is not an ``int``, too), a student matched twice, an
+    unknown pool (any type or rank that is not an ``int``, too) or seat, a
+    pool or seat holding more students than it has seats, a reserved seat
+    whose type the student does not hold, a student below the
+    acceptability cutoff, or selected students that differ from the
+    matched ones or list a student twice.  How many students a rule must
+    select is not checked.
+    """
+    students = instance.students
+    capacity = instance.capacity
+    rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
+    n_types = len(rank1)
+    percentile = instance._percentile
+    rows = outcome.matching.rows
+    if rows is None:
+        rows = _seat_rows(instance, outcome.matching.pairs)
+    p1 = 0
+    p2 = 0
+    reserved: list[tuple[TypeId, int, Sequence[StudentId]]] = []
+    for key, row in rows.items():
+        # a pool key is a (type, rank) of ints: (True, 1) is no pool
+        if type(key) is not tuple or len(key) != 2 or not {int}.issuperset(map(type, key)):
+            raise OutcomeError(f"outcome references unknown pool {key!r}")
+        t, rank = key
+        if t == UNIVERSAL_TYPE and rank == 3:
+            seats = capacity
+        elif 1 <= t < n_types and rank in (1, 2):
+            seats = rank1[t] if rank == 1 else rank2[t]
+            reserved.append((t, rank, row))
             if rank == 1:
-                p1 += 1
-            p2 += 1
+                p1 += len(row)
+            p2 += len(row)
+        else:
+            raise OutcomeError(f"outcome references unknown pool {_pool_label(t, rank)}")
+        if len(row) > seats:
+            raise OutcomeError(f"pool {_pool_label(t, rank)} holds {len(row)} students for {seats} seats")
+    seated = [*chain.from_iterable(rows.values())]
+    if len(seated) > capacity:
+        raise OutcomeError(f"outcome seats {len(seated)} students at capacity {capacity}")
+    # 4.0 and True hash like students 4 and 1, but no id is a float or a bool
+    if not {int}.issuperset(map(type, seated)):
+        raise OutcomeError(f"outcome references unknown student {_first_stray(seated)}")
+    matched = set(seated)
+    if not percentile.keys() >= matched:
+        raise OutcomeError(f"outcome references unknown student {min(matched - percentile.keys())}")
+    if len(matched) != len(seated):
+        twice = next(sid for sid, count in Counter(seated).items() if count > 1)
+        raise OutcomeError(f"student {twice} is matched twice")
+    for t, rank, row in reserved:
+        types = map(attrgetter("types"), map(students.__getitem__, row))
+        if not all(map(contains, types, repeat(t))):
+            for sid in row:
+                if t not in students[sid].types:
+                    raise OutcomeError(f"student {sid} does not hold the type of pool {_pool_label(t, rank)}")
+
     selected = outcome.selected
     # before the set is built: an entry that cannot be hashed is no student either
-    for sid in selected:
-        if type(sid) is not int:
-            raise OutcomeError(f"outcome references unknown student {sid}")
+    if not {int}.issuperset(map(type, selected)):
+        raise OutcomeError(f"outcome references unknown student {_first_stray(selected)}")
     if matched != set(selected):
         raise OutcomeError("selected students and matched students disagree")
     if len(selected) != len(matched):
         raise OutcomeError(f"outcome selects {len(selected)} entries for {len(matched)} matched students")
     cut = instance.acceptable_count
     if cut is not None:
+        position = instance._rank_of
         for sid in selected:
             if position[sid] >= cut:
                 raise OutcomeError(f"student {sid} is below the acceptability cutoff {cut}")
 
     if selected:
-        pcts = [100.0 * (n - position[sid]) / n for sid in selected]
+        pcts = list(map(percentile.__getitem__, selected))
         p3 = sum(pcts) / len(pcts)
         p3_min, p3_max = min(pcts), max(pcts)
     else:
@@ -119,9 +170,17 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     return MetricValues(p1, p2, p3, p3_min, p3_max)
 
 
+def _first_stray(ids: Iterable[object]) -> object:
+    """The first entry of ``ids`` that is not exactly an ``int``."""
+    return next(sid for sid in ids if type(sid) is not int)
+
+
 def suite_optimum(values: Mapping[str, MetricValues]) -> dict[str, float]:
     """Best value per metric over one instance's outcomes."""
-    return {m: max(v.value(m) for v in values.values()) for m in METRICS}
+    best: dict[str, float] = {}
+    for m in METRICS:
+        best[m] = max(map(methodcaller("value", m), values.values()))
+    return best
 
 
 def ratio(value: float, optimum: float) -> float:

@@ -87,8 +87,14 @@ class Instance:
 
     @cached_property
     def _rank_of(self) -> dict[StudentId, int]:
-        # Inverse priority map; the algorithms repeatedly need O(1) lookups.
+        # Inverse priority map, for evaluate's acceptability cutoff check.
         return {sid: pos for pos, sid in enumerate(self.priority)}
+
+    @cached_property
+    def _percentile(self) -> dict[StudentId, float]:
+        # Priority percentile of each student, the top one scoring 100.
+        n = len(self.students)
+        return {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(self.priority)}
 
     @cached_property
     def type_groups(self) -> dict[frozenset[TypeId], list[int]]:

@@ -54,8 +54,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .graph import Matching, ReservationGraph, Seat, seat_row
-from .model import StudentId
+from .graph import Matching, ReservationGraph
+from .model import StudentId, TypeId
 
 
 class InfeasibleForcedError(ValueError):
@@ -316,10 +316,12 @@ class RankMaximalMatcher:
         return tuple(self._graph.students[i] for i in matched)
 
     def matching(self) -> Matching:
-        """Materialize seat-level pairs: each class fills its pools in pool
-        order, a slice of its matched members per pool, and seats within a
-        pool are indexed in priority order.  The seats come from
-        :func:`~reservematch.graph.seat_row`, shared by every matching."""
+        """The seat rows of the current flow: each class fills its pools in
+        pool order, a slice of its matched members per pool, and each
+        pool's row lists its students in priority order, which is seat
+        order; empty pools get no row.  No
+        :class:`~reservematch.graph.Seat` is built until the matching's
+        ``pairs`` are read."""
         res, class_arc = self._res, self._class_arc
         seated: list[list[int]] = [[] for _ in self._graph.pools]
         for c, adj in enumerate(self._adj):
@@ -329,12 +331,12 @@ class RankMaximalMatcher:
                 seated[p] += chosen[start : start + load]
                 start += load
         student_at = self._graph.students.__getitem__
-        pairs: list[tuple[StudentId, Seat]] = []
+        rows: dict[tuple[TypeId, int], list[StudentId]] = {}
         for pool, row in zip(self._graph.pools, seated):
-            row.sort()
-            seats = seat_row(pool.type, pool.rank, min(pool.capacity, self.target_size))
-            pairs.extend(zip(map(student_at, row), seats))
-        return Matching(frozenset(pairs))
+            if row:
+                row.sort()
+                rows[pool.type, pool.rank] = list(map(student_at, row))
+        return Matching(rows=rows)
 
     def _pin_in_order(self, positions: Iterable[int], room: int) -> list[int]:
         """Pin each student of ``positions`` in turn whose pin preserves the

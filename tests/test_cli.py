@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from reservematch import ALGORITHMS, SatGenConfig, SettingsError, load_instance, serialize_instance, validate
+from reservematch import ALGORITHMS, Matching, SatGenConfig, SettingsError, load_instance, serialize_instance, validate
 from reservematch import experiment
 from reservematch.cli import main
-from reservematch.experiment import ExperimentSpec, derive_seed, emit_plot_data, run_experiment
+from reservematch.experiment import ExperimentSpec, ResultsFormatError, derive_seed, emit_plot_data, run_experiment
 
 from conftest import make_example
 
@@ -339,6 +339,69 @@ def test_serial_sweep_runs_each_cell_once(tmp_path, monkeypatch):
     )
     run_experiment(spec, 1, False)
     assert [(args[1], args[2]) for args in calls] == [("1.0", 5), ("1.0", 10), ("2.0", 5), ("2.0", 10)]
+
+
+def test_sweep_never_reads_seat_pairs(tmp_path, monkeypatch):
+    # the rules build seat rows and evaluate checks them, so a sweep builds
+    # no (student, Seat) pair: none is made by a matching given as pairs,
+    # which this property refuses to store, and none is derived from rows
+    def refuse(matching):
+        raise AssertionError("a sweep read Matching.pairs")
+
+    monkeypatch.setattr(Matching, "pairs", property(refuse))
+    spec = ExperimentSpec(
+        out_dir=tmp_path / "x", n_students=40, capacities=(5, 20, 40), psi_factors=("1.0", "2.6154"), seeds_per_cell=2
+    )
+    paths = run_experiment(spec, 1, False)
+    assert paths["ratios"].read_text().count("\n") == 1 + 2 * 3 * len(ALGORITHMS) * 3
+
+
+def plotdata_error(tmp_path, capsys, text):
+    """Write ``text`` as a results directory's ratios.csv and run plotdata
+    on it: the exception the library raises, and the CLI's exit code and
+    message."""
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "ratios.csv").write_text(text, encoding="utf-8")
+    with pytest.raises(ResultsFormatError) as caught:
+        emit_plot_data(results, "p1", "avg")
+    capsys.readouterr()
+    assert main(["plotdata", "--results", str(results), "--metric", "p1", "--case", "avg"]) == 2
+    return str(caught.value), capsys.readouterr().err
+
+
+RATIO_HEADER = "psi_factor,qc,algorithm,metric,avg_ratio,worst_ratio,n_instances\n"
+
+
+def test_plotdata_names_a_missing_column(tmp_path, capsys):
+    message, err = plotdata_error(
+        tmp_path, capsys, "psi_factor,qc,algorithm,avg_ratio,worst_ratio,n_instances\n1.0,10,as,1.0,1.0,3\n"
+    )
+    assert "ratios.csv, line 1: no column 'metric'" in message
+    assert err == f"error: {message}\n"
+
+
+def test_plotdata_names_a_missing_rule(tmp_path, capsys):
+    text = RATIO_HEADER + "1.0,10,as,p1,1.0,1.0,3\n1.0,10,ehyy,p1,0.5,0.5,3\n1.0,20,as,p1,1.0,1.0,3\n"
+    message, err = plotdata_error(tmp_path, capsys, text)
+    assert "ratios.csv: no row for rule 'ehyy' at psi_factor 1.0, qc 20, metric 'p1'" in message
+    assert err == f"error: {message}\n"
+
+
+def test_plotdata_names_an_unknown_rule(tmp_path, capsys):
+    text = RATIO_HEADER + "1.0,10,as,p1,1.0,1.0,3\n1.0,10,zz,p1,0.5,0.5,3\n"
+    message, err = plotdata_error(tmp_path, capsys, text)
+    assert "ratios.csv, line 3, column 'algorithm': unknown rule 'zz'" in message
+    assert err == f"error: {message}\n"
+
+
+def test_plotdata_names_a_short_row_and_a_bad_capacity(tmp_path, capsys):
+    message, _ = plotdata_error(tmp_path, capsys, RATIO_HEADER + "1.0,10,as,p1\n")
+    assert "ratios.csv, line 2: no value in column 'avg_ratio'" in message
+    (tmp_path / "results" / "ratios.csv").unlink()
+    (tmp_path / "results").rmdir()
+    message, _ = plotdata_error(tmp_path, capsys, RATIO_HEADER + "1.0,ten,as,p1,1.0,1.0,3\n")
+    assert "ratios.csv, line 2, column 'qc': not a capacity: 'ten'" in message
 
 
 def test_plotdata_wide_tables(tmp_path, capsys):

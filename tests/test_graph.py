@@ -3,7 +3,17 @@ from dataclasses import replace
 
 import pytest
 
-from reservematch import Matching, QuotaTable, RankSignature, Seat, build_graph, rank_maximal_matching, signature
+from reservematch import (
+    Matching,
+    QuotaTable,
+    RankSignature,
+    SatGenConfig,
+    Seat,
+    build_graph,
+    gen_instance,
+    rank_maximal_matching,
+    signature,
+)
 from reservematch.graph import seat_row
 
 from conftest import random_instance
@@ -134,6 +144,32 @@ def test_quotas_keyword_matches_a_replaced_instance():
                 expected = build_graph(replace(inst, quotas=quotas), members)
                 assert build_graph(inst, members, quotas=quotas) == expected
         assert build_graph(inst) == build_graph(replace(inst, quotas=q))
+
+
+def test_prefix_graph_cuts_the_cached_grouping(example):
+    # the first k acceptable students, as the cached groups cut at k, give
+    # the graph of that subset: on generated pools, and on hand-built pools
+    # with cutoffs, at every k
+    rnd = random.Random(14)
+    cases = [(example, range(7))]
+    for n, factor in ((30, "1.0"), (100, "2.0"), (400, "2.6154")):
+        inst = gen_instance(SatGenConfig(capacity=rnd.randint(1, n), seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
+        cases.append((inst, [0, 1, inst.capacity // 2, inst.capacity, n]))
+    for _ in range(100):
+        inst = random_instance(rnd, max_types=5)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        cases.append((inst, range(len(inst.acceptable) + 1)))
+    for inst, cuts in cases:
+        for k in cuts:
+            assert build_graph(inst, prefix=k) == build_graph(inst, set(inst.acceptable[:k]))
+    with pytest.raises(ValueError, match="a subset or a prefix"):
+        build_graph(example, {0}, prefix=1)
+
+
+def test_signature_counts_rows():
+    m = Matching(rows={(1, 1): [4], (2, 1): (3,), (3, 2): [], (0, 3): [0, 5]})
+    assert signature(m) == RankSignature(2, 0, 2)
 
 
 def test_seat_row_values():

@@ -9,10 +9,12 @@ from reservematch import (
     Instance,
     OutcomeError,
     QuotaTable,
+    SatGenConfig,
     Seat,
     Student,
     a_s_select,
     evaluate,
+    gen_instance,
     pog_select,
     run_algorithm,
 )
@@ -120,6 +122,106 @@ def test_evaluate_rejects_unknown_seats(example):
     repeated = Outcome("as", (0, 0, 1), Matching(frozenset({(0, Seat(0, 3, 0)), (1, Seat(4, 2, 0))})))
     with pytest.raises(OutcomeError, match="entries"):
         evaluate(example, repeated)
+
+
+@pytest.mark.parametrize(
+    "selected, rows, message",
+    [
+        # type 1 has one rank-1 seat
+        ((3, 4), {(1, 1): [3, 4]}, "pool t1:r1 holds 2 students for 1 seats"),
+        # type 3 has no rank-1 seat at all
+        ((2,), {(3, 1): [2]}, "pool t3:r1 holds 1 students for 0 seats"),
+        # the universal pool has rank 3 and ``capacity`` seats
+        ((0,), {(0, 1): [0]}, "unknown pool t0:r1"),
+        ((0,), {(0, 2): [0]}, "unknown pool t0:r2"),
+        ((0, 1, 2, 3), {(0, 3): [0, 1, 2, 3]}, "pool t0:r3 holds 4 students for 3 seats"),
+        # unknown pools, and keys whose fields are no ints even where they equal one
+        ((4,), {(7, 1): [4]}, "unknown pool t7:r1"),
+        ((4,), {(1, 3): [4]}, "unknown pool t1:r3"),
+        ((4,), {(True, 1): [4]}, "unknown pool (True, 1)"),
+        ((4,), {(1.0, 1): [4]}, "unknown pool (1.0, 1)"),
+        ((4,), {(1, 1.0): [4]}, "unknown pool (1, 1.0)"),
+        ((0,), {(False, 3): [0]}, "unknown pool (False, 3)"),
+        ((4,), {1: [4]}, "unknown pool 1"),
+        # student 0 holds no types, and student 2 holds type 3 only
+        ((0,), {(1, 1): [0]}, "student 0 does not hold the type of pool t1:r1"),
+        ((1, 2), {(4, 2): [1], (3, 2): [2], (2, 1): []}, None),
+        ((2, 4), {(1, 1): [4], (4, 2): [2]}, "student 2 does not hold the type of pool t4:r2"),
+        # one student in two rows, or twice in one
+        ((4,), {(1, 1): [4], (0, 3): [4]}, "student 4 is matched twice"),
+        ((0,), {(0, 3): [0, 0]}, "student 0 is matched twice"),
+        # ids that are no ints, or no student's
+        ((4,), {(0, 3): [4.0]}, "unknown student 4.0"),
+        ((1,), {(0, 3): [True]}, "unknown student True"),
+        ((4,), {(1, 1): [4.0]}, "unknown student 4.0"),
+        ((9,), {(0, 3): [9]}, "unknown student 9"),
+        ((9,), {(1, 1): [9]}, "unknown student 9"),
+    ],
+)
+def test_evaluate_checks_seat_rows(example, selected, rows, message):
+    outcome = Outcome("as", selected, Matching(rows=rows))
+    if message is None:
+        assert evaluate(example, outcome).p2 == 2
+        return
+    with pytest.raises(OutcomeError, match=re.escape(message)):
+        evaluate(example, outcome)
+
+
+def test_a_matching_takes_pairs_or_rows():
+    with pytest.raises(TypeError):
+        Matching()
+    with pytest.raises(TypeError):
+        Matching(frozenset(), rows={})
+    # pairs given are kept as given, and they have no rows
+    pairs = frozenset({(3, Seat(1, 1, 0)), (4, Seat(0, 3, 1))})
+    m = Matching(pairs)
+    assert m.pairs is pairs and m.rows is None and len(m) == 2
+    # rows give their pairs seat by seat; matchings with equal pairs are equal
+    rows = Matching(rows={(1, 1): (3,), (0, 3): (5, 4)})
+    assert rows.pairs == pairs | {(5, Seat(0, 3, 0))} and rows.rows is not None and len(rows) == 3
+    assert rows == Matching(rows.pairs) and hash(rows) == hash(Matching(rows.pairs)) and rows != m
+    assert Matching(rows={(1, 1): [3], (0, 3): [], (2, 1): []}) == Matching(frozenset({(3, Seat(1, 1, 0))}))
+
+
+def generated_pools():
+    """Generated pools at n = 30, 100 and 800 under every factor of the
+    paper's sweeps, with a random capacity each."""
+    rnd = random.Random(21)
+    for n, count in ((30, 4), (100, 4), (800, 1)):
+        for factor in ("1.0", "2.0", "2.6154"):
+            for _ in range(count):
+                capacity = rnd.randint(1, n)
+                yield gen_instance(SatGenConfig(capacity=capacity, seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
+
+
+def test_rows_and_pairs_agree_on_generated_pools():
+    # every rule builds seat rows; the same seating given as pairs is an
+    # equal matching with equal metric values, and a student moved onto a
+    # reserve seat of a type it lacks (swapped with the student there, who
+    # may lack the type of its new pool too) is refused in both forms
+    moved = 0
+    for instance in generated_pools():
+        for tag, rule in ALGORITHMS.items():
+            outcome = rule(instance)
+            rows = outcome.matching.rows
+            assert rows is not None, tag
+            as_pairs = replace(outcome, matching=Matching(outcome.matching.pairs))
+            assert as_pairs.matching == outcome.matching
+            assert evaluate(instance, as_pairs) == evaluate(instance, outcome)
+            for (t, rank), row in rows.items():
+                stray = next((sid for sid in outcome.selected if t and t not in instance.students[sid].types), None)
+                if not row or stray is None or stray in row:
+                    continue
+                # swap ``stray`` with the first student of the row
+                first = row[0]
+                swapped = {key: [stray if sid == first else first if sid == stray else sid for sid in r]
+                           for key, r in rows.items()}
+                for matching in (Matching(rows=swapped), Matching(Matching(rows=swapped).pairs)):
+                    with pytest.raises(OutcomeError, match="does not hold the type of pool"):
+                        evaluate(instance, replace(outcome, matching=matching))
+                moved += 1
+                break
+    assert moved > 100
 
 
 def suite_relative(instance, tags):

@@ -91,13 +91,16 @@ def test_negative_quota_reported(example):
 
 
 def test_priority_round_trip():
-    # _rank_of, which evaluate and ehyy read, inverts the priority order
+    # _rank_of, which evaluate reads for the cutoff, inverts the priority order
     rnd = random.Random(5)
     for _ in range(30):
         inst = random_instance(rnd)
         assert len(inst._rank_of) == inst.n_students
         for pos in range(inst.n_students):
             assert inst._rank_of[inst.priority[pos]] == pos
+        # evaluate's p3 reads each student's percentile from this table
+        n = inst.n_students
+        assert inst._percentile == {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(inst.priority)}
 
 
 def test_acceptable_cutoff():
