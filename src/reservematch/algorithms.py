@@ -41,23 +41,25 @@ class Outcome:
     matching: Matching
 
 
-def _greedy_scan(
-    instance: Instance, quotas: QuotaTable | None = None
-) -> tuple[tuple[StudentId, ...], RankMaximalMatcher]:
+def _greedy_scan(instance: Instance, quotas: QuotaTable | None = None) -> tuple[list[int], RankMaximalMatcher]:
     """Scan students by priority, pinning each one whose selection keeps the
     rank signature maximal under ``quotas`` (by default the instance's),
     until the capacity is reached.  The scan runs inside the engine
     (:meth:`RankMaximalMatcher.select`), over the graph's positions, which
-    are the acceptable students in priority order; ``try_force`` is its
-    one-student case, and only a caller pinning by id builds the id index."""
+    are the acceptable students in priority order; returns the chosen
+    positions and the matcher."""
     matcher = RankMaximalMatcher(build_graph(instance, quotas=quotas))
     return matcher.select(), matcher
+
+
+def _ids(instance: Instance, positions: list[int]) -> tuple[StudentId, ...]:
+    return tuple(map(instance.acceptable.__getitem__, positions))
 
 
 def a_s_select(instance: Instance) -> Outcome:
     """Highest-priority students compatible with a rank-maximal matching."""
     chosen, matcher = _greedy_scan(instance)
-    return Outcome("as", chosen, matcher.matching())
+    return Outcome("as", _ids(instance, chosen), matcher.matching())
 
 
 def sy1_select(instance: Instance) -> Outcome:
@@ -67,15 +69,16 @@ def sy1_select(instance: Instance) -> Outcome:
     """
     reduced = QuotaTable(instance.quotas.rank1, (0,) * instance.n_types)
     chosen, matcher = _greedy_scan(instance, reduced)
-    return Outcome("sy1", chosen, matcher.matching())
+    return Outcome("sy1", _ids(instance, chosen), matcher.matching())
 
 
 def sy2_select(instance: Instance) -> Outcome:
     """Merge both reserve ranks into one and select rank-maximally.
 
     The selected students are then re-seated on the original two-rank seats
-    by the engine, on a graph of those students alone, so every one of them
-    is matched.  That matching realizes the same total reserve fill as the
+    by the engine, on a graph of those students alone, built from the
+    positions the merged scan chose, so every one of them is matched.
+    That matching realizes the same total reserve fill as the
     merged optimum (re-seating a fixed student set never loses merged
     seats) while reporting honest per-rank counts: rank-1 seats are used as
     well as the selected set allows.
@@ -85,7 +88,8 @@ def sy2_select(instance: Instance) -> Outcome:
         (0,) * instance.n_types,
     )
     chosen, _ = _greedy_scan(instance, merged)
-    return Outcome("sy2", chosen, rank_maximal_matching(build_graph(instance, set(chosen))))
+    graph = build_graph(instance, positions=chosen)
+    return Outcome("sy2", graph.students, rank_maximal_matching(graph))
 
 
 def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[StudentId, ...], Matching]:
@@ -165,7 +169,7 @@ def pog_select(instance: Instance) -> Outcome:
 
 def pos_select(instance: Instance) -> Outcome:
     """Same students as ``pog``, but re-seated rank-maximally."""
-    graph = build_graph(instance, prefix=min(instance.capacity, len(instance.acceptable)))
+    graph = build_graph(instance, positions=range(min(instance.capacity, len(instance.acceptable))))
     return Outcome("pos", graph.students, rank_maximal_matching(graph))
 
 

@@ -15,8 +15,12 @@ A sweep generates thousands of pools of one size, and a generated student
 is only an id and one of 8 type sets.  So what every pool would rebuild is
 built once per process: one row of :class:`Student` objects per type set,
 grown to the largest size requested (students are frozen, so pools share
-them), a table of the 8 score means, and the parsed form of the reserve
-factors in use.
+them), a table of the 8 score means, the parsed form of the reserve
+factors in use, and one priority tuple per pool size, which lets the pools
+of a size share their percentile table (see :mod:`reservematch.model`).
+
+numpy is imported by the functions that draw, not by the module, so
+loading the package to read an instance or run a rule does not load it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .model import Instance, QuotaTable, Student, StudentId, _is_int
 
-from .model import Instance, QuotaTable, Student, _is_int
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TYPE_NAMES = ("minority", "low_parent_edu", "low_income")
 
@@ -122,11 +127,19 @@ def _student_rows(n: int) -> dict[frozenset[int], tuple[Student, ...]]:
     return _STUDENT_ROWS
 
 
+@lru_cache(maxsize=8)
+def _priority(n: int) -> tuple[StudentId, ...]:
+    """The priority of every generated pool of ``n`` students."""
+    return tuple(range(n))
+
+
 def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
     """Draw type sets for ``n`` students per the conditional model.
 
     Students with equal type sets share one frozenset object.
     """
+    import numpy as np
+
     if not _is_int(n) or n < 1:
         raise ValueError("n must be an integer >= 1")
     rng = np.random.default_rng(seed)
@@ -162,6 +175,8 @@ def gen_scores(seed: int | np.random.Generator, type_sets: Sequence[frozenset[in
     parameters the acceptance rate is essentially one, and the sample mean
     stays within a point of the analytic truncated mean.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     mean_of = _SCORE_MEANS
     if not mean_of.keys() >= set(type_sets):  # a type beyond 1-3
@@ -204,6 +219,8 @@ def gen_instance(config: SatGenConfig) -> Instance:
     the order used by the instance file format.  ``config.check()`` makes
     the result valid by construction.
     """
+    import numpy as np
+
     config.check()
     rng = np.random.default_rng(config.seed)
     n = config.n_students
@@ -214,7 +231,7 @@ def gen_instance(config: SatGenConfig) -> Instance:
     students = tuple([rows[type_sets[j]][i] for i, j in enumerate(order.tolist())])
     return Instance(
         students=students,
-        priority=tuple(range(n)),
+        priority=_priority(n),
         capacity=config.capacity,
         quotas=gen_quotas(config.capacity, config.psi_factor),
         type_names=DEFAULT_TYPE_NAMES,

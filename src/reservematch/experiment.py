@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .algorithms import ALGORITHMS
 from .datagen import SatGenConfig, SettingsError, gen_instance, gen_quotas, parse_factor
@@ -97,6 +95,8 @@ class ExperimentSpec:
 
 def derive_seed(master_seed: int, factor_index: int, capacity_index: int, replicate: int) -> int:
     """Replicate seed for one cell position; stable and collision-free."""
+    import numpy as np
+
     ss = np.random.SeedSequence(master_seed, spawn_key=(factor_index, capacity_index, replicate))
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -8,6 +8,11 @@ with a capacity, and students who reach the same pools as classes.
 A matching keeps one row of students per (type, rank) pool, in seat order.
 Individual :class:`Seat` objects appear only when a matching's ``pairs``
 are read, and they come from one shared row per pool (:func:`seat_row`).
+
+A sweep builds several graphs per pool over the same few quota tables, so
+the pool list, and the pools each type reaches, come from one table per
+(quota table, capacity) in a small bounded cache.  Those tables and the
+seat rows are shared, so they are read only.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, group_by_types
@@ -149,37 +154,67 @@ class ReservationGraph:
         return len(self.pools) - 1
 
 
+# A pool asks for three tables (its own, sy1's and sy2's), so 64 hold every
+# table of a grid of up to 21 cells even when its pools take the cells in
+# turn, as perfbench's loop does; the paper's grids have 9 and 12 cells.
+@lru_cache(maxsize=64)
+def _pool_table(quotas: QuotaTable, capacity: int) -> tuple[tuple[SeatPool, ...], dict[TypeId, tuple[int, ...]]]:
+    """The pools of a graph under ``quotas`` and ``capacity``: one per
+    (type, rank) with a positive quota, ordered by (rank, type), then the
+    universal pool; and the indices of the reserve pools of each type that
+    has any.  Tables are found by value, so equal quota tables share one;
+    they are read only."""
+    pools: list[SeatPool] = []
+    pools_of_type: dict[TypeId, tuple[int, ...]] = {}
+    for rank in (1, 2):
+        for t in range(1, quotas.n_types):
+            q = quotas.quota(t, rank)
+            if q > 0:
+                pools_of_type[t] = (*pools_of_type.get(t, ()), len(pools))
+                pools.append(SeatPool(t, rank, q))
+    pools.append(SeatPool(UNIVERSAL_TYPE, 3, capacity))
+    return tuple(pools), pools_of_type
+
+
 def build_graph(
     instance: Instance,
     subset: set[StudentId] | None = None,
     *,
     quotas: QuotaTable | None = None,
-    prefix: int | None = None,
+    positions: Sequence[int] | None = None,
 ) -> ReservationGraph:
     """Construct the reservation graph for a subset of students.
 
     ``subset`` defaults to the acceptable pool, whose grouping by type set
-    the instance caches (:attr:`Instance.type_groups`).  ``prefix``, in
-    place of a subset, takes the first ``prefix`` acceptable students: the
-    cached groups cut at that position.  ``quotas``
-    defaults to the instance's; the rules that select under another table
-    pass it here, so the cached grouping serves all their graphs.  Pools
-    are created for every (type, rank) with a positive quota, plus the
-    universal pool with ``capacity`` rank-3 seats.  Pools are looked up
-    once per distinct type set, and type sets that reach the same pools (a
-    type without seats adds none) share one class.
+    the instance caches (:attr:`Instance.type_groups`).  ``positions``, in
+    place of a subset, takes the acceptable students at those positions,
+    which must ascend: a prefix cuts the cached groups by bisection, and
+    other positions are grouped afresh, with no scan of the priority list
+    and no check of ids.  ``quotas`` defaults to the instance's; the rules
+    that select under another table pass it here, so the cached grouping
+    serves all their graphs.  Pools are created for every (type, rank) with
+    a positive quota, plus the universal pool with ``capacity`` rank-3
+    seats, and taken from the shared table of ``quotas`` and ``capacity``
+    (:func:`_pool_table`).  Pools are looked up once per distinct type set,
+    and type sets that reach the same pools (a type without seats adds
+    none) share one class.
     """
     if subset is None:
         members = instance.acceptable
         by_types = instance.type_groups
-        if prefix is not None:
-            members = members[:prefix]
-            by_types = {}
-            for types, positions in instance.type_groups.items():
-                if positions[0] < prefix:
-                    by_types[types] = positions[: bisect_left(positions, prefix)]
-    elif prefix is not None:
-        raise ValueError("build_graph takes a subset or a prefix, not both")
+        if positions is not None:
+            k = len(positions)
+            if not k or positions[-1] == k - 1:  # a prefix: cut the cached groups
+                members = members[:k]
+                by_types = {}
+                for types, group in instance.type_groups.items():
+                    if group[0] < k:
+                        by_types[types] = group[: bisect_left(group, k)]
+            else:
+                members = tuple(map(members.__getitem__, positions))
+                by_types = group_by_types(instance.students, members)
+    elif positions is not None:
+        raise ValueError("build_graph takes a subset or positions, not both")
     else:
         # True and 2.0 hash like students 1 and 2, but no id is a bool or a float
         if not {int}.issuperset(map(type, subset)):
@@ -196,23 +231,14 @@ def build_graph(
     if quotas is None:
         quotas = instance.quotas
 
-    pools: list[SeatPool] = []
-    pools_of_type: dict[TypeId, list[int]] = {}
-    for rank in (1, 2):
-        for t in range(1, quotas.n_types):
-            q = quotas.quota(t, rank)
-            if q > 0:
-                pools_of_type.setdefault(t, []).append(len(pools))
-                pools.append(SeatPool(t, rank, q))
-    universal = len(pools)
-    pools.append(SeatPool(UNIVERSAL_TYPE, 3, instance.capacity))
-
+    pools, pools_of_type = _pool_table(quotas, instance.capacity)
+    universal = len(pools) - 1
     by_adj: dict[tuple[int, ...], list[int]] = {}
-    for types, positions in by_types.items():
+    for types, group in by_types.items():
         eligible: list[int] = []
         for t in types:
             eligible += pools_of_type.get(t, ())
         eligible.sort()
-        by_adj.setdefault((*eligible, universal), []).extend(positions)
-    classes = tuple((adj, tuple(sorted(positions))) for adj, positions in by_adj.items())
-    return ReservationGraph(members, instance.capacity, tuple(pools), classes)
+        by_adj.setdefault((*eligible, universal), []).extend(group)
+    classes = tuple((adj, tuple(sorted(group))) for adj, group in by_adj.items())
+    return ReservationGraph(members, instance.capacity, pools, classes)

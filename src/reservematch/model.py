@@ -5,14 +5,22 @@ its capacity, and a two-rank quota table over diversity types.  Type id 0 is
 reserved for the universal type that every student implicitly holds; real
 diversity types are numbered from 1.  Instances are immutable and safe to
 share across worker processes.
+
+The pools of a sweep share their size and, since generated ids follow
+priority, their priority order.  So the priority percentiles that
+``evaluate`` reads come from one table per (size, priority order), kept in
+a small bounded cache and shared by every instance that has them.  The
+table is read only.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import filterfalse
 from typing import Any, Sequence
 
 UNIVERSAL_TYPE = 0
@@ -92,9 +100,12 @@ class Instance:
 
     @cached_property
     def _percentile(self) -> dict[StudentId, float]:
-        # Priority percentile of each student, the top one scoring 100.
-        n = len(self.students)
-        return {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(self.priority)}
+        # Priority percentile of each student, the top one scoring 100; the
+        # table is shared, so read only.
+        priority = self.priority
+        if type(priority) is not tuple:
+            priority = tuple(priority)
+        return _percentile_table(len(self.students), priority)
 
     @cached_property
     def type_groups(self) -> dict[frozenset[TypeId], list[int]]:
@@ -120,6 +131,14 @@ class Instance:
         if self.type_names is not None:
             return self.type_names[type_id - 1]
         return f"t{type_id}"
+
+
+@lru_cache(maxsize=8)
+def _percentile_table(n: int, priority: tuple[StudentId, ...]) -> dict[StudentId, float]:
+    """The priority percentile of each student of ``priority`` among ``n``.
+    A sweep asks for one table per pool size, and its pools hold the same
+    priority tuple, so the lookup finds it by identity.  Read only."""
+    return {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(priority)}
 
 
 def group_by_types(students: Sequence[Student], members: Sequence[StudentId]) -> dict[frozenset[TypeId], list[int]]:
@@ -154,7 +173,9 @@ def validate(instance: Instance) -> list[str]:
         errors.append("students: ids must be the dense ordinals 0..n-1 in order")
 
     if sorted(instance.priority) != list(range(n)):
-        errors.append("priority: not a permutation of the student ids")
+        repeated = sorted(sid for sid, count in Counter(instance.priority).items() if count > 1)
+        twice = f"; student {repeated[0]} is listed more than once" if repeated else ""
+        errors.append(f"priority: not a permutation of the student ids{twice}")
 
     quotas = instance.quotas
     if len(quotas.rank1) != len(quotas.rank2):
@@ -175,7 +196,7 @@ def validate(instance: Instance) -> list[str]:
     odd_holders: dict[str, list[int]] = {}
     holders: dict[int, list[int]] = {}
     for s in instance.students:
-        odd = [repr(t) for t in s.types if not _is_int(t)]
+        odd = list(map(repr, filterfalse(_is_int, s.types)))
         for t in odd:
             odd_holders.setdefault(t, [0, s.id])[0] += 1
         if odd:

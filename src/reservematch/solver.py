@@ -41,6 +41,24 @@ optimal flows that meet them only shrinks: if none of them gives the class
 one more unit now, none will after further pins.  A failed search changes
 no state, so skipping it leaves every flow and matching as it was.
 
+A class that needs a second unit right after its search succeeded often
+gets it from the same cycle, so the scan pushes the last cycle again,
+unsearched, when the class needing the unit is the one that pushed last
+(no other class has pushed since) and every arc of the cycle still has
+residual.  That is exactly the cycle the search would find.  Between the
+two pushes only O(1) pins happened, and failed searches, which change
+nothing.  A pin takes residual from a class's arc to S, and a search ends
+at the first class it reaches whose arc to S is admissible and has
+residual, so the pinned arc is the cycle's last arc, which the residual
+test covers, or one the search never reads.  The first push took residual
+only from the cycle's arcs and opened only their reverses, each leading
+back to the node before it on the cycle, which is on the search stack
+whenever the search stands at its tail; an arc crossed for the first time
+lists its reverse last.  So the depth-first search meets the same arcs in
+the same order and returns the same cycle.  A push by another class moves
+residual elsewhere and can open arcs the search tries earlier, so the last
+cycle is dropped then; a failed search does not replace it.
+
 The rules' greedy scan runs inside the engine: ``select`` walks the
 graph's positions in priority order through one pin loop, and
 ``try_force`` is the same loop on one student.  The map from ids to
@@ -218,7 +236,7 @@ class RankMaximalMatcher:
             while amount and free and pushed:
                 seen: set[int] = set()
                 pushed = 0
-                while amount and free and (units := self._push(self._source, self._sink, amount, seen)):
+                while amount and free and (units := self._push(self._source, self._sink, amount, seen, [])):
                     amount -= units
                     free -= units
                     pushed += units
@@ -240,16 +258,16 @@ class RankMaximalMatcher:
         for c, units in fill.items():
             self._augment([2 * c, self._class_arc[c + 1] - 2, to_sink], units)
 
-    def _push(self, start: int, goal: int, limit: int, seen: set[int]) -> int:
+    def _push(self, start: int, goal: int, limit: int, seen: set[int], path: list[int]) -> int:
         """Push up to ``limit`` units from ``start`` to ``goal`` along one
         path of the admissible table, depth first around the nodes in
-        ``seen``, which gains the dead ends; returns the units pushed.  One
-        loop over the path finds its bottleneck and takes its nodes back out
-        of ``seen``, so a search builds no temporary list."""
+        ``seen``, which gains the dead ends; returns the units pushed, and
+        leaves the path's arcs in ``path``, which starts empty.  One loop
+        over the path finds its bottleneck and takes its nodes back out of
+        ``seen``, so a search builds no temporary list."""
         res, head, table = self._res, self._head, self._table
         seen.add(start)
-        path: list[int] = []  # arcs from start to the node on top
-        arcs = [iter(table[start])]
+        arcs = [iter(table[start])]  # path holds the arcs from start to the node on top
         while arcs:
             for e in arcs[-1]:
                 v = head[e]
@@ -342,11 +360,15 @@ class RankMaximalMatcher:
         """Pin each student of ``positions`` in turn whose pin preserves the
         current rank signature, until ``room`` are chosen; an already pinned
         student counts as chosen.  Returns the chosen positions.  A rejected
-        student leaves the flow and the matching as they were."""
+        student leaves the flow and the matching as they were.  The last
+        cycle pushed is pushed again, unsearched, while its class is the
+        last to have pushed and each of its arcs has residual (see the
+        module docstring)."""
         chosen: list[int] = []
         if not room:
             return chosen
         pinned, dead, class_of, res = self._pinned, self._dead, self._class_of, self._res
+        last, cycle = -1, []  # the class that pushed last, and its path c ~> S
         for i in positions:
             if not pinned[i]:
                 c = class_of[i]
@@ -356,10 +378,14 @@ class RankMaximalMatcher:
                     res[2 * c + 1] -= 1  # pin a matched unpinned unit
                 else:
                     # a cycle S -> c ~> S of zero reduced cost brings c the unit to pin
-                    s, pi = self._source, self._potential
-                    if pi[s] != pi[c] or not self._push(c, s, 1, set()):
-                        dead[c] = True
-                        continue
+                    if c == last and all(map(res.__getitem__, cycle)):
+                        self._augment(cycle, 1)
+                    else:
+                        s, pi, path = self._source, self._potential, []
+                        if pi[s] != pi[c] or not self._push(c, s, 1, set(), path):
+                            dead[c] = True
+                            continue
+                        last, cycle = c, path
                     res[2 * c] -= 1
                 pinned[i] = True
             chosen.append(i)
@@ -367,14 +393,12 @@ class RankMaximalMatcher:
                 break
         return chosen
 
-    def select(self) -> tuple[StudentId, ...]:
+    def select(self) -> list[int]:
         """The greedy scan of the rules: pin the students in priority order
         whenever the pin preserves the rank signature, until ``target_size``
-        are pinned.  Returns every pinned student, in priority order; pins
-        made earlier count, in their place."""
-        students = self._graph.students
-        chosen = self._pin_in_order(range(len(students)), self.target_size)
-        return tuple(map(students.__getitem__, chosen))
+        are pinned.  Returns the positions in the graph of every pinned
+        student, ascending; pins made earlier count, in their place."""
+        return self._pin_in_order(range(len(self._graph.students)), self.target_size)
 
     def try_force(self, sid: StudentId) -> bool:
         """Pin ``sid`` if doing so preserves the current rank signature: the

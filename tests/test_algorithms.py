@@ -14,6 +14,7 @@ from reservematch import (
     a_s_select,
     build_graph,
     ehyy_select,
+    evaluate,
     pog_select,
     pos_select,
     rank_maximal_matching,
@@ -135,6 +136,17 @@ def test_check_outcome_rejects_a_student_matched_twice(example):
     pairs = {(0, Seat(0, 3, 0)), (0, Seat(0, 3, 1)), (1, Seat(4, 2, 0))}
     with pytest.raises(OutcomeError, match="matched twice"):
         check_outcome(replace(example, acceptable_count=2), Outcome("as", (0, 1), Matching(frozenset(pairs))))
+
+
+@pytest.mark.parametrize("tag", sorted(ALGORITHMS))
+def test_a_priority_that_repeats_a_student_ends_in_a_typed_error(tag):
+    # every rule ends in a ValueError subclass that names the student, be it
+    # evaluate's OutcomeError or a rejection when the instance is built
+    with pytest.raises(ValueError, match=r"\bstudent 1\b") as raised:
+        students = (Student(0, frozenset({1})), Student(1, frozenset({1})), Student(2))
+        inst = Instance(students, (1, 1, 0), 2, QuotaTable((0, 1), (0, 1)))
+        evaluate(inst, ALGORITHMS[tag](inst))
+    assert type(raised.value) is not ValueError
 
 
 def test_unknown_tag_rejected(example):

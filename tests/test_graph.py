@@ -6,17 +6,20 @@ import pytest
 from reservematch import (
     Matching,
     QuotaTable,
+    RankMaximalMatcher,
     RankSignature,
     SatGenConfig,
     Seat,
+    SeatPool,
     build_graph,
     gen_instance,
     rank_maximal_matching,
     signature,
 )
-from reservematch.graph import seat_row
+from reservematch.graph import _pool_table, seat_row
 
 from conftest import random_instance
+from test_solver import rule_tables
 
 
 def test_example_graph_shape(example):
@@ -162,9 +165,71 @@ def test_prefix_graph_cuts_the_cached_grouping(example):
         cases.append((inst, range(len(inst.acceptable) + 1)))
     for inst, cuts in cases:
         for k in cuts:
-            assert build_graph(inst, prefix=k) == build_graph(inst, set(inst.acceptable[:k]))
-    with pytest.raises(ValueError, match="a subset or a prefix"):
-        build_graph(example, {0}, prefix=1)
+            assert build_graph(inst, positions=range(k)) == build_graph(inst, set(inst.acceptable[:k]))
+    with pytest.raises(ValueError, match="a subset or positions"):
+        build_graph(example, {0}, positions=[0])
+
+
+def test_positions_graph_equals_the_subset_graph():
+    # any ascending positions give the graph of the students there, classes
+    # ordered by their first member there, which may differ from the order
+    # of the cached groups: on generated pools, on the positions sy2's
+    # merged scan chooses, and on hand-built pools with cutoffs and
+    # shuffled priorities
+    rnd = random.Random(22)
+    cases = []
+    for n, factor in ((30, "1.0"), (100, "2.0"), (800, "2.6154")):
+        inst = gen_instance(SatGenConfig(capacity=n // 2, seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
+        merged = rule_tables(inst)[2]
+        cases.append((inst, RankMaximalMatcher(build_graph(inst, quotas=merged)).select()))
+        cases += [(inst, sorted(rnd.sample(range(n), rnd.randint(0, n)))) for _ in range(5)]
+    for _ in range(300):
+        inst = random_instance(rnd, max_students=20, max_types=5)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        k = len(inst.acceptable)
+        cases.append((inst, sorted(rnd.sample(range(k), rnd.randint(0, k)))))
+    reordered = 0
+    for inst, positions in cases:
+        g = build_graph(inst, positions=positions)
+        assert g == build_graph(inst, set(map(inst.acceptable.__getitem__, positions)))
+        chosen = set(positions)
+        firsts = [min(chosen.intersection(group)) for group in inst.type_groups.values() if not chosen.isdisjoint(group)]
+        reordered += firsts != sorted(firsts)
+    assert reordered > 20
+
+
+def reference_pools(quotas, capacity):
+    """The pools of a graph, built from the table without any cache."""
+    reserve = [SeatPool(t, rank, q) for rank, row in ((1, quotas.rank1), (2, quotas.rank2)) for t, q in enumerate(row) if t and q > 0]
+    return (*reserve, SeatPool(0, 3, capacity))
+
+
+def test_pool_tables_are_shared_and_equal_a_fresh_build():
+    # the pools come from one table per (quota table, capacity), shared by
+    # every graph under them; a graph on it equals one built with the cache
+    # emptied and the reference pools and classes, under all three rules'
+    # tables, with types that have no seat at one or both ranks
+    a = gen_instance(SatGenConfig(capacity=40, seed=1, n_students=100, psi_factor="2.0"))
+    b = gen_instance(SatGenConfig(capacity=40, seed=2, n_students=100, psi_factor="2.0"))
+    assert build_graph(a).pools is build_graph(b).pools
+    rnd = random.Random(23)
+    cases = [a]
+    for _ in range(200):
+        inst = random_instance(rnd, max_types=5)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        cases.append(inst)
+    empty_rank = 0
+    for inst in cases:
+        for quotas in rule_tables(inst):
+            g = build_graph(inst, quotas=quotas)
+            _pool_table.cache_clear()
+            assert g == build_graph(inst, quotas=quotas)
+            assert g.pools == reference_pools(quotas, inst.capacity)
+            assert g.classes == grouped_by_pools(inst, g)
+            empty_rank += any(a == 0 or b == 0 for a, b in zip(quotas.rank1[1:], quotas.rank2[1:]))
+    assert empty_rank > 100
 
 
 def test_signature_counts_rows():

@@ -7,7 +7,9 @@ import pytest
 from reservematch import (
     Instance,
     QuotaTable,
+    SatGenConfig,
     Student,
+    gen_instance,
     parse_instance,
     serialize_instance,
     validate,
@@ -206,3 +208,30 @@ def test_serialize_permutes_into_priority_order(example):
 def test_parse_rejects_malformed(text):
     with pytest.raises(InstanceFormatError):
         parse_instance(text)
+
+
+def test_percentile_table_is_shared_per_size_and_order():
+    # generated pools of one size hold one priority tuple and share one
+    # percentile table, whose values are 100 (n - pos) / n bit for bit
+    a = gen_instance(SatGenConfig(capacity=10, seed=1, n_students=50))
+    b = gen_instance(SatGenConfig(capacity=30, seed=2, n_students=50, psi_factor="2.0"))
+    assert a.priority is b.priority and a._percentile is b._percentile
+    assert [x.hex() for x in a._percentile.values()] == [(100.0 * (50 - pos) / 50).hex() for pos in range(50)]
+    assert list(a._percentile) == list(range(50))
+    assert gen_instance(SatGenConfig(capacity=10, seed=1, n_students=60))._percentile is not a._percentile
+
+
+def test_percentile_table_of_hand_built_instances():
+    # shuffled priorities and cutoffs get their own tables, over every
+    # student; a priority given as a list too
+    rnd = random.Random(31)
+    for _ in range(100):
+        inst = random_instance(rnd, max_students=20)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        n = inst.n_students
+        expected = {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(inst.priority)}
+        for each in (inst, replace(inst, priority=list(inst.priority))):
+            assert each._percentile == expected
+            assert list(each._percentile) == list(inst.priority)
+

@@ -19,6 +19,7 @@ from reservematch.solver import InfeasibleForcedError, RankMaximalMatcher
 
 from conftest import make_example, random_instance
 from oracle import MatchingOracle, random_small_instance
+from test_rule_goldens import many_class_instance
 
 
 def is_compatible(graph, forced) -> bool:
@@ -288,14 +289,25 @@ def scan_by_try_force(matcher, students) -> tuple:
     return tuple(chosen)
 
 
+def rule_tables(inst) -> list:
+    """The quota tables the scanning rules select under: the instance's
+    (``as``), rank 2 dropped (``sy1``) and both ranks merged (``sy2``)."""
+    q = inst.quotas
+    zero = (0,) * q.n_types
+    return [q, QuotaTable(q.rank1, zero), QuotaTable(tuple(map(sum, zip(q.rank1, q.rank2))), zero)]
+
+
 def test_select_equals_the_try_force_scan(example):
-    # the engine's scan over positions must choose and seat exactly like
-    # the per-student pins: on generated pools, on hand-built pools with
-    # cutoffs, up to 10 types and shuffled priorities, and after pins
-    # made at construction
+    # the engine's scan over positions, which pushes a class's last cycle
+    # again unsearched, must choose, seat and leave residuals exactly like
+    # the per-student pins, which search every time: on generated pools up
+    # to n=6400 under all three rules' tables, on the many-class golden
+    # pool and a hand-built pool of 1,450 classes, on hand-built
+    # pools with cutoffs, up to 10 types and shuffled priorities, and
+    # after pins made at construction
     rnd = random.Random(215)
     cases = [
-        (gen_instance(SatGenConfig(capacity=capacity, seed=seed, psi_factor=factor)), ())
+        (gen_instance(SatGenConfig(capacity=capacity, seed=seed, psi_factor=factor)), (), None)
         for capacity in (20, 60)
         for factor in (1.0, 2.6154)
         for seed in (7, 8)
@@ -304,16 +316,30 @@ def test_select_equals_the_try_force_scan(example):
         inst = random_instance(rnd, max_students=30, max_types=10, max_capacity=12)
         if rnd.random() < 0.5:
             inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
-        cases.append((inst, ()))
+        cases.append((inst, (), None))
     late = gen_instance(SatGenConfig(capacity=20, seed=9, psi_factor=2.6154))
-    cases += [(example, (5,)), (late, late.acceptable[-3:])]
+    cases += [(example, (5,), None), (late, late.acceptable[-3:], None)]
+    large = [many_class_instance(), many_type_instance()]
+    for n in (800, 6400):
+        for factor in ("1.0", "2.0", "2.6154"):
+            large.append(gen_instance(SatGenConfig(capacity=n // 2, seed=n + 1, n_students=n, psi_factor=factor)))
+    cases += [(inst, (), quotas) for inst in large for quotas in rule_tables(inst)]
     rejected = 0
-    for inst, forced in cases:
-        g = build_graph(inst)
+    for inst, forced, quotas in cases:
+        g = build_graph(inst, quotas=quotas)
         fast, slow = RankMaximalMatcher(g, forced), RankMaximalMatcher(g, forced)
-        chosen = fast.select()
+        chosen = tuple(map(g.students.__getitem__, fast.select()))
         assert chosen == scan_by_try_force(slow, g.students)
-        assert fast.matching() == slow.matching()
+        assert fast.matching().rows == slow.matching().rows
+        assert fast._res == slow._res
         assert set(forced) <= set(chosen)
         rejected += chosen != g.students[: len(chosen)]
     assert rejected > 50  # a quarter of the scans skip a student
+
+
+def many_type_instance() -> Instance:
+    """1,600 students each holding each of 16 types with probability 0.3,
+    capacity 800 and 20 seats per type and rank: 1,450 classes."""
+    rnd = random.Random(0)
+    students = tuple(Student(i, frozenset(t for t in range(1, 17) if rnd.random() < 0.3)) for i in range(1600))
+    return Instance(students, tuple(range(1600)), 800, QuotaTable((0,) + (20,) * 16, (0,) + (20,) * 16))
