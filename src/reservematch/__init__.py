@@ -15,7 +15,6 @@ from .algorithms import (
     ehyy_select,
     pog_select,
     pos_select,
-    run_algorithm,
     sy1_select,
     sy2_select,
 )
@@ -40,11 +39,7 @@ from .model import (
     serialize_instance,
     validate,
 )
-from .solver import (
-    InfeasibleForcedError,
-    RankMaximalMatcher,
-    rank_maximal_matching,
-)
+from .solver import InfeasibleForcedError, RankMaximalMatcher
 
 __all__ = [
     "ALGORITHMS",
@@ -76,8 +71,6 @@ __all__ = [
     "parse_instance",
     "pog_select",
     "pos_select",
-    "rank_maximal_matching",
-    "run_algorithm",
     "save_instance",
     "serialize_instance",
     "signature",

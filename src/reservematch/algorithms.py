@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 
 from .graph import Matching, build_graph, signature
 from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE
-from .solver import RankMaximalMatcher, rank_maximal_matching
+from .solver import RankMaximalMatcher
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def sy2_select(instance: Instance) -> Outcome:
     )
     chosen, _ = _greedy_scan(instance, merged)
     graph = build_graph(instance, positions=chosen)
-    return Outcome("sy2", graph.students, rank_maximal_matching(graph))
+    return Outcome("sy2", graph.students, RankMaximalMatcher(graph).matching())
 
 
 def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[StudentId, ...], Matching]:
@@ -170,7 +170,7 @@ def pog_select(instance: Instance) -> Outcome:
 def pos_select(instance: Instance) -> Outcome:
     """Same students as ``pog``, but re-seated rank-maximally."""
     graph = build_graph(instance, positions=range(min(instance.capacity, len(instance.acceptable))))
-    return Outcome("pos", graph.students, rank_maximal_matching(graph))
+    return Outcome("pos", graph.students, RankMaximalMatcher(graph).matching())
 
 
 ALGORITHMS: dict[str, Callable[[Instance], Outcome]] = {
@@ -181,14 +181,6 @@ ALGORITHMS: dict[str, Callable[[Instance], Outcome]] = {
     "pog": pog_select,
     "pos": pos_select,
 }
-
-
-def run_algorithm(tag: str, instance: Instance) -> Outcome:
-    try:
-        fn = ALGORITHMS[tag]
-    except KeyError:
-        raise ValueError(f"unknown algorithm tag {tag!r}") from None
-    return fn(instance)
 
 
 def outcome_to_json(outcome: Outcome) -> str:

@@ -18,7 +18,7 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Iterable
 
-from .algorithms import ALGORITHMS, outcome_to_json, run_algorithm
+from .algorithms import ALGORITHMS, outcome_to_json
 from .datagen import SatGenConfig, SettingsError, gen_instance
 from .experiment import ExperimentSpec, emit_plot_data, run_experiment
 from .graph import signature
@@ -104,7 +104,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    outcome = run_algorithm(args.algo, instance)
+    outcome = ALGORITHMS[args.algo](instance)
     values = evaluate(instance, outcome)
     sig = signature(outcome.matching)
     print(f"algorithm {outcome.algorithm}")

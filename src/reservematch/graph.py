@@ -31,9 +31,6 @@ class Seat(NamedTuple):
     rank: int
     index: int  # 0-based ordinal within (type, rank)
 
-    def label(self) -> str:
-        return f"t{self.type}:r{self.rank}:{self.index}"
-
 
 _SEAT_ROWS: dict[tuple[TypeId, int], tuple[Seat, ...]] = {}
 
@@ -166,9 +163,9 @@ def _pool_table(quotas: QuotaTable, capacity: int) -> tuple[tuple[SeatPool, ...]
     they are read only."""
     pools: list[SeatPool] = []
     pools_of_type: dict[TypeId, tuple[int, ...]] = {}
-    for rank in (1, 2):
+    for rank, quota in ((1, quotas.rank1), (2, quotas.rank2)):
         for t in range(1, quotas.n_types):
-            q = quotas.quota(t, rank)
+            q = quota[t]
             if q > 0:
                 pools_of_type[t] = (*pools_of_type.get(t, ()), len(pools))
                 pools.append(SeatPool(t, rank, q))
@@ -187,10 +184,13 @@ def build_graph(
 
     ``subset`` defaults to the acceptable pool, whose grouping by type set
     the instance caches (:attr:`Instance.type_groups`).  ``positions``, in
-    place of a subset, takes the acceptable students at those positions,
-    which must ascend: a prefix cuts the cached groups by bisection, and
-    other positions are grouped afresh, with no scan of the priority list
-    and no check of ids.  ``quotas`` defaults to the instance's; the rules
+    place of a subset, takes the students at those positions of the
+    priority list, which must ascend, with no check of ids.  A subset is
+    checked for ids that are unknown or repeated, then turned into its
+    ascending positions (:attr:`Instance._rank_of`), so either form may
+    reach past the acceptability cutoff.  A prefix of the acceptable pool
+    cuts the cached groups by bisection; other positions are grouped
+    afresh.  ``quotas`` defaults to the instance's; the rules
     that select under another table pass it here, so the cached grouping
     serves all their graphs.  Pools are created for every (type, rank) with
     a positive quota, plus the universal pool with ``capacity`` rank-3
@@ -199,35 +199,37 @@ def build_graph(
     and type sets that reach the same pools (a type without seats adds
     none) share one class.
     """
-    if subset is None:
-        members = instance.acceptable
-        by_types = instance.type_groups
+    if subset is not None:
         if positions is not None:
-            k = len(positions)
-            if not k or positions[-1] == k - 1:  # a prefix: cut the cached groups
-                members = members[:k]
-                by_types = {}
-                for types, group in instance.type_groups.items():
-                    if group[0] < k:
-                        by_types[types] = group[: bisect_left(group, k)]
-            else:
-                members = tuple(map(members.__getitem__, positions))
-                by_types = group_by_types(instance.students, members)
-    elif positions is not None:
-        raise ValueError("build_graph takes a subset or positions, not both")
-    else:
+            raise ValueError("build_graph takes a subset or positions, not both")
         # True and 2.0 hash like students 1 and 2, but no id is a bool or a float
         if not {int}.issuperset(map(type, subset)):
             strays = [sid for sid in subset if type(sid) is not int]
             raise ValueError(f"subset contains unknown students: {sorted(strays, key=repr)}")
-        members = tuple([sid for sid in instance.priority if sid in subset])
-        if len(members) != len(subset):
-            unknown = set(subset) - set(members)
+        rank_of = instance._rank_of
+        positions = sorted({rank_of[sid] for sid in subset if sid in rank_of})
+        if len(positions) != len(subset):
+            unknown = {sid for sid in subset if sid not in rank_of}
             if unknown:
                 raise ValueError(f"subset contains unknown students: {sorted(unknown)}")
             repeated = sorted(sid for sid, count in Counter(subset).items() if count > 1)
             raise ValueError(f"subset repeats students: {repeated}")
-        by_types = group_by_types(instance.students, members)
+    if positions is None:
+        members = instance.acceptable
+        by_types = instance.type_groups
+    else:
+        k = len(positions)
+        members = instance.priority
+        # a prefix of the acceptable pool, which the cached groups cover: cut them
+        if not k or (positions[-1] == k - 1 and k <= len(instance.acceptable)):
+            members = members[:k]
+            by_types = {}
+            for types, group in instance.type_groups.items():
+                if group[0] < k:
+                    by_types[types] = group[: bisect_left(group, k)]
+        else:
+            members = tuple(map(members.__getitem__, positions))
+            by_types = group_by_types(instance.students, members)
     if quotas is None:
         quotas = instance.quotas
 

@@ -78,7 +78,7 @@ def _seat_rows(
                 raise OutcomeError(f"seat index out of range: {seat}")
         row = taken.setdefault((t, rank), {})
         if index in row:
-            raise OutcomeError(f"seat {seat.label()} is used twice")
+            raise OutcomeError(f"seat t{t}:r{rank}:{index} is used twice")
         row[index] = sid
     return {key: list(map(row.__getitem__, sorted(row))) for key, row in taken.items()}
 

@@ -57,13 +57,6 @@ class QuotaTable:
         """Number of type slots, universal type included."""
         return len(self.rank1)
 
-    def quota(self, type_id: TypeId, rank: int) -> int:
-        if rank == 1:
-            return self.rank1[type_id]
-        if rank == 2:
-            return self.rank2[type_id]
-        raise ValueError(f"quota rank must be 1 or 2, got {rank}")
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -95,7 +88,8 @@ class Instance:
 
     @cached_property
     def _rank_of(self) -> dict[StudentId, int]:
-        # Inverse priority map, for evaluate's acceptability cutoff check.
+        # Inverse priority map, for evaluate's acceptability cutoff check and
+        # for build_graph, which turns an id subset into positions.
         return {sid: pos for pos, sid in enumerate(self.priority)}
 
     @cached_property
@@ -121,9 +115,6 @@ class Instance:
         if self.acceptable_count is None:
             return self.priority
         return self.priority[: self.acceptable_count]
-
-    def student(self, sid: StudentId) -> Student:
-        return self.students[sid]
 
     def type_name(self, type_id: TypeId) -> str:
         if type_id == UNIVERSAL_TYPE:
@@ -245,8 +236,8 @@ def parse_instance(text: str) -> Instance:
     ``scores`` (floats, priority order) and ``acceptable`` (int cutoff).
     Students are re-identified as 0..n-1 in priority order.  Raises
     :class:`InstanceFormatError` on malformed JSON, a missing field or one
-    of the wrong JSON kind, a type id that is not an integer (booleans
-    included), a score that is not a number or not finite as a float, and
+    of the wrong JSON kind, a type name that is not a string, a type id
+    that is not an integer (booleans included), a score that is not a number or not finite as a float, and
     on any problem :func:`validate` reports, which owns every other rule.
     """
     try:
@@ -265,6 +256,9 @@ def parse_instance(text: str) -> Instance:
     rank2 = quotas_doc.get("rank2")
     if not isinstance(rank1, list) or not isinstance(rank2, list):
         raise InstanceFormatError("quotas must contain rank1 and rank2 arrays")
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise InstanceFormatError(f"types[{i}] must be a string, got {name!r}")
 
     students = []
     for i, entry in enumerate(students_doc):
@@ -300,7 +294,7 @@ def parse_instance(text: str) -> Instance:
         capacity=capacity,
         quotas=QuotaTable((0, *rank1), (0, *rank2)),
         acceptable_count=doc.get("acceptable"),
-        type_names=tuple(str(x) for x in names),
+        type_names=tuple(names),
         scores=scores,
     )
     errors = validate(instance)
@@ -327,7 +321,7 @@ def serialize_instance(instance: Instance) -> str:
             "rank2": list(instance.quotas.rank2[1:]),
         },
         "students": [
-            sorted(instance.student(sid).types) for sid in instance.priority
+            sorted(instance.students[sid].types) for sid in instance.priority
         ],
     }
     if instance.scores is not None:

@@ -89,6 +89,13 @@ class RankMaximalMatcher:
     its pools follow, in ``adj`` order, each before its reverse.
     Each class matches its pinned students, then its highest-priority
     unpinned ones, so identical inputs give identical matchings.
+
+    ``RankMaximalMatcher(graph, forced).matching()`` is a rank-maximal
+    matching of size at most the graph cap that matches every student in
+    ``forced``; with ``forced`` empty it is the unconstrained one.
+    Construction raises :class:`InfeasibleForcedError` when more than
+    ``cap`` students are forced; any smaller set is feasible thanks to the
+    universal seats.
     """
 
     def __init__(self, graph: ReservationGraph, forced: Iterable[StudentId] = ()):
@@ -410,16 +417,3 @@ class RankMaximalMatcher:
         the graph raises ``ValueError``.
         """
         return bool(self._pin_in_order((self._position(sid),), 1))
-
-
-def rank_maximal_matching(
-    graph: ReservationGraph, forced: Iterable[StudentId] = ()
-) -> Matching:
-    """Rank-maximal matching of size at most the graph cap that matches
-    every student in ``forced``.
-
-    With ``forced`` empty this is the unconstrained rank-maximal matching.
-    Raises :class:`InfeasibleForcedError` when more than ``cap`` students
-    are forced; any smaller set is feasible thanks to the universal seats.
-    """
-    return RankMaximalMatcher(graph, forced).matching()

@@ -21,7 +21,6 @@ from reservematch import (
     ehyy_select,
     pog_select,
     pos_select,
-    rank_maximal_matching,
     signature,
     sy1_select,
     sy2_select,
@@ -133,7 +132,7 @@ def test_criterion_2_oracle_equivalence():
             inst = random_small_instance(rnd)
             graph = build_graph(inst)
             oracle = MatchingOracle(graph)
-            top = signature(rank_maximal_matching(graph))
+            top = signature(RankMaximalMatcher(graph).matching())
             assert top == oracle.best_signature(), trial
 
             # greedy replay: incremental pinning vs the oracle, prefix by prefix
@@ -155,7 +154,7 @@ def test_criterion_2_oracle_equivalence():
             for _ in range(2):
                 size = rnd.randint(0, min(len(students), inst.capacity))
                 forced = frozenset(rnd.sample(students, size))
-                constrained = signature(rank_maximal_matching(graph, forced))
+                constrained = signature(RankMaximalMatcher(graph, forced).matching())
                 assert constrained == oracle.best_signature(forced), (trial, forced)
                 assert (constrained == top) == oracle.compatible(forced), (trial, forced)
                 checked_compat += 1

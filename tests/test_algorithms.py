@@ -8,26 +8,29 @@ from reservematch import (
     Instance,
     OutcomeError,
     QuotaTable,
+    RankMaximalMatcher,
     RankSignature,
+    SatGenConfig,
     Seat,
     Student,
     a_s_select,
     build_graph,
     ehyy_select,
     evaluate,
+    gen_instance,
     pog_select,
     pos_select,
-    rank_maximal_matching,
-    run_algorithm,
     signature,
     sy1_select,
     sy2_select,
+    validate,
 )
 from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
 
 from conftest import check_outcome, random_instance
 from oracle import oracle_as_select, random_small_instance
+from test_rule_goldens import many_class_instance
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +97,7 @@ def test_zero_quotas_select_the_priority_prefix():
     inst = zero_quota_instance()
     prefix = inst.priority[:3]
     for tag in ALGORITHMS:
-        out = run_algorithm(tag, inst)
+        out = ALGORITHMS[tag](inst)
         assert out.selected == prefix, tag
         check_outcome(inst, out)
     assert pog_select(inst).matching.pairs == pos_select(inst).matching.pairs
@@ -103,7 +106,7 @@ def test_zero_quotas_select_the_priority_prefix():
 def test_single_student():
     inst = Instance((Student(0, frozenset({1})),), (0,), 1, QuotaTable((0, 1), (0, 0)))
     for tag in ALGORITHMS:
-        out = run_algorithm(tag, inst)
+        out = ALGORITHMS[tag](inst)
         assert out.selected == (0,)
         check_outcome(inst, out)
 
@@ -116,7 +119,7 @@ def test_capacity_beyond_pool_selects_everyone():
         QuotaTable((0, 1), (0, 0)),
     )
     for tag in ALGORITHMS:
-        out = run_algorithm(tag, inst)
+        out = ALGORITHMS[tag](inst)
         assert set(out.selected) == {0, 1}
         check_outcome(inst, out)
 
@@ -126,7 +129,7 @@ def test_acceptability_cutoff_restricts_selection(example):
         example.students, example.priority, example.capacity, example.quotas, acceptable_count=2
     )
     for tag in ALGORITHMS:
-        out = run_algorithm(tag, cut)
+        out = ALGORITHMS[tag](cut)
         assert set(out.selected) == {0, 1}, tag
         check_outcome(cut, out)
 
@@ -149,18 +152,13 @@ def test_a_priority_that_repeats_a_student_ends_in_a_typed_error(tag):
     assert type(raised.value) is not ValueError
 
 
-def test_unknown_tag_rejected(example):
-    with pytest.raises(ValueError):
-        run_algorithm("bogus", example)
-
-
 # ---------------------------------------------------------------------------
 # determinism
 
 def test_determinism_of_all_defaults(example):
     for tag in ALGORITHMS:
-        a = run_algorithm(tag, example)
-        b = run_algorithm(tag, example)
+        a = ALGORITHMS[tag](example)
+        b = ALGORITHMS[tag](example)
         assert a.selected == b.selected and a.matching.pairs == b.matching.pairs
 
 
@@ -221,9 +219,9 @@ def naive_pog(inst):
     pairs = set()
     for sid in prefix:
         seat = None
-        for rank in (1, 2):
-            for t in sorted(inst.student(sid).types):
-                if used[rank][t] < inst.quotas.quota(t, rank):
+        for rank, quota in ((1, inst.quotas.rank1), (2, inst.quotas.rank2)):
+            for t in sorted(inst.students[sid].types):
+                if used[rank][t] < quota[t]:
                     seat = Seat(t, rank, used[rank][t])
                     used[rank][t] += 1
                     break
@@ -242,12 +240,12 @@ def naive_ehyy(inst):
     pool = inst.acceptable
     target = min(inst.capacity, len(pool))
     seat_of = {}
-    for rank in (1, 2):
+    for rank, quota in ((1, inst.quotas.rank1), (2, inst.quotas.rank2)):
         used = [0] * inst.n_types
         for sid in pool:
             if sid in seat_of or len(seat_of) == target:
                 continue
-            open_types = [t for t in sorted(inst.student(sid).types) if used[t] < inst.quotas.quota(t, rank)]
+            open_types = [t for t in sorted(inst.students[sid].types) if used[t] < quota[t]]
             if open_types:
                 t = open_types[0]
                 seat_of[sid] = Seat(t, rank, used[t])
@@ -276,7 +274,7 @@ def test_structural_invariants_on_random_instances():
     rnd = random.Random(42)
     for _ in range(150):
         inst = random_instance(rnd)
-        outs = {tag: run_algorithm(tag, inst) for tag in ALGORITHMS}
+        outs = {tag: ALGORITHMS[tag](inst) for tag in ALGORITHMS}
         for tag, out in outs.items():
             check_outcome(inst, out)
 
@@ -296,7 +294,7 @@ def test_structural_invariants_on_random_instances():
             tuple(a + b for a, b in zip(inst.quotas.rank1, inst.quotas.rank2)), (0,) * inst.n_types
         )
         merged_graph = build_graph(replace(inst, quotas=merged))
-        assert sy2_total == signature(rank_maximal_matching(merged_graph)).rank1
+        assert sy2_total == signature(RankMaximalMatcher(merged_graph).matching()).rank1
         # the priority-only rules agree on the selected prefix
         prefix = inst.acceptable[: min(inst.capacity, len(inst.acceptable))]
         assert outs["pog"].selected == prefix
@@ -331,3 +329,52 @@ def test_ehyy_equals_a_s_when_everyone_holds_every_type():
         )
         assert ehyy_select(inst).selected == a_s_select(inst).selected
 
+
+def relabeled(inst, rnd):
+    """The instance with its real types permuted, quotas and names moving
+    with them, and its students re-identified by a random permutation,
+    the priority order kept; returns it and the map of old ids to new."""
+    m, n = inst.n_types - 1, inst.n_students
+    old_type = [0, *rnd.sample(range(1, m + 1), m)]  # new type id -> old
+    old_id = rnd.sample(range(n), n)  # new student id -> old
+    new_type, new_id = [0] * (m + 1), [0] * n
+    for t, old in enumerate(old_type):
+        new_type[old] = t
+    for sid, old in enumerate(old_id):
+        new_id[old] = sid
+    students = tuple(Student(sid, frozenset(new_type[t] for t in inst.students[old].types)) for sid, old in enumerate(old_id))
+    q = inst.quotas
+    relabeled = Instance(
+        students=students,
+        priority=tuple(new_id[sid] for sid in inst.priority),
+        capacity=inst.capacity,
+        quotas=QuotaTable(tuple(q.rank1[t] for t in old_type), tuple(q.rank2[t] for t in old_type)),
+        acceptable_count=inst.acceptable_count,
+        type_names=None if inst.type_names is None else tuple(inst.type_names[t - 1] for t in old_type[1:]),
+        scores=None if inst.scores is None else tuple(inst.scores[old] for old in old_id),
+    )
+    return relabeled, new_id
+
+
+def test_label_free_rules_commute_with_relabeling():
+    # as, sy1, sy2 and pos are defined by priority, type sets and quotas
+    # alone, so renumbering the types and the students maps their answer
+    # and keeps its signature and metrics; ehyy and pog break ties by type
+    # number, so only pos >= pog is checked for them
+    rnd = random.Random(45)
+    pools = [many_class_instance()]
+    for factor in ("1.0", "2.0", "2.6154"):
+        for n, count in ((30, 4), (100, 4), (400, 4), (1600, 1), (6400, 1)):
+            for _ in range(count):
+                config = SatGenConfig(capacity=rnd.randint(1, n), seed=rnd.randrange(2**32), n_students=n, psi_factor=factor)
+                pools.append(gen_instance(config))
+    for inst in pools:
+        other, new_id = relabeled(inst, rnd)
+        assert validate(other) == []
+        for select in (a_s_select, sy1_select, sy2_select, pos_select):
+            a, b = select(inst), select(other)
+            assert b.selected == tuple(new_id[sid] for sid in a.selected), a.algorithm
+            assert signature(b.matching) == signature(a.matching), a.algorithm
+            assert evaluate(other, b) == evaluate(inst, a), a.algorithm
+        for each in (inst, other):
+            assert signature(pos_select(each).matching) >= signature(pog_select(each).matching)

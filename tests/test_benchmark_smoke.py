@@ -1,8 +1,13 @@
 """The benchmark under perfbench/ runs against this checkout's package.
 
-perfbench imports ``build_graph``, ``RankMaximalMatcher``, ``Matching`` and
-``Seat`` and drives the rules from outside the package, so an API change
-that breaks it fails here, not only when the benchmark is next run.
+perfbench imports ``ALGORITHMS``, ``SatGenConfig``, ``gen_instance``,
+``evaluate``, ``build_graph``, ``RankMaximalMatcher``, ``Matching`` and
+``Seat`` from the package root, ``ExperimentSpec``, ``run_experiment`` and
+``derive_seed`` from ``experiment`` (whose ``_cell_rows`` it patches), and
+``suite_optimum`` from ``metrics``, and drives the rules from outside the
+package, so an API change that breaks it fails here, not only when the
+benchmark is next run.  ``tests/test_public_api.py`` checks that each of
+these names resolves.
 """
 
 import json

@@ -13,7 +13,6 @@ from reservematch import (
     SeatPool,
     build_graph,
     gen_instance,
-    rank_maximal_matching,
     signature,
 )
 from reservematch.graph import _pool_table, seat_row
@@ -90,8 +89,8 @@ def test_pools_cover_quotas():
         inst = random_instance(rnd)
         g = build_graph(inst)
         for t in range(1, inst.n_types):
-            for rank in (1, 2):
-                q = inst.quotas.quota(t, rank)
+            for rank, quota in ((1, inst.quotas.rank1), (2, inst.quotas.rank2)):
+                q = quota[t]
                 pool = [p for p in g.pools if p.type == t and p.rank == rank]
                 assert (len(pool) == 1 and pool[0].capacity == q) if q else not pool
         universal = [p for p in g.pools if p.rank == 3]
@@ -103,7 +102,7 @@ def grouped_by_pools(inst, g):
     their types reach, in student order."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, sid in enumerate(g.students):
-        types = inst.student(sid).types
+        types = inst.students[sid].types
         adj = tuple(p for p, pool in enumerate(g.pools) if pool.rank == 3 or pool.type in types)
         groups.setdefault(adj, []).append(i)
     return tuple((adj, tuple(members)) for adj, members in groups.items())
@@ -120,7 +119,7 @@ def test_classes_partition_students_by_pools(example):
     for inst, subset in cases:
         g = build_graph(inst, subset)
         assert g.classes == grouped_by_pools(inst, g)
-        merged += len(g.classes) < len({inst.student(sid).types for sid in g.students})
+        merged += len(g.classes) < len({inst.students[sid].types for sid in g.students})
     assert merged  # some type sets reached the same pools
 
 
@@ -205,6 +204,42 @@ def reference_pools(quotas, capacity):
     return (*reserve, SeatPool(0, 3, capacity))
 
 
+def test_id_subset_graph_equals_its_positions_graph():
+    # an id subset becomes its ascending positions, so its graph equals the
+    # positions' graph, and both hold the students in priority order
+    # grouped by the pools they reach: for the empty subset, a prefix of
+    # the acceptable pool (cut from the cached groups), a longer prefix, a
+    # subset reaching past the cutoff and the whole priority list; on
+    # generated pools and on hand-built ones with shuffled priorities and
+    # cutoffs
+    rnd = random.Random(24)
+    pools = []
+    for n, factor in ((30, "1.0"), (100, "2.0"), (400, "2.6154")):
+        pools.append(gen_instance(SatGenConfig(capacity=rnd.randint(1, n), seed=rnd.randrange(2**32), n_students=n, psi_factor=factor)))
+    for _ in range(200):
+        inst = random_instance(rnd, max_types=5)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        pools.append(inst)
+    past = 0
+    for inst in pools:
+        n, cut = inst.n_students, len(inst.acceptable)
+        cases = [[], list(range(rnd.randint(0, cut))), list(range(n))]
+        cases.append(sorted(rnd.sample(range(n), rnd.randint(0, n))))
+        if cut < n:
+            cases.append(list(range(rnd.randint(cut + 1, n))))
+            cases.append(sorted({*rnd.sample(range(n), rnd.randint(0, n)), rnd.randrange(cut, n)}))
+        for positions in cases:
+            ids = tuple(map(inst.priority.__getitem__, positions))
+            g = build_graph(inst, set(ids))
+            assert g == build_graph(inst, positions=positions)
+            assert g.students == ids
+            assert g.pools == reference_pools(inst.quotas, inst.capacity)
+            assert g.classes == grouped_by_pools(inst, g)
+            past += bool(positions) and positions[-1] >= cut
+    assert past > 100
+
+
 def test_pool_tables_are_shared_and_equal_a_fresh_build():
     # the pools come from one table per (quota table, capacity), shared by
     # every graph under them; a graph on it equals one built with the cache
@@ -254,7 +289,7 @@ def test_seat_row_longer_request_keeps_the_prefix():
 
 def test_matchings_share_seat_objects(example):
     g = build_graph(example)
-    first = {seat: seat for _, seat in rank_maximal_matching(g).pairs}
-    shared = [seat for _, seat in rank_maximal_matching(g, {0}).pairs if seat in first]
+    first = {seat: seat for _, seat in RankMaximalMatcher(g).matching().pairs}
+    shared = [seat for _, seat in RankMaximalMatcher(g, {0}).matching().pairs if seat in first]
     assert shared
     assert all(first[seat] is seat for seat in shared)

@@ -16,7 +16,6 @@ from reservematch import (
     evaluate,
     gen_instance,
     pog_select,
-    run_algorithm,
 )
 from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
@@ -48,7 +47,7 @@ def test_percentile_definition(example):
 
 def test_single_student_no_quotas():
     inst = Instance((Student(0),), (0,), 1, QuotaTable((0,), (0,)))
-    out = run_algorithm("as", inst)
+    out = ALGORITHMS["as"](inst)
     v = evaluate(inst, out)
     assert (v.p1, v.p2) == (0, 0)
     assert v.p3 == pytest.approx(100.0)
@@ -226,7 +225,7 @@ def test_rows_and_pairs_agree_on_generated_pools():
 
 def suite_relative(instance, tags):
     """Per-instance ratio of each (algorithm, metric) to the suite's best."""
-    values = {tag: evaluate(instance, run_algorithm(tag, instance)) for tag in tags}
+    values = {tag: evaluate(instance, ALGORITHMS[tag](instance)) for tag in tags}
     opts = suite_optimum(values)
     return {(tag, m): ratio(v.value(m), opts[m]) for tag, v in values.items() for m in METRICS}
 
@@ -251,7 +250,7 @@ def test_zero_optimum_counts_as_met():
     inst = Instance(
         tuple(Student(i) for i in range(3)), (0, 1, 2), 2, QuotaTable((0, 1), (0, 0))
     )
-    values = {tag: evaluate(inst, run_algorithm(tag, inst)) for tag in ALGORITHMS}
+    values = {tag: evaluate(inst, ALGORITHMS[tag](inst)) for tag in ALGORITHMS}
     opts = suite_optimum(values)
     # nobody holds a type, so the reserve optima are zero
     assert opts["p1"] == 0 and opts["p2"] == 0
@@ -265,7 +264,7 @@ def test_metric_bounds_on_random_instances():
     for _ in range(60):
         inst = random_instance(rnd)
         for tag in ALGORITHMS:
-            v = evaluate(inst, run_algorithm(tag, inst))
+            v = evaluate(inst, ALGORITHMS[tag](inst))
             assert 0 <= v.p1 <= v.p2 <= inst.capacity
             assert v.p2 <= sum(inst.quotas.rank1) + sum(inst.quotas.rank2)
             assert v.p1 <= sum(inst.quotas.rank1)

@@ -20,13 +20,13 @@ sparse = pytest.importorskip("scipy.sparse")
 from reservematch import (
     Instance,
     QuotaTable,
+    RankMaximalMatcher,
     RankSignature,
     SatGenConfig,
     Student,
     a_s_select,
     build_graph,
     gen_instance,
-    rank_maximal_matching,
     signature,
 )
 
@@ -61,7 +61,7 @@ def milp_signature(graph, pinned=()) -> RankSignature:
 def assert_engine_matches_oracle(inst) -> None:
     graph = build_graph(inst)
     top = milp_signature(graph)
-    assert signature(rank_maximal_matching(graph)) == top
+    assert signature(RankMaximalMatcher(graph).matching()) == top
 
     # the greedy definition of ``as``, answered by the oracle alone
     chosen: list[int] = []
@@ -106,5 +106,5 @@ def hand_built_pool(seed: int) -> Instance:
 @pytest.mark.parametrize("seed", [438, 551])
 def test_engine_matches_the_milp_oracle_without_universal_seats(seed):
     inst = hand_built_pool(seed)
-    assert signature(rank_maximal_matching(build_graph(inst))).rank3 == 0
+    assert signature(RankMaximalMatcher(build_graph(inst)).matching()).rank3 == 0
     assert_engine_matches_oracle(inst)

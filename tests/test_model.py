@@ -93,7 +93,8 @@ def test_negative_quota_reported(example):
 
 
 def test_priority_round_trip():
-    # _rank_of, which evaluate reads for the cutoff, inverts the priority order
+    # _rank_of, which evaluate reads for the cutoff and build_graph for an id
+    # subset's positions, inverts the priority order
     rnd = random.Random(5)
     for _ in range(30):
         inst = random_instance(rnd)
@@ -171,8 +172,8 @@ def test_serialize_permutes_into_priority_order(example):
     # parsing the serialized text relabels students in priority order
     relabeled = parse_instance(serialize_instance(shuffled))
     assert relabeled.priority == (0, 1, 2, 3, 4, 5)
-    assert [relabeled.student(i).types for i in range(6)] == [
-        shuffled.student(sid).types for sid in shuffled.priority
+    assert [relabeled.students[i].types for i in range(6)] == [
+        shuffled.students[sid].types for sid in shuffled.priority
     ]
 
 
@@ -188,6 +189,8 @@ def test_serialize_permutes_into_priority_order(example):
         # problems only validate() reports
         '{"capacity": 0, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]]}',
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]], "acceptable": -3}',
+        # type names are strings
+        '{"capacity": 1, "types": [1], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]]}',
         # JSON booleans are not integers
         '{"capacity": true, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]]}',
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [true], "rank2": [0]}, "students": [[1]]}',
@@ -207,6 +210,12 @@ def test_serialize_permutes_into_priority_order(example):
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(InstanceFormatError):
+        parse_instance(text)
+
+
+def test_parse_names_a_type_name_that_is_no_string():
+    text = '{"capacity": 1, "types": [null, {"a": 1}], "quotas": {"rank1": [1, 0], "rank2": [0, 0]}, "students": [[1]]}'
+    with pytest.raises(InstanceFormatError, match=r"^types\[0\] must be a string, got None$"):
         parse_instance(text)
 
 

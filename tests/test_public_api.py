@@ -1,22 +1,11 @@
 import ast
+import importlib
 from pathlib import Path
 
 import reservematch
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(reservematch.__file__).parent
-
-# Names the benchmark under perfbench/ imports from the package root.
-BENCHMARK_NAMES = (
-    "ALGORITHMS",
-    "SatGenConfig",
-    "evaluate",
-    "gen_instance",
-    "RankMaximalMatcher",
-    "build_graph",
-    "Matching",
-    "Seat",
-)
 
 
 def test_every_exported_name_resolves():
@@ -28,8 +17,42 @@ def test_exports_have_no_duplicates():
     assert len(set(reservematch.__all__)) == len(reservematch.__all__)
 
 
+def benchmark_reads() -> list[tuple[str, str, str, bool]]:
+    """What the benchmark under perfbench/ reads of the package, as
+    (file, module, name, imported): every name of a ``from
+    reservematch[.module] import ...`` (imported), and every attribute
+    taken of a package module imported by name, such as ``experiment``
+    after ``from reservematch import experiment``."""
+    reads = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> dotted module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.partition(".")[0] == "reservematch":
+                        modules[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "reservematch":
+                for alias in node.names:
+                    reads.append((path.name, node.module, alias.name, True))
+                    if node.module == "reservematch" and (PACKAGE / f"{alias.name}.py").is_file():
+                        modules[alias.asname or alias.name] = f"reservematch.{alias.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                reads.append((path.name, modules[node.value.id], node.attr, False))
+    return reads
+
+
+def test_benchmark_reads_only_names_that_resolve():
+    reads = benchmark_reads()
+    missing = [read for read in reads if not hasattr(importlib.import_module(read[1]), read[2])]
+    assert reads and missing == []
+
+
 def test_benchmark_names_are_exported():
-    assert set(BENCHMARK_NAMES) <= set(reservematch.__all__)
+    names = {name for _, module, name, imported in benchmark_reads() if imported and module == "reservematch"}
+    names -= {p.stem for p in PACKAGE.glob("*.py")}
+    assert names and names <= set(reservematch.__all__)
 
 
 def used_names(path: Path) -> set[str]:

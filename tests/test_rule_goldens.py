@@ -144,7 +144,7 @@ def merged_instance() -> Instance:
 def test_merged_class_outputs_are_pinned():
     instance = merged_instance()
     graph = build_graph(instance)
-    type_sets = {instance.student(sid).types for sid in graph.students}
+    type_sets = {instance.students[sid].types for sid in graph.students}
     assert len(graph.classes) < len(type_sets)  # some type sets share pools
     for tag, rule in ALGORITHMS.items():
         outcome = rule(instance)

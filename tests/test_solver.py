@@ -12,7 +12,6 @@ from reservematch import (
     Student,
     build_graph,
     gen_instance,
-    rank_maximal_matching,
     signature,
 )
 from reservematch.solver import InfeasibleForcedError, RankMaximalMatcher
@@ -27,19 +26,19 @@ def is_compatible(graph, forced) -> bool:
     the unconstrained rank-maximal signature while matching every student
     in ``forced``."""
     try:
-        constrained = rank_maximal_matching(graph, forced)
+        constrained = RankMaximalMatcher(graph, forced).matching()
     except InfeasibleForcedError:
         return False
-    return signature(constrained) == signature(rank_maximal_matching(graph))
+    return signature(constrained) == signature(RankMaximalMatcher(graph).matching())
 
 
 def test_unconstrained_signature(example):
-    assert signature(rank_maximal_matching(build_graph(example))) == RankSignature(2, 1, 0)
+    assert signature(RankMaximalMatcher(build_graph(example)).matching()) == RankSignature(2, 1, 0)
 
 
 def test_forced_final_matching_is_unique(example):
     g = build_graph(example)
-    m = rank_maximal_matching(g, {1, 3, 4})
+    m = RankMaximalMatcher(g, {1, 3, 4}).matching()
     # the only rank-maximal seating of these three students
     assert m.pairs == frozenset(
         {(1, Seat(4, 2, 0)), (3, Seat(2, 1, 0)), (4, Seat(1, 1, 0))}
@@ -48,20 +47,20 @@ def test_forced_final_matching_is_unique(example):
 
 def test_forcing_the_top_three_drops_a_rank_one_seat(example):
     g = build_graph(example)
-    assert signature(rank_maximal_matching(g, {0, 1, 2})) == RankSignature(0, 2, 1)
+    assert signature(RankMaximalMatcher(g, {0, 1, 2}).matching()) == RankSignature(0, 2, 1)
 
 
 def test_forced_students_always_matched(example):
     g = build_graph(example)
     for forced in ({0}, {0, 5}, {2, 4}, {0, 1, 2}):
-        m = rank_maximal_matching(g, forced)
+        m = RankMaximalMatcher(g, forced).matching()
         assert forced <= {sid for sid, _ in m.pairs}
 
 
 def test_infeasible_when_forced_exceeds_cap(example):
     g = build_graph(example)
     with pytest.raises(InfeasibleForcedError):
-        rank_maximal_matching(g, {0, 1, 2, 3})
+        RankMaximalMatcher(g, {0, 1, 2, 3}).matching()
     assert not is_compatible(g, {0, 1, 2, 3})
 
 
@@ -74,15 +73,15 @@ def test_compatibility_examples(example):
 
 def test_matching_size_is_min_of_cap_and_students(example):
     g = build_graph(example)
-    assert len(rank_maximal_matching(g)) == 3
+    assert len(RankMaximalMatcher(g).matching()) == 3
     small = build_graph(example, {0, 1})
-    assert len(rank_maximal_matching(small)) == 2
+    assert len(RankMaximalMatcher(small).matching()) == 2
 
 
 def test_determinism(example):
     g = build_graph(example)
-    a = rank_maximal_matching(g, {0, 1})
-    b = rank_maximal_matching(build_graph(make_example()), {0, 1})
+    a = RankMaximalMatcher(g, {0, 1}).matching()
+    b = RankMaximalMatcher(build_graph(make_example()), {0, 1}).matching()
     assert a.pairs == b.pairs
 
 
@@ -91,7 +90,7 @@ def test_signature_matches_oracle_on_random_instances():
     for _ in range(150):
         inst = random_small_instance(rnd)
         g = build_graph(inst)
-        assert signature(rank_maximal_matching(g)) == MatchingOracle(g).best_signature()
+        assert signature(RankMaximalMatcher(g).matching()) == MatchingOracle(g).best_signature()
 
 
 def test_forced_signature_and_compatibility_match_oracle():
@@ -104,7 +103,7 @@ def test_forced_signature_and_compatibility_match_oracle():
         for _ in range(4):
             size = rnd.randint(0, min(len(students), inst.capacity))
             forced = frozenset(rnd.sample(students, size))
-            m = rank_maximal_matching(g, forced)
+            m = RankMaximalMatcher(g, forced).matching()
             assert forced <= {sid for sid, _ in m.pairs}
             assert signature(m) == oracle.best_signature(forced)
             assert is_compatible(g, forced) == oracle.compatible(forced)
@@ -115,11 +114,11 @@ def test_forcing_never_improves_the_signature():
     for _ in range(100):
         inst = random_small_instance(rnd)
         g = build_graph(inst)
-        top = signature(rank_maximal_matching(g))
+        top = signature(RankMaximalMatcher(g).matching())
         students = list(g.students)
         size = rnd.randint(0, min(len(students), inst.capacity))
         forced = frozenset(rnd.sample(students, size))
-        constrained = signature(rank_maximal_matching(g, forced))
+        constrained = signature(RankMaximalMatcher(g, forced).matching())
         assert constrained <= top
         assert is_compatible(g, forced) == (constrained == top)
 
@@ -138,7 +137,7 @@ def test_try_force_agrees_with_naive_compatibility():
     ]
     for inst in instances:
         g = build_graph(inst)
-        top = signature(rank_maximal_matching(g))
+        top = signature(RankMaximalMatcher(g).matching())
         matcher = RankMaximalMatcher(g)
         pinned: list[int] = []
         for sid in inst.acceptable:
@@ -185,7 +184,7 @@ def test_try_force_matches_oracle_in_the_high_reserve_regime(base):
         inst = high_reserve_instance(rnd)
         g = build_graph(inst)
         oracle = MatchingOracle(g)
-        top = signature(rank_maximal_matching(g))
+        top = signature(RankMaximalMatcher(g).matching())
         assert top == oracle.best_signature()
         matcher = RankMaximalMatcher(g)
         pinned: list[int] = []
@@ -224,8 +223,8 @@ def test_forced_student_outside_the_graph_is_rejected(example):
 def test_duplicate_forced_ids_count_once(example):
     g = build_graph(example)
     # four entries but two students: within the cap of 3
-    assert rank_maximal_matching(g, [1, 3, 1, 3]) == rank_maximal_matching(g, [1, 3])
-    assert rank_maximal_matching(g, [0, 0, 0, 0, 5]) == rank_maximal_matching(g, [0, 5])
+    assert RankMaximalMatcher(g, [1, 3, 1, 3]).matching() == RankMaximalMatcher(g, [1, 3]).matching()
+    assert RankMaximalMatcher(g, [0, 0, 0, 0, 5]).matching() == RankMaximalMatcher(g, [0, 5]).matching()
 
 
 def test_try_force_with_everyone_pinned_accepts(example):
