@@ -28,7 +28,7 @@ from itertools import compress
 from typing import Any, Callable, Sequence
 
 from .graph import Matching, build_graph, signature
-from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, gather
 from .solver import RankMaximalMatcher
 
 
@@ -53,7 +53,7 @@ def _greedy_scan(instance: Instance, quotas: QuotaTable | None = None) -> tuple[
 
 
 def _ids(instance: Instance, positions: list[int]) -> tuple[StudentId, ...]:
-    return tuple(map(instance.acceptable.__getitem__, positions))
+    return gather(instance.acceptable, positions)
 
 
 def a_s_select(instance: Instance) -> Outcome:
@@ -102,7 +102,7 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[
     type.  A reserve pass ends once its seats are full.
     """
     target = min(instance.capacity, len(pool))
-    students = instance.students
+    types_of = instance._types_of
     seated = [False] * len(pool)
     count = 0
     rows: dict[tuple[TypeId, int], list[StudentId]] = {}
@@ -118,7 +118,7 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[
         for i, sid in enumerate(pool):
             if count == target or not open_seats:
                 break
-            types = students[sid].types
+            types = types_of[sid]
             if seated[i] or types in closed:
                 continue
             t = n_types  # the lowest held type with an open seat, if below n_types

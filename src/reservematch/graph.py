@@ -21,9 +21,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import lt
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, group_by_types
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, gather, group_by_types
 
 
 class Seat(NamedTuple):
@@ -173,6 +174,23 @@ def _pool_table(quotas: QuotaTable, capacity: int) -> tuple[tuple[SeatPool, ...]
     return tuple(pools), pools_of_type
 
 
+def _check_positions(positions: Sequence[int], n: int) -> None:
+    """Raise ``ValueError``, naming the first bad entry, unless
+    ``positions`` ascend strictly inside ``0..n-1``: in O(1) for a range,
+    in one C pass otherwise."""
+    if type(positions) is range:
+        ascending = len(positions) < 2 or positions.step > 0
+    else:
+        ascending = all(map(lt, positions, positions[1:]))
+    if ascending and (not positions or (positions[0] >= 0 and positions[-1] < n)):
+        return
+    last = -1
+    for i, p in enumerate(positions):
+        if not last < p < n:
+            raise ValueError(f"positions must ascend strictly inside 0..{n - 1}: positions[{i}] is {p!r}")
+        last = p
+
+
 def build_graph(
     instance: Instance,
     subset: set[StudentId] | None = None,
@@ -185,7 +203,8 @@ def build_graph(
     ``subset`` defaults to the acceptable pool, whose grouping by type set
     the instance caches (:attr:`Instance.type_groups`).  ``positions``, in
     place of a subset, takes the students at those positions of the
-    priority list, which must ascend, with no check of ids.  A subset is
+    priority list; they must ascend strictly inside it, or ``ValueError``
+    names the first entry that does not.  A subset is
     checked for ids that are unknown or repeated, then turned into its
     ascending positions (:attr:`Instance._rank_of`), so either form may
     reach past the acceptability cutoff.  A prefix of the acceptable pool
@@ -214,6 +233,8 @@ def build_graph(
                 raise ValueError(f"subset contains unknown students: {sorted(unknown)}")
             repeated = sorted(sid for sid, count in Counter(subset).items() if count > 1)
             raise ValueError(f"subset repeats students: {repeated}")
+    elif positions is not None:
+        _check_positions(positions, len(instance.priority))
     if positions is None:
         members = instance.acceptable
         by_types = instance.type_groups
@@ -228,8 +249,8 @@ def build_graph(
                 if group[0] < k:
                     by_types[types] = group[: bisect_left(group, k)]
         else:
-            members = tuple(map(members.__getitem__, positions))
-            by_types = group_by_types(instance.students, members)
+            members = gather(members, positions)
+            by_types = group_by_types(instance._types_of, members)
     if quotas is None:
         quotas = instance.quotas
 

@@ -11,14 +11,14 @@ same instance; the sweep averages and minimizes those ratios per cell.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter, contains, methodcaller
-from typing import Iterable, Mapping, Sequence
+from operator import contains, methodcaller
 
 from .algorithms import Outcome
 from .graph import Seat
-from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE
+from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, gather
 
 METRICS = ("p1", "p2", "p3")
 
@@ -80,7 +80,7 @@ def _seat_rows(
         if index in row:
             raise OutcomeError(f"seat t{t}:r{rank}:{index} is used twice")
         row[index] = sid
-    return {key: list(map(row.__getitem__, sorted(row))) for key, row in taken.items()}
+    return {key: list(gather(row, sorted(row))) for key, row in taken.items()}
 
 
 def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
@@ -93,13 +93,12 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     students than the capacity, unknown students (any id, matched or
     selected, that is not an ``int``, too), a student matched twice, an
     unknown pool (any type or rank that is not an ``int``, too) or seat, a
-    pool or seat holding more students than it has seats, a reserved seat
-    whose type the student does not hold, a student below the
-    acceptability cutoff, or selected students that differ from the
-    matched ones or list a student twice.  How many students a rule must
-    select is not checked.
+    row that is no sequence, a pool or seat holding more students than it
+    has seats, a reserved seat whose type the student does not hold, a
+    student below the acceptability cutoff, or selected students that
+    differ from the matched ones or list a student twice.  How many
+    students a rule must select is not checked.
     """
-    students = instance.students
     capacity = instance.capacity
     rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
     n_types = len(rank1)
@@ -115,6 +114,9 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
         if type(key) is not tuple or len(key) != 2 or not {int}.issuperset(map(type, key)):
             raise OutcomeError(f"outcome references unknown pool {key!r}")
         t, rank = key
+        # a row lists its students in seat order: a set or an iterator has none
+        if not isinstance(row, Sequence):
+            raise OutcomeError(f"pool {_pool_label(t, rank)} holds a {type(row).__name__}, not a sequence in seat order")
         if t == UNIVERSAL_TYPE and rank == 3:
             seats = capacity
         elif 1 <= t < n_types and rank in (1, 2):
@@ -139,11 +141,11 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     if len(matched) != len(seated):
         twice = next(sid for sid, count in Counter(seated).items() if count > 1)
         raise OutcomeError(f"student {twice} is matched twice")
+    types_of = instance._types_of
     for t, rank, row in reserved:
-        types = map(attrgetter("types"), map(students.__getitem__, row))
-        if not all(map(contains, types, repeat(t))):
+        if not all(map(contains, gather(types_of, row), repeat(t))):
             for sid in row:
-                if t not in students[sid].types:
+                if t not in types_of[sid]:
                     raise OutcomeError(f"student {sid} does not hold the type of pool {_pool_label(t, rank)}")
 
     selected = outcome.selected
@@ -162,7 +164,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
                 raise OutcomeError(f"student {sid} is below the acceptability cutoff {cut}")
 
     if selected:
-        pcts = list(map(percentile.__getitem__, selected))
+        pcts = gather(percentile, selected)
         p3 = sum(pcts) / len(pcts)
         p3_min, p3_max = min(pcts), max(pcts)
     else:

@@ -11,6 +11,11 @@ priority, their priority order.  So the priority percentiles that
 ``evaluate`` reads come from one table per (size, priority order), kept in
 a small bounded cache and shared by every instance that has them.  The
 table is read only.
+
+The pool path looks students up in bulk, never one element at a time
+through a bound ``__getitem__``: each instance caches the type set of
+every student by id (``_types_of``), and :func:`gather` takes any number
+of entries of a sequence in one C call.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import filterfalse
+from operator import attrgetter, itemgetter
 from typing import Any, Sequence
 
 UNIVERSAL_TYPE = 0
@@ -102,12 +108,18 @@ class Instance:
         return _percentile_table(len(self.students), priority)
 
     @cached_property
+    def _types_of(self) -> tuple[frozenset[TypeId], ...]:
+        # Type set of each student, by id, for the rules, build_graph and
+        # evaluate, which read it per student.
+        return tuple(map(attrgetter("types"), self.students))
+
+    @cached_property
     def type_groups(self) -> dict[frozenset[TypeId], list[int]]:
         """Positions in ``acceptable`` grouped by type set, each group
         ascending and the groups in order of their first member.  Every
         graph over the acceptable pool starts from this grouping, whatever
         its quotas, so an instance computes it once.  Read only."""
-        return group_by_types(self.students, self.acceptable)
+        return group_by_types(self._types_of, self.acceptable)
 
     @property
     def acceptable(self) -> tuple[StudentId, ...]:
@@ -132,12 +144,24 @@ def _percentile_table(n: int, priority: tuple[StudentId, ...]) -> dict[StudentId
     return {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(priority)}
 
 
-def group_by_types(students: Sequence[Student], members: Sequence[StudentId]) -> dict[frozenset[TypeId], list[int]]:
+def gather(seq: Any, indices: Sequence[Any]) -> tuple[Any, ...]:
+    """``tuple(seq[i] for i in indices)``, in one ``itemgetter`` call; with
+    a single index ``itemgetter`` returns the bare item, so that case is
+    wrapped here."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    if indices:
+        return (seq[indices[0]],)
+    return ()
+
+
+def group_by_types(types_of: Sequence[frozenset[TypeId]], members: Sequence[StudentId]) -> dict[frozenset[TypeId], list[int]]:
     """Positions in ``members`` grouped by the type set of the student there,
-    each group ascending and the groups in order of their first member."""
+    as ``types_of`` lists them by id (:attr:`Instance._types_of`), each group
+    ascending and the groups in order of their first member."""
     groups: dict[frozenset[TypeId], list[int]] = {}
-    for i, sid in enumerate(members):
-        groups.setdefault(students[sid].types, []).append(i)
+    for i, types in enumerate(gather(types_of, members)):
+        groups.setdefault(types, []).append(i)
     return groups
 
 

@@ -73,7 +73,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .graph import Matching, ReservationGraph
-from .model import StudentId, TypeId
+from .model import StudentId, TypeId, gather
 
 
 class InfeasibleForcedError(ValueError):
@@ -107,10 +107,10 @@ class RankMaximalMatcher:
 
         self._adj = [adj for adj, _ in graph.classes]
         self._members = [members for _, members in graph.classes]
-        self._class_of = [0] * len(students)
+        class_of = self._class_of = [0] * len(students)
         for c, members in enumerate(self._members):
             for i in members:
-                self._class_of[i] = c
+                class_of[i] = c
         k, n_pools = len(self._members), len(graph.pools)
         s = self._source = k + n_pools
         t = self._sink = s + 1
@@ -161,7 +161,8 @@ class RankMaximalMatcher:
 
         self._table: list[list[int]] = [[] for _ in self._out]  # _augment lists new arcs here too
         self._dead = [False] * k  # classes try_force can no longer grow
-        self._route(n_forced, pinned=True)
+        if n_forced:
+            self._route(n_forced, pinned=True)
         for c, members in enumerate(self._members):
             self._res[2 * c] += len(members) - pins[c]  # the ceiling rises to the class size
         self._route(self.target_size - n_forced, pinned=False)
@@ -250,10 +251,11 @@ class RankMaximalMatcher:
         # units each class already routed in this phase
         skip = [after - b for after, b in zip(res[1 : 2 * k : 2], before)]
         fill: dict[int, int] = {}  # units per class, in order of first use
+        pinned_at = self._pinned
         for i, c in enumerate(self._class_of):
             if not amount:
                 break
-            if self._pinned[i] != pinned:
+            if pinned_at[i] != pinned:
                 continue
             if skip[c]:
                 skip[c] -= 1
@@ -355,12 +357,12 @@ class RankMaximalMatcher:
             for p, load in zip(adj, res[class_arc[c] + 1 : class_arc[c + 1] : 2]):
                 seated[p] += chosen[start : start + load]
                 start += load
-        student_at = self._graph.students.__getitem__
+        students = self._graph.students
         rows: dict[tuple[TypeId, int], list[StudentId]] = {}
         for pool, row in zip(self._graph.pools, seated):
             if row:
                 row.sort()
-                rows[pool.type, pool.rank] = list(map(student_at, row))
+                rows[pool.type, pool.rank] = list(gather(students, row))
         return Matching(rows=rows)
 
     def _pin_in_order(self, positions: Iterable[int], room: int) -> list[int]:
@@ -381,8 +383,9 @@ class RankMaximalMatcher:
                 c = class_of[i]
                 if dead[c]:
                     continue
-                if res[2 * c + 1]:
-                    res[2 * c + 1] -= 1  # pin a matched unpinned unit
+                back = 2 * c + 1  # the arc c -> S
+                if res[back]:
+                    res[back] -= 1  # pin a matched unpinned unit
                 else:
                     # a cycle S -> c ~> S of zero reduced cost brings c the unit to pin
                     if c == last and all(map(res.__getitem__, cycle)):
@@ -393,10 +396,11 @@ class RankMaximalMatcher:
                             dead[c] = True
                             continue
                         last, cycle = c, path
-                    res[2 * c] -= 1
+                    res[back - 1] -= 1
                 pinned[i] = True
             chosen.append(i)
-            if len(chosen) == room:
+            room -= 1
+            if not room:
                 break
         return chosen
 

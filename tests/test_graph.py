@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -65,6 +66,31 @@ def test_subset_must_be_known(example):
 def test_subset_must_not_repeat_a_student(example):
     with pytest.raises(ValueError, match=r"subset repeats students: \[0\]"):
         build_graph(example, [0, 0, 1])
+
+
+@pytest.mark.parametrize("positions, bad", [
+    ([3, 1], "positions[1] is 1"),
+    ([-1], "positions[0] is -1"),
+    ([0, 0, 2], "positions[1] is 0"),
+    ([0, 6], "positions[1] is 6"),
+    ((2, 4, 3), "positions[2] is 3"),
+    (range(-1, 2), "positions[0] is -1"),
+    (range(2, 8), "positions[4] is 6"),
+    (range(3, 0, -1), "positions[1] is 2"),
+])
+def test_positions_must_ascend_inside_the_priority_list(example, positions, bad):
+    # each of these once returned some graph: [3, 1] that of students 0
+    # and 1, [-1] that of student 5, [0, 0, 2] that of students 0 to 2
+    with pytest.raises(ValueError, match=re.escape(f"positions must ascend strictly inside 0..5: {bad}")):
+        build_graph(example, positions=positions)
+
+
+def test_valid_positions_pass_the_check(example):
+    # ranges of any positive step, a single entry of a descending range,
+    # and the empty forms take the students at those positions
+    for positions in ([], (), range(0), range(4, 2), range(6), range(1, 6, 2), range(5, 2, -4), [2, 3, 5], (0, 5)):
+        g = build_graph(example, positions=positions)
+        assert g.students == tuple(map(example.priority.__getitem__, positions))
 
 
 def test_signature_counts():

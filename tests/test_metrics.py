@@ -142,6 +142,9 @@ def test_evaluate_rejects_unknown_seats(example):
         ((4,), {(1, 1.0): [4]}, "unknown pool (1, 1.0)"),
         ((0,), {(False, 3): [0]}, "unknown pool (False, 3)"),
         ((4,), {1: [4]}, "unknown pool 1"),
+        # a row is in seat order: a set or an iterator is no row
+        ((4,), {(1, 1): {4}}, "pool t1:r1 holds a set, not a sequence in seat order"),
+        ((3, 4), {(0, 3): iter([3, 4])}, "pool t0:r3 holds a list_iterator, not a sequence in seat order"),
         # student 0 holds no types, and student 2 holds type 3 only
         ((0,), {(1, 1): [0]}, "student 0 does not hold the type of pool t1:r1"),
         ((1, 2), {(4, 2): [1], (3, 2): [2], (2, 1): []}, None),

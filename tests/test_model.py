@@ -14,7 +14,7 @@ from reservematch import (
     serialize_instance,
     validate,
 )
-from reservematch.model import InstanceFormatError
+from reservematch.model import InstanceFormatError, gather
 
 from conftest import make_example, random_instance
 
@@ -244,3 +244,39 @@ def test_percentile_table_of_hand_built_instances():
             assert each._percentile == expected
             assert list(each._percentile) == list(inst.priority)
 
+
+
+@pytest.mark.parametrize("seq", [
+    (10, 11, 12, 13, 14),
+    [10, 11, 12, 13, 14],
+    {0: 10, 1: 11, 2: 12, 3: 13, 4: 14},
+], ids=["tuple", "list", "dict"])
+@pytest.mark.parametrize("indices", [[], range(0), [3], range(2, 3), [4, 0, 2], range(1, 5), [2, 2]])
+def test_gather_equals_the_generator(seq, indices):
+    # itemgetter returns a bare item for one index; gather still a tuple
+    assert gather(seq, indices) == tuple(seq[i] for i in indices)
+    assert type(gather(seq, indices)) is tuple
+
+
+def test_types_of_lists_each_student_type_set_by_id():
+    # the cached table holds the students' own type sets, so the grouping
+    # built from it equals one built from the students: on generated pools
+    # and on hand-built ones with shuffled priorities and cutoffs
+    rnd = random.Random(32)
+    pools = [
+        gen_instance(SatGenConfig(capacity=n // 2, seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
+        for n, factor in ((30, "1.0"), (100, "2.0"), (400, "2.6154"))
+    ]
+    for _ in range(200):
+        inst = random_instance(rnd, max_types=5)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        pools.append(inst)
+    for inst in pools:
+        assert len(inst._types_of) == inst.n_students
+        assert all(inst._types_of[s.id] is s.types for s in inst.students)
+        expected: dict = {}
+        for pos, sid in enumerate(inst.acceptable):
+            expected.setdefault(inst.students[sid].types, []).append(pos)
+        assert inst.type_groups == expected
+        assert list(inst.type_groups) == list(expected)
