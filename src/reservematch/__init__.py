@@ -18,7 +18,7 @@ from .algorithms import (
     sy1_select,
     sy2_select,
 )
-from .datagen import SatGenConfig, SettingsError, gen_instance, gen_quotas, gen_scores, gen_types
+from .datagen import SatGenConfig, SettingsError, gen_instance, gen_quotas
 from .graph import (
     Matching,
     RankSignature,
@@ -65,8 +65,6 @@ __all__ = [
     "evaluate",
     "gen_instance",
     "gen_quotas",
-    "gen_scores",
-    "gen_types",
     "load_instance",
     "parse_instance",
     "pog_select",

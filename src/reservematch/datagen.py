@@ -11,13 +11,19 @@ draws), so one integer seed pins an instance bit for bit.  Cells of an
 experiment derive independent seeds via ``numpy.random.SeedSequence`` spawn
 keys; see :mod:`reservematch.experiment`.
 
-A sweep generates thousands of pools of one size, and a generated student
-is only an id and one of 8 type sets.  So what every pool would rebuild is
-built once per process: one row of :class:`Student` objects per type set,
-grown to the largest size requested (students are frozen, so pools share
-them), a table of the 8 score means, the parsed form of the reserve
-factors in use, and one priority tuple per pool size, which lets the pools
-of a size share their percentile table (see :mod:`reservematch.model`).
+Each student is drawn as a 3-bit type-set code, so a pool is one numpy
+array of codes, and every per-student input comes from that array in bulk:
+score means by indexing a table of the 8 means, the priority order by a
+stable argsort of the scores, and the students by one gather from a flat
+per-process table of 8 rows of :class:`Student` objects (row ``code``
+holds ``Student(i, type set)`` at ``i``), grown whole to the largest size
+requested (students are frozen, so pools share them).  The codes also
+fill the two caches of :class:`~reservematch.model.Instance` that the
+rules read first, the type set of every student (``_types_of``) and the
+grouping by type set (``type_groups``), so no rule pays for them.  The
+parsed reserve factors, the quota table of each (capacity, factor) and one
+priority tuple per pool size, which lets the pools of a size share their
+percentile table (see :mod:`reservematch.model`), are kept too.
 
 numpy is imported by the functions that draw, not by the module, so
 loading the package to read an instance or run a rule does not load it.
@@ -28,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING
 
-from .model import Instance, QuotaTable, Student, StudentId, _is_int
+from .model import Instance, QuotaTable, Student, StudentId, _is_int, gather
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,18 +120,21 @@ def _parse_factor(value: float | int | str | Fraction) -> Fraction:
 
 
 # The 8 possible type sets, indexed by a 3-bit code: bit k-1 set iff type k is held.
-_TYPE_SETS = tuple(frozenset(t for t in (1, 2, 3) if code >> (t - 1) & 1) for code in range(8))
+_TYPE_SETS = tuple(frozenset(compress((1, 2, 3), (code & 1, code & 2, code & 4))) for code in range(8))
 
-# One row of students per type set: row[i] is Student(i, type set).
-_STUDENT_ROWS: dict[frozenset[int], tuple[Student, ...]] = {}
+# Every generated student, in 8 rows of equal length, one per code:
+# _STUDENTS[code * row + i] is Student(i, _TYPE_SETS[code]).
+_STUDENTS: tuple[Student, ...] = ()
 
 
-def _student_rows(n: int) -> dict[frozenset[int], tuple[Student, ...]]:
-    """The student rows, each at least ``n`` long.  A longer request
-    replaces every row whole, so no reader sees a student at the wrong id."""
-    if len(_STUDENT_ROWS.get(_TYPE_SETS[0], ())) < n:
-        _STUDENT_ROWS.update({ts: tuple([Student(i, ts) for i in range(n)]) for ts in _TYPE_SETS})
-    return _STUDENT_ROWS
+def _students(n: int) -> tuple[Student, ...]:
+    """The flat student table, with rows at least ``n`` long.  A longer
+    request replaces the table whole, so no reader sees a student at the
+    wrong id."""
+    global _STUDENTS
+    if len(_STUDENTS) < 8 * n:
+        _STUDENTS = tuple([Student(i, ts) for ts in _TYPE_SETS for i in range(n)])
+    return _STUDENTS
 
 
 @lru_cache(maxsize=8)
@@ -133,16 +143,10 @@ def _priority(n: int) -> tuple[StudentId, ...]:
     return tuple(range(n))
 
 
-def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
-    """Draw type sets for ``n`` students per the conditional model.
-
-    Students with equal type sets share one frozenset object.
-    """
+def _draw_codes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw the type-set codes of ``n`` students per the conditional model."""
     import numpy as np
 
-    if not _is_int(n) or n < 1:
-        raise ValueError("n must be an integer >= 1")
-    rng = np.random.default_rng(seed)
     u = rng.random((n, 3))
     t1 = u[:, 0] < P_TYPE1
     t2 = u[:, 1] < np.where(t1, P_TYPE2_GIVEN_T1, P_TYPE2_OTHERWISE)
@@ -152,8 +156,7 @@ def gen_types(seed: int | np.random.Generator, n: int) -> list[frozenset[int]]:
         np.where(t1 ^ t2, P_TYPE3_GIVEN_ONE, P_TYPE3_GIVEN_NONE),
     )
     t3 = u[:, 2] < p3
-    codes = t1 + 2 * t2 + 4 * t3
-    return [_TYPE_SETS[c] for c in codes.tolist()]
+    return t1 + 2 * t2 + 4 * t3
 
 
 def score_mean(types: frozenset[int]) -> float:
@@ -165,29 +168,43 @@ def score_mean(types: frozenset[int]) -> float:
     return SCORE_MEAN - reduction
 
 
-_SCORE_MEANS = {ts: score_mean(ts) for ts in _TYPE_SETS}
+@lru_cache(maxsize=1)
+def _score_means() -> np.ndarray:
+    """The score mean of each code, read only."""
+    import numpy as np
+
+    means = np.array([score_mean(ts) for ts in _TYPE_SETS])
+    means.setflags(write=False)
+    return means
 
 
-def gen_scores(seed: int | np.random.Generator, type_sets: Sequence[frozenset[int]]) -> np.ndarray:
-    """Truncated-normal scores, one per type set.
+def _draw_scores(rng: np.random.Generator, codes: np.ndarray) -> np.ndarray:
+    """Truncated-normal scores, one per type-set code.
 
     Sampling rejects draws outside the domain and redraws; at the default
     parameters the acceptance rate is essentially one, and the sample mean
     stays within a point of the analytic truncated mean.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    mean_of = _SCORE_MEANS
-    if not mean_of.keys() >= set(type_sets):  # a type beyond 1-3
-        mean_of = {ts: score_mean(ts) for ts in set(type_sets)}
-    means = np.array([mean_of[ts] for ts in type_sets], dtype=float)
+    means = _score_means()[codes]
     scores = rng.normal(means, SCORE_SD)
     bad = (scores < SCORE_LOWER) | (scores > SCORE_UPPER)
     while bad.any():
         scores[bad] = rng.normal(means[bad], SCORE_SD)
         bad = (scores < SCORE_LOWER) | (scores > SCORE_UPPER)
     return scores
+
+
+def _type_groups(codes: np.ndarray) -> dict[frozenset[int], list[int]]:
+    """Positions 0..n-1 grouped by their code's type set, as
+    :attr:`Instance.type_groups` groups them: each group ascending and the
+    groups in order of their first member."""
+    import numpy as np
+
+    members = np.argsort(codes, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(codes, minlength=8)).tolist()
+    groups = [members[start:end] for start, end in zip([0, *ends], ends)]
+    firsts = sorted((group[0], code) for code, group in enumerate(groups) if group)
+    return {_TYPE_SETS[code]: groups[code] for _, code in firsts}
 
 
 def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> QuotaTable:
@@ -201,7 +218,14 @@ def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> Q
     """
     if not _is_int(capacity) or capacity < 1:
         raise ValueError("capacity must be an integer >= 1")
-    factor = parse_factor(psi_factor)
+    return _quota_table(capacity, parse_factor(psi_factor))
+
+
+# A sweep's pools fall into a few (capacity, factor) cells, and a table is
+# immutable, so the pools of a cell share one, which graph._pool_table then
+# finds by identity.
+@lru_cache(maxsize=64)
+def _quota_table(capacity: int, factor: Fraction) -> QuotaTable:
     num, den = factor.numerator * capacity, factor.denominator
     rows: tuple[list[int], list[int]] = ([0], [0])
     for fractions in BASE_QUOTA_FRACTIONS:
@@ -217,23 +241,27 @@ def gen_instance(config: SatGenConfig) -> Instance:
     Students are relabeled so ids follow the priority order (descending
     score, generation index breaking the measure-zero ties), which is also
     the order used by the instance file format.  ``config.check()`` makes
-    the result valid by construction.
+    the result valid by construction.  The instance comes with its
+    ``_types_of`` and ``type_groups`` caches filled from the type-set codes.
     """
     import numpy as np
 
     config.check()
     rng = np.random.default_rng(config.seed)
     n = config.n_students
-    type_sets = gen_types(rng, n)
-    scores = gen_scores(rng, type_sets)
-    order = np.lexsort((np.arange(n), -scores))
-    rows = _student_rows(n)
-    students = tuple([rows[type_sets[j]][i] for i, j in enumerate(order.tolist())])
-    return Instance(
-        students=students,
+    codes = _draw_codes(rng, n)
+    scores = _draw_scores(rng, codes)
+    order = np.argsort(-scores, kind="stable")
+    codes = codes[order]
+    students = _students(n)
+    instance = Instance(
+        students=gather(students, (codes * (len(students) // 8) + np.arange(n)).tolist()),
         priority=_priority(n),
         capacity=config.capacity,
         quotas=gen_quotas(config.capacity, config.psi_factor),
         type_names=DEFAULT_TYPE_NAMES,
         scores=tuple(scores[order].tolist()),
     )
+    # where functools.cached_property keeps what it computed
+    vars(instance).update(_types_of=gather(_TYPE_SETS, codes.tolist()), type_groups=_type_groups(codes))
+    return instance

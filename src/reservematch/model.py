@@ -16,6 +16,12 @@ The pool path looks students up in bulk, never one element at a time
 through a bound ``__getitem__``: each instance caches the type set of
 every student by id (``_types_of``), and :func:`gather` takes any number
 of entries of a sequence in one C call.
+
+``_types_of`` and ``type_groups`` are ``functools.cached_property``
+caches: an instance built by hand computes them from its students when a
+rule first reads them, while :func:`reservematch.datagen.gen_instance`
+fills both in bulk from its type-set codes, in the instance's
+``__dict__`` where the cache keeps them.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ class Instance:
     @cached_property
     def _types_of(self) -> tuple[frozenset[TypeId], ...]:
         # Type set of each student, by id, for the rules, build_graph and
-        # evaluate, which read it per student.
+        # evaluate, which read it per student; gen_instance fills it.
         return tuple(map(attrgetter("types"), self.students))
 
     @cached_property
@@ -118,7 +124,8 @@ class Instance:
         """Positions in ``acceptable`` grouped by type set, each group
         ascending and the groups in order of their first member.  Every
         graph over the acceptable pool starts from this grouping, whatever
-        its quotas, so an instance computes it once.  Read only."""
+        its quotas, so an instance computes it once; a generated instance
+        comes with it.  Read only."""
         return group_by_types(self._types_of, self.acceptable)
 
     @property

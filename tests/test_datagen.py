@@ -1,20 +1,26 @@
+import dataclasses
 import hashlib
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import reservematch
 from reservematch import (
+    ALGORITHMS,
     Student,
     datagen,
     gen_instance,
     gen_quotas,
-    gen_scores,
-    gen_types,
     parse_instance,
     serialize_instance,
     validate,
 )
+from reservematch.algorithms import outcome_to_json
 from reservematch.datagen import (
     BASE_QUOTA_FRACTIONS,
     P_TYPE1,
@@ -30,9 +36,21 @@ from reservematch.datagen import (
     SCORE_UPPER,
     SatGenConfig,
     SettingsError,
+    _draw_codes,
+    _draw_scores,
     parse_factor,
     score_mean,
 )
+
+
+def test_import_loads_no_numpy():
+    # numpy is loaded by the first draw, so reading an instance or running
+    # a rule never pays for it
+    src = str(Path(reservematch.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import reservematch; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +102,14 @@ def test_quotas_match_exact_rational_rounding():
             assert [list(q.rank1), list(q.rank2)] == expected, (factor, capacity)
 
 
+def test_pools_of_a_cell_share_one_quota_table():
+    # equal factors parse to one fraction, so they find one table
+    assert gen_quotas(30, "2.0") is gen_quotas(30, 2) is gen_quotas(30, Fraction(4, 2))
+    a, b = (gen_instance(SatGenConfig(capacity=40, seed=seed, psi_factor="2.6154")) for seed in (1, 2))
+    assert a.quotas is b.quotas
+    assert gen_quotas(30, 2) is not gen_quotas(31, 2)
+
+
 def test_quotas_reject_bad_inputs():
     with pytest.raises(ValueError):
         gen_quotas(0)
@@ -93,8 +119,6 @@ def test_quotas_reject_bad_inputs():
     for capacity in (2.5, 10.0, True):
         with pytest.raises(ValueError):
             gen_quotas(capacity)
-    with pytest.raises(ValueError):
-        gen_types(0, 2.5)
     # an unhashable factor, and True after the equal factor 1 was used
     with pytest.raises(SettingsError):
         gen_quotas(10, [2])
@@ -106,16 +130,23 @@ def test_quotas_reject_bad_inputs():
 # ---------------------------------------------------------------------------
 # types
 
+def draw_codes(seed, n):
+    return _draw_codes(np.random.default_rng(seed), n)
+
+
+def draw_scores(seed, codes):
+    return _draw_scores(np.random.default_rng(seed), np.asarray(codes))
+
+
 def test_types_deterministic_per_seed():
-    assert gen_types(99, 1000) == gen_types(99, 1000)
+    assert draw_codes(99, 1000).tolist() == draw_codes(99, 1000).tolist()
 
 
 def test_type_marginals_match_the_conditional_model():
     n = 100_000
-    draws = gen_types(2024, n)
-    f1 = sum(1 in t for t in draws) / n
-    f2 = sum(2 in t for t in draws) / n
-    f3 = sum(3 in t for t in draws) / n
+    codes = draw_codes(2024, n)
+    # bit k-1 of a code is set iff type k is held
+    f1, f2, f3 = ((codes >> k & 1).sum() / n for k in range(3))
     t2_marginal = P_TYPE1 * P_TYPE2_GIVEN_T1 + (1 - P_TYPE1) * P_TYPE2_OTHERWISE
     p_both = P_TYPE1 * P_TYPE2_GIVEN_T1
     p_one = P_TYPE1 * (1 - P_TYPE2_GIVEN_T1) + (1 - P_TYPE1) * P_TYPE2_OTHERWISE
@@ -130,9 +161,9 @@ def test_type_marginals_match_the_conditional_model():
 
 def test_type_conditional_spot_check():
     n = 100_000
-    draws = gen_types(7, n)
-    with_t1 = [t for t in draws if 1 in t]
-    frac = sum(2 in t for t in with_t1) / len(with_t1)
+    codes = draw_codes(7, n)
+    with_t1 = codes[codes & 1 == 1]
+    frac = (with_t1 & 2 == 2).sum() / len(with_t1)
     assert abs(frac - P_TYPE2_GIVEN_T1) < 0.015
 
 
@@ -159,17 +190,15 @@ def test_score_mean_matches_exact_rational_ceiling():
 
 
 def test_scores_respect_the_domain():
-    scores = gen_scores(5, [frozenset({1, 2, 3})] * 20_000)
+    scores = draw_scores(5, [7] * 20_000)
     assert scores.min() >= 0.0
     assert scores.max() <= 1600.0
 
 
 def test_scores_of_type_sets_outside_the_model():
-    # types beyond 1-3 carry no penalty, so their draws are those of the
-    # empty type set, and held model types still count
-    outside = [frozenset({4}), frozenset({1, 5})] * 50
-    inside = [frozenset(), frozenset({1})] * 50
-    assert gen_scores(8, outside).tolist() == gen_scores(8, inside).tolist()
+    # types beyond 1-3 carry no penalty, and held model types still count
+    assert score_mean(frozenset({4})) == score_mean(frozenset())
+    assert score_mean(frozenset({1, 5})) == score_mean(frozenset({1}))
 
 
 def test_empty_type_sample_mean_matches_truncnorm_oracle():
@@ -179,15 +208,15 @@ def test_empty_type_sample_mean_matches_truncnorm_oracle():
     b = (SCORE_UPPER - SCORE_MEAN) / SCORE_SD
     oracle = stats.truncnorm.mean(a, b, loc=SCORE_MEAN, scale=SCORE_SD)
     assert abs(oracle - 1127.4735) < 0.001  # frozen oracle value
-    sample = gen_scores(123, [frozenset()] * 100_000)
+    sample = draw_scores(123, [0] * 100_000)
     assert abs(sample.mean() - oracle) < 3.0
 
 
 def test_single_score_wrapper_deterministic():
     # a one-element draw, as the former single-score wrapper made it
-    first = gen_scores(11, [frozenset({1})])
+    first = draw_scores(11, [1])
     assert first.shape == (1,)
-    assert first[0] == gen_scores(11, [frozenset({1})])[0]
+    assert first[0] == draw_scores(11, [1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +306,31 @@ def test_generated_instances_are_pinned():
 
 
 def test_student_rows_grow_whole(monkeypatch):
-    # from empty rows, pools that grow and shrink n hold the same students
-    # as fresh ones, and a longer pool replaces all 8 rows
-    monkeypatch.setattr(datagen, "_STUDENT_ROWS", {})
+    # from an empty table, pools that grow and shrink n hold the same
+    # students as fresh ones, and a longer pool replaces all 8 rows at once
+    monkeypatch.setattr(datagen, "_STUDENTS", ())
     largest = 0
     for n in (1, 30, 800, 100, 801, 2):
+        before = datagen._STUDENTS
         largest = max(largest, n)
         inst = gen_instance(SatGenConfig(capacity=1, seed=n, n_students=n))
         assert inst.students == tuple(Student(i, frozenset(s.types)) for i, s in enumerate(inst.students))
-        assert [len(row) for row in datagen._STUDENT_ROWS.values()] == [largest] * 8
+        table = datagen._STUDENTS
+        assert len(table) == 8 * largest
+        assert table == tuple(Student(i, ts) for ts in datagen._TYPE_SETS for i in range(largest))
+        assert (table is before) == (len(before) >= 8 * n)
+
+
+def test_generated_caches_equal_the_lazy_ones():
+    # gen_instance fills _types_of and type_groups from the type-set codes;
+    # a copy computes both lazily from its students, and every rule selects
+    # the same on both
+    for config in golden_configs():
+        inst = gen_instance(config)
+        assert {"_types_of", "type_groups"} <= vars(inst).keys(), config
+        lazy = dataclasses.replace(inst)
+        assert "type_groups" not in vars(lazy)
+        assert inst._types_of == lazy._types_of, config
+        assert list(inst.type_groups.items()) == list(lazy.type_groups.items()), config
+        for tag, rule in ALGORITHMS.items():
+            assert outcome_to_json(rule(inst)) == outcome_to_json(rule(lazy)), (config, tag)

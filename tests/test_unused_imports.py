@@ -21,7 +21,7 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 LOOPS = (ast.For, ast.AsyncFor, ast.While)
 # the modules every pool runs through, per augmenting path, student and class
-POOL_PATH = [ROOT / "src" / "reservematch" / name for name in ("solver.py", "algorithms.py", "graph.py", "metrics.py", "model.py")]
+POOL_PATH = [ROOT / "src" / "reservematch" / name for name in ("datagen.py", "solver.py", "algorithms.py", "graph.py", "metrics.py", "model.py")]
 
 
 def unused_imports(source: str) -> list[str]:
