@@ -102,7 +102,7 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[
     type.  A reserve pass ends once its seats are full.
     """
     target = min(instance.capacity, len(pool))
-    types_of = instance._types_of
+    types_of = instance.type_sets
     seated = [False] * len(pool)
     count = 0
     rows: dict[tuple[TypeId, int], list[StudentId]] = {}

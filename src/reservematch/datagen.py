@@ -14,13 +14,10 @@ keys; see :mod:`reservematch.experiment`.
 Each student is drawn as a 3-bit type-set code, so a pool is one numpy
 array of codes, and every per-student input comes from that array in bulk:
 score means by indexing a table of the 8 means, the priority order by a
-stable argsort of the scores, and the students by one gather from a flat
-per-process table of 8 rows of :class:`Student` objects (row ``code``
-holds ``Student(i, type set)`` at ``i``), grown whole to the largest size
-requested (students are frozen, so pools share them).  The codes also
-fill the two caches of :class:`~reservematch.model.Instance` that the
-rules read first, the type set of every student (``_types_of``) and the
-grouping by type set (``type_groups``), so no rule pays for them.  The
+stable argsort of the scores, and the type set of every student
+(``Instance.type_sets``) by one gather from the 8 type sets, which the
+pools share.  The codes also fill the grouping by type set that the rules
+read first (``Instance.type_groups``), so no rule pays for it.  The
 parsed reserve factors, the quota table of each (capacity, factor) and one
 priority tuple per pool size, which lets the pools of a size share their
 percentile table (see :mod:`reservematch.model`), are kept too.
@@ -37,7 +34,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .model import Instance, QuotaTable, Student, StudentId, _is_int, gather
+from .model import Instance, QuotaTable, StudentId, _is_int, gather
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,20 +118,6 @@ def _parse_factor(value: float | int | str | Fraction) -> Fraction:
 
 # The 8 possible type sets, indexed by a 3-bit code: bit k-1 set iff type k is held.
 _TYPE_SETS = tuple(frozenset(compress((1, 2, 3), (code & 1, code & 2, code & 4))) for code in range(8))
-
-# Every generated student, in 8 rows of equal length, one per code:
-# _STUDENTS[code * row + i] is Student(i, _TYPE_SETS[code]).
-_STUDENTS: tuple[Student, ...] = ()
-
-
-def _students(n: int) -> tuple[Student, ...]:
-    """The flat student table, with rows at least ``n`` long.  A longer
-    request replaces the table whole, so no reader sees a student at the
-    wrong id."""
-    global _STUDENTS
-    if len(_STUDENTS) < 8 * n:
-        _STUDENTS = tuple([Student(i, ts) for ts in _TYPE_SETS for i in range(n)])
-    return _STUDENTS
 
 
 @lru_cache(maxsize=8)
@@ -242,7 +225,7 @@ def gen_instance(config: SatGenConfig) -> Instance:
     score, generation index breaking the measure-zero ties), which is also
     the order used by the instance file format.  ``config.check()`` makes
     the result valid by construction.  The instance comes with its
-    ``_types_of`` and ``type_groups`` caches filled from the type-set codes.
+    ``type_groups`` cache filled from the type-set codes.
     """
     import numpy as np
 
@@ -253,9 +236,8 @@ def gen_instance(config: SatGenConfig) -> Instance:
     scores = _draw_scores(rng, codes)
     order = np.argsort(-scores, kind="stable")
     codes = codes[order]
-    students = _students(n)
     instance = Instance(
-        students=gather(students, (codes * (len(students) // 8) + np.arange(n)).tolist()),
+        type_sets=gather(_TYPE_SETS, codes.tolist()),
         priority=_priority(n),
         capacity=config.capacity,
         quotas=gen_quotas(config.capacity, config.psi_factor),
@@ -263,5 +245,5 @@ def gen_instance(config: SatGenConfig) -> Instance:
         scores=tuple(scores[order].tolist()),
     )
     # where functools.cached_property keeps what it computed
-    vars(instance).update(_types_of=gather(_TYPE_SETS, codes.tolist()), type_groups=_type_groups(codes))
+    vars(instance)["type_groups"] = _type_groups(codes)
     return instance

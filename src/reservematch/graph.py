@@ -250,7 +250,7 @@ def build_graph(
                     by_types[types] = group[: bisect_left(group, k)]
         else:
             members = gather(members, positions)
-            by_types = group_by_types(instance._types_of, members)
+            by_types = group_by_types(instance.type_sets, members)
     if quotas is None:
         quotas = instance.quotas
 

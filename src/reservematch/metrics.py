@@ -141,11 +141,10 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     if len(matched) != len(seated):
         twice = next(sid for sid, count in Counter(seated).items() if count > 1)
         raise OutcomeError(f"student {twice} is matched twice")
-    types_of = instance._types_of
     for t, rank, row in reserved:
-        if not all(map(contains, gather(types_of, row), repeat(t))):
+        if not all(map(contains, gather(instance.type_sets, row), repeat(t))):
             for sid in row:
-                if t not in types_of[sid]:
+                if t not in instance.type_sets[sid]:
                     raise OutcomeError(f"student {sid} does not hold the type of pool {_pool_label(t, rank)}")
 
     selected = outcome.selected

@@ -3,8 +3,10 @@
 An instance bundles the applicant pool, the school's strict priority order,
 its capacity, and a two-rank quota table over diversity types.  Type id 0 is
 reserved for the universal type that every student implicitly holds; real
-diversity types are numbered from 1.  Instances are immutable and safe to
-share across worker processes.
+diversity types are numbered from 1.  Student ``i`` is the type set
+``Instance.type_sets[i]``; the :class:`Student` objects of
+``Instance.students`` are a view that no rule reads.  Instances are
+immutable and safe to share across worker processes.
 
 The pools of a sweep share their size and, since generated ids follow
 priority, their priority order.  So the priority percentiles that
@@ -13,15 +15,12 @@ a small bounded cache and shared by every instance that has them.  The
 table is read only.
 
 The pool path looks students up in bulk, never one element at a time
-through a bound ``__getitem__``: each instance caches the type set of
-every student by id (``_types_of``), and :func:`gather` takes any number
-of entries of a sequence in one C call.
+through a bound ``__getitem__``: :func:`gather` takes any number of
+entries of a sequence, such as ``type_sets``, in one C call.
 
-``_types_of`` and ``type_groups`` are ``functools.cached_property``
-caches: an instance built by hand computes them from its students when a
-rule first reads them, while :func:`reservematch.datagen.gen_instance`
-fills both in bulk from its type-set codes, in the instance's
-``__dict__`` where the cache keeps them.
+``students`` and ``type_groups`` are ``functools.cached_property``
+caches; :func:`reservematch.datagen.gen_instance` fills ``type_groups`` in
+bulk, in the instance's ``__dict__`` where the cache keeps it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import filterfalse
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Sequence
 
 UNIVERSAL_TYPE = 0
@@ -41,9 +40,10 @@ StudentId = int
 TypeId = int
 
 
-@dataclass(frozen=True)
+# slotted: the view of an n-student pool is n objects, none with a __dict__
+@dataclass(frozen=True, slots=True)
 class Student:
-    """One applicant: a dense integer id plus the real types they hold.
+    """One applicant of :attr:`Instance.students`: an id plus the real types they hold.
 
     The universal type is implicit and never listed in ``types``.
     """
@@ -74,15 +74,16 @@ class QuotaTable:
 class Instance:
     """A selection problem: students, priority order, capacity, and quotas.
 
-    ``priority`` is a permutation of student ids; position 0 is the highest
-    priority.  ``acceptable_count`` optionally cuts the priority list: only
-    the first ``acceptable_count`` students may be selected (``None`` means
-    everyone is acceptable, which is the only case the experiments exercise).
+    ``type_sets[i]`` holds the real types of student ``i``.  ``priority`` is
+    a permutation of the ids 0..n-1; position 0 is the highest priority.
+    ``acceptable_count`` optionally cuts the priority list: only the first
+    ``acceptable_count`` students may be selected (``None`` means everyone
+    is acceptable, which is the only case the experiments exercise).
     ``scores`` carries the raw priority scores when the instance came from a
     generator; it is informational and listed in student-id order.
     """
 
-    students: tuple[Student, ...]
+    type_sets: tuple[frozenset[TypeId], ...]
     priority: tuple[StudentId, ...]
     capacity: int
     quotas: QuotaTable
@@ -92,7 +93,7 @@ class Instance:
 
     @property
     def n_students(self) -> int:
-        return len(self.students)
+        return len(self.type_sets)
 
     @property
     def n_types(self) -> int:
@@ -111,13 +112,12 @@ class Instance:
         priority = self.priority
         if type(priority) is not tuple:
             priority = tuple(priority)
-        return _percentile_table(len(self.students), priority)
+        return _percentile_table(len(self.type_sets), priority)
 
     @cached_property
-    def _types_of(self) -> tuple[frozenset[TypeId], ...]:
-        # Type set of each student, by id, for the rules, build_graph and
-        # evaluate, which read it per student; gen_instance fills it.
-        return tuple(map(attrgetter("types"), self.students))
+    def students(self) -> tuple[Student, ...]:
+        """Each student as a :class:`Student`, by id; built when first read."""
+        return tuple(map(Student, range(len(self.type_sets)), self.type_sets))
 
     @cached_property
     def type_groups(self) -> dict[frozenset[TypeId], list[int]]:
@@ -126,7 +126,7 @@ class Instance:
         graph over the acceptable pool starts from this grouping, whatever
         its quotas, so an instance computes it once; a generated instance
         comes with it.  Read only."""
-        return group_by_types(self._types_of, self.acceptable)
+        return group_by_types(self.type_sets, self.acceptable)
 
     @property
     def acceptable(self) -> tuple[StudentId, ...]:
@@ -162,12 +162,12 @@ def gather(seq: Any, indices: Sequence[Any]) -> tuple[Any, ...]:
     return ()
 
 
-def group_by_types(types_of: Sequence[frozenset[TypeId]], members: Sequence[StudentId]) -> dict[frozenset[TypeId], list[int]]:
+def group_by_types(type_sets: Sequence[frozenset[TypeId]], members: Sequence[StudentId]) -> dict[frozenset[TypeId], list[int]]:
     """Positions in ``members`` grouped by the type set of the student there,
-    as ``types_of`` lists them by id (:attr:`Instance._types_of`), each group
+    as ``type_sets`` lists them by id (:attr:`Instance.type_sets`), each group
     ascending and the groups in order of their first member."""
     groups: dict[frozenset[TypeId], list[int]] = {}
-    for i, types in enumerate(gather(types_of, members)):
+    for i, types in enumerate(gather(type_sets, members)):
         groups.setdefault(types, []).append(i)
     return groups
 
@@ -189,10 +189,6 @@ def validate(instance: Instance) -> list[str]:
 
     if not _is_int(instance.capacity) or instance.capacity < 1:
         errors.append(f"capacity: must be an integer >= 1, got {instance.capacity!r}")
-
-    ids = [s.id for s in instance.students]
-    if ids != list(range(n)):
-        errors.append("students: ids must be the dense ordinals 0..n-1 in order")
 
     if sorted(instance.priority) != list(range(n)):
         repeated = sorted(sid for sid, count in Counter(instance.priority).items() if count > 1)
@@ -217,14 +213,21 @@ def validate(instance: Instance) -> list[str]:
     # are keyed by repr, since True, 1.0 and 1 are equal as keys
     odd_holders: dict[str, list[int]] = {}
     holders: dict[int, list[int]] = {}
-    for s in instance.students:
-        odd = list(map(repr, filterfalse(_is_int, s.types)))
+    # kind of a type_sets entry that is not a frozenset -> [count, first id]
+    odd_entries: dict[str, list[int]] = {}
+    for sid, types in enumerate(instance.type_sets):
+        if not isinstance(types, frozenset):
+            odd_entries.setdefault(type(types).__name__, [0, sid])[0] += 1
+            continue
+        odd = list(map(repr, filterfalse(_is_int, types)))
         for t in odd:
-            odd_holders.setdefault(t, [0, s.id])[0] += 1
+            odd_holders.setdefault(t, [0, sid])[0] += 1
         if odd:
             continue
-        for t in s.types - declared:
-            holders.setdefault(t, [0, s.id])[0] += 1
+        for t in types - declared:
+            holders.setdefault(t, [0, sid])[0] += 1
+    for kind, (count, first) in sorted(odd_entries.items()):
+        errors.append(f"type_sets: {count} entry(s) are a {kind}, not a frozenset; first type_sets[{first}]")
     for t, (count, first) in sorted(odd_holders.items()):
         errors.append(f"students: type id {t} is not an integer; {count} student(s) hold it, first student {first}")
     for t, (count, first) in sorted(holders.items()):
@@ -291,15 +294,14 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(name, str):
             raise InstanceFormatError(f"types[{i}] must be a string, got {name!r}")
 
-    students = []
     for i, entry in enumerate(students_doc):
         if not isinstance(entry, list):
             raise InstanceFormatError(f"students[{i}] must be a list of type ids")
-        # before the frozenset: it needs hashable ids and merges true into 1
+        # before the frozensets: they need hashable ids and merge true into 1
         for t in entry:
             if not _is_int(t):
                 raise InstanceFormatError(f"students[{i}]: type id {t!r} is not an integer")
-        students.append(Student(i, frozenset(entry)))
+    type_sets = tuple(map(frozenset, students_doc))
 
     scores = None
     if "scores" in doc:
@@ -320,8 +322,8 @@ def parse_instance(text: str) -> Instance:
         scores = tuple(converted)
 
     instance = Instance(
-        students=tuple(students),
-        priority=tuple(range(len(students))),
+        type_sets=type_sets,
+        priority=tuple(range(len(type_sets))),
         capacity=capacity,
         quotas=QuotaTable((0, *rank1), (0, *rank2)),
         acceptable_count=doc.get("acceptable"),
@@ -351,9 +353,7 @@ def serialize_instance(instance: Instance) -> str:
             "rank1": list(instance.quotas.rank1[1:]),
             "rank2": list(instance.quotas.rank2[1:]),
         },
-        "students": [
-            sorted(instance.students[sid].types) for sid in instance.priority
-        ],
+        "students": [sorted(instance.type_sets[sid]) for sid in instance.priority],
     }
     if instance.scores is not None:
         doc["scores"] = [instance.scores[sid] for sid in instance.priority]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from reservematch import Instance, QuotaTable, Student, evaluate
+from reservematch import Instance, QuotaTable, evaluate
 from reservematch.experiment import ExperimentSpec, run_experiment
 
 
@@ -15,13 +15,13 @@ def make_example() -> Instance:
     types 1 and 2, one rank-2 seat each for types 3 and 4.
     """
     return Instance(
-        students=(
-            Student(0, frozenset()),
-            Student(1, frozenset({4})),
-            Student(2, frozenset({3})),
-            Student(3, frozenset({1, 2, 3})),
-            Student(4, frozenset({1})),
-            Student(5, frozenset({2, 3})),
+        type_sets=(
+            frozenset(),
+            frozenset({4}),
+            frozenset({3}),
+            frozenset({1, 2, 3}),
+            frozenset({1}),
+            frozenset({2, 3}),
         ),
         priority=(0, 1, 2, 3, 4, 5),
         capacity=3,
@@ -51,14 +51,14 @@ def random_instance(rnd: random.Random, *, max_students: int = 12, max_types: in
     n = rnd.randint(1, max_students)
     m = rnd.randint(1, max_types)
     capacity = rnd.randint(1, max_capacity)
-    students = tuple(
-        Student(i, frozenset(t for t in range(1, m + 1) if rnd.random() < 0.5))
-        for i in range(n)
+    type_sets = tuple(
+        frozenset(t for t in range(1, m + 1) if rnd.random() < 0.5)
+        for _ in range(n)
     )
     priority = list(range(n))
     rnd.shuffle(priority)
     return Instance(
-        students=students,
+        type_sets=type_sets,
         priority=tuple(priority),
         capacity=capacity,
         quotas=QuotaTable(

@@ -15,7 +15,6 @@ from reservematch import (
     QuotaTable,
     RankSignature,
     ReservationGraph,
-    Student,
     build_graph,
 )
 from reservematch.model import StudentId
@@ -153,14 +152,14 @@ def random_small_instance(
         rank2 = [rnd.randint(0, 2) for _ in range(m)]
         if sum(rank1) + sum(rank2) + capacity <= MAX_SEATS:
             break
-    students = tuple(
-        Student(i, frozenset(t for t in range(1, m + 1) if rnd.random() < 0.5))
-        for i in range(n)
+    type_sets = tuple(
+        frozenset(t for t in range(1, m + 1) if rnd.random() < 0.5)
+        for _ in range(n)
     )
     priority = list(range(n))
     rnd.shuffle(priority)
     return Instance(
-        students=students,
+        type_sets=type_sets,
         priority=tuple(priority),
         capacity=capacity,
         quotas=QuotaTable((0, *rank1), (0, *rank2)),

@@ -12,7 +12,6 @@ from reservematch import (
     RankSignature,
     SatGenConfig,
     Seat,
-    Student,
     a_s_select,
     build_graph,
     ehyy_select,
@@ -87,10 +86,10 @@ def test_golden_priority_only(example):
 
 def zero_quota_instance(n=6, capacity=3) -> Instance:
     rnd = random.Random(1)
-    students = tuple(Student(i, frozenset({1})) for i in range(n))
+    type_sets = (frozenset({1}),) * n
     priority = list(range(n))
     rnd.shuffle(priority)
-    return Instance(students, tuple(priority), capacity, QuotaTable((0, 0), (0, 0)))
+    return Instance(type_sets, tuple(priority), capacity, QuotaTable((0, 0), (0, 0)))
 
 
 def test_zero_quotas_select_the_priority_prefix():
@@ -104,7 +103,7 @@ def test_zero_quotas_select_the_priority_prefix():
 
 
 def test_single_student():
-    inst = Instance((Student(0, frozenset({1})),), (0,), 1, QuotaTable((0, 1), (0, 0)))
+    inst = Instance((frozenset({1}),), (0,), 1, QuotaTable((0, 1), (0, 0)))
     for tag in ALGORITHMS:
         out = ALGORITHMS[tag](inst)
         assert out.selected == (0,)
@@ -113,7 +112,7 @@ def test_single_student():
 
 def test_capacity_beyond_pool_selects_everyone():
     inst = Instance(
-        (Student(0, frozenset({1})), Student(1)),
+        (frozenset({1}), frozenset()),
         (1, 0),
         5,
         QuotaTable((0, 1), (0, 0)),
@@ -126,7 +125,7 @@ def test_capacity_beyond_pool_selects_everyone():
 
 def test_acceptability_cutoff_restricts_selection(example):
     cut = Instance(
-        example.students, example.priority, example.capacity, example.quotas, acceptable_count=2
+        example.type_sets, example.priority, example.capacity, example.quotas, acceptable_count=2
     )
     for tag in ALGORITHMS:
         out = ALGORITHMS[tag](cut)
@@ -146,8 +145,8 @@ def test_a_priority_that_repeats_a_student_ends_in_a_typed_error(tag):
     # every rule ends in a ValueError subclass that names the student, be it
     # evaluate's OutcomeError or a rejection when the instance is built
     with pytest.raises(ValueError, match=r"\bstudent 1\b") as raised:
-        students = (Student(0, frozenset({1})), Student(1, frozenset({1})), Student(2))
-        inst = Instance(students, (1, 1, 0), 2, QuotaTable((0, 1), (0, 1)))
+        type_sets = (frozenset({1}), frozenset({1}), frozenset())
+        inst = Instance(type_sets, (1, 1, 0), 2, QuotaTable((0, 1), (0, 1)))
         evaluate(inst, ALGORITHMS[tag](inst))
     assert type(raised.value) is not ValueError
 
@@ -168,7 +167,7 @@ def test_determinism_of_all_defaults(example):
 def types_instance(types, rank1, rank2, capacity, acceptable_count=None) -> Instance:
     """Students 0..n-1 in priority order holding the given type sets."""
     return Instance(
-        students=tuple(Student(i, frozenset(ts)) for i, ts in enumerate(types)),
+        type_sets=tuple(map(frozenset, types)),
         priority=tuple(range(len(types))),
         capacity=capacity,
         quotas=QuotaTable(rank1, rank2),
@@ -319,7 +318,7 @@ def test_ehyy_equals_a_s_when_everyone_holds_every_type():
         priority = list(range(n))
         rnd.shuffle(priority)
         inst = Instance(
-            students=tuple(Student(i, all_types) for i in range(n)),
+            type_sets=(all_types,) * n,
             priority=tuple(priority),
             capacity=rnd.randint(1, 6),
             quotas=QuotaTable(
@@ -342,10 +341,10 @@ def relabeled(inst, rnd):
         new_type[old] = t
     for sid, old in enumerate(old_id):
         new_id[old] = sid
-    students = tuple(Student(sid, frozenset(new_type[t] for t in inst.students[old].types)) for sid, old in enumerate(old_id))
+    type_sets = tuple(frozenset(new_type[t] for t in inst.type_sets[old]) for old in old_id)
     q = inst.quotas
     relabeled = Instance(
-        students=students,
+        type_sets=type_sets,
         priority=tuple(new_id[sid] for sid in inst.priority),
         capacity=inst.capacity,
         quotas=QuotaTable(tuple(q.rank1[t] for t in old_type), tuple(q.rank2[t] for t in old_type)),

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,24 @@ def test_each_command_checks_its_settings_once(tmp_path, monkeypatch):
     assert calls[ExperimentSpec] == 1
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [({"capacities": ()}, "no capacities given"), ({"psi_factors": ()}, "no reserve factors given")],
+)
+def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
+    spec = ExperimentSpec(out_dir=tmp_path / "x", n_students=30, capacities=(5,), seeds_per_cell=1)
+    with pytest.raises(SettingsError, match=f"^{message}$"):
+        run_experiment(replace(spec, **settings), progress=False)
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_names_a_capacity_list_that_is_not_integers(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["sweep", "--out", str(out), "--n", "30", "--qc", "10,x", "--quiet"]) == 1
+    assert "not a comma-separated integer list: '10,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_experiment_rejects_zero_jobs(tmp_path):
     spec = ExperimentSpec(out_dir=tmp_path / "x", n_students=30, capacities=(5,), seeds_per_cell=1)
     with pytest.raises(SettingsError, match="jobs"):
@@ -424,3 +443,13 @@ def test_api_emit_plot_data_validates_arguments(tmp_path):
         emit_plot_data(tmp_path, "p9", "avg")
     with pytest.raises(ValueError):
         emit_plot_data(tmp_path, "p1", "median")
+
+
+def test_plotdata_names_a_metric_without_rows(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "ratios.csv").write_text(RATIO_HEADER + "1.0,10,as,p2,1.0,1.0,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^no rows for metric 'p1' in .*ratios\.csv$"):
+        emit_plot_data(results, "p1", "avg")
+    assert main(["plotdata", "--results", str(results), "--metric", "p1", "--case", "avg"]) == 2
+    assert "no rows for metric 'p1'" in capsys.readouterr().err

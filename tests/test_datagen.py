@@ -13,7 +13,6 @@ import reservematch
 from reservematch import (
     ALGORITHMS,
     Student,
-    datagen,
     gen_instance,
     gen_quotas,
     parse_instance,
@@ -305,32 +304,15 @@ def test_generated_instances_are_pinned():
     assert digest.hexdigest() == INSTANCES_DIGEST
 
 
-def test_student_rows_grow_whole(monkeypatch):
-    # from an empty table, pools that grow and shrink n hold the same
-    # students as fresh ones, and a longer pool replaces all 8 rows at once
-    monkeypatch.setattr(datagen, "_STUDENTS", ())
-    largest = 0
-    for n in (1, 30, 800, 100, 801, 2):
-        before = datagen._STUDENTS
-        largest = max(largest, n)
-        inst = gen_instance(SatGenConfig(capacity=1, seed=n, n_students=n))
-        assert inst.students == tuple(Student(i, frozenset(s.types)) for i, s in enumerate(inst.students))
-        table = datagen._STUDENTS
-        assert len(table) == 8 * largest
-        assert table == tuple(Student(i, ts) for ts in datagen._TYPE_SETS for i in range(largest))
-        assert (table is before) == (len(before) >= 8 * n)
-
-
 def test_generated_caches_equal_the_lazy_ones():
-    # gen_instance fills _types_of and type_groups from the type-set codes;
-    # a copy computes both lazily from its students, and every rule selects
-    # the same on both
+    # gen_instance fills type_groups from the type-set codes; a copy
+    # computes it lazily from its type sets, and every rule selects the
+    # same on both
     for config in golden_configs():
         inst = gen_instance(config)
-        assert {"_types_of", "type_groups"} <= vars(inst).keys(), config
+        assert "type_groups" in vars(inst), config
         lazy = dataclasses.replace(inst)
         assert "type_groups" not in vars(lazy)
-        assert inst._types_of == lazy._types_of, config
         assert list(inst.type_groups.items()) == list(lazy.type_groups.items()), config
         for tag, rule in ALGORITHMS.items():
             assert outcome_to_json(rule(inst)) == outcome_to_json(rule(lazy)), (config, tag)

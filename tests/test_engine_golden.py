@@ -18,7 +18,7 @@ behaviour must update the digest and explain itself in CHANGES.md.
 import hashlib
 import random
 
-from reservematch import ALGORITHMS, Instance, QuotaTable, SatGenConfig, Student, build_graph, gen_instance
+from reservematch import ALGORITHMS, Instance, QuotaTable, SatGenConfig, build_graph, gen_instance
 from reservematch.algorithms import outcome_to_json
 from reservematch.solver import RankMaximalMatcher
 
@@ -42,7 +42,7 @@ def hand_built_instance(rnd: random.Random) -> Instance:
     n = rnd.randint(1, 120)
     m = rnd.randint(1, 10)
     p = rnd.uniform(0.1, 0.6)
-    students = tuple(Student(i, frozenset(t for t in range(1, m + 1) if rnd.random() < p)) for i in range(n))
+    type_sets = tuple(frozenset(t for t in range(1, m + 1) if rnd.random() < p) for _ in range(n))
     priority = list(range(n))
     rnd.shuffle(priority)
     # about one type in four has no seat at a given rank
@@ -51,7 +51,7 @@ def hand_built_instance(rnd: random.Random) -> Instance:
         (0, *(rnd.choice((0, 1, 2, 3)) if rnd.random() < 0.75 else 0 for _ in range(m))),
     )
     cutoff = rnd.randint(1, n) if rnd.random() < 0.5 else None
-    return Instance(students=students, priority=tuple(priority), capacity=rnd.randint(1, n),
+    return Instance(type_sets=type_sets, priority=tuple(priority), capacity=rnd.randint(1, n),
                     quotas=quotas, acceptable_count=cutoff)
 
 

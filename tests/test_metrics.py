@@ -7,11 +7,11 @@ import pytest
 from reservematch import (
     ALGORITHMS,
     Instance,
+    MetricValues,
     OutcomeError,
     QuotaTable,
     SatGenConfig,
     Seat,
-    Student,
     a_s_select,
     evaluate,
     gen_instance,
@@ -46,7 +46,7 @@ def test_percentile_definition(example):
 
 
 def test_single_student_no_quotas():
-    inst = Instance((Student(0),), (0,), 1, QuotaTable((0,), (0,)))
+    inst = Instance((frozenset(),), (0,), 1, QuotaTable((0,), (0,)))
     out = ALGORITHMS["as"](inst)
     v = evaluate(inst, out)
     assert (v.p1, v.p2) == (0, 0)
@@ -251,7 +251,7 @@ def test_single_algorithm_suite_is_self_normalized(example):
 
 def test_zero_optimum_counts_as_met():
     inst = Instance(
-        tuple(Student(i) for i in range(3)), (0, 1, 2), 2, QuotaTable((0, 1), (0, 0))
+        (frozenset(),) * 3, (0, 1, 2), 2, QuotaTable((0, 1), (0, 0))
     )
     values = {tag: evaluate(inst, ALGORITHMS[tag](inst)) for tag in ALGORITHMS}
     opts = suite_optimum(values)
@@ -273,3 +273,21 @@ def test_metric_bounds_on_random_instances():
             assert v.p1 <= sum(inst.quotas.rank1)
             if v.p3:
                 assert v.p3_min <= v.p3 <= v.p3_max <= 100.0
+
+
+def test_value_names_an_unknown_metric():
+    with pytest.raises(ValueError, match="^unknown metric 'p4'$"):
+        MetricValues(0, 0, 0.0, 0.0, 0.0).value("p4")
+
+
+def test_evaluate_rejects_a_selection_that_is_not_the_matched_set(example):
+    # student 1 holds the seat, student 2 is selected in its place
+    out = Outcome("as", (2,), Matching(frozenset({(1, Seat(0, 3, 0))})))
+    with pytest.raises(OutcomeError, match="^selected students and matched students disagree$"):
+        evaluate(example, out)
+
+
+def test_empty_outcome_scores_zero(example):
+    for matching in (Matching(frozenset()), Matching(rows={})):
+        v = evaluate(example, Outcome("as", (), matching))
+        assert (v.p1, v.p2, v.p3, v.p3_min, v.p3_max) == (0, 0, 0.0, 0.0, 0.0)

@@ -23,7 +23,6 @@ from reservematch import (
     RankMaximalMatcher,
     RankSignature,
     SatGenConfig,
-    Student,
     a_s_select,
     build_graph,
     gen_instance,
@@ -90,14 +89,14 @@ def hand_built_pool(seed: int) -> Instance:
     n, m = rnd.randint(5, 150), rnd.randint(1, 7)
     cap = rnd.randint(1, n)
     p = rnd.choice([0.1, 0.3, 0.5])
-    students = tuple(Student(i, frozenset(t for t in range(1, m + 1) if rnd.random() < p)) for i in range(n))
+    type_sets = tuple(frozenset(t for t in range(1, m + 1) if rnd.random() < p) for _ in range(n))
     hi = max(1, cap // m * 2)
     rank1 = tuple(rnd.randint(0, hi) for _ in range(m))
     rank2 = tuple(rnd.randint(0, hi) for _ in range(m))
     priority = list(range(n))
     rnd.shuffle(priority)
     acceptable = rnd.choice([None, None, rnd.randint(0, n)])
-    return Instance(students, tuple(priority), cap, QuotaTable((0, *rank1), (0, *rank2)), acceptable)
+    return Instance(type_sets, tuple(priority), cap, QuotaTable((0, *rank1), (0, *rank2)), acceptable)
 
 
 # In both pools no rank-maximal matching uses a universal seat.  A

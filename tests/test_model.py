@@ -1,14 +1,16 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from reservematch import (
+    ALGORITHMS,
     Instance,
     QuotaTable,
     SatGenConfig,
     Student,
+    evaluate,
     gen_instance,
     parse_instance,
     serialize_instance,
@@ -25,15 +27,15 @@ def test_example_is_valid(example):
 
 def test_capacity_must_be_positive(example):
     for capacity in (0, True):
-        bad = Instance(example.students, example.priority, capacity, example.quotas)
+        bad = Instance(example.type_sets, example.priority, capacity, example.quotas)
         errors = validate(bad)
         assert any("capacity" in e for e in errors)
 
 
 def test_priority_must_be_permutation(example):
-    bad = Instance(example.students, (0, 1, 2, 3, 4), 3, example.quotas)
+    bad = Instance(example.type_sets, (0, 1, 2, 3, 4), 3, example.quotas)
     assert any("permutation" in e for e in errors_of(bad))
-    dup = Instance(example.students, (0, 1, 2, 3, 4, 4), 3, example.quotas)
+    dup = Instance(example.type_sets, (0, 1, 2, 3, 4, 4), 3, example.quotas)
     assert any("permutation" in e for e in errors_of(dup))
 
 
@@ -42,13 +44,13 @@ def errors_of(instance):
 
 
 def test_universal_type_quota_must_be_zero(example):
-    bad = Instance(example.students, example.priority, 3, QuotaTable((1, 1, 1, 0, 0), (0, 0, 0, 1, 1)))
+    bad = Instance(example.type_sets, example.priority, 3, QuotaTable((1, 1, 1, 0, 0), (0, 0, 0, 1, 1)))
     assert any("universal" in e for e in validate(bad))
 
 
 def test_undeclared_types_reported(example):
-    students = example.students[:3] + (Student(3, frozenset({9})),) + example.students[4:]
-    bad = Instance(students, example.priority, 3, example.quotas)
+    type_sets = example.type_sets[:3] + (frozenset({9}),) + example.type_sets[4:]
+    bad = Instance(type_sets, example.priority, 3, example.quotas)
     assert any("undeclared" in e for e in validate(bad))
 
 
@@ -69,17 +71,17 @@ def test_undeclared_type_reported_once_for_many_students():
 def test_non_integer_type_ids_reported(example, type_id):
     # {True} and {1.0} equal {1}, a declared type that student 4 holds, yet
     # no file can hold them
-    students = example.students[:5] + (Student(5, frozenset({type_id})),)
-    bad = Instance(students, example.priority, 3, example.quotas)
+    type_sets = example.type_sets[:5] + (frozenset({type_id}),)
+    bad = Instance(type_sets, example.priority, 3, example.quotas)
     assert validate(bad) == [f"students: type id {type_id!r} is not an integer; 1 student(s) hold it, first student 5"]
 
 
 def test_non_integer_type_ids_reported_once_for_many_students():
     # 1,000 students each hold {True, 5}, and the last one also 2.5: one
     # message per bad id, not one per student
-    students = [Student(i, frozenset({True, 5})) for i in range(1000)]
-    students[-1] = Student(999, frozenset({True, 5, 2.5}))
-    bad = Instance(tuple(students), tuple(range(1000)), 3, QuotaTable((0, 1), (0, 0)))
+    type_sets = [frozenset({True, 5})] * 1000
+    type_sets[-1] = frozenset({True, 5, 2.5})
+    bad = Instance(tuple(type_sets), tuple(range(1000)), 3, QuotaTable((0, 1), (0, 0)))
     message = "; ".join(validate(bad))
     assert len(message) < 300, message
     assert "type id True is not an integer; 1000 student(s) hold it, first student 0" in message
@@ -88,7 +90,7 @@ def test_non_integer_type_ids_reported_once_for_many_students():
 
 def test_negative_quota_reported(example):
     for rank1 in ((0, -1, 1, 0, 0), (0, True, 1, 0, 0)):
-        bad = Instance(example.students, example.priority, 3, QuotaTable(rank1, (0, 0, 0, 1, 1)))
+        bad = Instance(example.type_sets, example.priority, 3, QuotaTable(rank1, (0, 0, 0, 1, 1)))
         assert any("non-negative" in e for e in validate(bad))
 
 
@@ -108,7 +110,7 @@ def test_priority_round_trip():
 
 def test_acceptable_cutoff():
     inst = make_example()
-    cut = Instance(inst.students, inst.priority, 3, inst.quotas, acceptable_count=2)
+    cut = Instance(inst.type_sets, inst.priority, 3, inst.quotas, acceptable_count=2)
     assert cut.acceptable == (0, 1)
     assert 0 in cut.acceptable and 2 not in cut.acceptable
     assert validate(cut) == []
@@ -150,7 +152,7 @@ def test_unnamed_types_parse_back_named(example):
 
 def test_roundtrip_with_scores_and_cutoff(example):
     inst = Instance(
-        example.students,
+        example.type_sets,
         example.priority,
         example.capacity,
         example.quotas,
@@ -163,7 +165,7 @@ def test_roundtrip_with_scores_and_cutoff(example):
 
 def test_serialize_permutes_into_priority_order(example):
     shuffled = Instance(
-        students=tuple(Student(i, example.students[j].types) for i, j in enumerate((3, 0, 5, 1, 4, 2))),
+        type_sets=gather(example.type_sets, (3, 0, 5, 1, 4, 2)),
         priority=(1, 3, 5, 0, 4, 2),
         capacity=3,
         quotas=example.quotas,
@@ -259,8 +261,8 @@ def test_gather_equals_the_generator(seq, indices):
 
 
 def test_types_of_lists_each_student_type_set_by_id():
-    # the cached table holds the students' own type sets, so the grouping
-    # built from it equals one built from the students: on generated pools
+    # the student view holds the instance's own type sets, and the grouping
+    # built from them equals one built from the view: on generated pools
     # and on hand-built ones with shuffled priorities and cutoffs
     rnd = random.Random(32)
     pools = [
@@ -273,10 +275,62 @@ def test_types_of_lists_each_student_type_set_by_id():
             inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
         pools.append(inst)
     for inst in pools:
-        assert len(inst._types_of) == inst.n_students
-        assert all(inst._types_of[s.id] is s.types for s in inst.students)
+        assert all(inst.type_sets[s.id] is s.types for s in inst.students)
         expected: dict = {}
         for pos, sid in enumerate(inst.acceptable):
             expected.setdefault(inst.students[sid].types, []).append(pos)
         assert inst.type_groups == expected
         assert list(inst.type_groups) == list(expected)
+
+
+def test_type_set_that_is_not_a_frozenset_reported(example):
+    # a set is unhashable, so grouping by type set would raise TypeError;
+    # validate counts such entries by kind and names the first of each
+    type_sets = (frozenset(), {4}, {3}, [1, 2, 3], frozenset({1}), {2, 3})
+    bad = Instance(type_sets, example.priority, 3, example.quotas)
+    assert validate(bad) == [
+        "type_sets: 1 entry(s) are a list, not a frozenset; first type_sets[3]",
+        "type_sets: 3 entry(s) are a set, not a frozenset; first type_sets[1]",
+    ]
+
+
+def test_rules_never_build_the_student_view(example):
+    # the pool path reads type_sets alone; the view, once read, lists
+    # Student(i, type_sets[i]) for every id and cannot be replaced
+    generated = gen_instance(SatGenConfig(capacity=40, seed=3, n_students=100, psi_factor="2.0"))
+    for inst in (generated, parse_instance(serialize_instance(generated)), parse_instance(EXAMPLE_DOC)):
+        for rule in ALGORITHMS.values():
+            evaluate(inst, rule(inst))
+        assert "students" not in vars(inst)
+        assert inst.students == tuple(Student(i, inst.type_sets[i]) for i in range(inst.n_students))
+        assert "students" in vars(inst)
+        with pytest.raises(FrozenInstanceError):
+            inst.students = ()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"quotas": QuotaTable((), ())}, "quotas: must cover at least the universal type"),
+        ({"type_names": ("t1",)}, "type_names: must name every non-universal type"),
+        ({"scores": (1.0, 2.0)}, "scores: must have one entry per student"),
+    ],
+)
+def test_validate_reports_table_lengths(example, change, message):
+    # with no type slots, the students' types are undeclared as well
+    assert message in validate(replace(example, **change))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"types": "t1"}, "field 'types' must be list"),
+        ({"quotas": {"rank1": [1]}}, "quotas must contain rank1 and rank2 arrays"),
+        ({"students": [[1], 2]}, r"students\[1\] must be a list of type ids"),
+        ({"scores": 5}, "scores must be a list"),
+    ],
+)
+def test_parse_names_a_field_of_the_wrong_shape(doc, message):
+    base = {"capacity": 1, "types": ["t1"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1], []]}
+    with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+        parse_instance(json.dumps({**base, **doc}))

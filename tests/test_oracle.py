@@ -7,7 +7,6 @@ from reservematch import (
     Instance,
     QuotaTable,
     RankSignature,
-    Student,
     build_graph,
     validate,
 )
@@ -24,7 +23,7 @@ from oracle import (
 def two_by_two() -> Instance:
     # two students, two seats of distinct (type, rank) classes, everyone eligible
     return Instance(
-        students=(Student(0, frozenset({1, 2})), Student(1, frozenset({1, 2}))),
+        type_sets=(frozenset({1, 2}), frozenset({1, 2})),
         priority=(0, 1),
         capacity=2,
         quotas=QuotaTable((0, 1, 0), (0, 0, 1)),
@@ -60,7 +59,7 @@ def test_enumeration_contains_the_five_rank_maximal_matchings(example):
 
 def test_enumeration_without_edges_uses_universal_seats_only():
     inst = Instance(
-        students=tuple(Student(i) for i in range(4)),
+        type_sets=(frozenset(),) * 4,
         priority=(0, 1, 2, 3),
         capacity=3,
         quotas=QuotaTable((0, 1), (0, 1)),
@@ -103,7 +102,7 @@ def test_enumeration_has_no_duplicates_and_valid_matchings(example):
 
 def test_size_limits_enforced():
     big = Instance(
-        students=tuple(Student(i) for i in range(11)),
+        type_sets=(frozenset(),) * 11,
         priority=tuple(range(11)),
         capacity=1,
         quotas=QuotaTable((0,), (0,)),
@@ -111,7 +110,7 @@ def test_size_limits_enforced():
     with pytest.raises(SizeLimitError, match="11 students"):
         MatchingOracle(build_graph(big))
     wide = Instance(
-        students=(Student(0),),
+        type_sets=(frozenset(),),
         priority=(0,),
         capacity=2,
         quotas=QuotaTable((0, 6), (0, 5)),
@@ -128,7 +127,7 @@ def test_oracle_signature_example(example):
 
 def test_oracle_signature_universal_only():
     inst = Instance(
-        students=tuple(Student(i) for i in range(5)),
+        type_sets=(frozenset(),) * 5,
         priority=tuple(range(5)),
         capacity=3,
         quotas=QuotaTable((0, 2), (0, 0)),
@@ -148,7 +147,7 @@ def test_oracle_greedy_example(example):
 
 def test_oracle_greedy_zero_quotas():
     inst = Instance(
-        students=tuple(Student(i, frozenset({1})) for i in range(5)),
+        type_sets=(frozenset({1}),) * 5,
         priority=(4, 2, 0, 1, 3),
         capacity=2,
         quotas=QuotaTable((0, 0), (0, 0)),

@@ -23,7 +23,6 @@ from reservematch import (
     Instance,
     QuotaTable,
     SatGenConfig,
-    Student,
     build_graph,
     evaluate,
     gen_instance,
@@ -127,13 +126,13 @@ def merged_instance() -> Instance:
     no seats at either rank, so {1, 4} reaches the same pools as {1}."""
     rnd = random.Random(2024)
     n = 40
-    students = tuple(
-        Student(i, frozenset(t for t in (1, 2, 3, 4) if rnd.random() < 0.25)) for i in range(n)
+    type_sets = tuple(
+        frozenset(t for t in (1, 2, 3, 4) if rnd.random() < 0.25) for _ in range(n)
     )
     priority = list(range(n))
     rnd.shuffle(priority)
     return Instance(
-        students=students,
+        type_sets=type_sets,
         priority=tuple(priority),
         capacity=12,
         quotas=QuotaTable((0, 3, 3, 2, 0), (0, 2, 2, 0, 0)),
@@ -170,13 +169,13 @@ def many_class_instance() -> Instance:
     reserves of 2-4 (rank 1) and 1-3 (rank 2) per type."""
     rnd = random.Random(4242)
     n = 400
-    students = tuple(
-        Student(i, frozenset(t for t in range(1, 13) if rnd.random() < 0.3)) for i in range(n)
+    type_sets = tuple(
+        frozenset(t for t in range(1, 13) if rnd.random() < 0.3) for _ in range(n)
     )
     priority = list(range(n))
     rnd.shuffle(priority)
     return Instance(
-        students=students,
+        type_sets=type_sets,
         priority=tuple(priority),
         capacity=30,
         quotas=QuotaTable((0, 2, 2, 2, 2, 4, 3, 2, 4, 3, 3, 3, 4), (0, 1, 2, 1, 2, 2, 1, 1, 1, 2, 2, 1, 3)),

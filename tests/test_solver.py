@@ -9,7 +9,6 @@ from reservematch import (
     RankSignature,
     SatGenConfig,
     Seat,
-    Student,
     build_graph,
     gen_instance,
     signature,
@@ -164,13 +163,13 @@ def high_reserve_instance(rnd: random.Random):
         reserves = sum(rank1) + sum(rank2)
         if reserves and reserves + cap <= 12:
             break
-    students = tuple(
-        Student(i, frozenset(t for t in range(1, m + 1) if rnd.random() < 0.35))
-        for i in range(n)
+    type_sets = tuple(
+        frozenset(t for t in range(1, m + 1) if rnd.random() < 0.35)
+        for _ in range(n)
     )
     priority = list(range(n))
     rnd.shuffle(priority)
-    return Instance(students, tuple(priority), cap, QuotaTable((0, *rank1), (0, *rank2)))
+    return Instance(type_sets, tuple(priority), cap, QuotaTable((0, *rank1), (0, *rank2)))
 
 
 # 466 and 714 start with pools where pinning needs a zero-cost cycle through
@@ -254,7 +253,7 @@ def test_a_class_matches_its_pins_then_its_top_members(forced, matched):
     # one class of six students holding type 1, whose two rank-1 seats come
     # before the universal ones; the cap of four leaves two unmatched
     inst = Instance(
-        students=tuple(Student(i, frozenset({1})) for i in range(6)),
+        type_sets=(frozenset({1}),) * 6,
         priority=(4, 2, 0, 5, 1, 3),
         capacity=4,
         quotas=QuotaTable((0, 2), (0, 0)),
@@ -340,5 +339,5 @@ def many_type_instance() -> Instance:
     """1,600 students each holding each of 16 types with probability 0.3,
     capacity 800 and 20 seats per type and rank: 1,450 classes."""
     rnd = random.Random(0)
-    students = tuple(Student(i, frozenset(t for t in range(1, 17) if rnd.random() < 0.3)) for i in range(1600))
-    return Instance(students, tuple(range(1600)), 800, QuotaTable((0,) + (20,) * 16, (0,) + (20,) * 16))
+    type_sets = tuple(frozenset(t for t in range(1, 17) if rnd.random() < 0.3) for _ in range(1600))
+    return Instance(type_sets, tuple(range(1600)), 800, QuotaTable((0,) + (20,) * 16, (0,) + (20,) * 16))
