@@ -294,7 +294,7 @@ def test_type_set_that_is_not_a_frozenset_reported(example):
     ]
 
 
-def test_rules_never_build_the_student_view(example):
+def test_rules_never_build_the_student_view():
     # the pool path reads type_sets alone; the view, once read, lists
     # Student(i, type_sets[i]) for every id and cannot be replaced
     generated = gen_instance(SatGenConfig(capacity=40, seed=3, n_students=100, psi_factor="2.0"))
