@@ -184,15 +184,17 @@ ALGORITHMS: dict[str, Callable[[Instance], Outcome]] = {
 
 
 def outcome_to_json(outcome: Outcome) -> str:
-    """Serialize an outcome: tag, selected ids in priority order, the seat
-    pairs as (student, type, rank, index) rows, and the signature triple."""
+    """Serialize an outcome: tag, selected ids in priority order, each
+    seated student as (student, type, rank, place in its seat row), and the
+    signature triple.  A matching without rows raises ``ValueError``."""
+    rank_signature = signature(outcome.matching)
     doc: dict[str, Any] = {
         "algorithm": outcome.algorithm,
         "selected": list(outcome.selected),
         "matching": sorted(
-            [sid, seat.type, seat.rank, seat.index] for sid, seat in outcome.matching.pairs
+            [sid, t, rank, i] for (t, rank), row in outcome.matching.rows.items() for i, sid in enumerate(row)
         ),
-        "signature": list(signature(outcome.matching)),
+        "signature": list(rank_signature),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

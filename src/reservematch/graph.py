@@ -5,9 +5,9 @@ types according to the quota table, and the universal type contributes
 exactly ``capacity`` rank-3 seats that every student may take.  Seats of the
 same type and rank are interchangeable, so the graph stores them as pools
 with a capacity, and students who reach the same pools as classes.
-A matching keeps one row of students per (type, rank) pool, in seat order.
-Individual :class:`Seat` objects appear only when a matching's ``pairs``
-are read, and they come from one shared row per pool (:func:`seat_row`).
+A matching keeps one row of students per (type, rank) pool, in seat order,
+the one form the library reads.  :class:`Seat` objects appear only when a
+matching's ``pairs`` are read, from one shared row per pool (:func:`seat_row`).
 
 A sweep builds several graphs per pool over the same few quota tables, so
 the pool list, and the pools each type reaches, come from one table per
@@ -71,12 +71,13 @@ class Matching:
 
     ``rows[type, rank]`` lists the students of that pool in seat order, so
     ``rows[type, rank][i]`` sits on seat ``i``, and a pool that seats no one
-    may have no row; the rules build this form.
-    ``pairs``, the same seating as ``(student, Seat)`` pairs, is derived
-    when first read.  ``Matching(pairs)`` keeps the pairs exactly as given
-    and has no rows (``rows`` is ``None``); :func:`~reservematch.metrics.evaluate`
-    checks either form.  Matchings are equal when their pairs are.
-    Read only.
+    may have no row; the rules build this form, and the library reads no
+    other.  ``pairs``, the same seating as ``(student, Seat)`` pairs, is
+    derived when first read.  ``Matching(pairs)`` keeps the pairs exactly as
+    given and has no rows (``rows`` is ``None``), so :func:`signature`,
+    :func:`~reservematch.metrics.evaluate` and
+    :func:`~reservematch.algorithms.outcome_to_json` refuse it with a
+    ``ValueError``.  Matchings are equal when their pairs are.  Read only.
     """
 
     def __init__(
@@ -118,14 +119,13 @@ class Matching:
 
 
 def signature(matching: Matching) -> RankSignature:
-    """Count matched seats by rank; universal-type seats count as rank 3."""
-    counts = [0, 0, 0]
+    """Count matched seats by rank; universal-type seats count as rank 3.
+    Raises ``ValueError`` for a matching without rows."""
     if matching.rows is None:
-        for _, seat in matching.pairs:
-            counts[seat.rank - 1] += 1
-    else:
-        for (_, rank), row in matching.rows.items():
-            counts[rank - 1] += len(row)
+        raise ValueError("signature counts seat rows: build the matching with Matching(rows=...)")
+    counts = [0, 0, 0]
+    for (_, rank), row in matching.rows.items():
+        counts[rank - 1] += len(row)
     return RankSignature(*counts)
 
 
@@ -176,17 +176,17 @@ def _pool_table(quotas: QuotaTable, capacity: int) -> tuple[tuple[SeatPool, ...]
 
 def _check_positions(positions: Sequence[int], n: int) -> None:
     """Raise ``ValueError``, naming the first bad entry, unless
-    ``positions`` ascend strictly inside ``0..n-1``: in O(1) for a range,
-    in one C pass otherwise."""
+    ``positions`` are ``int``s that ascend strictly inside ``0..n-1``: in
+    O(1) for a range, in two C passes otherwise."""
     if type(positions) is range:
         ascending = len(positions) < 2 or positions.step > 0
     else:
-        ascending = all(map(lt, positions, positions[1:]))
+        ascending = {int}.issuperset(map(type, positions)) and all(map(lt, positions, positions[1:]))
     if ascending and (not positions or (positions[0] >= 0 and positions[-1] < n)):
         return
     last = -1
     for i, p in enumerate(positions):
-        if not last < p < n:
+        if type(p) is not int or not last < p < n:
             raise ValueError(f"positions must ascend strictly inside 0..{n - 1}: positions[{i}] is {p!r}")
         last = p
 
@@ -203,8 +203,8 @@ def build_graph(
     ``subset`` defaults to the acceptable pool, whose grouping by type set
     the instance caches (:attr:`Instance.type_groups`).  ``positions``, in
     place of a subset, takes the students at those positions of the
-    priority list; they must ascend strictly inside it, or ``ValueError``
-    names the first entry that does not.  A subset is
+    priority list; they must be ``int``s that ascend strictly inside it,
+    or ``ValueError`` names the first entry that does not.  A subset is
     checked for ids that are unknown or repeated, then turned into its
     ascending positions (:attr:`Instance._rank_of`), so either form may
     reach past the acceptability cutoff.  A prefix of the acceptable pool

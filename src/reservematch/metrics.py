@@ -3,9 +3,10 @@
 Three per-outcome values are tracked: ``p1`` counts filled rank-1 reserves,
 ``p2`` counts filled reserves across both ranks (universal seats never
 count), and ``p3`` is the mean priority percentile of the selected
-students, where the top-priority student scores 100.  Each value is
-normalized by the best value any algorithm in the suite achieved on the
-same instance; the sweep averages and minimizes those ratios per cell.
+students, where the top-priority student scores 100; all three are read
+off the matching's seat rows.  Each value is normalized by the best value
+any algorithm in the suite achieved on the same instance; the sweep
+averages and minimizes those ratios per cell.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from itertools import chain, repeat
 from operator import contains, methodcaller
 
 from .algorithms import Outcome
-from .graph import Seat
 from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, gather
 
 METRICS = ("p1", "p2", "p3")
@@ -51,53 +51,19 @@ def _pool_label(t: object, rank: object) -> str:
     return f"t{t}:r{rank}"
 
 
-def _seat_rows(
-    instance: Instance, pairs: Iterable[tuple[StudentId, Seat]]
-) -> dict[tuple[TypeId, int], list[StudentId]]:
-    """The seat rows of a matching given as pairs, each in seat order.  The
-    one check of seats themselves: fields that are ``int`` (no bool, no
-    float), a known (type, rank), an index inside the pool, and no seat
-    used twice."""
-    capacity = instance.capacity
-    rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
-    n_types = len(rank1)
-    taken: dict[tuple[TypeId, int], dict[int, StudentId]] = {}
-    for sid, seat in pairs:
-        t, rank, index = seat
-        # like ids, no seat field is a bool or a float: Seat(True, 1, 0) is no seat
-        if type(t) is not int or type(rank) is not int:
-            raise OutcomeError(f"outcome references unknown seat {seat}")
-        if t == UNIVERSAL_TYPE:
-            if rank != 3 or type(index) is not int or not 0 <= index < capacity:
-                raise OutcomeError(f"invalid universal seat {seat}")
-        else:
-            if not 1 <= t < n_types or rank not in (1, 2):
-                raise OutcomeError(f"outcome references unknown seat {seat}")
-            # a non-integer index would be one more seat in a full pool
-            if type(index) is not int or not 0 <= index < (rank1[t] if rank == 1 else rank2[t]):
-                raise OutcomeError(f"seat index out of range: {seat}")
-        row = taken.setdefault((t, rank), {})
-        if index in row:
-            raise OutcomeError(f"seat t{t}:r{rank}:{index} is used twice")
-        row[index] = sid
-    return {key: list(gather(row, sorted(row))) for key, row in taken.items()}
-
-
 def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     """Metric values of an outcome produced on this instance, and the one
-    check that the outcome is a valid seating.
+    check that the seat rows of its matching are a valid seating.
 
-    The checks run over the matching's seat rows; a matching given as pairs
-    is turned into rows first, and that step checks the seats.  Raises
-    :class:`OutcomeError` when the outcome is no valid seating: more
+    Raises :class:`OutcomeError` for a matching without rows, more
     students than the capacity, unknown students (any id, matched or
     selected, that is not an ``int``, too), a student matched twice, an
-    unknown pool (any type or rank that is not an ``int``, too) or seat, a
-    row that is no sequence, a pool or seat holding more students than it
-    has seats, a reserved seat whose type the student does not hold, a
-    student below the acceptability cutoff, or selected students that
-    differ from the matched ones or list a student twice.  How many
-    students a rule must select is not checked.
+    unknown pool (any type or rank that is not an ``int``, too), a row
+    that is no sequence, a pool holding more students than it has seats, a
+    reserved seat whose type the student does not hold, a student below
+    the acceptability cutoff, or selected students that differ from the
+    matched ones or list a student twice.  How many students a rule must
+    select is not checked.
     """
     capacity = instance.capacity
     rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
@@ -105,7 +71,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     percentile = instance._percentile
     rows = outcome.matching.rows
     if rows is None:
-        rows = _seat_rows(instance, outcome.matching.pairs)
+        raise OutcomeError("outcome's matching has no seat rows: build it with Matching(rows=...)")
     p1 = 0
     p2 = 0
     reserved: list[tuple[TypeId, int, Sequence[StudentId]]] = []

@@ -135,9 +135,9 @@ def test_acceptability_cutoff_restricts_selection(example):
 
 def test_check_outcome_rejects_a_student_matched_twice(example):
     # the right number of the right students, but student 0 holds two seats
-    pairs = {(0, Seat(0, 3, 0)), (0, Seat(0, 3, 1)), (1, Seat(4, 2, 0))}
+    rows = {(0, 3): [0, 0], (4, 2): [1]}
     with pytest.raises(OutcomeError, match="matched twice"):
-        check_outcome(replace(example, acceptable_count=2), Outcome("as", (0, 1), Matching(frozenset(pairs))))
+        check_outcome(replace(example, acceptable_count=2), Outcome("as", (0, 1), Matching(rows=rows)))
 
 
 @pytest.mark.parametrize("tag", sorted(ALGORITHMS))

@@ -360,12 +360,13 @@ def test_serial_sweep_runs_each_cell_once(tmp_path, monkeypatch):
     assert [(args[1], args[2]) for args in calls] == [("1.0", 5), ("1.0", 10), ("2.0", 5), ("2.0", 10)]
 
 
-def test_sweep_never_reads_seat_pairs(tmp_path, monkeypatch):
-    # the rules build seat rows and evaluate checks them, so a sweep builds
-    # no (student, Seat) pair: none is made by a matching given as pairs,
-    # which this property refuses to store, and none is derived from rows
+def test_sweep_never_reads_seat_pairs(example_file, tmp_path, monkeypatch):
+    # the rules build seat rows, and evaluate and outcome_to_json read them,
+    # so neither a sweep nor `run --out` builds a (student, Seat) pair: none
+    # is made by a matching given as pairs, which this property refuses to
+    # store, and none is derived from rows
     def refuse(matching):
-        raise AssertionError("a sweep read Matching.pairs")
+        raise AssertionError("Matching.pairs was read")
 
     monkeypatch.setattr(Matching, "pairs", property(refuse))
     spec = ExperimentSpec(
@@ -373,6 +374,10 @@ def test_sweep_never_reads_seat_pairs(tmp_path, monkeypatch):
     )
     paths = run_experiment(spec, 1, False)
     assert paths["ratios"].read_text().count("\n") == 1 + 2 * 3 * len(ALGORITHMS) * 3
+    for tag in ALGORITHMS:
+        out = tmp_path / f"{tag}.json"
+        assert main(["run", str(example_file), "--algo", tag, "--out", str(out)]) == 0
+        assert out.read_bytes() == (RUN_OUT / f"{tag}.json").read_bytes(), tag
 
 
 def plotdata_error(tmp_path, capsys, text):

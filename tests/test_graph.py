@@ -77,6 +77,13 @@ def test_subset_must_not_repeat_a_student(example):
     (range(-1, 2), "positions[0] is -1"),
     (range(2, 8), "positions[4] is 6"),
     (range(3, 0, -1), "positions[1] is 2"),
+    # a position is exactly an int: [0.0, 1.0] and [False, 1] once returned
+    # a graph, and [0, 1.5] raised a TypeError
+    ([0.0, 1.0], "positions[0] is 0.0"),
+    ([0, 1.5], "positions[1] is 1.5"),
+    ((0, 2.0, 3), "positions[1] is 2.0"),
+    ([False, 1], "positions[0] is False"),
+    ([0, True], "positions[1] is True"),
 ])
 def test_positions_must_ascend_inside_the_priority_list(example, positions, bad):
     # each of these once returned some graph: [3, 1] that of students 0
@@ -94,12 +101,10 @@ def test_valid_positions_pass_the_check(example):
 
 
 def test_signature_counts():
-    m = Matching(frozenset({(4, Seat(1, 1, 0)), (3, Seat(2, 1, 0)), (0, Seat(0, 3, 0))}))
+    m = Matching(rows={(1, 1): [4], (2, 1): [3], (0, 3): [0], (3, 2): []})
     assert signature(m) == RankSignature(2, 0, 1)
-    assert signature(Matching(frozenset())) == RankSignature(0, 0, 0)
-    sy2_example = Matching(
-        frozenset({(1, Seat(4, 2, 0)), (2, Seat(3, 2, 0)), (3, Seat(1, 1, 0))})
-    )
+    assert signature(Matching(rows={})) == RankSignature(0, 0, 0)
+    sy2_example = Matching(rows={(4, 2): [1], (3, 2): [2], (1, 1): [3]})
     assert signature(sy2_example) == RankSignature(1, 2, 0)
 
 

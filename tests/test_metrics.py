@@ -17,8 +17,8 @@ from reservematch import (
     gen_instance,
     pog_select,
 )
-from reservematch.algorithms import Outcome
-from reservematch.graph import Matching
+from reservematch.algorithms import Outcome, outcome_to_json
+from reservematch.graph import Matching, signature
 from reservematch.metrics import METRICS, ratio, suite_optimum
 
 from conftest import random_instance
@@ -40,7 +40,7 @@ def test_percentile_definition(example):
     # a lone selected student's percentile is p3, p3_min and p3_max at once;
     # the top student scores 100 and the last of six scores 100/6
     for sid, pct in ((0, 100.0), (5, 100 / 6)):
-        out = Outcome("as", (sid,), Matching(frozenset({(sid, Seat(0, 3, 0))})))
+        out = Outcome("as", (sid,), Matching(rows={(0, 3): [sid]}))
         v = evaluate(example, out)
         assert (v.p3, v.p3_min, v.p3_max) == pytest.approx((pct, pct, pct))
 
@@ -54,73 +54,29 @@ def test_single_student_no_quotas():
 
 
 def test_evaluate_rejects_foreign_students(example):
-    # a fractional id is no student, on a universal seat or on a reserve seat,
-    # and neither is a float or a bool equal to a student's id, whether it is
-    # matched or only selected, nor a selected entry that cannot be hashed
-    for sid, matched, seat in (
-        (9, 9, Seat(0, 3, 0)),
-        (0.5, 0.5, Seat(0, 3, 0)),
-        (0.5, 0.5, Seat(1, 1, 0)),
-        (4.0, 4.0, Seat(0, 3, 0)),
-        (4.0, 4.0, Seat(1, 1, 0)),
-        (True, True, Seat(0, 3, 0)),
-        (4.0, 4, Seat(0, 3, 0)),
-        (True, 1, Seat(0, 3, 0)),
-        ([1], 1, Seat(0, 3, 0)),
+    # a fractional id is no student, in the universal pool or in a reserve
+    # pool, and neither is a float or a bool equal to a student's id, whether
+    # it is matched or only selected, nor a selected entry that cannot be hashed
+    for sid, matched, pool in (
+        (9, 9, (0, 3)),
+        (0.5, 0.5, (0, 3)),
+        (0.5, 0.5, (1, 1)),
+        (4.0, 4.0, (0, 3)),
+        (4.0, 4.0, (1, 1)),
+        (True, True, (0, 3)),
+        (4.0, 4, (0, 3)),
+        (True, 1, (0, 3)),
+        ([1], 1, (0, 3)),
     ):
-        bad = Outcome("as", (sid,), Matching(frozenset({(matched, seat)})))
+        bad = Outcome("as", (sid,), Matching(rows={pool: [matched]}))
         with pytest.raises(OutcomeError, match=re.escape(f"unknown student {sid}")):
             evaluate(example, bad)
 
 
-def test_evaluate_rejects_unknown_seats(example):
-    bad = Outcome("as", (1,), Matching(frozenset({(1, Seat(7, 1, 0))})))
-    with pytest.raises(OutcomeError, match="unknown seat"):
-        evaluate(example, bad)
-    # a seat type or rank that is a float or a bool is no seat, even where it
-    # equals one: student 4 holds type 1, and student 0 may take a universal seat
-    for sid, seat in (
-        (4, Seat(1.0, 1, 0)),
-        (4, Seat(True, 1, 0)),
-        (4, Seat(1, 1.0, 0)),
-        (4, Seat(1, True, 0)),
-        (0, Seat(False, 3, 0)),
-        (0, Seat(0, 3.0, 0)),
-    ):
-        with pytest.raises(OutcomeError, match="unknown seat"):
-            evaluate(example, Outcome("as", (sid,), Matching(frozenset({(sid, seat)}))))
-    for index in (5, False):
-        overflow = Outcome("as", (4,), Matching(frozenset({(4, Seat(1, 1, index))})))
-        with pytest.raises(OutcomeError, match="out of range"):
-            evaluate(example, overflow)
-    # index 0.5 is no seat, so type 1's one rank-1 seat would hold two students
-    between = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0.5))})))
-    with pytest.raises(OutcomeError, match="out of range"):
-        evaluate(example, between)
-    # nor is a non-integer index a universal seat, even an integral float or a bool
-    for index in (0.5, 2.0, True):
-        floating = Outcome("as", (0,), Matching(frozenset({(0, Seat(0, 3, index))})))
-        with pytest.raises(OutcomeError, match="invalid universal seat"):
-            evaluate(example, floating)
-    # student 0 holds no types, so it may not take a type-1 reserve
-    ineligible = Outcome("as", (0,), Matching(frozenset({(0, Seat(1, 1, 0))})))
-    with pytest.raises(OutcomeError, match="does not hold"):
-        evaluate(example, ineligible)
-    double = Outcome("as", (3, 4), Matching(frozenset({(3, Seat(1, 1, 0)), (4, Seat(1, 1, 0))})))
-    with pytest.raises(OutcomeError, match="used twice"):
-        evaluate(example, double)
-    # four valid seats, but the capacity is three
-    seats = {(0, Seat(0, 3, 0)), (1, Seat(4, 2, 0)), (3, Seat(2, 1, 0)), (4, Seat(1, 1, 0))}
-    crowded = Outcome("as", (0, 1, 3, 4), Matching(frozenset(seats)))
-    with pytest.raises(OutcomeError, match="capacity"):
-        evaluate(example, crowded)
-    late = Outcome("as", (5,), Matching(frozenset({(5, Seat(2, 1, 0))})))
-    with pytest.raises(OutcomeError, match="cutoff"):
+def test_evaluate_rejects_a_student_below_the_cutoff(example):
+    late = Outcome("as", (5,), Matching(rows={(2, 1): [5]}))
+    with pytest.raises(OutcomeError, match="student 5 is below the acceptability cutoff 2"):
         evaluate(replace(example, acceptable_count=2), late)
-    # student 0 listed twice among the selected would weight p3 twice
-    repeated = Outcome("as", (0, 0, 1), Matching(frozenset({(0, Seat(0, 3, 0)), (1, Seat(4, 2, 0))})))
-    with pytest.raises(OutcomeError, match="entries"):
-        evaluate(example, repeated)
 
 
 @pytest.mark.parametrize(
@@ -134,6 +90,8 @@ def test_evaluate_rejects_unknown_seats(example):
         ((0,), {(0, 1): [0]}, "unknown pool t0:r1"),
         ((0,), {(0, 2): [0]}, "unknown pool t0:r2"),
         ((0, 1, 2, 3), {(0, 3): [0, 1, 2, 3]}, "pool t0:r3 holds 4 students for 3 seats"),
+        # four students, each in a pool with room, but the capacity is three
+        ((0, 1, 3, 4), {(0, 3): [0], (4, 2): [1], (2, 1): [3], (1, 1): [4]}, "outcome seats 4 students at capacity 3"),
         # unknown pools, and keys whose fields are no ints even where they equal one
         ((4,), {(7, 1): [4]}, "unknown pool t7:r1"),
         ((4,), {(1, 3): [4]}, "unknown pool t1:r3"),
@@ -158,6 +116,8 @@ def test_evaluate_rejects_unknown_seats(example):
         ((4,), {(1, 1): [4.0]}, "unknown student 4.0"),
         ((9,), {(0, 3): [9]}, "unknown student 9"),
         ((9,), {(1, 1): [9]}, "unknown student 9"),
+        # student 0 listed twice among the selected would weight p3 twice
+        ((0, 0, 1), {(0, 3): [0], (4, 2): [1]}, "outcome selects 3 entries for 2 matched students"),
     ],
 )
 def test_evaluate_checks_seat_rows(example, selected, rows, message):
@@ -196,31 +156,26 @@ def generated_pools():
                 yield gen_instance(SatGenConfig(capacity=capacity, seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
 
 
-def test_rows_and_pairs_agree_on_generated_pools():
-    # every rule builds seat rows; the same seating given as pairs is an
-    # equal matching with equal metric values, and a student moved onto a
-    # reserve seat of a type it lacks (swapped with the student there, who
-    # may lack the type of its new pool too) is refused in both forms
+def test_evaluate_refuses_a_swap_onto_a_type_not_held_on_generated_pools():
+    # every rule builds seat rows; a student moved onto a reserve seat of a
+    # type it lacks (swapped with the student there, who may lack the type
+    # of its new pool too) is refused
     moved = 0
     for instance in generated_pools():
         for tag, rule in ALGORITHMS.items():
             outcome = rule(instance)
             rows = outcome.matching.rows
             assert rows is not None, tag
-            as_pairs = replace(outcome, matching=Matching(outcome.matching.pairs))
-            assert as_pairs.matching == outcome.matching
-            assert evaluate(instance, as_pairs) == evaluate(instance, outcome)
             for (t, rank), row in rows.items():
-                stray = next((sid for sid in outcome.selected if t and t not in instance.students[sid].types), None)
+                stray = next((sid for sid in outcome.selected if t and t not in instance.type_sets[sid]), None)
                 if not row or stray is None or stray in row:
                     continue
                 # swap ``stray`` with the first student of the row
                 first = row[0]
                 swapped = {key: [stray if sid == first else first if sid == stray else sid for sid in r]
                            for key, r in rows.items()}
-                for matching in (Matching(rows=swapped), Matching(Matching(rows=swapped).pairs)):
-                    with pytest.raises(OutcomeError, match="does not hold the type of pool"):
-                        evaluate(instance, replace(outcome, matching=matching))
+                with pytest.raises(OutcomeError, match="does not hold the type of pool"):
+                    evaluate(instance, replace(outcome, matching=Matching(rows=swapped)))
                 moved += 1
                 break
     assert moved > 100
@@ -282,12 +237,26 @@ def test_value_names_an_unknown_metric():
 
 def test_evaluate_rejects_a_selection_that_is_not_the_matched_set(example):
     # student 1 holds the seat, student 2 is selected in its place
-    out = Outcome("as", (2,), Matching(frozenset({(1, Seat(0, 3, 0))})))
+    out = Outcome("as", (2,), Matching(rows={(0, 3): [1]}))
     with pytest.raises(OutcomeError, match="^selected students and matched students disagree$"):
         evaluate(example, out)
 
 
 def test_empty_outcome_scores_zero(example):
-    for matching in (Matching(frozenset()), Matching(rows={})):
+    for matching in (Matching(rows={}), Matching(rows={(1, 1): [], (0, 3): ()})):
         v = evaluate(example, Outcome("as", (), matching))
         assert (v.p1, v.p2, v.p3, v.p3_min, v.p3_max) == (0, 0, 0.0, 0.0, 0.0)
+
+
+def test_a_matching_without_rows_is_refused_by_every_reader(example):
+    # rows are the one seating form read: evaluate, signature and
+    # outcome_to_json each refuse a matching given as pairs with a
+    # ValueError, not an AttributeError
+    out = Outcome("as", (0,), Matching(frozenset({(0, Seat(0, 3, 0))})))
+    with pytest.raises(OutcomeError, match=re.escape("has no seat rows: build it with Matching(rows=...)")):
+        evaluate(example, out)
+    rowless = re.escape("signature counts seat rows: build the matching with Matching(rows=...)")
+    with pytest.raises(ValueError, match=rowless):
+        signature(out.matching)
+    with pytest.raises(ValueError, match=rowless):
+        outcome_to_json(out)

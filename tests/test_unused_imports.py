@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module, every
-local a package function assigns is read somewhere in that function, and
-the engine modules build no comprehension inside a loop and gather no
-sequence through a bound ``__getitem__``.
+local a package function assigns is read somewhere in that function, the
+engine modules build no comprehension inside a loop and gather no
+sequence through a bound ``__getitem__``, and no package module but
+``graph.py`` takes a matching's ``.pairs``.
 
 A standard-library ``ast`` scan, so the suite needs no linter.  Names listed
 in a module's ``__all__`` count as read (the package root re-exports), and
@@ -217,3 +218,35 @@ def test_scan_flags_a_getitem_gather_only():
 @pytest.mark.parametrize("path", POOL_PATH, ids=lambda p: p.name)
 def test_pool_path_gathers_in_one_call(path):
     assert getitem_gathers(path.read_text(encoding="utf-8")) == []
+
+
+def pairs_reads(source: str) -> list[str]:
+    """Attributes ``.pairs`` that ``source`` takes, read or stored.
+
+    Seat rows are the one seating form the library reads; a matching's
+    ``(student, Seat)`` pairs exist only in :mod:`reservematch.graph`,
+    which derives them for callers that compare matchings or check seats.
+    An attribute named by a string, as in ``getattr(m, "pairs")``, is not
+    followed.
+    """
+    lines = sorted(
+        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr == "pairs"
+    )
+    return [f"line {line}" for line in lines]
+
+
+def test_scan_flags_a_pairs_attribute_only():
+    source = (
+        "pairs = sorted(rows)\n"
+        "n = len(outcome.matching.pairs)\n"
+        "for sid, seat in m.pairs:\n"
+        "    seen[sid] = pairs\n"
+        "rows = m.rows\n"
+        "kept = getattr(m, 'pairs')\n"
+    )
+    assert pairs_reads(source) == ["line 2", "line 3"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "graph.py"], ids=lambda p: p.name)
+def test_package_reads_seat_rows_not_pairs(path):
+    assert pairs_reads(path.read_text(encoding="utf-8")) == []
