@@ -31,6 +31,7 @@ from .graph import (
 from .metrics import MetricValues, OutcomeError, evaluate
 from .model import (
     Instance,
+    InstanceFormatError,
     QuotaTable,
     Student,
     load_instance,
@@ -45,6 +46,7 @@ __all__ = [
     "ALGORITHMS",
     "InfeasibleForcedError",
     "Instance",
+    "InstanceFormatError",
     "Matching",
     "MetricValues",
     "Outcome",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Callable, Sequence
 
-from .graph import Matching, build_graph, signature
+from .graph import Matching, _build, build_graph, signature
 from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, gather
 from .solver import RankMaximalMatcher
 
@@ -88,7 +88,7 @@ def sy2_select(instance: Instance) -> Outcome:
         (0,) * instance.n_types,
     )
     chosen, _ = _greedy_scan(instance, merged)
-    graph = build_graph(instance, positions=chosen)
+    graph = _build(instance, chosen, None)
     return Outcome("sy2", graph.students, RankMaximalMatcher(graph).matching())
 
 
@@ -109,7 +109,7 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[
 
     n_types = instance.n_types
     for rank, quota in ((1, instance.quotas.rank1), (2, instance.quotas.rank2)):
-        used = [0] * len(quota)
+        left = list(quota)  # open seats per type
         taken: list[list[StudentId]] = []  # per type, its seats' students in seat order
         for _ in quota:
             taken.append([])
@@ -123,7 +123,7 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[
                 continue
             t = n_types  # the lowest held type with an open seat, if below n_types
             for u in types:
-                if u < t and used[u] < quota[u]:
+                if u < t and left[u] > 0:
                     t = u
             if t == n_types:
                 closed.add(types)
@@ -131,7 +131,7 @@ def _greedy_seats(instance: Instance, pool: Sequence[StudentId]) -> tuple[tuple[
             taken[t].append(sid)
             seated[i] = True
             count += 1
-            used[t] += 1
+            left[t] -= 1
             open_seats -= 1
         for t, row in enumerate(taken):
             if row:
@@ -169,7 +169,7 @@ def pog_select(instance: Instance) -> Outcome:
 
 def pos_select(instance: Instance) -> Outcome:
     """Same students as ``pog``, but re-seated rank-maximally."""
-    graph = build_graph(instance, positions=range(min(instance.capacity, len(instance.acceptable))))
+    graph = _build(instance, range(min(instance.capacity, len(instance.acceptable))), None)
     return Outcome("pos", graph.students, RankMaximalMatcher(graph).matching())
 
 

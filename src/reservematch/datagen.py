@@ -200,7 +200,7 @@ def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> Q
     (2·a·num + b·den) // (2·b·den).
     """
     if not _is_int(capacity) or capacity < 1:
-        raise ValueError("capacity must be an integer >= 1")
+        raise SettingsError(f"capacity must be an integer >= 1, got {capacity!r}")
     return _quota_table(capacity, parse_factor(psi_factor))
 
 

@@ -21,7 +21,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import lt
 from typing import Mapping, NamedTuple, Sequence
 
 from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, gather, group_by_types
@@ -120,11 +119,14 @@ class Matching:
 
 def signature(matching: Matching) -> RankSignature:
     """Count matched seats by rank; universal-type seats count as rank 3.
-    Raises ``ValueError`` for a matching without rows."""
-    if matching.rows is None:
+    Raises ``ValueError`` unless its rows are a mapping."""
+    rows = matching.rows
+    if rows is None:
         raise ValueError("signature counts seat rows: build the matching with Matching(rows=...)")
+    if not isinstance(rows, Mapping):
+        raise ValueError(f"signature counts seat rows: a {type(rows).__name__} is no mapping of pools to rows")
     counts = [0, 0, 0]
-    for (_, rank), row in matching.rows.items():
+    for (_, rank), row in rows.items():
         counts[rank - 1] += len(row)
     return RankSignature(*counts)
 
@@ -176,14 +178,8 @@ def _pool_table(quotas: QuotaTable, capacity: int) -> tuple[tuple[SeatPool, ...]
 
 def _check_positions(positions: Sequence[int], n: int) -> None:
     """Raise ``ValueError``, naming the first bad entry, unless
-    ``positions`` are ``int``s that ascend strictly inside ``0..n-1``: in
-    O(1) for a range, in two C passes otherwise."""
-    if type(positions) is range:
-        ascending = len(positions) < 2 or positions.step > 0
-    else:
-        ascending = {int}.issuperset(map(type, positions)) and all(map(lt, positions, positions[1:]))
-    if ascending and (not positions or (positions[0] >= 0 and positions[-1] < n)):
-        return
+    ``positions`` are ``int``s that ascend strictly inside ``0..n-1``.
+    Only :func:`build_graph` calls it, on the positions a caller passes."""
     last = -1
     for i, p in enumerate(positions):
         if type(p) is not int or not last < p < n:
@@ -206,17 +202,9 @@ def build_graph(
     priority list; they must be ``int``s that ascend strictly inside it,
     or ``ValueError`` names the first entry that does not.  A subset is
     checked for ids that are unknown or repeated, then turned into its
-    ascending positions (:attr:`Instance._rank_of`), so either form may
-    reach past the acceptability cutoff.  A prefix of the acceptable pool
-    cuts the cached groups by bisection; other positions are grouped
-    afresh.  ``quotas`` defaults to the instance's; the rules
-    that select under another table pass it here, so the cached grouping
-    serves all their graphs.  Pools are created for every (type, rank) with
-    a positive quota, plus the universal pool with ``capacity`` rank-3
-    seats, and taken from the shared table of ``quotas`` and ``capacity``
-    (:func:`_pool_table`).  Pools are looked up once per distinct type set,
-    and type sets that reach the same pools (a type without seats adds
-    none) share one class.
+    ascending positions, so either form may reach past the acceptability
+    cutoff.  ``quotas`` defaults to the instance's.  Only these checks are
+    public: the rules pass positions they built to :func:`_build`.
     """
     if subset is not None:
         if positions is not None:
@@ -225,7 +213,7 @@ def build_graph(
         if not {int}.issuperset(map(type, subset)):
             strays = [sid for sid in subset if type(sid) is not int]
             raise ValueError(f"subset contains unknown students: {sorted(strays, key=repr)}")
-        rank_of = instance._rank_of
+        rank_of = {sid: pos for pos, sid in enumerate(instance.priority)}
         positions = sorted({rank_of[sid] for sid in subset if sid in rank_of})
         if len(positions) != len(subset):
             unknown = {sid for sid in subset if sid not in rank_of}
@@ -235,6 +223,19 @@ def build_graph(
             raise ValueError(f"subset repeats students: {repeated}")
     elif positions is not None:
         _check_positions(positions, len(instance.priority))
+    return _build(instance, positions, quotas)
+
+
+def _build(instance: Instance, positions: Sequence[int] | None, quotas: QuotaTable | None) -> ReservationGraph:
+    """The graph of :func:`build_graph` over the students at ``positions``
+    of the priority list, or the acceptable pool for ``None``; the
+    positions are trusted.  A prefix of the acceptable pool cuts the cached
+    groups by bisection; other positions are grouped afresh.  Pools come
+    from the shared table of ``quotas`` (by default the instance's) and
+    ``capacity`` (:func:`_pool_table`), looked up once per distinct type
+    set, and type sets that reach the same pools (a type without seats
+    adds none) share one class.
+    """
     if positions is None:
         members = instance.acceptable
         by_types = instance.type_groups

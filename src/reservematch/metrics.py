@@ -55,15 +55,15 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     """Metric values of an outcome produced on this instance, and the one
     check that the seat rows of its matching are a valid seating.
 
-    Raises :class:`OutcomeError` for a matching without rows, more
-    students than the capacity, unknown students (any id, matched or
-    selected, that is not an ``int``, too), a student matched twice, an
-    unknown pool (any type or rank that is not an ``int``, too), a row
-    that is no sequence, a pool holding more students than it has seats, a
-    reserved seat whose type the student does not hold, a student below
-    the acceptability cutoff, or selected students that differ from the
-    matched ones or list a student twice.  How many students a rule must
-    select is not checked.
+    Raises :class:`OutcomeError` for a matching whose rows are missing or
+    no mapping, a selection that is no sequence, more students than the
+    capacity, unknown students (any id, matched or selected, that is not an
+    ``int``, too), a student matched twice, an unknown pool (any type or
+    rank that is not an ``int``, too), a row that is no sequence, a pool
+    holding more students than it has seats, a reserved seat whose type the
+    student does not hold, a student below the acceptability cutoff, or
+    selected students that differ from the matched ones or list a student
+    twice.  How many students a rule must select is not checked.
     """
     capacity = instance.capacity
     rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
@@ -72,6 +72,8 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     rows = outcome.matching.rows
     if rows is None:
         raise OutcomeError("outcome's matching has no seat rows: build it with Matching(rows=...)")
+    if not isinstance(rows, Mapping):
+        raise OutcomeError(f"outcome's seat rows are a {type(rows).__name__}, not a mapping of pools to rows")
     p1 = 0
     p2 = 0
     reserved: list[tuple[TypeId, int, Sequence[StudentId]]] = []
@@ -114,6 +116,8 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
                     raise OutcomeError(f"student {sid} does not hold the type of pool {_pool_label(t, rank)}")
 
     selected = outcome.selected
+    if not isinstance(selected, Sequence):
+        raise OutcomeError(f"outcome's selection is a {type(selected).__name__}, not a sequence in priority order")
     # before the set is built: an entry that cannot be hashed is no student either
     if not {int}.issuperset(map(type, selected)):
         raise OutcomeError(f"outcome references unknown student {_first_stray(selected)}")
@@ -122,11 +126,9 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     if len(selected) != len(matched):
         raise OutcomeError(f"outcome selects {len(selected)} entries for {len(matched)} matched students")
     cut = instance.acceptable_count
-    if cut is not None:
-        position = instance._rank_of
-        for sid in selected:
-            if position[sid] >= cut:
-                raise OutcomeError(f"student {sid} is below the acceptability cutoff {cut}")
+    if cut is not None and not matched.issubset(instance.acceptable):
+        below = next(sid for sid in selected if sid not in instance.acceptable)
+        raise OutcomeError(f"student {below} is below the acceptability cutoff {cut}")
 
     if selected:
         pcts = gather(percentile, selected)

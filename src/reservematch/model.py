@@ -10,9 +10,10 @@ immutable and safe to share across worker processes.
 
 The pools of a sweep share their size and, since generated ids follow
 priority, their priority order.  So the priority percentiles that
-``evaluate`` reads come from one table per (size, priority order), kept in
-a small bounded cache and shared by every instance that has them.  The
-table is read only.
+``evaluate`` reads come from one table per priority order, kept in a small
+bounded cache and shared by every instance that has it.  The table is read
+only.  An instance keeps no map from id to position: the rules work on
+positions, and ``build_graph``, given ids, builds its own.
 
 The pool path looks students up in bulk, never one element at a time
 through a bound ``__getitem__``: :func:`gather` takes any number of
@@ -100,19 +101,10 @@ class Instance:
         return self.quotas.n_types
 
     @cached_property
-    def _rank_of(self) -> dict[StudentId, int]:
-        # Inverse priority map, for evaluate's acceptability cutoff check and
-        # for build_graph, which turns an id subset into positions.
-        return {sid: pos for pos, sid in enumerate(self.priority)}
-
-    @cached_property
     def _percentile(self) -> dict[StudentId, float]:
         # Priority percentile of each student, the top one scoring 100; the
-        # table is shared, so read only.
-        priority = self.priority
-        if type(priority) is not tuple:
-            priority = tuple(priority)
-        return _percentile_table(len(self.type_sets), priority)
+        # table is shared, so read only.  tuple() returns a tuple as it is.
+        return _percentile_table(tuple(self.priority))
 
     @cached_property
     def students(self) -> tuple[Student, ...]:
@@ -144,10 +136,11 @@ class Instance:
 
 
 @lru_cache(maxsize=8)
-def _percentile_table(n: int, priority: tuple[StudentId, ...]) -> dict[StudentId, float]:
-    """The priority percentile of each student of ``priority`` among ``n``.
-    A sweep asks for one table per pool size, and its pools hold the same
-    priority tuple, so the lookup finds it by identity.  Read only."""
+def _percentile_table(priority: tuple[StudentId, ...]) -> dict[StudentId, float]:
+    """The priority percentile of each student of ``priority``.  A sweep's
+    pools of one size hold the same priority tuple, so the lookup finds
+    their table by identity.  Read only."""
+    n = len(priority)
     return {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(priority)}
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -110,14 +111,13 @@ def test_pools_of_a_cell_share_one_quota_table():
 
 
 def test_quotas_reject_bad_inputs():
-    with pytest.raises(ValueError):
-        gen_quotas(0)
+    # the capacity must be an integer >= 1, and booleans are not; like
+    # every other setting, a bad one raises SettingsError
+    for capacity in (0, -1, 2.5, 10.0, True, None):
+        with pytest.raises(SettingsError, match=re.escape(f"capacity must be an integer >= 1, got {capacity!r}")):
+            gen_quotas(capacity)
     with pytest.raises(SettingsError):
         gen_quotas(10, 0)
-    # the capacity must be an integer, and booleans are not
-    for capacity in (2.5, 10.0, True):
-        with pytest.raises(ValueError):
-            gen_quotas(capacity)
     # an unhashable factor, and True after the equal factor 1 was used
     with pytest.raises(SettingsError):
         gen_quotas(10, [2])

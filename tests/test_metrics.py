@@ -260,3 +260,25 @@ def test_a_matching_without_rows_is_refused_by_every_reader(example):
         signature(out.matching)
     with pytest.raises(ValueError, match=rowless):
         outcome_to_json(out)
+
+
+@pytest.mark.parametrize("rows, kind", [([], "list"), (5, "int"), ((((0, 3), [0]),), "tuple")])
+def test_rows_that_are_no_mapping_are_refused_by_every_reader(example, rows, kind):
+    # once an AttributeError ("'list' object has no attribute 'items'")
+    out = Outcome("as", (0,), Matching(rows=rows))
+    with pytest.raises(OutcomeError, match=re.escape(f"outcome's seat rows are a {kind}, not a mapping of pools to rows")):
+        evaluate(example, out)
+    nomap = re.escape(f"signature counts seat rows: a {kind} is no mapping of pools to rows")
+    with pytest.raises(ValueError, match=nomap):
+        signature(out.matching)
+    with pytest.raises(ValueError, match=nomap):
+        outcome_to_json(out)
+
+
+@pytest.mark.parametrize("selected, kind", [(None, "NoneType"), (5, "int"), ({0}, "set"), (iter([0]), "list_iterator")])
+def test_a_selection_that_is_no_sequence_is_refused(example, selected, kind):
+    # the selected students are listed in priority order, which a set or an
+    # iterator does not have; None and 5 once raised a TypeError
+    out = Outcome("as", selected, Matching(rows={(0, 3): [0]}))
+    with pytest.raises(OutcomeError, match=re.escape(f"outcome's selection is a {kind}, not a sequence in priority order")):
+        evaluate(example, out)

@@ -95,14 +95,9 @@ def test_negative_quota_reported(example):
 
 
 def test_priority_round_trip():
-    # _rank_of, which evaluate reads for the cutoff and build_graph for an id
-    # subset's positions, inverts the priority order
     rnd = random.Random(5)
     for _ in range(30):
         inst = random_instance(rnd)
-        assert len(inst._rank_of) == inst.n_students
-        for pos in range(inst.n_students):
-            assert inst._rank_of[inst.priority[pos]] == pos
         # evaluate's p3 reads each student's percentile from this table
         n = inst.n_students
         assert inst._percentile == {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(inst.priority)}

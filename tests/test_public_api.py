@@ -17,6 +17,22 @@ def test_exports_have_no_duplicates():
     assert len(set(reservematch.__all__)) == len(reservematch.__all__)
 
 
+def test_every_exception_of_an_imported_module_is_exported():
+    # callers catch what the exported functions raise by the name the
+    # package root gives it; experiment is not loaded by the root, so its
+    # ResultsFormatError is not among these
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    modules = [node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    errors = set()
+    for module in map(importlib.import_module, (f"reservematch.{name}" for name in modules)):
+        errors.update(
+            name for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        )
+    assert {"InstanceFormatError", "OutcomeError", "SettingsError"} <= errors
+    assert sorted(errors - set(reservematch.__all__)) == []
+
+
 def benchmark_reads() -> list[tuple[str, str, str, bool]]:
     """What the benchmark under perfbench/ reads of the package, as
     (file, module, name, imported): every name of a ``from
