@@ -38,7 +38,6 @@ from .model import (
     parse_instance,
     save_instance,
     serialize_instance,
-    validate,
 )
 from .solver import InfeasibleForcedError, RankMaximalMatcher
 
@@ -76,5 +75,4 @@ __all__ = [
     "signature",
     "sy1_select",
     "sy2_select",
-    "validate",
 ]

@@ -74,15 +74,14 @@ class SettingsError(ValueError):
 
 @dataclass(frozen=True)
 class SatGenConfig:
-    """Parameters for one generated applicant pool."""
+    """Parameters for one generated applicant pool; bad fields raise :class:`SettingsError`."""
 
     capacity: int
     seed: int
     n_students: int = 100
     psi_factor: float | int | str | Fraction = "1.0"
 
-    def check(self) -> None:
-        """Raise :class:`SettingsError` unless every field is valid."""
+    def __post_init__(self) -> None:
         n = self.n_students
         if not _is_int(n) or n < 1:
             raise SettingsError(f"n_students must be an integer >= 1, got {n!r}")
@@ -104,7 +103,7 @@ def parse_factor(value: float | int | str | Fraction) -> Fraction:
 
 
 # Typed, so True is not served the entry of 1.  A pool parses its factor in
-# SatGenConfig.check() and again in gen_quotas; a sweep uses a few factors.
+# building its SatGenConfig and again in gen_quotas; a sweep uses a few factors.
 @lru_cache(maxsize=64, typed=True)
 def _parse_factor(value: float | int | str | Fraction) -> Fraction:
     try:
@@ -223,13 +222,12 @@ def gen_instance(config: SatGenConfig) -> Instance:
 
     Students are relabeled so ids follow the priority order (descending
     score, generation index breaking the measure-zero ties), which is also
-    the order used by the instance file format.  ``config.check()`` makes
-    the result valid by construction.  The instance comes with its
+    the order used by the instance file format.  A config is valid once
+    built, so the instance is too.  The instance comes with its
     ``type_groups`` cache filled from the type-set codes.
     """
     import numpy as np
 
-    config.check()
     rng = np.random.default_rng(config.seed)
     n = config.n_students
     codes = _draw_codes(rng, n)

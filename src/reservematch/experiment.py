@@ -55,7 +55,8 @@ RATIO_FIELDS = ("psi_factor", "qc", "algorithm", "metric", "avg_ratio", "worst_r
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep definition; see the module docstring for the output layout."""
+    """A sweep definition, checked whole when built (each cell by building its
+    :class:`SatGenConfig`); see the module docstring for the output layout."""
 
     out_dir: Path
     n_students: int = 100
@@ -65,9 +66,7 @@ class ExperimentSpec:
     master_seed: int = 1729
     algorithms: tuple[str, ...] = tuple(ALGORITHMS)
 
-    def check(self) -> None:
-        """Raise :class:`SettingsError` unless the whole grid is valid; each
-        cell's pool settings go through ``SatGenConfig.check()``."""
+    def __post_init__(self) -> None:
         if not self.capacities:
             raise SettingsError("no capacities given")
         if not self.psi_factors:
@@ -76,7 +75,7 @@ class ExperimentSpec:
             raise SettingsError("no algorithms given")
         for factor in self.psi_factors:
             for qc in self.capacities:
-                SatGenConfig(capacity=qc, seed=0, n_students=self.n_students, psi_factor=factor).check()
+                SatGenConfig(capacity=qc, seed=0, n_students=self.n_students, psi_factor=factor)
         if len(set(self.capacities)) != len(self.capacities):
             raise SettingsError("a capacity is given twice")
         # compare values, so "1" and "1.0" count as one factor
@@ -172,10 +171,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
 
     Returns the paths of the written files.  With ``jobs > 1`` cells run in
     separate processes; rows are assembled in cell order either way, so the
-    outputs do not depend on the degree of parallelism.  An invalid spec or
-    ``jobs < 1`` raises :class:`SettingsError` before any cell runs.
+    outputs do not depend on the degree of parallelism.  ``jobs < 1``
+    raises :class:`SettingsError` before any cell runs.
     """
-    spec.check()
     if not _is_int(jobs) or jobs < 1:
         raise SettingsError(f"jobs must be an integer >= 1, got {jobs!r}")
     out_dir = Path(spec.out_dir)

@@ -176,39 +176,23 @@ def _pool_table(quotas: QuotaTable, capacity: int) -> tuple[tuple[SeatPool, ...]
     return tuple(pools), pools_of_type
 
 
-def _check_positions(positions: Sequence[int], n: int) -> None:
-    """Raise ``ValueError``, naming the first bad entry, unless
-    ``positions`` are ``int``s that ascend strictly inside ``0..n-1``.
-    Only :func:`build_graph` calls it, on the positions a caller passes."""
-    last = -1
-    for i, p in enumerate(positions):
-        if type(p) is not int or not last < p < n:
-            raise ValueError(f"positions must ascend strictly inside 0..{n - 1}: positions[{i}] is {p!r}")
-        last = p
-
-
 def build_graph(
     instance: Instance,
     subset: set[StudentId] | None = None,
     *,
     quotas: QuotaTable | None = None,
-    positions: Sequence[int] | None = None,
 ) -> ReservationGraph:
     """Construct the reservation graph for a subset of students.
 
     ``subset`` defaults to the acceptable pool, whose grouping by type set
-    the instance caches (:attr:`Instance.type_groups`).  ``positions``, in
-    place of a subset, takes the students at those positions of the
-    priority list; they must be ``int``s that ascend strictly inside it,
-    or ``ValueError`` names the first entry that does not.  A subset is
+    the instance caches (:attr:`Instance.type_groups`).  A subset is
     checked for ids that are unknown or repeated, then turned into its
-    ascending positions, so either form may reach past the acceptability
-    cutoff.  ``quotas`` defaults to the instance's.  Only these checks are
-    public: the rules pass positions they built to :func:`_build`.
+    ascending positions in the priority list, so it may reach past the
+    acceptability cutoff.  ``quotas`` defaults to the instance's.  The
+    rules pass the positions they built to :func:`_build`, unchecked.
     """
+    positions = None
     if subset is not None:
-        if positions is not None:
-            raise ValueError("build_graph takes a subset or positions, not both")
         # True and 2.0 hash like students 1 and 2, but no id is a bool or a float
         if not {int}.issuperset(map(type, subset)):
             strays = [sid for sid in subset if type(sid) is not int]
@@ -221,8 +205,6 @@ def build_graph(
                 raise ValueError(f"subset contains unknown students: {sorted(unknown)}")
             repeated = sorted(sid for sid, count in Counter(subset).items() if count > 1)
             raise ValueError(f"subset repeats students: {repeated}")
-    elif positions is not None:
-        _check_positions(positions, len(instance.priority))
     return _build(instance, positions, quotas)
 
 

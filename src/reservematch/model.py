@@ -6,7 +6,8 @@ reserved for the universal type that every student implicitly holds; real
 diversity types are numbered from 1.  Student ``i`` is the type set
 ``Instance.type_sets[i]``; the :class:`Student` objects of
 ``Instance.students`` are a view that no rule reads.  Instances are
-immutable and safe to share across worker processes.
+immutable, safe to share across worker processes, and valid by
+construction: bad fields raise :class:`InstanceFormatError`.
 
 The pools of a sweep share their size and, since generated ids follow
 priority, their priority order.  So the priority percentiles that
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import filterfalse
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Any, Sequence
 
 UNIVERSAL_TYPE = 0
@@ -71,6 +72,11 @@ class QuotaTable:
         return len(self.rank1)
 
 
+class InstanceFormatError(ValueError):
+    """Raised when an instance document cannot be parsed, or an
+    :class:`Instance` is built from fields that do not form one."""
+
+
 @dataclass(frozen=True)
 class Instance:
     """A selection problem: students, priority order, capacity, and quotas.
@@ -82,6 +88,8 @@ class Instance:
     is acceptable, which is the only case the experiments exercise).
     ``scores`` carries the raw priority scores when the instance came from a
     generator; it is informational and listed in student-id order.
+    Construction raises :class:`InstanceFormatError`, listing every problem,
+    unless the fields form a valid instance.
     """
 
     type_sets: tuple[frozenset[TypeId], ...]
@@ -92,6 +100,77 @@ class Instance:
     type_names: tuple[str, ...] | None = None
     scores: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        errors: list[str] = []
+        n = self.n_students
+
+        if not _is_int(self.capacity) or self.capacity < 1:
+            errors.append(f"capacity: must be an integer >= 1, got {self.capacity!r}")
+
+        # True and 1.0 sort and hash like student 1, but no id is a bool or a
+        # float; n integers are a permutation of the ids iff they have a table
+        strays = [] if {int}.issuperset(map(type, self.priority)) else list(filterfalse(_is_int, self.priority))
+        if strays:
+            errors.append(f"priority: {len(strays)} entry(s) are not integers; first {strays[0]!r}")
+        elif len(self.priority) != n or self._percentile is None:
+            repeated = sorted(sid for sid, count in Counter(self.priority).items() if count > 1)
+            twice = f"; student {repeated[0]} is listed more than once" if repeated else ""
+            errors.append(f"priority: not a permutation of the student ids{twice}")
+
+        quotas = self.quotas
+        if len(quotas.rank1) != len(quotas.rank2):
+            errors.append("quotas: rank1 and rank2 must have equal length")
+        else:
+            if quotas.n_types < 1:
+                errors.append("quotas: must cover at least the universal type")
+            elif quotas.rank1[UNIVERSAL_TYPE] != 0 or quotas.rank2[UNIVERSAL_TYPE] != 0:
+                errors.append("quotas: universal type must have zero quota at both ranks")
+            for rank, counts in ((1, quotas.rank1), (2, quotas.rank2)):
+                for t, c in enumerate(counts):
+                    if not _is_int(c) or c < 0:
+                        errors.append(f"quotas: rank-{rank} count for type {t} must be a non-negative integer")
+
+        declared = set(range(1, quotas.n_types))
+        # each distinct type set once (a generated pool's students share 8),
+        # if each entry is the first equal one ({True} == {1}); on a problem,
+        # per student: (problem, entry kind, odd id's repr or id) -> [count, first]
+        try:
+            first = set(self.type_sets)
+            first = dict(zip(first, first))
+            fine = all(map(is_, self.type_sets, gather(first, self.type_sets)))
+        except TypeError:  # an unhashable entry
+            fine = False
+        if not (fine and all(isinstance(ts, frozenset) and {int}.issuperset(map(type, ts)) and declared.issuperset(ts) for ts in first)):
+            found: dict[tuple[int, Any], list[int]] = {}
+            for sid, types in enumerate(self.type_sets):
+                if not isinstance(types, frozenset):
+                    found.setdefault((0, type(types).__name__), [0, sid])[0] += 1
+                    continue
+                odd = list(map(repr, filterfalse(_is_int, types)))
+                for t in odd or types - declared:
+                    found.setdefault((1 if odd else 2, t), [0, sid])[0] += 1
+            for (problem, key), (count, sid) in sorted(found.items()):
+                if problem == 0:
+                    errors.append(f"type_sets: {count} entry(s) are a {key}, not a frozenset; first type_sets[{sid}]")
+                elif problem == 1:
+                    errors.append(f"students: type id {key} is not an integer; {count} student(s) hold it, first student {sid}")
+                else:
+                    what = "the universal type, which must not be listed" if key == UNIVERSAL_TYPE else "undeclared"
+                    errors.append(f"students: type {key} is {what}; {count} student(s) hold it, first student {sid}")
+
+        cut = self.acceptable_count
+        if cut is not None and (not _is_int(cut) or not 0 <= cut <= n):
+            errors.append(f"acceptable_count: must be an integer in [0, {n}], got {cut!r}")
+
+        if self.type_names is not None and len(self.type_names) != quotas.n_types - 1:
+            errors.append("type_names: must name every non-universal type")
+
+        if self.scores is not None and len(self.scores) != n:
+            errors.append("scores: must have one entry per student")
+
+        if errors:
+            raise InstanceFormatError("invalid instance: " + "; ".join(errors))
+
     @property
     def n_students(self) -> int:
         return len(self.type_sets)
@@ -101,7 +180,7 @@ class Instance:
         return self.quotas.n_types
 
     @cached_property
-    def _percentile(self) -> dict[StudentId, float]:
+    def _percentile(self) -> dict[StudentId, float] | None:
         # Priority percentile of each student, the top one scoring 100; the
         # table is shared, so read only.  tuple() returns a tuple as it is.
         return _percentile_table(tuple(self.priority))
@@ -136,11 +215,14 @@ class Instance:
 
 
 @lru_cache(maxsize=8)
-def _percentile_table(priority: tuple[StudentId, ...]) -> dict[StudentId, float]:
-    """The priority percentile of each student of ``priority``.  A sweep's
-    pools of one size hold the same priority tuple, so the lookup finds
-    their table by identity.  Read only."""
+def _percentile_table(priority: tuple[StudentId, ...]) -> dict[StudentId, float] | None:
+    """The priority percentile of each student of ``priority``, or ``None``
+    unless it is a permutation of 0..n-1.  A sweep's pools of one size hold
+    the same priority tuple, so the lookup finds their table by identity.
+    Read only."""
     n = len(priority)
+    if sorted(priority) != list(range(n)):
+        return None
     return {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(priority)}
 
 
@@ -170,80 +252,6 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate(instance: Instance) -> list[str]:
-    """Check the structural invariants of an instance.
-
-    Returns a list of human-readable violations; an empty list means the
-    instance is well formed.  Nothing is raised so callers can report all
-    problems at once.
-    """
-    errors: list[str] = []
-    n = instance.n_students
-
-    if not _is_int(instance.capacity) or instance.capacity < 1:
-        errors.append(f"capacity: must be an integer >= 1, got {instance.capacity!r}")
-
-    if sorted(instance.priority) != list(range(n)):
-        repeated = sorted(sid for sid, count in Counter(instance.priority).items() if count > 1)
-        twice = f"; student {repeated[0]} is listed more than once" if repeated else ""
-        errors.append(f"priority: not a permutation of the student ids{twice}")
-
-    quotas = instance.quotas
-    if len(quotas.rank1) != len(quotas.rank2):
-        errors.append("quotas: rank1 and rank2 must have equal length")
-    else:
-        if quotas.n_types < 1:
-            errors.append("quotas: must cover at least the universal type")
-        elif quotas.rank1[UNIVERSAL_TYPE] != 0 or quotas.rank2[UNIVERSAL_TYPE] != 0:
-            errors.append("quotas: universal type must have zero quota at both ranks")
-        for rank, counts in ((1, quotas.rank1), (2, quotas.rank2)):
-            for t, c in enumerate(counts):
-                if not _is_int(c) or c < 0:
-                    errors.append(f"quotas: rank-{rank} count for type {t} must be a non-negative integer")
-
-    declared = set(range(1, quotas.n_types))
-    # bad type id -> [students holding it, first of them]; non-integer ids
-    # are keyed by repr, since True, 1.0 and 1 are equal as keys
-    odd_holders: dict[str, list[int]] = {}
-    holders: dict[int, list[int]] = {}
-    # kind of a type_sets entry that is not a frozenset -> [count, first id]
-    odd_entries: dict[str, list[int]] = {}
-    for sid, types in enumerate(instance.type_sets):
-        if not isinstance(types, frozenset):
-            odd_entries.setdefault(type(types).__name__, [0, sid])[0] += 1
-            continue
-        odd = list(map(repr, filterfalse(_is_int, types)))
-        for t in odd:
-            odd_holders.setdefault(t, [0, sid])[0] += 1
-        if odd:
-            continue
-        for t in types - declared:
-            holders.setdefault(t, [0, sid])[0] += 1
-    for kind, (count, first) in sorted(odd_entries.items()):
-        errors.append(f"type_sets: {count} entry(s) are a {kind}, not a frozenset; first type_sets[{first}]")
-    for t, (count, first) in sorted(odd_holders.items()):
-        errors.append(f"students: type id {t} is not an integer; {count} student(s) hold it, first student {first}")
-    for t, (count, first) in sorted(holders.items()):
-        what = "the universal type, which must not be listed" if t == UNIVERSAL_TYPE else "undeclared"
-        errors.append(f"students: type {t} is {what}; {count} student(s) hold it, first student {first}")
-
-    cut = instance.acceptable_count
-    if cut is not None and (not _is_int(cut) or not 0 <= cut <= n):
-        errors.append(f"acceptable_count: must be an integer in [0, {n}], got {cut!r}")
-
-    if instance.type_names is not None and len(instance.type_names) != quotas.n_types - 1:
-        errors.append("type_names: must name every non-universal type")
-
-    if instance.scores is not None and len(instance.scores) != n:
-        errors.append("scores: must have one entry per student")
-
-    return errors
-
-
-class InstanceFormatError(ValueError):
-    """Raised when an instance document cannot be parsed."""
-
-
 def _require(doc: dict[str, Any], key: str, kind: type = object) -> Any:
     if key not in doc:
         raise InstanceFormatError(f"missing field {key!r}")
@@ -265,7 +273,7 @@ def parse_instance(text: str) -> Instance:
     :class:`InstanceFormatError` on malformed JSON, a missing field or one
     of the wrong JSON kind, a type name that is not a string, a type id
     that is not an integer (booleans included), a score that is not a number or not finite as a float, and
-    on any problem :func:`validate` reports, which owns every other rule.
+    on any problem the :class:`Instance` it builds reports, which owns every other rule.
     """
     try:
         doc = json.loads(text)
@@ -314,7 +322,7 @@ def parse_instance(text: str) -> Instance:
             converted.append(value)
         scores = tuple(converted)
 
-    instance = Instance(
+    return Instance(
         type_sets=type_sets,
         priority=tuple(range(len(type_sets))),
         capacity=capacity,
@@ -323,10 +331,6 @@ def parse_instance(text: str) -> Instance:
         type_names=tuple(names),
         scores=scores,
     )
-    errors = validate(instance)
-    if errors:
-        raise InstanceFormatError("invalid instance: " + "; ".join(errors))
-    return instance
 
 
 def serialize_instance(instance: Instance) -> str:

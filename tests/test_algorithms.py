@@ -22,15 +22,13 @@ from reservematch import (
     signature,
     sy1_select,
     sy2_select,
-    validate,
 )
-from reservematch import graph
 from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
 
 from conftest import check_outcome, random_instance
 from oracle import oracle_as_select, random_small_instance
-from test_rule_goldens import many_class_instance, merged_instance
+from test_rule_goldens import many_class_instance
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +367,7 @@ def test_label_free_rules_commute_with_relabeling():
                 config = SatGenConfig(capacity=rnd.randint(1, n), seed=rnd.randrange(2**32), n_students=n, psi_factor=factor)
                 pools.append(gen_instance(config))
     for inst in pools:
-        other, new_id = relabeled(inst, rnd)
-        assert validate(other) == []
+        other, new_id = relabeled(inst, rnd)  # an Instance, so checked when built
         for select in (a_s_select, sy1_select, sy2_select, pos_select):
             a, b = select(inst), select(other)
             assert b.selected == tuple(new_id[sid] for sid in a.selected), a.algorithm
@@ -378,23 +375,3 @@ def test_label_free_rules_commute_with_relabeling():
             assert evaluate(other, b) == evaluate(inst, a), a.algorithm
         for each in (inst, other):
             assert signature(pos_select(each).matching) >= signature(pog_select(each).matching)
-
-
-def test_rules_never_check_their_own_positions(monkeypatch):
-    # pos and the sy2 re-seat build the positions they pass, so only a
-    # caller's positions reach build_graph's check: on generated pools and
-    # on the hand-built pools of the rule goldens
-    def refuse(positions, n):
-        raise AssertionError("positions checked")
-
-    monkeypatch.setattr(graph, "_check_positions", refuse)
-    pools = [merged_instance(), many_class_instance()]
-    rnd = random.Random(28)
-    for n, factor in ((30, "1.0"), (100, "2.0"), (100, "2.6154"), (800, "1.0")):
-        capacity = rnd.randint(1, n)
-        pools.append(gen_instance(SatGenConfig(capacity=capacity, seed=rnd.randrange(2**32), n_students=n, psi_factor=factor)))
-    for inst in pools:
-        for rule in ALGORITHMS.values():
-            evaluate(inst, rule(inst))
-    with pytest.raises(AssertionError, match="positions checked"):
-        build_graph(pools[0], positions=[0])

@@ -1,11 +1,12 @@
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from reservematch import ALGORITHMS, Matching, SatGenConfig, SettingsError, load_instance, serialize_instance, validate
+from reservematch import ALGORITHMS, Matching, SatGenConfig, SettingsError, load_instance, serialize_instance
 from reservematch import experiment
 from reservematch.cli import main
 from reservematch.experiment import ExperimentSpec, ResultsFormatError, derive_seed, emit_plot_data, run_experiment
@@ -27,8 +28,7 @@ def test_gen_writes_instance_and_sidecar(tmp_path):
     out = tmp_path / "pool.json"
     rc = main(["gen", "--capacity", "20", "--seed", "5", "--n", "50", "--out", str(out)])
     assert rc == 0
-    inst = load_instance(out)
-    assert validate(inst) == []
+    inst = load_instance(out)  # an Instance, so checked when built
     assert inst.capacity == 20 and inst.n_students == 50
     meta = json.loads((tmp_path / "pool.json.meta.json").read_text())
     assert meta["seed"] == 5 and meta["capacity"] == 20
@@ -218,13 +218,13 @@ def test_each_command_checks_its_settings_once(tmp_path, monkeypatch):
     calls = {SatGenConfig: 0, ExperimentSpec: 0}
 
     def counting(cls):
-        check = cls.check
+        check = cls.__post_init__
 
         def counted(self):
             calls[cls] += 1
             check(self)
 
-        monkeypatch.setattr(cls, "check", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
 
     counting(SatGenConfig)
     counting(ExperimentSpec)
@@ -245,6 +245,28 @@ def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
     with pytest.raises(SettingsError, match=f"^{message}$"):
         run_experiment(replace(spec, **settings), progress=False)
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"algorithms": ()}, "no algorithms given"),
+        ({"capacities": (5, 31)}, "capacity 31 must be an integer in [1, 30]"),
+        ({"capacities": (5, 5)}, "a capacity is given twice"),
+        ({"psi_factors": ("2", "2.0")}, "a reserve factor is given twice"),
+        ({"psi_factors": ("1.0", "-2")}, "psi_factor must be a positive number, got '-2'"),
+        ({"n_students": 0}, "n_students must be an integer >= 1, got 0"),
+        ({"seeds_per_cell": 0}, "seeds_per_cell must be an integer >= 1"),
+        ({"master_seed": -1}, "master_seed must be an integer >= 0"),
+        ({"algorithms": ("as", "xx")}, "unknown algorithm tag 'xx'"),
+        ({"algorithms": ("as", "as")}, "an algorithm tag is given twice"),
+    ],
+)
+def test_a_sweep_spec_checks_itself_when_built(tmp_path, settings, message):
+    # each cell's pool settings are checked by building its SatGenConfig
+    fields = {"out_dir": tmp_path / "x", "n_students": 30, "capacities": (5,), "seeds_per_cell": 1}
+    with pytest.raises(SettingsError, match=f"^{re.escape(message)}$"):
+        ExperimentSpec(**{**fields, **settings})
 
 
 def test_sweep_names_a_capacity_list_that_is_not_integers(tmp_path, capsys):
@@ -276,9 +298,8 @@ def test_run_experiment_rejects_zero_jobs(tmp_path):
 def test_run_experiment_rejects_non_integer_settings(tmp_path, settings):
     # booleans are neither counts, seeds nor reserve factors
     fields = {"out_dir": tmp_path / "x", "n_students": 30, "capacities": (5,), "seeds_per_cell": 1}
-    spec = ExperimentSpec(**{**fields, **settings})
     with pytest.raises(SettingsError):
-        run_experiment(spec, progress=False)
+        run_experiment(ExperimentSpec(**{**fields, **settings}), progress=False)
     assert not (tmp_path / "x").exists()
 
 

@@ -17,7 +17,6 @@ from reservematch import (
     gen_quotas,
     parse_instance,
     serialize_instance,
-    validate,
 )
 from reservematch.algorithms import outcome_to_json
 from reservematch.datagen import (
@@ -230,17 +229,30 @@ def test_instance_pinned_reserve_total():
 
 
 def test_instances_validate_across_seeds():
-    # gen_instance does not validate its output: the benchmark's shapes
-    # (n, capacities, reserve factors, seeds) are checked here instead
+    # every generated instance is checked when built: here over the
+    # benchmark's shapes (n, capacities, reserve factors, seeds)
     shapes = [(100, range(10, 100, 10), ("1.0", "2.6154"), 25), (800, [400], ("1.0", "2.0"), 10)]
     for n, capacities, factors, seeds in shapes:
         for capacity in capacities:
             for factor in factors:
                 for seed in range(seeds):
                     config = SatGenConfig(capacity=capacity, seed=seed, n_students=n, psi_factor=factor)
-                    inst = gen_instance(config)
-                    assert validate(inst) == [], config
+                    inst = gen_instance(config)  # raises if invalid
                     assert inst.n_students == n
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"n_students": 0}, "n_students must be an integer >= 1, got 0"),
+        ({"capacity": 11}, "capacity 11 must be an integer in [1, 10]"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"psi_factor": "0"}, "psi_factor must be a positive number, got '0'"),
+    ],
+)
+def test_a_pool_config_checks_itself_when_built(settings, message):
+    with pytest.raises(SettingsError, match=f"^{re.escape(message)}$"):
+        SatGenConfig(**{"capacity": 5, "seed": 1, "n_students": 10, **settings})
 
 
 def test_instance_determinism():

@@ -1,5 +1,4 @@
 import random
-import re
 from dataclasses import replace
 
 import pytest
@@ -16,7 +15,7 @@ from reservematch import (
     gen_instance,
     signature,
 )
-from reservematch.graph import _pool_table, seat_row
+from reservematch.graph import _build, _pool_table, seat_row
 
 from conftest import random_instance
 from test_solver import rule_tables
@@ -66,38 +65,6 @@ def test_subset_must_be_known(example):
 def test_subset_must_not_repeat_a_student(example):
     with pytest.raises(ValueError, match=r"subset repeats students: \[0\]"):
         build_graph(example, [0, 0, 1])
-
-
-@pytest.mark.parametrize("positions, bad", [
-    ([3, 1], "positions[1] is 1"),
-    ([-1], "positions[0] is -1"),
-    ([0, 0, 2], "positions[1] is 0"),
-    ([0, 6], "positions[1] is 6"),
-    ((2, 4, 3), "positions[2] is 3"),
-    (range(-1, 2), "positions[0] is -1"),
-    (range(2, 8), "positions[4] is 6"),
-    (range(3, 0, -1), "positions[1] is 2"),
-    # a position is exactly an int: [0.0, 1.0] and [False, 1] once returned
-    # a graph, and [0, 1.5] raised a TypeError
-    ([0.0, 1.0], "positions[0] is 0.0"),
-    ([0, 1.5], "positions[1] is 1.5"),
-    ((0, 2.0, 3), "positions[1] is 2.0"),
-    ([False, 1], "positions[0] is False"),
-    ([0, True], "positions[1] is True"),
-])
-def test_positions_must_ascend_inside_the_priority_list(example, positions, bad):
-    # each of these once returned some graph: [3, 1] that of students 0
-    # and 1, [-1] that of student 5, [0, 0, 2] that of students 0 to 2
-    with pytest.raises(ValueError, match=re.escape(f"positions must ascend strictly inside 0..5: {bad}")):
-        build_graph(example, positions=positions)
-
-
-def test_valid_positions_pass_the_check(example):
-    # ranges of any positive step, a single entry of a descending range,
-    # and the empty forms take the students at those positions
-    for positions in ([], (), range(0), range(4, 2), range(6), range(1, 6, 2), range(5, 2, -4), [2, 3, 5], (0, 5)):
-        g = build_graph(example, positions=positions)
-        assert g.students == tuple(map(example.priority.__getitem__, positions))
 
 
 def test_signature_counts():
@@ -195,9 +162,7 @@ def test_prefix_graph_cuts_the_cached_grouping(example):
         cases.append((inst, range(len(inst.acceptable) + 1)))
     for inst, cuts in cases:
         for k in cuts:
-            assert build_graph(inst, positions=range(k)) == build_graph(inst, set(inst.acceptable[:k]))
-    with pytest.raises(ValueError, match="a subset or positions"):
-        build_graph(example, {0}, positions=[0])
+            assert _build(inst, range(k), None) == build_graph(inst, set(inst.acceptable[:k]))
 
 
 def test_positions_graph_equals_the_subset_graph():
@@ -221,7 +186,7 @@ def test_positions_graph_equals_the_subset_graph():
         cases.append((inst, sorted(rnd.sample(range(k), rnd.randint(0, k)))))
     reordered = 0
     for inst, positions in cases:
-        g = build_graph(inst, positions=positions)
+        g = _build(inst, positions, None)
         assert g == build_graph(inst, set(map(inst.acceptable.__getitem__, positions)))
         chosen = set(positions)
         firsts = [min(chosen.intersection(group)) for group in inst.type_groups.values() if not chosen.isdisjoint(group)]
@@ -263,7 +228,7 @@ def test_id_subset_graph_equals_its_positions_graph():
         for positions in cases:
             ids = tuple(map(inst.priority.__getitem__, positions))
             g = build_graph(inst, set(ids))
-            assert g == build_graph(inst, positions=positions)
+            assert g == _build(inst, positions, None)
             assert g.students == ids
             assert g.pools == reference_pools(inst.quotas, inst.capacity)
             assert g.classes == grouped_by_pools(inst, g)

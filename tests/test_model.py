@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -14,44 +15,78 @@ from reservematch import (
     gen_instance,
     parse_instance,
     serialize_instance,
-    validate,
 )
 from reservematch.model import InstanceFormatError, gather
 
 from conftest import make_example, random_instance
 
 
+def exactly(*problems):
+    """A ``match`` pattern for the message that lists just these problems."""
+    return "^" + re.escape("invalid instance: " + "; ".join(problems)) + "$"
+
+
 def test_example_is_valid(example):
-    assert validate(example) == []
+    # building an instance checks every field
+    assert replace(example) == example
 
 
 def test_capacity_must_be_positive(example):
     for capacity in (0, True):
-        bad = Instance(example.type_sets, example.priority, capacity, example.quotas)
-        errors = validate(bad)
-        assert any("capacity" in e for e in errors)
+        with pytest.raises(InstanceFormatError, match="capacity"):
+            Instance(example.type_sets, example.priority, capacity, example.quotas)
 
 
 def test_priority_must_be_permutation(example):
-    bad = Instance(example.type_sets, (0, 1, 2, 3, 4), 3, example.quotas)
-    assert any("permutation" in e for e in errors_of(bad))
-    dup = Instance(example.type_sets, (0, 1, 2, 3, 4, 4), 3, example.quotas)
-    assert any("permutation" in e for e in errors_of(dup))
+    with pytest.raises(InstanceFormatError, match="permutation"):
+        Instance(example.type_sets, (0, 1, 2, 3, 4), 3, example.quotas)
+    with pytest.raises(InstanceFormatError, match="permutation"):
+        Instance(example.type_sets, (0, 1, 2, 3, 4, 4), 3, example.quotas)
 
 
-def errors_of(instance):
-    return validate(instance)
+@pytest.mark.parametrize("priority, problem", [
+    # each of these once passed the check: True and 1.0 sort and hash like
+    # student 1, and then every rule's outcome failed evaluate (True) or
+    # as, sy1, sy2 and pos raised TypeError (1.0)
+    ((0, True, 2), "priority: 1 entry(s) are not integers; first True"),
+    ((0, 1.0, 2), "priority: 1 entry(s) are not integers; first 1.0"),
+    ((None, 1.5, 2), "priority: 2 entry(s) are not integers; first None"),
+    # a repeated student, as in (1, 1, 0), once gave every rule's outcome a
+    # percentile from the student's later place
+    ((1, 1, 0), "priority: not a permutation of the student ids; student 1 is listed more than once"),
+    ((0, 1, 3), "priority: not a permutation of the student ids"),
+])
+def test_priority_entries_are_student_ids(priority, problem):
+    type_sets = (frozenset({1}), frozenset(), frozenset({1}))
+    with pytest.raises(InstanceFormatError, match=exactly(problem)):
+        Instance(type_sets, priority, 2, QuotaTable((0, 1), (0, 0)))
+
+
+def test_a_repeated_student_at_capacity_one_is_refused():
+    with pytest.raises(InstanceFormatError, match="student 0 is listed more than once"):
+        Instance((frozenset(), frozenset()), (0, 0), 1, QuotaTable((0,), (0,)))
+
+
+@pytest.mark.parametrize("quotas, problem", [
+    # a float quota once reached the graph, which served it the table of
+    # the integer 2 if that was built first
+    (QuotaTable((0, 2.0), (0, 0)), "quotas: rank-1 count for type 1 must be a non-negative integer"),
+    (QuotaTable((0, 1), (0, None)), "quotas: rank-2 count for type 1 must be a non-negative integer"),
+])
+def test_quota_entries_are_integers(quotas, problem):
+    with pytest.raises(InstanceFormatError, match=exactly(problem)):
+        Instance((frozenset({1}), frozenset()), (0, 1), 1, quotas)
 
 
 def test_universal_type_quota_must_be_zero(example):
-    bad = Instance(example.type_sets, example.priority, 3, QuotaTable((1, 1, 1, 0, 0), (0, 0, 0, 1, 1)))
-    assert any("universal" in e for e in validate(bad))
+    with pytest.raises(InstanceFormatError, match="universal"):
+        Instance(example.type_sets, example.priority, 3, QuotaTable((1, 1, 1, 0, 0), (0, 0, 0, 1, 1)))
 
 
 def test_undeclared_types_reported(example):
     type_sets = example.type_sets[:3] + (frozenset({9}),) + example.type_sets[4:]
-    bad = Instance(type_sets, example.priority, 3, example.quotas)
-    assert any("undeclared" in e for e in validate(bad))
+    with pytest.raises(InstanceFormatError, match="undeclared"):
+        Instance(type_sets, example.priority, 3, example.quotas)
 
 
 def test_undeclared_type_reported_once_for_many_students():
@@ -72,8 +107,9 @@ def test_non_integer_type_ids_reported(example, type_id):
     # {True} and {1.0} equal {1}, a declared type that student 4 holds, yet
     # no file can hold them
     type_sets = example.type_sets[:5] + (frozenset({type_id}),)
-    bad = Instance(type_sets, example.priority, 3, example.quotas)
-    assert validate(bad) == [f"students: type id {type_id!r} is not an integer; 1 student(s) hold it, first student 5"]
+    problem = f"students: type id {type_id!r} is not an integer; 1 student(s) hold it, first student 5"
+    with pytest.raises(InstanceFormatError, match=exactly(problem)):
+        Instance(type_sets, example.priority, 3, example.quotas)
 
 
 def test_non_integer_type_ids_reported_once_for_many_students():
@@ -81,8 +117,9 @@ def test_non_integer_type_ids_reported_once_for_many_students():
     # message per bad id, not one per student
     type_sets = [frozenset({True, 5})] * 1000
     type_sets[-1] = frozenset({True, 5, 2.5})
-    bad = Instance(tuple(type_sets), tuple(range(1000)), 3, QuotaTable((0, 1), (0, 0)))
-    message = "; ".join(validate(bad))
+    with pytest.raises(InstanceFormatError) as info:
+        Instance(tuple(type_sets), tuple(range(1000)), 3, QuotaTable((0, 1), (0, 0)))
+    message = str(info.value)
     assert len(message) < 300, message
     assert "type id True is not an integer; 1000 student(s) hold it, first student 0" in message
     assert "type id 2.5 is not an integer; 1 student(s) hold it, first student 999" in message
@@ -90,8 +127,8 @@ def test_non_integer_type_ids_reported_once_for_many_students():
 
 def test_negative_quota_reported(example):
     for rank1 in ((0, -1, 1, 0, 0), (0, True, 1, 0, 0)):
-        bad = Instance(example.type_sets, example.priority, 3, QuotaTable(rank1, (0, 0, 0, 1, 1)))
-        assert any("non-negative" in e for e in validate(bad))
+        with pytest.raises(InstanceFormatError, match="non-negative"):
+            Instance(example.type_sets, example.priority, 3, QuotaTable(rank1, (0, 0, 0, 1, 1)))
 
 
 def test_priority_round_trip():
@@ -108,7 +145,6 @@ def test_acceptable_cutoff():
     cut = Instance(inst.type_sets, inst.priority, 3, inst.quotas, acceptable_count=2)
     assert cut.acceptable == (0, 1)
     assert 0 in cut.acceptable and 2 not in cut.acceptable
-    assert validate(cut) == []
 
 
 EXAMPLE_DOC = """\
@@ -183,7 +219,7 @@ def test_serialize_permutes_into_priority_order(example):
         '{"capacity": 3, "types": ["a"], "quotas": {"rank1": [1], "rank2": [1, 2]}, "students": []}',
         '{"capacity": 3, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[2]]}',
         '{"capacity": 3, "types": ["a"], "quotas": {"rank1": [-1], "rank2": [0]}, "students": [[1]]}',
-        # problems only validate() reports
+        # problems only the Instance's own check reports
         '{"capacity": 0, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]]}',
         '{"capacity": 1, "types": ["a"], "quotas": {"rank1": [1], "rank2": [0]}, "students": [[1]], "acceptable": -3}',
         # type names are strings
@@ -278,15 +314,30 @@ def test_types_of_lists_each_student_type_set_by_id():
         assert list(inst.type_groups) == list(expected)
 
 
+@pytest.mark.parametrize("type_id", [True, 1.0])
+def test_a_non_integer_type_id_is_found_among_shared_type_sets(type_id):
+    # a generated pool's students share a few type set objects, which the
+    # check tests once each; {True} and {1.0} equal {1} but are objects of
+    # their own, so one is found between students who hold {1}
+    inst = gen_instance(SatGenConfig(capacity=50, seed=4, n_students=100))
+    holders = [sid for sid, types in enumerate(inst.type_sets) if types == {1}]
+    sid = holders[len(holders) // 2]
+    type_sets = (*inst.type_sets[:sid], frozenset({type_id}), *inst.type_sets[sid + 1:])
+    problem = f"students: type id {type_id!r} is not an integer; 1 student(s) hold it, first student {sid}"
+    with pytest.raises(InstanceFormatError, match=exactly(problem)):
+        replace(inst, type_sets=type_sets)
+
+
 def test_type_set_that_is_not_a_frozenset_reported(example):
     # a set is unhashable, so grouping by type set would raise TypeError;
-    # validate counts such entries by kind and names the first of each
+    # the check counts such entries by kind and names the first of each
     type_sets = (frozenset(), {4}, {3}, [1, 2, 3], frozenset({1}), {2, 3})
-    bad = Instance(type_sets, example.priority, 3, example.quotas)
-    assert validate(bad) == [
+    problems = (
         "type_sets: 1 entry(s) are a list, not a frozenset; first type_sets[3]",
         "type_sets: 3 entry(s) are a set, not a frozenset; first type_sets[1]",
-    ]
+    )
+    with pytest.raises(InstanceFormatError, match=exactly(*problems)):
+        Instance(type_sets, example.priority, 3, example.quotas)
 
 
 def test_rules_never_build_the_student_view():
@@ -313,7 +364,8 @@ def test_rules_never_build_the_student_view():
 )
 def test_validate_reports_table_lengths(example, change, message):
     # with no type slots, the students' types are undeclared as well
-    assert message in validate(replace(example, **change))
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        replace(example, **change)
 
 
 @pytest.mark.parametrize(

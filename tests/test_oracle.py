@@ -8,7 +8,6 @@ from reservematch import (
     QuotaTable,
     RankSignature,
     build_graph,
-    validate,
 )
 from reservematch.solver import InfeasibleForcedError
 
@@ -158,8 +157,7 @@ def test_oracle_greedy_zero_quotas():
 def test_random_small_instances_are_valid_and_in_bounds():
     rnd = random.Random(77)
     for _ in range(100):
-        inst = random_small_instance(rnd)
-        assert validate(inst) == []
+        inst = random_small_instance(rnd)  # an Instance, so checked when built
         g = build_graph(inst)
         assert len(g.students) <= 8
         assert sum(p.capacity for p in g.pools) <= 12
