@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Callable, Sequence
 
-from .graph import Matching, _build, build_graph, signature
+from .graph import Matching, _build, signature
 from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, gather
 from .solver import RankMaximalMatcher
 
@@ -48,7 +48,7 @@ def _greedy_scan(instance: Instance, quotas: QuotaTable | None = None) -> tuple[
     (:meth:`RankMaximalMatcher.select`), over the graph's positions, which
     are the acceptable students in priority order; returns the chosen
     positions and the matcher."""
-    matcher = RankMaximalMatcher(build_graph(instance, quotas=quotas))
+    matcher = RankMaximalMatcher(_build(instance, None, quotas))
     return matcher.select(), matcher
 
 

@@ -9,21 +9,22 @@ A matching keeps one row of students per (type, rank) pool, in seat order,
 the one form the library reads.  :class:`Seat` objects appear only when a
 matching's ``pairs`` are read, from one shared row per pool (:func:`seat_row`).
 
-A sweep builds several graphs per pool over the same few quota tables, so
-the pool list, and the pools each type reaches, come from one table per
-(quota table, capacity) in a small bounded cache.  Those tables and the
-seat rows are shared, so they are read only.
+A graph covers the acceptable pool, grouped once per instance, or the
+students at positions a rule chose, grouped afresh.  A sweep builds
+several graphs per pool over the same few quota tables, so the pool list,
+and the pools each type reaches, come from one table per (quota table,
+capacity) in a small bounded cache.  Those tables and the seat rows are
+shared, so they are read only.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, gather, group_by_types
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, _strays, gather, group_by_types
 
 
 class Seat(NamedTuple):
@@ -176,27 +177,20 @@ def _pool_table(quotas: QuotaTable, capacity: int) -> tuple[tuple[SeatPool, ...]
     return tuple(pools), pools_of_type
 
 
-def build_graph(
-    instance: Instance,
-    subset: set[StudentId] | None = None,
-    *,
-    quotas: QuotaTable | None = None,
-) -> ReservationGraph:
+def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> ReservationGraph:
     """Construct the reservation graph for a subset of students.
 
     ``subset`` defaults to the acceptable pool, whose grouping by type set
     the instance caches (:attr:`Instance.type_groups`).  A subset is
     checked for ids that are unknown or repeated, then turned into its
     ascending positions in the priority list, so it may reach past the
-    acceptability cutoff.  ``quotas`` defaults to the instance's.  The
-    rules pass the positions they built to :func:`_build`, unchecked.
+    acceptability cutoff.  The rules pass the positions they built, and
+    other quota tables, to :func:`_build`, unchecked.
     """
     positions = None
     if subset is not None:
-        # True and 2.0 hash like students 1 and 2, but no id is a bool or a float
-        if not {int}.issuperset(map(type, subset)):
-            strays = [sid for sid in subset if type(sid) is not int]
-            raise ValueError(f"subset contains unknown students: {sorted(strays, key=repr)}")
+        if _strays(subset):
+            raise ValueError(f"subset contains unknown students: {sorted(_strays(subset), key=repr)}")
         rank_of = {sid: pos for pos, sid in enumerate(instance.priority)}
         positions = sorted({rank_of[sid] for sid in subset if sid in rank_of})
         if len(positions) != len(subset):
@@ -205,35 +199,23 @@ def build_graph(
                 raise ValueError(f"subset contains unknown students: {sorted(unknown)}")
             repeated = sorted(sid for sid, count in Counter(subset).items() if count > 1)
             raise ValueError(f"subset repeats students: {repeated}")
-    return _build(instance, positions, quotas)
+    return _build(instance, positions, None)
 
 
 def _build(instance: Instance, positions: Sequence[int] | None, quotas: QuotaTable | None) -> ReservationGraph:
     """The graph of :func:`build_graph` over the students at ``positions``
-    of the priority list, or the acceptable pool for ``None``; the
-    positions are trusted.  A prefix of the acceptable pool cuts the cached
-    groups by bisection; other positions are grouped afresh.  Pools come
-    from the shared table of ``quotas`` (by default the instance's) and
-    ``capacity`` (:func:`_pool_table`), looked up once per distinct type
-    set, and type sets that reach the same pools (a type without seats
-    adds none) share one class.
+    of the priority list, trusted and grouped afresh, or over the
+    acceptable pool from its cached grouping for ``None``, under ``quotas``
+    (by default the instance's).  Pools come from the shared table of
+    ``quotas`` and ``capacity`` (:func:`_pool_table`), looked up once per
+    type set; type sets that reach the same pools share one class.
     """
     if positions is None:
         members = instance.acceptable
         by_types = instance.type_groups
     else:
-        k = len(positions)
-        members = instance.priority
-        # a prefix of the acceptable pool, which the cached groups cover: cut them
-        if not k or (positions[-1] == k - 1 and k <= len(instance.acceptable)):
-            members = members[:k]
-            by_types = {}
-            for types, group in instance.type_groups.items():
-                if group[0] < k:
-                    by_types[types] = group[: bisect_left(group, k)]
-        else:
-            members = gather(members, positions)
-            by_types = group_by_types(instance.type_sets, members)
+        members = gather(instance.priority, positions)
+        by_types = group_by_types(instance.type_sets, members)
     if quotas is None:
         quotas = instance.quotas
 

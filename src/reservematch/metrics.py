@@ -12,13 +12,13 @@ averages and minimizes those ratios per cell.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import contains, methodcaller
 
 from .algorithms import Outcome
-from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, gather
+from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, _strays, gather
 
 METRICS = ("p1", "p2", "p3")
 
@@ -55,11 +55,11 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     """Metric values of an outcome produced on this instance, and the one
     check that the seat rows of its matching are a valid seating.
 
-    Raises :class:`OutcomeError` for a matching whose rows are missing or
-    no mapping, a selection that is no sequence, more students than the
-    capacity, unknown students (any id, matched or selected, that is not an
-    ``int``, too), a student matched twice, an unknown pool (any type or
-    rank that is not an ``int``, too), a row that is no sequence, a pool
+    Raises :class:`OutcomeError` for a matching whose rows are missing or no
+    mapping, a selection that is no sequence, more students than the capacity,
+    unknown students (any id, matched or selected, that is not exactly an
+    ``int``, too), a student matched twice, an unknown pool (any type or rank
+    that is not exactly an ``int``, too), a row that is no sequence, a pool
     holding more students than it has seats, a reserved seat whose type the
     student does not hold, a student below the acceptability cutoff, or
     selected students that differ from the matched ones or list a student
@@ -79,7 +79,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     reserved: list[tuple[TypeId, int, Sequence[StudentId]]] = []
     for key, row in rows.items():
         # a pool key is a (type, rank) of ints: (True, 1) is no pool
-        if type(key) is not tuple or len(key) != 2 or not {int}.issuperset(map(type, key)):
+        if type(key) is not tuple or len(key) != 2 or _strays(key):
             raise OutcomeError(f"outcome references unknown pool {key!r}")
         t, rank = key
         # a row lists its students in seat order: a set or an iterator has none
@@ -100,9 +100,8 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     seated = [*chain.from_iterable(rows.values())]
     if len(seated) > capacity:
         raise OutcomeError(f"outcome seats {len(seated)} students at capacity {capacity}")
-    # 4.0 and True hash like students 4 and 1, but no id is a float or a bool
-    if not {int}.issuperset(map(type, seated)):
-        raise OutcomeError(f"outcome references unknown student {_first_stray(seated)}")
+    if _strays(seated):
+        raise OutcomeError(f"outcome references unknown student {_strays(seated)[0]!r}")
     matched = set(seated)
     if not percentile.keys() >= matched:
         raise OutcomeError(f"outcome references unknown student {min(matched - percentile.keys())}")
@@ -119,8 +118,8 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     if not isinstance(selected, Sequence):
         raise OutcomeError(f"outcome's selection is a {type(selected).__name__}, not a sequence in priority order")
     # before the set is built: an entry that cannot be hashed is no student either
-    if not {int}.issuperset(map(type, selected)):
-        raise OutcomeError(f"outcome references unknown student {_first_stray(selected)}")
+    if _strays(selected):
+        raise OutcomeError(f"outcome references unknown student {_strays(selected)[0]!r}")
     if matched != set(selected):
         raise OutcomeError("selected students and matched students disagree")
     if len(selected) != len(matched):
@@ -137,11 +136,6 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     else:
         p3 = p3_min = p3_max = 0.0
     return MetricValues(p1, p2, p3, p3_min, p3_max)
-
-
-def _first_stray(ids: Iterable[object]) -> object:
-    """The first entry of ``ids`` that is not exactly an ``int``."""
-    return next(sid for sid in ids if type(sid) is not int)
 
 
 def suite_optimum(values: Mapping[str, MetricValues]) -> dict[str, float]:

@@ -21,20 +21,23 @@ through a bound ``__getitem__``: :func:`gather` takes any number of
 entries of a sequence, such as ``type_sets``, in one C call.
 
 ``students`` and ``type_groups`` are ``functools.cached_property``
-caches; :func:`reservematch.datagen.gen_instance` fills ``type_groups`` in
-bulk, in the instance's ``__dict__`` where the cache keeps it.
+caches.  Every graph over the acceptable pool starts from ``type_groups``,
+which :func:`reservematch.datagen.gen_instance` fills in bulk, in the
+instance's ``__dict__`` where the cache keeps it; a graph over chosen
+positions groups its students afresh.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import filterfalse
 from operator import is_, itemgetter
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 UNIVERSAL_TYPE = 0
 
@@ -87,8 +90,9 @@ class Instance:
     ``acceptable_count`` students may be selected (``None`` means everyone
     is acceptable, which is the only case the experiments exercise).
     ``scores`` carries the raw priority scores when the instance came from a
-    generator; it is informational and listed in student-id order.
-    Construction raises :class:`InstanceFormatError`, listing every problem,
+    generator; it is informational and listed in student-id order.  The
+    sequences are tuples.  Construction raises :class:`InstanceFormatError`,
+    listing every problem (only those of a field that is no tuple, if any),
     unless the fields form a valid instance.
     """
 
@@ -101,15 +105,20 @@ class Instance:
     scores: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        # first: the checks below read these as sequences, and a list would stay mutable
+        kinds = {"type_sets": tuple, "priority": tuple, "type_names": (tuple, type(None)), "scores": (tuple, type(None))}
+        shapes = [f"{name}: must be a tuple, got a {type(getattr(self, name)).__name__}"
+                  for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)]
+        if shapes:
+            raise InstanceFormatError("invalid instance: " + "; ".join(shapes))
         errors: list[str] = []
         n = self.n_students
 
         if not _is_int(self.capacity) or self.capacity < 1:
             errors.append(f"capacity: must be an integer >= 1, got {self.capacity!r}")
 
-        # True and 1.0 sort and hash like student 1, but no id is a bool or a
-        # float; n integers are a permutation of the ids iff they have a table
-        strays = [] if {int}.issuperset(map(type, self.priority)) else list(filterfalse(_is_int, self.priority))
+        # n integers are a permutation of the ids iff they have a table
+        strays = _strays(self.priority)
         if strays:
             errors.append(f"priority: {len(strays)} entry(s) are not integers; first {strays[0]!r}")
         elif len(self.priority) != n or self._percentile is None:
@@ -140,13 +149,13 @@ class Instance:
             fine = all(map(is_, self.type_sets, gather(first, self.type_sets)))
         except TypeError:  # an unhashable entry
             fine = False
-        if not (fine and all(isinstance(ts, frozenset) and {int}.issuperset(map(type, ts)) and declared.issuperset(ts) for ts in first)):
+        if not (fine and all(isinstance(ts, frozenset) and not _strays(ts) and declared.issuperset(ts) for ts in first)):
             found: dict[tuple[int, Any], list[int]] = {}
             for sid, types in enumerate(self.type_sets):
                 if not isinstance(types, frozenset):
                     found.setdefault((0, type(types).__name__), [0, sid])[0] += 1
                     continue
-                odd = list(map(repr, filterfalse(_is_int, types)))
+                odd = list(map(repr, _strays(types)))
                 for t in odd or types - declared:
                     found.setdefault((1 if odd else 2, t), [0, sid])[0] += 1
             for (problem, key), (count, sid) in sorted(found.items()):
@@ -162,11 +171,25 @@ class Instance:
         if cut is not None and (not _is_int(cut) or not 0 <= cut <= n):
             errors.append(f"acceptable_count: must be an integer in [0, {n}], got {cut!r}")
 
-        if self.type_names is not None and len(self.type_names) != quotas.n_types - 1:
-            errors.append("type_names: must name every non-universal type")
+        # only what a file can hold, so that serialize_instance's output parses back
+        names = self.type_names
+        if names is not None:
+            if len(names) != quotas.n_types - 1:
+                errors.append("type_names: must name every non-universal type")
+            bad = next((i for i, name in enumerate(names) if not isinstance(name, str)), None)
+            if bad is not None:
+                errors.append(f"type_names[{bad}] must be a string, got {names[bad]!r}")
 
-        if self.scores is not None and len(self.scores) != n:
-            errors.append("scores: must have one entry per student")
+        scores = self.scores
+        if scores is not None:
+            if len(scores) != n:
+                errors.append("scores: must have one entry per student")
+            # C passes for a generator's floats: a finite sum has finite terms
+            if not ({float}.issuperset(map(type, scores)) and math.isfinite(sum(scores))):
+                for i, x in enumerate(scores):
+                    if not (_is_int(x) or isinstance(x, float)) or not abs(x) <= sys.float_info.max:
+                        errors.append(f"scores[{i}] must be a finite number, got {x!r}")
+                        break
 
         if errors:
             raise InstanceFormatError("invalid instance: " + "; ".join(errors))
@@ -181,9 +204,8 @@ class Instance:
 
     @cached_property
     def _percentile(self) -> dict[StudentId, float] | None:
-        # Priority percentile of each student, the top one scoring 100; the
-        # table is shared, so read only.  tuple() returns a tuple as it is.
-        return _percentile_table(tuple(self.priority))
+        # Priority percentile of each student, the top one scoring 100; shared, so read only
+        return _percentile_table(self.priority)
 
     @cached_property
     def students(self) -> tuple[Student, ...]:
@@ -248,8 +270,15 @@ def group_by_types(type_sets: Sequence[frozenset[TypeId]], members: Sequence[Stu
 
 
 def _is_int(value: Any) -> bool:
-    """Whether a value is an integer; booleans are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether a value is exactly an ``int``: True, 4.0 and an ``IntEnum``
+    member hash like the integers they equal, but no id or count is one."""
+    return type(value) is int
+
+
+def _strays(values: Collection[Any]) -> list[Any]:
+    """The entries of ``values`` that fail :func:`_is_int`, in order; one C
+    pass, which hashes no entry, when there are none."""
+    return [] if {int}.issuperset(map(type, values)) else list(filterfalse(_is_int, values))
 
 
 def _require(doc: dict[str, Any], key: str, kind: type = object) -> Any:
@@ -271,9 +300,10 @@ def parse_instance(text: str) -> Instance:
     ``scores`` (floats, priority order) and ``acceptable`` (int cutoff).
     Students are re-identified as 0..n-1 in priority order.  Raises
     :class:`InstanceFormatError` on malformed JSON, a missing field or one
-    of the wrong JSON kind, a type name that is not a string, a type id
-    that is not an integer (booleans included), a score that is not a number or not finite as a float, and
-    on any problem the :class:`Instance` it builds reports, which owns every other rule.
+    of the wrong JSON kind, a type id that is not an integer (booleans
+    included), and a score that is not a number or too large for a float,
+    which conversion would hide; the :class:`Instance` it builds reports
+    any other problem, such as a type name that is not a string.
     """
     try:
         doc = json.loads(text)
@@ -291,9 +321,6 @@ def parse_instance(text: str) -> Instance:
     rank2 = quotas_doc.get("rank2")
     if not isinstance(rank1, list) or not isinstance(rank2, list):
         raise InstanceFormatError("quotas must contain rank1 and rank2 arrays")
-    for i, name in enumerate(names):
-        if not isinstance(name, str):
-            raise InstanceFormatError(f"types[{i}] must be a string, got {name!r}")
 
     for i, entry in enumerate(students_doc):
         if not isinstance(entry, list):
@@ -314,12 +341,9 @@ def parse_instance(text: str) -> Instance:
             if not (_is_int(x) or isinstance(x, float)):
                 raise InstanceFormatError(f"scores[{i}] must be a number, got {x!r}")
             try:
-                value = float(x)
+                converted.append(float(x))
             except OverflowError:
                 raise InstanceFormatError(f"scores[{i}] is too large for a float") from None
-            if not math.isfinite(value):
-                raise InstanceFormatError(f"scores[{i}] must be finite, got {x!r}")
-            converted.append(value)
         scores = tuple(converted)
 
     return Instance(

@@ -73,7 +73,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .graph import Matching, ReservationGraph
-from .model import StudentId, TypeId, gather
+from .model import StudentId, TypeId, _is_int, gather
 
 
 class InfeasibleForcedError(ValueError):
@@ -177,9 +177,9 @@ class RankMaximalMatcher:
         return {sid: i for i, sid in enumerate(self._graph.students)}
 
     def _position(self, sid: StudentId) -> int:
-        """Position of ``sid`` in the graph.  True and 4.0 hash like
-        students 1 and 4, but no id is a bool or a float."""
-        i = self._index.get(sid) if type(sid) is int else None
+        """Position of ``sid`` in the graph, which holds only ids that
+        are exactly an ``int`` (:func:`~reservematch.model._is_int`)."""
+        i = self._index.get(sid) if _is_int(sid) else None
         if i is None:
             raise ValueError(f"forced student {sid} is not in the graph")
         return i

@@ -1,35 +1,78 @@
-"""Seeded fuzzing of the records that check themselves when built.
+"""Seeded fuzzing of the records that check themselves when built, and of
+the ids that ``evaluate`` and ``build_graph`` are handed.
 
 Each case changes one scalar or one entry of a valid ``Instance``,
 ``SatGenConfig`` or ``ExperimentSpec``.  Building the result either raises
 the record's ``ValueError`` subclass with a message that names the changed
-field, or yields a record that every rule and ``evaluate`` run on.  Any
-other exception, a ``TypeError``, ``IndexError`` or ``KeyError`` above all,
-fails the test.
+field, or yields a record that every rule and ``evaluate`` run on and that
+survives the file format.  An id of a valid outcome or subset changed to
+its int twin is refused with a ``ValueError`` that names it.  Any other
+exception, a ``TypeError``, ``IndexError`` or ``KeyError`` above all, fails
+the test.
 """
 
+import math
 import random
 from dataclasses import replace
+from enum import IntEnum
 
 from reservematch import (
     ALGORITHMS,
+    Instance,
     InstanceFormatError,
+    Matching,
+    OutcomeError,
     QuotaTable,
     SatGenConfig,
     SettingsError,
+    build_graph,
     evaluate,
     gen_instance,
+    parse_instance,
+    serialize_instance,
 )
+from reservematch.algorithms import Outcome
 from reservematch.experiment import ExperimentSpec, run_experiment
+from reservematch.model import gather
 
 from conftest import random_instance
 
 PROBES = (0, -1, 2.0, True, None)
 
 
+class Id(int):
+    """An ``int`` subclass: equal to, and hashing like, the int it copies."""
+
+
+Ids = IntEnum("Ids", [(f"ID{i}", i) for i in range(64)])
+
+
+def twin(rnd, value):
+    """An object equal to the int ``value`` that is not an ``int``: a
+    member of an ``int`` subclass or of an ``IntEnum``."""
+    return rnd.choice((Id, Ids))(value)
+
+
 def run_rules(instance):
     for rule in ALGORITHMS.values():
         evaluate(instance, rule(instance))
+
+
+def assert_round_trips(instance):
+    """``instance`` survives its file, relabeled as README's "Files" says:
+    students renumbered in priority order, unnamed types named t1..tk."""
+    n, m = instance.n_students, instance.n_types - 1
+    scores = instance.scores
+    expected = Instance(
+        type_sets=gather(instance.type_sets, instance.priority),
+        priority=tuple(range(n)),
+        capacity=instance.capacity,
+        quotas=instance.quotas,
+        acceptable_count=instance.acceptable_count,
+        type_names=instance.type_names or tuple(f"t{t}" for t in range(1, m + 1)),
+        scores=None if scores is None else gather(scores, instance.priority),
+    )
+    assert parse_instance(serialize_instance(instance)) == expected
 
 
 def changed_entry(rnd, entries, values):
@@ -44,7 +87,7 @@ def instance_change(rnd, inst):
     """One changed field of ``inst`` as (fields for ``replace``, the word a
     refusal must name)."""
     n, m = inst.n_students, inst.n_types - 1
-    kind = rnd.randrange(6)
+    kind = rnd.randrange(10)
     if kind == 0:  # a scalar, the cutoff included
         field = rnd.choice(("capacity", "acceptable_count"))
         return {field: rnd.choice((*PROBES, n + 1, "1"))}, field
@@ -71,6 +114,21 @@ def instance_change(rnd, inst):
         sid = rnd.randrange(n)
         entry = rnd.choice((set, list, tuple, sorted, lambda ts: None))(inst.type_sets[sid])
         return {"type_sets": (*inst.type_sets[:sid], entry, *inst.type_sets[sid + 1:])}, "type_sets"
+    if kind == 5:  # an int twin of a priority entry or a type id
+        if rnd.random() < 0.5 or not any(inst.type_sets):
+            return {"priority": changed_entry(rnd, inst.priority, [twin(rnd, rnd.choice(inst.priority))])}, "priority"
+        sid = rnd.choice([sid for sid, types in enumerate(inst.type_sets) if types])
+        t = rnd.choice(sorted(inst.type_sets[sid]))
+        type_sets = (*inst.type_sets[:sid], inst.type_sets[sid] - {t} | {twin(rnd, t)}, *inst.type_sets[sid + 1:])
+        return {"type_sets": type_sets}, "students"
+    if kind == 6:  # a list in place of a tuple field
+        field = rnd.choice(("type_sets", "priority", "type_names", "scores"))
+        return {field: list(getattr(inst, field) or ())}, field
+    if kind == 7:  # a type name that is no string
+        return {"type_names": changed_entry(rnd, inst.type_names, (7, None, b"t1", 1.5))}, "type_names"
+    if kind == 8:  # a score that is no finite number
+        values = (None, "1", True, math.nan, math.inf, -math.inf, 10**400, 7, 0.5)
+        return {"scores": changed_entry(rnd, inst.scores, values)}, "scores"
     # rank tables of unequal length
     q = inst.quotas
     table = QuotaTable(q.rank1 + (0,), q.rank2) if rnd.random() < 0.5 else QuotaTable(q.rank1, q.rank2[:-1])
@@ -84,6 +142,8 @@ def test_a_changed_instance_is_refused_or_works():
         base = random_instance(rnd, max_students=10)
         if rnd.random() < 0.3:
             base = replace(base, acceptable_count=rnd.randint(0, base.n_students))
+        base = replace(base, type_names=tuple(f"type {t}" for t in range(1, base.n_types)),
+                       scores=tuple(rnd.uniform(0, 100) for _ in range(base.n_students)))
         fields, name = instance_change(rnd, base)
         try:
             inst = replace(base, **fields)
@@ -92,6 +152,7 @@ def test_a_changed_instance_is_refused_or_works():
             refused += 1
             continue
         run_rules(inst)
+        assert_round_trips(inst)
         built += 1
     assert refused > 1000 and built > 100
 
@@ -111,7 +172,9 @@ def test_a_changed_pool_setting_is_refused_or_works():
             assert field in str(exc), (fields, str(exc))
             refused += 1
             continue
-        run_rules(gen_instance(config))
+        inst = gen_instance(config)
+        run_rules(inst)
+        assert_round_trips(inst)
         built += 1
     assert refused > 250 and built > 20
 
@@ -153,3 +216,50 @@ def test_a_changed_sweep_setting_is_refused_or_works(tmp_path):
         run_experiment(spec, progress=False)
         built += 1
     assert refused > 200 and built > 5
+
+
+def test_an_id_changed_to_its_int_twin_is_refused():
+    # one id of a valid outcome's seat rows, pool keys or selection, or of a
+    # build_graph subset, becomes an object equal to it that is no int; it
+    # is refused and named, never matched to the student it equals
+    rnd = random.Random(2913)
+    refused = 0
+    for _ in range(300):
+        inst = random_instance(rnd, max_students=10)
+        outcome = rnd.choice(list(ALGORITHMS.values()))(inst)
+        rows = {key: list(row) for key, row in outcome.matching.rows.items()}
+        selected = outcome.selected
+        if not selected:
+            continue
+        where = rnd.randrange(4)
+        if where == 0:  # a seated student
+            key = rnd.choice([key for key, row in rows.items() if row])
+            i = rnd.randrange(len(rows[key]))
+            rows[key][i] = stray = twin(rnd, rows[key][i])
+        elif where == 1:  # a pool key's type or rank
+            key = rnd.choice(list(rows))
+            at = rnd.randrange(2)
+            stray = twin(rnd, key[at])
+            rows[(stray, key[1]) if at == 0 else (key[0], stray)] = rows.pop(key)
+        elif where == 2:  # a selected student
+            selected = changed_entry(rnd, selected, [twin(rnd, rnd.choice(selected))])
+            stray = next(sid for sid in selected if type(sid) is not int)
+        else:  # one id of a subset
+            subset = set(selected)
+            sid = rnd.choice(selected)
+            stray = twin(rnd, sid)
+            try:
+                build_graph(inst, subset - {sid} | {stray})
+            except ValueError as exc:
+                assert repr(stray) in str(exc), str(exc)
+                refused += 1
+                continue
+            raise AssertionError(f"subset with {stray!r} was accepted")
+        try:
+            evaluate(inst, Outcome(outcome.algorithm, selected, Matching(rows=rows)))
+        except OutcomeError as exc:
+            assert repr(stray) in str(exc), str(exc)
+            refused += 1
+            continue
+        raise AssertionError(f"outcome with {stray!r} was accepted")
+    assert refused > 250

@@ -121,11 +121,12 @@ def test_classes_partition_students_by_pools(example):
     assert merged  # some type sets reached the same pools
 
 
-def test_quotas_keyword_matches_a_replaced_instance():
+def test_a_quota_table_matches_a_replaced_instance():
     # one instance serves graphs under several tables: its own, the tables
     # sy1 and sy2 build, and one with the ranks swapped; each must equal the
-    # graph of a fresh instance that holds the table, with and without a
-    # subset, with cutoffs and with types that have no seats
+    # graph of a fresh instance that holds the table, over the acceptable
+    # pool and over chosen positions, with cutoffs and with types that have
+    # no seats
     rnd = random.Random(13)
     for _ in range(200):
         inst = random_instance(rnd, max_types=5)
@@ -139,51 +140,38 @@ def test_quotas_keyword_matches_a_replaced_instance():
             q,
         )
         for quotas in tables:
-            subset = set(rnd.sample(inst.priority, rnd.randint(0, inst.n_students)))
-            for members in (None, subset):
-                expected = build_graph(replace(inst, quotas=quotas), members)
-                assert build_graph(inst, members, quotas=quotas) == expected
+            positions = sorted(rnd.sample(range(inst.n_students), rnd.randint(0, inst.n_students)))
+            subset = set(map(inst.priority.__getitem__, positions))
+            assert _build(inst, None, quotas) == build_graph(replace(inst, quotas=quotas))
+            assert _build(inst, positions, quotas) == build_graph(replace(inst, quotas=quotas), subset)
         assert build_graph(inst) == build_graph(replace(inst, quotas=q))
 
 
-def test_prefix_graph_cuts_the_cached_grouping(example):
-    # the first k acceptable students, as the cached groups cut at k, give
-    # the graph of that subset: on generated pools, and on hand-built pools
-    # with cutoffs, at every k
-    rnd = random.Random(14)
-    cases = [(example, range(7))]
-    for n, factor in ((30, "1.0"), (100, "2.0"), (400, "2.6154")):
-        inst = gen_instance(SatGenConfig(capacity=rnd.randint(1, n), seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
-        cases.append((inst, [0, 1, inst.capacity // 2, inst.capacity, n]))
-    for _ in range(100):
-        inst = random_instance(rnd, max_types=5)
-        if rnd.random() < 0.5:
-            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
-        cases.append((inst, range(len(inst.acceptable) + 1)))
-    for inst, cuts in cases:
-        for k in cuts:
-            assert _build(inst, range(k), None) == build_graph(inst, set(inst.acceptable[:k]))
-
-
-def test_positions_graph_equals_the_subset_graph():
+def test_positions_graph_equals_the_subset_graph(example):
     # any ascending positions give the graph of the students there, classes
     # ordered by their first member there, which may differ from the order
     # of the cached groups: on generated pools, on the positions sy2's
-    # merged scan chooses, and on hand-built pools with cutoffs and
-    # shuffled priorities
+    # merged scan chooses, on the prefixes pos takes (cut at 0, 1, half the
+    # capacity, the capacity and n on generated pools, at every k on the
+    # example and on hand-built pools), and on hand-built pools with
+    # cutoffs and shuffled priorities
     rnd = random.Random(22)
-    cases = []
+    cases = [(example, range(k)) for k in range(7)]
     for n, factor in ((30, "1.0"), (100, "2.0"), (800, "2.6154")):
         inst = gen_instance(SatGenConfig(capacity=n // 2, seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
         merged = rule_tables(inst)[2]
-        cases.append((inst, RankMaximalMatcher(build_graph(inst, quotas=merged)).select()))
+        cases.append((inst, RankMaximalMatcher(_build(inst, None, merged)).select()))
         cases += [(inst, sorted(rnd.sample(range(n), rnd.randint(0, n)))) for _ in range(5)]
+        q = rnd.randint(1, n)
+        inst = gen_instance(SatGenConfig(capacity=q, seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
+        cases += [(inst, range(k)) for k in (0, 1, q // 2, q, n)]
     for _ in range(300):
         inst = random_instance(rnd, max_students=20, max_types=5)
         if rnd.random() < 0.5:
             inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
         k = len(inst.acceptable)
         cases.append((inst, sorted(rnd.sample(range(k), rnd.randint(0, k)))))
+        cases += [(inst, range(j)) for j in range(k + 1)]
     reordered = 0
     for inst, positions in cases:
         g = _build(inst, positions, None)
@@ -204,8 +192,8 @@ def test_id_subset_graph_equals_its_positions_graph():
     # an id subset becomes its ascending positions, so its graph equals the
     # positions' graph, and both hold the students in priority order
     # grouped by the pools they reach: for the empty subset, a prefix of
-    # the acceptable pool (cut from the cached groups), a longer prefix, a
-    # subset reaching past the cutoff and the whole priority list; on
+    # the acceptable pool, a longer prefix, a subset reaching past the
+    # cutoff and the whole priority list; on
     # generated pools and on hand-built ones with shuffled priorities and
     # cutoffs
     rnd = random.Random(24)
@@ -254,9 +242,9 @@ def test_pool_tables_are_shared_and_equal_a_fresh_build():
     empty_rank = 0
     for inst in cases:
         for quotas in rule_tables(inst):
-            g = build_graph(inst, quotas=quotas)
+            g = _build(inst, None, quotas)
             _pool_table.cache_clear()
-            assert g == build_graph(inst, quotas=quotas)
+            assert g == _build(inst, None, quotas)
             assert g.pools == reference_pools(quotas, inst.capacity)
             assert g.classes == grouped_by_pools(inst, g)
             empty_rank += any(a == 0 or b == 0 for a, b in zip(quotas.rank1[1:], quotas.rank2[1:]))

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from dataclasses import FrozenInstanceError, replace
+from enum import IntEnum
 
 import pytest
 
@@ -19,6 +20,13 @@ from reservematch import (
 from reservematch.model import InstanceFormatError, gather
 
 from conftest import make_example, random_instance
+
+
+class Id(int):
+    """An ``int`` subclass: equal to, and hashing like, the int it copies."""
+
+
+Ids = IntEnum("Ids", [("ONE", 1)])
 
 
 def exactly(*problems):
@@ -51,6 +59,10 @@ def test_priority_must_be_permutation(example):
     ((0, True, 2), "priority: 1 entry(s) are not integers; first True"),
     ((0, 1.0, 2), "priority: 1 entry(s) are not integers; first 1.0"),
     ((None, 1.5, 2), "priority: 2 entry(s) are not integers; first None"),
+    # these built, and then every rule's outcome failed evaluate: the
+    # outcome held student 1 where the priority held a twin of it
+    ((0, Ids.ONE, 2), "priority: 1 entry(s) are not integers; first <Ids.ONE: 1>"),
+    ((0, Id(1), 2), "priority: 1 entry(s) are not integers; first 1"),
     # a repeated student, as in (1, 1, 0), once gave every rule's outcome a
     # percentile from the student's later place
     ((1, 1, 0), "priority: not a permutation of the student ids; student 1 is listed more than once"),
@@ -102,10 +114,10 @@ def test_undeclared_type_reported_once_for_many_students():
     assert "type 0 is the universal type, which must not be listed; 1000 student(s)" in message
 
 
-@pytest.mark.parametrize("type_id", [True, 1.0])
+@pytest.mark.parametrize("type_id", [True, 1.0, Ids.ONE, Id(1)])
 def test_non_integer_type_ids_reported(example, type_id):
-    # {True} and {1.0} equal {1}, a declared type that student 4 holds, yet
-    # no file can hold them
+    # {True}, {1.0} and the sets of int twins equal {1}, a declared type
+    # that student 4 holds, yet no file can hold them
     type_sets = example.type_sets[:5] + (frozenset({type_id}),)
     problem = f"students: type id {type_id!r} is not an integer; 1 student(s) hold it, first student 5"
     with pytest.raises(InstanceFormatError, match=exactly(problem)):
@@ -181,7 +193,13 @@ def test_unnamed_types_parse_back_named(example):
     assert parsed == replace(unnamed, type_names=("t1", "t2", "t3", "t4"))
 
 
-def test_roundtrip_with_scores_and_cutoff(example):
+@pytest.mark.parametrize("scores", [
+    (9.5, 8.0, 7.25, 6.0, 5.0, 1.0),
+    (9, 8, 7, 6.5, 5, 1),
+    # finite scores whose sum overflows a float
+    (1e308, 1e308, 1.7e308, -1e308, 0.0, 5e-324),
+])
+def test_roundtrip_with_scores_and_cutoff(example, scores):
     inst = Instance(
         example.type_sets,
         example.priority,
@@ -189,7 +207,7 @@ def test_roundtrip_with_scores_and_cutoff(example):
         example.quotas,
         acceptable_count=4,
         type_names=example.type_names,
-        scores=(9.5, 8.0, 7.25, 6.0, 5.0, 1.0),
+        scores=scores,
     )
     assert parse_instance(serialize_instance(inst)) == inst
 
@@ -247,8 +265,9 @@ def test_parse_rejects_malformed(text):
 
 
 def test_parse_names_a_type_name_that_is_no_string():
+    # the Instance the file builds refuses it, as it refuses a hand-built one
     text = '{"capacity": 1, "types": [null, {"a": 1}], "quotas": {"rank1": [1, 0], "rank2": [0, 0]}, "students": [[1]]}'
-    with pytest.raises(InstanceFormatError, match=r"^types\[0\] must be a string, got None$"):
+    with pytest.raises(InstanceFormatError, match=exactly("type_names[0] must be a string, got None")):
         parse_instance(text)
 
 
@@ -265,17 +284,18 @@ def test_percentile_table_is_shared_per_size_and_order():
 
 def test_percentile_table_of_hand_built_instances():
     # shuffled priorities and cutoffs get their own tables, over every
-    # student; a priority given as a list too
+    # student; a priority given as a list is refused, since it would stay
+    # mutable after the check
     rnd = random.Random(31)
     for _ in range(100):
         inst = random_instance(rnd, max_students=20)
         if rnd.random() < 0.5:
             inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
         n = inst.n_students
-        expected = {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(inst.priority)}
-        for each in (inst, replace(inst, priority=list(inst.priority))):
-            assert each._percentile == expected
-            assert list(each._percentile) == list(inst.priority)
+        assert inst._percentile == {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(inst.priority)}
+        assert list(inst._percentile) == list(inst.priority)
+        with pytest.raises(InstanceFormatError, match=exactly("priority: must be a tuple, got a list")):
+            replace(inst, priority=list(inst.priority))
 
 
 
@@ -360,6 +380,18 @@ def test_rules_never_build_the_student_view():
         ({"quotas": QuotaTable((), ())}, "quotas: must cover at least the universal type"),
         ({"type_names": ("t1",)}, "type_names: must name every non-universal type"),
         ({"scores": (1.0, 2.0)}, "scores: must have one entry per student"),
+        # a list is refused, not converted: it would stay mutable
+        ({"type_sets": list(make_example().type_sets)}, "type_sets: must be a tuple, got a list"),
+        ({"priority": [0, 1, 2, 3, 4, 5]}, "priority: must be a tuple, got a list"),
+        ({"type_names": ["t1", "t2", "t3", "t4"], "scores": [1.0] * 6},
+         "type_names: must be a tuple, got a list; scores: must be a tuple, got a list"),
+        # what a file cannot hold: these built, and their files did not parse
+        ({"type_names": (7,)}, "type_names[0] must be a string, got 7"),
+        ({"scores": (None, 1.0, 2.0, 3.0, 4.0, 5.0)}, "scores[0] must be a finite number, got None"),
+        ({"scores": (6, 5, True, 3, 2, 1)}, "scores[2] must be a finite number, got True"),
+        ({"scores": (6.0, float("nan"), 4, 3, 2, 1)}, "scores[1] must be a finite number, got nan"),
+        ({"scores": (6, 5, 4, 3, 2, -float("inf"))}, "scores[5] must be a finite number, got -inf"),
+        ({"scores": (10**400, 5, 4, 3, 2, 1)}, "scores[0] must be a finite number"),
     ],
 )
 def test_validate_reports_table_lengths(example, change, message):

@@ -13,6 +13,7 @@ from reservematch import (
     gen_instance,
     signature,
 )
+from reservematch.graph import _build
 from reservematch.solver import InfeasibleForcedError, RankMaximalMatcher
 
 from conftest import make_example, random_instance
@@ -324,7 +325,7 @@ def test_select_equals_the_try_force_scan(example):
     cases += [(inst, (), quotas) for inst in large for quotas in rule_tables(inst)]
     rejected = 0
     for inst, forced, quotas in cases:
-        g = build_graph(inst, quotas=quotas)
+        g = _build(inst, None, quotas)
         fast, slow = RankMaximalMatcher(g, forced), RankMaximalMatcher(g, forced)
         chosen = tuple(map(g.students.__getitem__, fast.select()))
         assert chosen == scan_by_try_force(slow, g.students)
