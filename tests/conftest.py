@@ -1,5 +1,6 @@
 import random
 import time
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,14 @@ def make_example() -> Instance:
 @pytest.fixture
 def example() -> Instance:
     return make_example()
+
+
+class Id(int):
+    """An ``int`` subclass: equal to, and hashing like, the int it copies."""
+
+
+# int twins of the ids 0..63, as IntEnum members
+Ids = IntEnum("Ids", [(f"ID{i}", i) for i in range(64)])
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@ import json
 import random
 import re
 from dataclasses import FrozenInstanceError, replace
-from enum import IntEnum
 
 import pytest
 
@@ -19,14 +18,7 @@ from reservematch import (
 )
 from reservematch.model import InstanceFormatError, gather
 
-from conftest import make_example, random_instance
-
-
-class Id(int):
-    """An ``int`` subclass: equal to, and hashing like, the int it copies."""
-
-
-Ids = IntEnum("Ids", [("ONE", 1)])
+from conftest import Id, Ids, make_example, random_instance
 
 
 def exactly(*problems):
@@ -61,7 +53,7 @@ def test_priority_must_be_permutation(example):
     ((None, 1.5, 2), "priority: 2 entry(s) are not integers; first None"),
     # these built, and then every rule's outcome failed evaluate: the
     # outcome held student 1 where the priority held a twin of it
-    ((0, Ids.ONE, 2), "priority: 1 entry(s) are not integers; first <Ids.ONE: 1>"),
+    ((0, Ids.ID1, 2), "priority: 1 entry(s) are not integers; first <Ids.ID1: 1>"),
     ((0, Id(1), 2), "priority: 1 entry(s) are not integers; first 1"),
     # a repeated student, as in (1, 1, 0), once gave every rule's outcome a
     # percentile from the student's later place
@@ -114,7 +106,7 @@ def test_undeclared_type_reported_once_for_many_students():
     assert "type 0 is the universal type, which must not be listed; 1000 student(s)" in message
 
 
-@pytest.mark.parametrize("type_id", [True, 1.0, Ids.ONE, Id(1)])
+@pytest.mark.parametrize("type_id", [True, 1.0, Ids.ID1, Id(1)])
 def test_non_integer_type_ids_reported(example, type_id):
     # {True}, {1.0} and the sets of int twins equal {1}, a declared type
     # that student 4 holds, yet no file can hold them
