@@ -22,9 +22,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, _strays, gather, group_by_types
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, _is_int, _strays, gather, group_by_types
 
 
 class Seat(NamedTuple):
@@ -120,15 +121,19 @@ class Matching:
 
 def signature(matching: Matching) -> RankSignature:
     """Count matched seats by rank; universal-type seats count as rank 3.
-    Raises ``ValueError`` unless its rows are a mapping."""
+    Raises ``ValueError`` unless its rows are a mapping whose keys are
+    (type, rank) pairs with a rank of exactly the ``int`` 1, 2 or 3."""
     rows = matching.rows
     if rows is None:
         raise ValueError("signature counts seat rows: build the matching with Matching(rows=...)")
     if not isinstance(rows, Mapping):
         raise ValueError(f"signature counts seat rows: a {type(rows).__name__} is no mapping of pools to rows")
     counts = [0, 0, 0]
-    for (_, rank), row in rows.items():
-        counts[rank - 1] += len(row)
+    for key, row in rows.items():
+        # a rank of True or 2.0 would index a count; 0 would count as rank 3
+        if type(key) is not tuple or len(key) != 2 or not _is_int(key[1]) or not 1 <= key[1] <= 3:
+            raise ValueError(f"signature counts seat rows: pool {key!r} is no (type, rank) pair of rank 1, 2 or 3")
+        counts[key[1] - 1] += len(row)
     return RankSignature(*counts)
 
 
@@ -221,12 +226,14 @@ def _build(instance: Instance, positions: Sequence[int] | None, quotas: QuotaTab
 
     pools, pools_of_type = _pool_table(quotas, instance.capacity)
     universal = len(pools) - 1
-    by_adj: dict[tuple[int, ...], list[int]] = {}
+    by_adj: dict[tuple[int, ...], list[list[int]]] = {}
     for types, group in by_types.items():
         eligible: list[int] = []
         for t in types:
             eligible += pools_of_type.get(t, ())
         eligible.sort()
-        by_adj.setdefault((*eligible, universal), []).extend(group)
-    classes = tuple((adj, tuple(sorted(group))) for adj, group in by_adj.items())
+        by_adj.setdefault((*eligible, universal), []).append(group)
+    # a group is ascending, so only a class of several groups is sorted
+    classes = tuple((adj, tuple(groups[0] if len(groups) == 1 else sorted(chain.from_iterable(groups))))
+                    for adj, groups in by_adj.items())
     return ReservationGraph(members, instance.capacity, pools, classes)

@@ -91,9 +91,10 @@ class Instance:
     is acceptable, which is the only case the experiments exercise).
     ``scores`` carries the raw priority scores when the instance came from a
     generator; it is informational and listed in student-id order.  The
-    sequences are tuples.  Construction raises :class:`InstanceFormatError`,
-    listing every problem (only those of a field that is no tuple, if any),
-    unless the fields form a valid instance.
+    sequences are tuples, and so are the rows of ``quotas``, a
+    :class:`QuotaTable`.  Construction raises :class:`InstanceFormatError`,
+    listing every problem (only those of a field of the wrong kind, if
+    any), unless the fields form a valid instance.
     """
 
     type_sets: tuple[frozenset[TypeId], ...]
@@ -109,6 +110,12 @@ class Instance:
         kinds = {"type_sets": tuple, "priority": tuple, "type_names": (tuple, type(None)), "scores": (tuple, type(None))}
         shapes = [f"{name}: must be a tuple, got a {type(getattr(self, name)).__name__}"
                   for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)]
+        quotas = self.quotas
+        if not isinstance(quotas, QuotaTable):
+            shapes.append(f"quotas: must be a QuotaTable, got a {type(quotas).__name__}")
+        else:
+            shapes += [f"quotas: {rank} must be a tuple, got a {type(row).__name__}"
+                       for rank, row in (("rank1", quotas.rank1), ("rank2", quotas.rank2)) if not isinstance(row, tuple)]
         if shapes:
             raise InstanceFormatError("invalid instance: " + "; ".join(shapes))
         errors: list[str] = []
@@ -126,7 +133,6 @@ class Instance:
             twice = f"; student {repeated[0]} is listed more than once" if repeated else ""
             errors.append(f"priority: not a permutation of the student ids{twice}")
 
-        quotas = self.quotas
         if len(quotas.rank1) != len(quotas.rank2):
             errors.append("quotas: rank1 and rank2 must have equal length")
         else:

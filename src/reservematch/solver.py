@@ -33,7 +33,8 @@ cycle S -> class ~> S is therefore exact, and pushing a unit around it
 keeps the potentials valid.  Every search walks a table of the arcs of zero
 reduced cost, and one builder makes it: for each construction stage under
 the stage's potential, and once after construction for all the pins that
-follow.
+follow.  One depth-first search finds every path; a construction stage
+pushes its bottleneck, and a pin one unit.
 
 A class whose search fails (or whose potential differs from that of S) is
 rejected from then on in O(1).  Pins only add lower bounds, so the set of
@@ -225,10 +226,11 @@ class RankMaximalMatcher:
         arc to T of such a pool, and the stage is over once their free seats
         are taken: it runs no search then, and none at all when it starts
         with none free.
-        Dead ends stay closed for the rest of a round of searches; a round
-        that finds nothing ends the stage too.
+        Dead ends stay closed for the rest of a round of searches, so each
+        path found is taken back out of them, and a round that finds
+        nothing ends the stage too.
         """
-        res, cost, k = self._res, self._cost, len(self._members)
+        res, head, cost, k = self._res, self._head, self._cost, len(self._members)
         before = res[1 : 2 * k : 2]  # flow of each class above its pins
         for weight in self._rank_weight[:2]:
             if not amount:
@@ -244,7 +246,14 @@ class RankMaximalMatcher:
             while amount and free and pushed:
                 seen: set[int] = set()
                 pushed = 0
-                while amount and free and (units := self._push(self._source, self._sink, amount, seen, [])):
+                while amount and free and (path := self._search(self._source, self._sink, seen)):
+                    units = amount
+                    seen.discard(self._source)
+                    for e in path:
+                        if res[e] < units:
+                            units = res[e]
+                        seen.discard(head[e])
+                    self._augment(path, units)
                     amount -= units
                     free -= units
                     pushed += units
@@ -267,16 +276,16 @@ class RankMaximalMatcher:
         for c, units in fill.items():
             self._augment([2 * c, self._class_arc[c + 1] - 2, to_sink], units)
 
-    def _push(self, start: int, goal: int, limit: int, seen: set[int], path: list[int]) -> int:
-        """Push up to ``limit`` units from ``start`` to ``goal`` along one
-        path of the admissible table, depth first around the nodes in
-        ``seen``, which gains the dead ends; returns the units pushed, and
-        leaves the path's arcs in ``path``, which starts empty.  One loop
-        over the path finds its bottleneck and takes its nodes back out of
-        ``seen``, so a search builds no temporary list."""
+    def _search(self, start: int, goal: int, seen: set[int]) -> list[int] | None:
+        """The arcs of one path with residual from ``start`` to ``goal`` in
+        the admissible table, found depth first around the nodes in
+        ``seen``, or ``None``.  The search only finds: ``seen`` gains every
+        node it enters but ``goal``, the dead ends and the path's nodes,
+        and the caller pushes what it needs along the path."""
         res, head, table = self._res, self._head, self._table
         seen.add(start)
-        arcs = [iter(table[start])]  # path holds the arcs from start to the node on top
+        path: list[int] = []  # the arcs from start to the node on top
+        arcs = [iter(table[start])]
         while arcs:
             for e in arcs[-1]:
                 v = head[e]
@@ -289,17 +298,10 @@ class RankMaximalMatcher:
                 continue
             path.append(e)
             if v == goal:
-                units = limit
-                seen.discard(start)
-                for a in path:
-                    if res[a] < units:
-                        units = res[a]
-                    seen.discard(head[a])
-                self._augment(path, units)
-                return units
+                return path
             seen.add(v)
             arcs.append(iter(table[v]))
-        return 0
+        return None
 
     def _potentials(self) -> list[int]:
         """Bellman-Ford distances from a virtual root joined to every node
@@ -320,15 +322,15 @@ class RankMaximalMatcher:
     def _chosen(self, c: int) -> Sequence[int]:
         """Matched members of class ``c``, in priority order: its pinned
         members and its ``extra`` highest-priority unpinned ones.  Its size
-        less the residuals of its arcs from and to S counts its pins, so a
-        class with none takes a slice of its members, one with no matched
-        unpinned unit a filter, and any other one pass."""
+        less the residuals of its arcs from and to S counts its pins.  When
+        they are its first members, as every scan from an unpinned start
+        leaves them (see :meth:`_pin_in_order`), the matched members are a
+        slice; otherwise one pass picks them."""
         res, members, pinned = self._res, self._members[c], self._pinned
         extra = res[2 * c + 1]
-        if len(members) == res[2 * c] + extra:  # no pins
-            return members[:extra]
-        if not extra:
-            return list(filter(pinned.__getitem__, members))
+        pins = len(members) - res[2 * c] - extra
+        if all(gather(pinned, members[:pins])):
+            return members[: pins + extra]
         chosen: list[int] = []
         for i in members:
             if pinned[i]:
@@ -370,9 +372,11 @@ class RankMaximalMatcher:
         current rank signature, until ``room`` are chosen; an already pinned
         student counts as chosen.  Returns the chosen positions.  A rejected
         student leaves the flow and the matching as they were.  The last
-        cycle pushed is pushed again, unsearched, while its class is the
+        cycle found is pushed again, unsearched, while its class is the
         last to have pushed and each of its arcs has residual (see the
-        module docstring)."""
+        module docstring).  Positions come in priority order and a rejected
+        class takes no later pin, so after a scan from an unpinned start
+        each class's pinned members are its first ones."""
         chosen: list[int] = []
         if not room:
             return chosen
@@ -388,14 +392,13 @@ class RankMaximalMatcher:
                     res[back] -= 1  # pin a matched unpinned unit
                 else:
                     # a cycle S -> c ~> S of zero reduced cost brings c the unit to pin
-                    if c == last and all(map(res.__getitem__, cycle)):
-                        self._augment(cycle, 1)
-                    else:
-                        s, pi, path = self._source, self._potential, []
-                        if pi[s] != pi[c] or not self._push(c, s, 1, set(), path):
+                    if c != last or not all(map(res.__getitem__, cycle)):
+                        s, pi = self._source, self._potential
+                        if pi[s] != pi[c] or not (path := self._search(c, s, set())):
                             dead[c] = True
                             continue
                         last, cycle = c, path
+                    self._augment(cycle, 1)
                     res[back - 1] -= 1
                 pinned[i] = True
             chosen.append(i)

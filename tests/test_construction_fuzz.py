@@ -115,8 +115,12 @@ def instance_change(rnd, inst):
         t = rnd.choice(sorted(inst.type_sets[sid]))
         type_sets = (*inst.type_sets[:sid], inst.type_sets[sid] - {t} | {twin(rnd, t)}, *inst.type_sets[sid + 1:])
         return {"type_sets": type_sets}, "students"
-    if kind == 6:  # a list in place of a tuple field
-        field = rnd.choice(("type_sets", "priority", "type_names", "scores"))
+    if kind == 6:  # a list in place of a tuple field or a quota row, or quotas that are no QuotaTable
+        field = rnd.choice(("type_sets", "priority", "type_names", "scores", "quotas"))
+        if field == "quotas":
+            q = inst.quotas
+            return {"quotas": rnd.choice((QuotaTable(list(q.rank1), q.rank2), QuotaTable(q.rank1, list(q.rank2)),
+                                          (q.rank1, q.rank2), None))}, "quotas"
         return {field: list(getattr(inst, field) or ())}, field
     if kind == 7:  # a type name that is no string
         return {"type_names": changed_entry(rnd, inst.type_names, (7, None, b"t1", 1.5))}, "type_names"

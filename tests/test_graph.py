@@ -1,9 +1,11 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from reservematch import (
+    Instance,
     Matching,
     QuotaTable,
     RankMaximalMatcher,
@@ -15,6 +17,7 @@ from reservematch import (
     gen_instance,
     signature,
 )
+from reservematch.algorithms import Outcome, outcome_to_json
 from reservematch.graph import _build, _pool_table, seat_row
 
 from conftest import random_instance
@@ -75,6 +78,17 @@ def test_signature_counts():
     assert signature(sy2_example) == RankSignature(1, 2, 0)
 
 
+@pytest.mark.parametrize("key", [(1, 0), (1, True), (1, 5), (1, 2.0), (1,), 5])
+def test_signature_refuses_a_rank_it_cannot_count(key):
+    # rank 0 was counted as rank 3 and True as rank 1; 5 raised an
+    # IndexError and 2.0 a TypeError
+    message = re.escape(f"signature counts seat rows: pool {key!r} is no (type, rank) pair of rank 1, 2 or 3")
+    with pytest.raises(ValueError, match=message):
+        signature(Matching(rows={(0, 3): [0], key: [1]}))
+    with pytest.raises(ValueError, match=message):
+        outcome_to_json(Outcome("as", (0, 1), Matching(rows={(0, 3): [0], key: [1]})))
+
+
 def test_signature_order_is_lexicographic():
     assert RankSignature(1, 0, 0) > RankSignature(0, 5, 5)
     assert RankSignature(2, 1, 0) > RankSignature(2, 0, 9)
@@ -119,6 +133,44 @@ def test_classes_partition_students_by_pools(example):
         assert g.classes == grouped_by_pools(inst, g)
         merged += len(g.classes) < len({inst.students[sid].types for sid in g.students})
     assert merged  # some type sets reached the same pools
+
+
+def test_type_sets_reaching_the_same_pools_merge_in_priority_order():
+    # type 3 has no seat at either rank, so {1} and {1, 3}, {2} and {2, 3},
+    # and {} and {3} each form one class; under the shuffled priority the
+    # positions of {1, 3} (0, 6) and {1} (2, 7) interleave, so the merged
+    # class must be sorted, while a class of one type set keeps its group
+    inst = Instance(
+        type_sets=tuple(map(frozenset, ({1}, {1, 3}, {3}, (), {1}, {1, 3}, {2, 3}, {2}))),
+        priority=(5, 3, 0, 6, 2, 7, 1, 4),
+        capacity=4,
+        quotas=QuotaTable((0, 1, 1, 0), (0, 0, 1, 0)),
+    )
+    g = _build(inst, None, None)
+    assert g.classes == (((0, 3), (0, 2, 6, 7)), ((3,), (1, 4)), ((1, 2, 3), (3, 5)))
+    assert g.classes == grouped_by_pools(inst, g)
+    # hand-built pools with cutoffs and shuffled priorities, over the
+    # acceptable pool and over chosen positions, under the three rules'
+    # tables, whose rank-2 rows hold only zeros for sy1 and sy2
+    rnd = random.Random(25)
+    interleaved = single = 0
+    for _ in range(300):
+        inst = random_instance(rnd, max_students=20, max_types=5)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        k = len(inst.acceptable)
+        for quotas in rule_tables(inst):
+            for positions in (None, sorted(rnd.sample(range(k), rnd.randint(0, k)))):
+                g = _build(inst, positions, quotas)
+                assert g.classes == grouped_by_pools(inst, g)
+                groups = {}
+                for i, sid in enumerate(g.students):
+                    groups.setdefault(inst.type_sets[sid], []).append(i)
+                for adj, members in g.classes:
+                    parts = [group for group in groups.values() if group[0] in members]
+                    single += len(parts) == 1
+                    interleaved += [i for group in parts for i in group] != list(members)
+    assert interleaved > 100 and single > 1000
 
 
 def test_a_quota_table_matches_a_replaced_instance():

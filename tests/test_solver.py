@@ -342,3 +342,57 @@ def many_type_instance() -> Instance:
     rnd = random.Random(0)
     type_sets = tuple(frozenset(t for t in range(1, 17) if rnd.random() < 0.3) for _ in range(1600))
     return Instance(type_sets, tuple(range(1600)), 800, QuotaTable((0,) + (20,) * 16, (0,) + (20,) * 16))
+
+
+def chosen_in_one_pass(matcher, c) -> tuple:
+    """Reference for ``_chosen``: the pinned members of class ``c`` and its
+    first ``extra`` unpinned ones, picked in one pass over its members."""
+    pinned, extra = matcher._pinned, matcher._res[2 * c + 1]
+    chosen = []
+    for i in matcher._members[c]:
+        if pinned[i] or extra:
+            extra -= not pinned[i]
+            chosen.append(i)
+    return tuple(chosen)
+
+
+def test_matched_members_equal_the_one_pass_pick():
+    # _chosen slices a class whose pins are its first members and picks
+    # any other one in one pass; both must give the reference pick, after
+    # select() and after seeded random try_force orders, from an unpinned
+    # start and from one with half the cap pinned, on generated pools up to
+    # n=800 under all three rules' tables and on hand-built pools with
+    # cutoffs and shuffled priorities
+    rnd = random.Random(233)
+    graphs = []
+    for n, factor in ((30, "1.0"), (100, "2.6154"), (800, "2.0")):
+        inst = gen_instance(SatGenConfig(capacity=n // 2, seed=rnd.randrange(2**32), n_students=n, psi_factor=factor))
+        graphs += [_build(inst, None, quotas) for quotas in rule_tables(inst)]
+    for _ in range(150):
+        inst = random_instance(rnd, max_students=20, max_types=5, max_capacity=10)
+        if rnd.random() < 0.5:
+            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
+        graphs.append(build_graph(inst))
+    sliced = picked = 0
+    for g in graphs:
+        half = rnd.sample(g.students, min(g.cap, len(g.students)) // 2)
+        for forced in ((), half):
+            by_scan = RankMaximalMatcher(g, forced)
+            by_scan.select()
+            by_pins = RankMaximalMatcher(g, forced)
+            order = list(g.students)
+            rnd.shuffle(order)
+            for sid in order[: rnd.randint(0, len(order))]:
+                by_pins.try_force(sid)
+            for matcher in (RankMaximalMatcher(g, forced), by_scan, by_pins):
+                for c, members in enumerate(matcher._members):
+                    pins = sum(matcher._pinned[i] for i in members)
+                    if all(matcher._pinned[i] for i in members[:pins]):
+                        sliced += 1
+                    else:
+                        picked += 1
+                    assert tuple(matcher._chosen(c)) == chosen_in_one_pass(matcher, c)
+            if not forced:  # a scan from an unpinned start pins a prefix of each class
+                assert all(all(by_scan._pinned[i] for i in m[: sum(map(by_scan._pinned.__getitem__, m))])
+                           for m in by_scan._members)
+    assert sliced > 2000 and picked > 200
