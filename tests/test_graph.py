@@ -149,28 +149,10 @@ def test_type_sets_reaching_the_same_pools_merge_in_priority_order():
     g = _build(inst, None, None)
     assert g.classes == (((0, 3), (0, 2, 6, 7)), ((3,), (1, 4)), ((1, 2, 3), (3, 5)))
     assert g.classes == grouped_by_pools(inst, g)
-    # hand-built pools with cutoffs and shuffled priorities, over the
-    # acceptable pool and over chosen positions, under the three rules'
-    # tables, whose rank-2 rows hold only zeros for sy1 and sy2
-    rnd = random.Random(25)
-    interleaved = single = 0
-    for _ in range(300):
-        inst = random_instance(rnd, max_students=20, max_types=5)
-        if rnd.random() < 0.5:
-            inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
-        k = len(inst.acceptable)
-        for quotas in rule_tables(inst):
-            for positions in (None, sorted(rnd.sample(range(k), rnd.randint(0, k)))):
-                g = _build(inst, positions, quotas)
-                assert g.classes == grouped_by_pools(inst, g)
-                groups = {}
-                for i, sid in enumerate(g.students):
-                    groups.setdefault(inst.type_sets[sid], []).append(i)
-                for adj, members in g.classes:
-                    parts = [group for group in groups.values() if group[0] in members]
-                    single += len(parts) == 1
-                    interleaved += [i for group in parts for i in group] != list(members)
-    assert interleaved > 100 and single > 1000
+    # over chosen positions, grouped afresh: {1, 3} at 0 and 3, {1} at 1 and 4
+    g = _build(inst, [0, 2, 3, 6, 7], None)
+    assert g.classes == (((0, 3), (0, 1, 3, 4)), ((1, 2, 3), (2,)))
+    assert g.classes == grouped_by_pools(inst, g)
 
 
 def test_a_quota_table_matches_a_replaced_instance():

@@ -76,13 +76,6 @@ def test_a_repeated_student_at_capacity_one_is_refused():
     # the integer 2 if that was built first
     (QuotaTable((0, 2.0), (0, 0)), "quotas: rank-1 count for type 1 must be a non-negative integer"),
     (QuotaTable((0, 1), (0, None)), "quotas: rank-2 count for type 1 must be a non-negative integer"),
-])
-def test_quota_entries_are_integers(quotas, problem):
-    with pytest.raises(InstanceFormatError, match=exactly(problem)):
-        Instance((frozenset({1}), frozenset()), (0, 1), 1, quotas)
-
-
-@pytest.mark.parametrize("quotas, problem", [
     # a list row built, made as, sy1, sy2 and pos raise TypeError in the
     # graph's table cache, and stayed mutable; the others raised
     # AttributeError
@@ -91,7 +84,7 @@ def test_quota_entries_are_integers(quotas, problem):
     (((0, 1), (0, 0)), "quotas: must be a QuotaTable, got a tuple"),
     (None, "quotas: must be a QuotaTable, got a NoneType"),
 ])
-def test_quotas_are_a_quota_table_of_tuples(quotas, problem):
+def test_quota_entries_are_integers(quotas, problem):
     with pytest.raises(InstanceFormatError, match=exactly(problem)):
         Instance((frozenset({1}), frozenset()), (0, 1), 1, quotas)
 
@@ -391,8 +384,6 @@ def test_rules_never_build_the_student_view():
         ({"priority": [0, 1, 2, 3, 4, 5]}, "priority: must be a tuple, got a list"),
         ({"type_names": ["t1", "t2", "t3", "t4"], "scores": [1.0] * 6},
          "type_names: must be a tuple, got a list; scores: must be a tuple, got a list"),
-        ({"quotas": QuotaTable([0, 1, 1, 0, 0], (0, 0, 0, 1, 1))}, "quotas: rank1 must be a tuple, got a list"),
-        ({"quotas": {"rank1": (0, 1, 1, 0, 0), "rank2": (0, 0, 0, 1, 1)}}, "quotas: must be a QuotaTable, got a dict"),
         # what a file cannot hold: these built, and their files did not parse
         ({"type_names": (7,)}, "type_names[0] must be a string, got 7"),
         ({"scores": (None, 1.0, 2.0, 3.0, 4.0, 5.0)}, "scores[0] must be a finite number, got None"),
