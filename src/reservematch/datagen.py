@@ -16,11 +16,11 @@ array of codes, and every per-student input comes from that array in bulk:
 score means by indexing a table of the 8 means, the priority order by a
 stable argsort of the scores, and the type set of every student
 (``Instance.type_sets``) by one gather from the 8 type sets, which the
-pools share.  The codes also fill the grouping by type set that the rules
-read first (``Instance.type_groups``), so no rule pays for it.  The
-parsed reserve factors, the quota table of each (capacity, factor) and one
-priority tuple per pool size, which lets the pools of a size share their
-percentile table (see :mod:`reservematch.model`), are kept too.
+pools share.  A pool is grouped by type set (``Instance.type_groups``)
+before it is returned, so generation pays for the grouping, not the first
+rule.  The parsed reserve factors and one priority tuple per pool size,
+which lets the pools of a size share their percentile table (see
+:mod:`reservematch.model`), are kept too.
 
 numpy is imported by the functions that draw, not by the module, so
 loading the package to read an instance or run a rule does not load it.
@@ -176,19 +176,6 @@ def _draw_scores(rng: np.random.Generator, codes: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _type_groups(codes: np.ndarray) -> dict[frozenset[int], list[int]]:
-    """Positions 0..n-1 grouped by their code's type set, as
-    :attr:`Instance.type_groups` groups them: each group ascending and the
-    groups in order of their first member."""
-    import numpy as np
-
-    members = np.argsort(codes, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(codes, minlength=8)).tolist()
-    groups = [members[start:end] for start, end in zip([0, *ends], ends)]
-    firsts = sorted((group[0], code) for code, group in enumerate(groups) if group)
-    return {_TYPE_SETS[code]: groups[code] for _, code in firsts}
-
-
 def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> QuotaTable:
     """Quota table proportional to the capacity.
 
@@ -200,14 +187,7 @@ def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> Q
     """
     if not _is_int(capacity) or capacity < 1:
         raise SettingsError(f"capacity must be an integer >= 1, got {capacity!r}")
-    return _quota_table(capacity, parse_factor(psi_factor))
-
-
-# A sweep's pools fall into a few (capacity, factor) cells, and a table is
-# immutable, so the pools of a cell share one, which graph._pool_table then
-# finds by identity.
-@lru_cache(maxsize=64)
-def _quota_table(capacity: int, factor: Fraction) -> QuotaTable:
+    factor = parse_factor(psi_factor)
     num, den = factor.numerator * capacity, factor.denominator
     rows: tuple[list[int], list[int]] = ([0], [0])
     for fractions in BASE_QUOTA_FRACTIONS:
@@ -223,8 +203,8 @@ def gen_instance(config: SatGenConfig) -> Instance:
     Students are relabeled so ids follow the priority order (descending
     score, generation index breaking the measure-zero ties), which is also
     the order used by the instance file format.  A config is valid once
-    built, so the instance is too.  The instance comes with its
-    ``type_groups`` cache filled from the type-set codes.
+    built, so the instance is too.  Its ``type_groups`` is read before
+    it is returned, so the grouping is timed as generation's.
     """
     import numpy as np
 
@@ -233,15 +213,13 @@ def gen_instance(config: SatGenConfig) -> Instance:
     codes = _draw_codes(rng, n)
     scores = _draw_scores(rng, codes)
     order = np.argsort(-scores, kind="stable")
-    codes = codes[order]
     instance = Instance(
-        type_sets=gather(_TYPE_SETS, codes.tolist()),
+        type_sets=gather(_TYPE_SETS, codes[order].tolist()),
         priority=_priority(n),
         capacity=config.capacity,
         quotas=gen_quotas(config.capacity, config.psi_factor),
         type_names=DEFAULT_TYPE_NAMES,
         scores=tuple(scores[order].tolist()),
     )
-    # where functools.cached_property keeps what it computed
-    vars(instance)["type_groups"] = _type_groups(codes)
+    instance.type_groups  # grouped here, so no rule's time includes it
     return instance

@@ -122,7 +122,8 @@ class Matching:
 def signature(matching: Matching) -> RankSignature:
     """Count matched seats by rank; universal-type seats count as rank 3.
     Raises ``ValueError`` unless its rows are a mapping whose keys are
-    (type, rank) pairs with a rank of exactly the ``int`` 1, 2 or 3."""
+    (type, rank) pairs with a rank of exactly the ``int`` 1, 2 or 3, and
+    whose rows are sequences."""
     rows = matching.rows
     if rows is None:
         raise ValueError("signature counts seat rows: build the matching with Matching(rows=...)")
@@ -133,6 +134,9 @@ def signature(matching: Matching) -> RankSignature:
         # a rank of True or 2.0 would index a count; 0 would count as rank 3
         if type(key) is not tuple or len(key) != 2 or not _is_int(key[1]) or not 1 <= key[1] <= 3:
             raise ValueError(f"signature counts seat rows: pool {key!r} is no (type, rank) pair of rank 1, 2 or 3")
+        # as evaluate: a row lists its students in seat order, and a set or an iterator has none
+        if not isinstance(row, Sequence):
+            raise ValueError(f"signature counts seat rows: pool {key!r} holds a {type(row).__name__}, not a sequence in seat order")
         counts[key[1] - 1] += len(row)
     return RankSignature(*counts)
 

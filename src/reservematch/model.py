@@ -22,9 +22,9 @@ entries of a sequence, such as ``type_sets``, in one C call.
 
 ``students`` and ``type_groups`` are ``functools.cached_property``
 caches.  Every graph over the acceptable pool starts from ``type_groups``,
-which :func:`reservematch.datagen.gen_instance` fills in bulk, in the
-instance's ``__dict__`` where the cache keeps it; a graph over chosen
-positions groups its students afresh.
+which :func:`reservematch.datagen.gen_instance` reads before it returns a
+pool; a graph over chosen positions groups its students afresh with the
+same :func:`group_by_types`.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ class Instance:
         ascending and the groups in order of their first member.  Every
         graph over the acceptable pool starts from this grouping, whatever
         its quotas, so an instance computes it once; a generated instance
-        comes with it.  Read only."""
+        has computed it already.  Read only."""
         return group_by_types(self.type_sets, self.acceptable)
 
     @property
@@ -335,7 +335,9 @@ def parse_instance(text: str) -> Instance:
         for t in entry:
             if not _is_int(t):
                 raise InstanceFormatError(f"students[{i}]: type id {t!r} is not an integer")
-    type_sets = tuple(map(frozenset, students_doc))
+    # one object per distinct type set, so Instance checks each set once
+    first: dict[frozenset[TypeId], frozenset[TypeId]] = {}
+    type_sets = tuple(first.setdefault(ts, ts) for ts in map(frozenset, students_doc))
 
     scores = None
     if "scores" in doc:

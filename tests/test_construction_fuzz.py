@@ -6,9 +6,12 @@ Each case changes one scalar or one entry of a valid ``Instance``,
 the record's ``ValueError`` subclass with a message that names the changed
 field, or yields a record that every rule and ``evaluate`` run on and that
 survives the file format.  An id of a valid outcome or subset changed to
-its int twin is refused with a ``ValueError`` that names it.  Any other
-exception, a ``TypeError``, ``IndexError`` or ``KeyError`` above all, fails
-the test.
+its int twin is refused with a ``ValueError`` that names it.  A seated
+student of a valid outcome moved to another pool, or replaced by another
+student, gives an outcome that ``evaluate`` refuses exactly when a count
+apart from it finds the seating invalid, and otherwise scores as that
+count does.  Any other exception, a ``TypeError``, ``IndexError`` or
+``KeyError`` above all, fails the test.
 """
 
 import math
@@ -248,3 +251,64 @@ def test_an_id_changed_to_its_int_twin_is_refused():
             with pytest.raises(OutcomeError) as info:
                 evaluate(inst, Outcome(outcome.algorithm, selected, Matching(rows=rows)))
         assert repr(stray) in str(info.value)
+
+
+def seating_problem(inst, rows):
+    """Why ``rows`` is no valid seating of ``inst``, or ``None``; counted
+    apart from ``evaluate``."""
+    quotas = {(0, 3): inst.capacity}
+    for t in range(1, inst.n_types):
+        quotas[(t, 1)], quotas[(t, 2)] = inst.quotas.rank1[t], inst.quotas.rank2[t]
+    seated = [sid for row in rows.values() for sid in row]
+    if len(seated) > inst.capacity or len(set(seated)) < len(seated):
+        return "over capacity or twice"
+    if not set(seated) <= set(inst.acceptable):
+        return "below the cutoff"
+    for (t, rank), row in rows.items():
+        if (t, rank) not in quotas or len(row) > quotas[(t, rank)]:
+            return "unknown or overfull pool"
+        if rank < 3 and any(t not in inst.type_sets[sid] for sid in row):
+            return "type not held"
+    return None
+
+
+def test_a_moved_or_replaced_seat_is_refused_or_counted():
+    # one seated student of a valid outcome moves to another pool, or is
+    # replaced by another student, seated, unseated or below the cutoff;
+    # the selection follows the rows, and evaluate refuses the outcome iff
+    # it is no valid seating, and otherwise counts p1, p2 and p3 as the
+    # rows and 100·(n − position)/n over the selection give them
+    rnd = random.Random(2914)
+    refused = counted = 0
+    for _ in range(600):
+        inst = random_instance(rnd, max_students=10)
+        n = inst.n_students
+        if rnd.random() < 0.3:
+            inst = replace(inst, acceptable_count=rnd.randint(0, n))
+        outcome = rnd.choice(list(ALGORITHMS.values()))(inst)
+        rows = {key: list(row) for key, row in outcome.matching.rows.items()}
+        seats = [(key, i) for key, row in rows.items() for i in range(len(row))]
+        if not seats:  # a cutoff of 0
+            continue
+        key, i = rnd.choice(seats)
+        if n == 1 or rnd.random() < 0.5:  # to another pool, reserved or universal
+            pools = [(0, 3), *((t, rank) for t in range(1, inst.n_types) for rank in (1, 2))]
+            to = rnd.choice([pool for pool in pools if pool != key])
+            rows.setdefault(to, []).append(rows[key].pop(i))
+        else:
+            rows[key][i] = rnd.choice([sid for sid in range(n) if sid != rows[key][i]])
+        position = {sid: pos for pos, sid in enumerate(inst.priority)}
+        selected = tuple(sorted((sid for row in rows.values() for sid in row), key=position.get))
+        problem = seating_problem(inst, rows)
+        try:
+            values = evaluate(inst, Outcome(outcome.algorithm, selected, Matching(rows=rows)))
+        except OutcomeError as exc:
+            assert problem is not None, (rows, str(exc))
+            refused += 1
+            continue
+        assert problem is None, (rows, problem)
+        assert values.p1 == sum(len(row) for (t, rank), row in rows.items() if rank == 1)
+        assert values.p2 == sum(len(row) for (t, rank), row in rows.items() if rank < 3)
+        assert values.p3 == pytest.approx(sum(100 * (n - position[sid]) / n for sid in selected) / len(selected))
+        counted += 1
+    assert refused > 100 and counted > 100

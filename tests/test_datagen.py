@@ -102,11 +102,12 @@ def test_quotas_match_exact_rational_rounding():
 
 
 def test_pools_of_a_cell_share_one_quota_table():
-    # equal factors parse to one fraction, so they find one table
-    assert gen_quotas(30, "2.0") is gen_quotas(30, 2) is gen_quotas(30, Fraction(4, 2))
+    # equal factors parse to one fraction, so they give one table
+    assert gen_quotas(30, "2.0") == gen_quotas(30, 2) == gen_quotas(30, Fraction(4, 2))
     a, b = (gen_instance(SatGenConfig(capacity=40, seed=seed, psi_factor="2.6154")) for seed in (1, 2))
-    assert a.quotas is b.quotas
-    assert gen_quotas(30, 2) is not gen_quotas(31, 2)
+    assert a.quotas == b.quotas
+    # capacities 30 and 31 round to one table at factor 2; 32 does not
+    assert gen_quotas(30, 2) != gen_quotas(32, 2)
 
 
 def test_quotas_reject_bad_inputs():
@@ -317,7 +318,7 @@ def test_generated_instances_are_pinned():
 
 
 def test_generated_caches_equal_the_lazy_ones():
-    # gen_instance fills type_groups from the type-set codes; a copy
+    # gen_instance reads type_groups before it returns the pool; a copy
     # computes it lazily from its type sets, and every rule selects the
     # same on both
     for config in golden_configs():

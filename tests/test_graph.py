@@ -89,6 +89,17 @@ def test_signature_refuses_a_rank_it_cannot_count(key):
         outcome_to_json(Outcome("as", (0, 1), Matching(rows={(0, 3): [0], key: [1]})))
 
 
+@pytest.mark.parametrize("row", [iter([1]), None, {1}], ids=["iterator", "None", "set"])
+def test_signature_refuses_a_row_that_is_no_sequence(row):
+    # an iterator or None raised a TypeError, and a set was counted and
+    # written with its students in arbitrary seat order
+    message = re.escape(f"signature counts seat rows: pool (1, 1) holds a {type(row).__name__}, not a sequence in seat order")
+    with pytest.raises(ValueError, match=message):
+        signature(Matching(rows={(0, 3): [0], (1, 1): row}))
+    with pytest.raises(ValueError, match=message):
+        outcome_to_json(Outcome("as", (0, 1), Matching(rows={(0, 3): [0], (1, 1): row})))
+
+
 def test_signature_order_is_lexicographic():
     assert RankSignature(1, 0, 0) > RankSignature(0, 5, 5)
     assert RankSignature(2, 1, 0) > RankSignature(2, 0, 9)

@@ -180,6 +180,15 @@ def test_serialize_then_parse_is_identity(example):
     assert parse_instance(serialize_instance(example)) == example
 
 
+def test_a_parsed_pool_shares_its_type_sets():
+    # one object per distinct type set, so Instance checks each set once
+    # and not once per student
+    inst = gen_instance(SatGenConfig(capacity=50, seed=3))
+    parsed = parse_instance(serialize_instance(inst))
+    assert len(set(map(id, parsed.type_sets))) <= 8
+    assert parsed == inst
+
+
 def test_parse_then_serialize_is_stable():
     canonical = serialize_instance(parse_instance(EXAMPLE_DOC))
     assert serialize_instance(parse_instance(canonical)) == canonical
