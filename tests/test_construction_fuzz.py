@@ -307,8 +307,8 @@ def test_a_moved_or_replaced_seat_is_refused_or_counted():
             refused += 1
             continue
         assert problem is None, (rows, problem)
-        assert values.p1 == sum(len(row) for (t, rank), row in rows.items() if rank == 1)
-        assert values.p2 == sum(len(row) for (t, rank), row in rows.items() if rank < 3)
+        assert values.p1 == sum(len(row) for (_, rank), row in rows.items() if rank == 1)
+        assert values.p2 == sum(len(row) for (_, rank), row in rows.items() if rank < 3)
         assert values.p3 == pytest.approx(sum(100 * (n - position[sid]) / n for sid in selected) / len(selected))
         counted += 1
     assert refused > 100 and counted > 100
