@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,6 +68,10 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = tuple(ALGORITHMS)
 
     def __post_init__(self) -> None:
+        # first, as Instance does: a list would stay mutable, and a generator has no length
+        for name in ("capacities", "psi_factors", "algorithms"):
+            if not isinstance(getattr(self, name), tuple):
+                raise SettingsError(f"{name} must be a tuple, got a {type(getattr(self, name)).__name__}")
         if not self.capacities:
             raise SettingsError("no capacities given")
         if not self.psi_factors:
@@ -229,9 +234,9 @@ class ResultsFormatError(ValueError):
 
 def _read_ratios(path: Path, metric: str, column: str) -> list[dict]:
     """The rows of ``ratios.csv`` for ``metric``, each checked for the
-    columns a plot table reads: a known rule in ``algorithm``, a value in
-    ``column`` and an integer ``qc``, which the row then holds as an
-    ``int``."""
+    columns a plot table reads: a known rule in ``algorithm``, a reserve
+    factor in ``psi_factor``, a finite number in ``column`` and an integer
+    ``qc``, which the row then holds as an ``int``."""
     needed = ("psi_factor", "qc", "algorithm", "metric", column)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -253,6 +258,15 @@ def _read_ratios(path: Path, metric: str, column: str) -> list[dict]:
                 row["qc"] = int(row["qc"])
             except ValueError:
                 raise ResultsFormatError(f"{where}, column 'qc': not a capacity: {row['qc']!r}") from None
+            try:
+                parse_factor(row["psi_factor"])
+            except SettingsError:
+                raise ResultsFormatError(f"{where}, column 'psi_factor': not a reserve factor: {row['psi_factor']!r}") from None
+            try:
+                if not math.isfinite(float(row[column])):
+                    raise ValueError
+            except ValueError:
+                raise ResultsFormatError(f"{where}, column {column!r}: not a number: {row[column]!r}") from None
             rows.append(row)
     return rows
 

@@ -7,14 +7,14 @@ same type and rank are interchangeable, so the graph stores them as pools
 with a capacity, and students who reach the same pools as classes.
 A matching keeps one row of students per (type, rank) pool, in seat order,
 the one form the library reads.  :class:`Seat` objects appear only when a
-matching's ``pairs`` are read, from one shared row per pool (:func:`seat_row`).
+matching's ``pairs`` are read.
 
 A graph covers the acceptable pool, grouped once per instance, or the
 students at positions a rule chose, grouped afresh.  A sweep builds
 several graphs per pool over the same few quota tables, so the pool list,
 and the pools each type reaches, come from one table per (quota table,
-capacity) in a small bounded cache.  Those tables and the seat rows are
-shared, so they are read only.
+capacity) in a small bounded cache.  Those tables are shared, so they are
+read only.
 """
 
 from __future__ import annotations
@@ -22,31 +22,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, _is_int, _strays, gather, group_by_types
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, _strays, gather, group_by_types
 
 
 class Seat(NamedTuple):
     type: TypeId
     rank: int
     index: int  # 0-based ordinal within (type, rank)
-
-
-_SEAT_ROWS: dict[tuple[TypeId, int], tuple[Seat, ...]] = {}
-
-
-def seat_row(type_id: TypeId, rank: int, count: int) -> tuple[Seat, ...]:
-    """At least the first ``count`` seats of the (type, rank) pool, in index
-    order.  Seats are immutable, so every matching shares one row; a longer
-    request replaces the row whole, so no reader sees a seat at the wrong
-    index."""
-    row = _SEAT_ROWS.get((type_id, rank), ())
-    if len(row) < count:
-        row = tuple(Seat(type_id, rank, i) for i in range(count))
-        _SEAT_ROWS[type_id, rank] = row
-    return row
 
 
 class SeatPool(NamedTuple):
@@ -74,9 +59,9 @@ class Matching:
     ``rows[type, rank][i]`` sits on seat ``i``, and a pool that seats no one
     may have no row; the rules build this form, and the library reads no
     other.  ``pairs``, the same seating as ``(student, Seat)`` pairs, is
-    derived when first read.  ``Matching(pairs)`` keeps the pairs exactly as
-    given and has no rows (``rows`` is ``None``), so :func:`signature`,
-    :func:`~reservematch.metrics.evaluate` and
+    derived, with seats of its own, when first read.  ``Matching(pairs)``
+    keeps the pairs exactly as given and has no rows (``rows`` is
+    ``None``), so :func:`signature`, :func:`~reservematch.metrics.evaluate` and
     :func:`~reservematch.algorithms.outcome_to_json` refuse it with a
     ``ValueError``.  Matchings are equal when their pairs are.  Read only.
     """
@@ -97,7 +82,7 @@ class Matching:
     def pairs(self) -> frozenset[tuple[StudentId, Seat]]:
         pairs: list[tuple[StudentId, Seat]] = []
         for (t, rank), row in self.rows.items():
-            pairs += zip(row, seat_row(t, rank, len(row)))
+            pairs += zip(row, map(Seat, repeat(t), repeat(rank), range(len(row))))
         return frozenset(pairs)
 
     def __len__(self) -> int:
@@ -122,8 +107,8 @@ class Matching:
 def signature(matching: Matching) -> RankSignature:
     """Count matched seats by rank; universal-type seats count as rank 3.
     Raises ``ValueError`` unless its rows are a mapping whose keys are
-    (type, rank) pairs with a rank of exactly the ``int`` 1, 2 or 3, and
-    whose rows are sequences."""
+    (type, rank) pairs of exactly ``int`` values with a rank of 1, 2 or 3,
+    and whose rows are sequences."""
     rows = matching.rows
     if rows is None:
         raise ValueError("signature counts seat rows: build the matching with Matching(rows=...)")
@@ -131,8 +116,8 @@ def signature(matching: Matching) -> RankSignature:
         raise ValueError(f"signature counts seat rows: a {type(rows).__name__} is no mapping of pools to rows")
     counts = [0, 0, 0]
     for key, row in rows.items():
-        # a rank of True or 2.0 would index a count; 0 would count as rank 3
-        if type(key) is not tuple or len(key) != 2 or not _is_int(key[1]) or not 1 <= key[1] <= 3:
+        # as evaluate: (None, 3) or (True, 1) is no pool; a rank of 0 would count as rank 3
+        if type(key) is not tuple or len(key) != 2 or _strays(key) or not 1 <= key[1] <= 3:
             raise ValueError(f"signature counts seat rows: pool {key!r} is no (type, rank) pair of rank 1, 2 or 3")
         # as evaluate: a row lists its students in seat order, and a set or an iterator has none
         if not isinstance(row, Sequence):

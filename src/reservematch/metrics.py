@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import contains, methodcaller
+from operator import attrgetter, contains
 
 from .algorithms import Outcome
 from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, _strays, gather
@@ -36,11 +36,6 @@ class MetricValues:
     p3: float
     p3_min: float
     p3_max: float
-
-    def value(self, metric: str) -> float:
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}")
-        return getattr(self, metric)
 
 
 class OutcomeError(ValueError):
@@ -142,7 +137,7 @@ def suite_optimum(values: Mapping[str, MetricValues]) -> dict[str, float]:
     """Best value per metric over one instance's outcomes."""
     best: dict[str, float] = {}
     for m in METRICS:
-        best[m] = max(map(methodcaller("value", m), values.values()))
+        best[m] = max(map(attrgetter(m), values.values()))
     return best
 
 

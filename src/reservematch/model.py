@@ -234,13 +234,6 @@ class Instance:
             return self.priority
         return self.priority[: self.acceptable_count]
 
-    def type_name(self, type_id: TypeId) -> str:
-        if type_id == UNIVERSAL_TYPE:
-            return "t0"
-        if self.type_names is not None:
-            return self.type_names[type_id - 1]
-        return f"t{type_id}"
-
 
 @lru_cache(maxsize=8)
 def _percentile_table(priority: tuple[StudentId, ...]) -> dict[StudentId, float] | None:
@@ -374,7 +367,7 @@ def serialize_instance(instance: Instance) -> str:
     generators emit).  Otherwise the parsed instance is relabeled in
     priority order, and unnamed types come back named ``t1..tk``.
     """
-    names = [instance.type_name(t) for t in range(1, instance.n_types)]
+    names = instance.type_names or [f"t{t}" for t in range(1, instance.n_types)]
     doc: dict[str, Any] = {
         "capacity": instance.capacity,
         "types": names,

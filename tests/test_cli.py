@@ -260,6 +260,11 @@ def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
         ({"master_seed": -1}, "master_seed must be an integer >= 0"),
         ({"algorithms": ("as", "xx")}, "unknown algorithm tag 'xx'"),
         ({"algorithms": ("as", "as")}, "an algorithm tag is given twice"),
+        # a list stayed mutable after the checks, and a generator had no length
+        ({"capacities": [5]}, "capacities must be a tuple, got a list"),
+        ({"psi_factors": ["1.0"]}, "psi_factors must be a tuple, got a list"),
+        ({"algorithms": ["as"]}, "algorithms must be a tuple, got a list"),
+        ({"capacities": (qc for qc in (5,))}, "capacities must be a tuple, got a generator"),
     ],
 )
 def test_a_sweep_spec_checks_itself_when_built(tmp_path, settings, message):
@@ -447,6 +452,23 @@ def test_plotdata_names_a_short_row_and_a_bad_capacity(tmp_path, capsys):
     (tmp_path / "results").rmdir()
     message, _ = plotdata_error(tmp_path, capsys, RATIO_HEADER + "1.0,ten,as,p1,1.0,1.0,3\n")
     assert "ratios.csv, line 2, column 'qc': not a capacity: 'ten'" in message
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("abc,10,as,p1,1.0,1.0,3", "line 2, column 'psi_factor': not a reserve factor: 'abc'"),
+        ("/../../escaped,10,as,p1,1.0,1.0,3", "line 2, column 'psi_factor': not a reserve factor: '/../../escaped'"),
+        ("1.0,10,as,p1,oops,1.0,3", "line 2, column 'avg_ratio': not a number: 'oops'"),
+        ("1.0,10,as,p1,nan,1.0,3", "line 2, column 'avg_ratio': not a number: 'nan'"),
+    ],
+)
+def test_plotdata_names_a_bad_reserve_factor_and_a_bad_ratio(tmp_path, capsys, row, message):
+    # the factor named a plot file, and the ratio was copied into the table
+    caught, err = plotdata_error(tmp_path, capsys, RATIO_HEADER + row + "\n")
+    assert f"ratios.csv, {message}" in caught
+    assert err == f"error: {caught}\n"
+    assert not list((tmp_path / "results").glob("plot_*"))
 
 
 def test_plotdata_wide_tables(tmp_path, capsys):

@@ -11,14 +11,13 @@ from reservematch import (
     RankMaximalMatcher,
     RankSignature,
     SatGenConfig,
-    Seat,
     SeatPool,
     build_graph,
     gen_instance,
     signature,
 )
 from reservematch.algorithms import Outcome, outcome_to_json
-from reservematch.graph import _build, _pool_table, seat_row
+from reservematch.graph import _build, _pool_table
 
 from conftest import random_instance
 from test_solver import rule_tables
@@ -78,10 +77,13 @@ def test_signature_counts():
     assert signature(sy2_example) == RankSignature(1, 2, 0)
 
 
-@pytest.mark.parametrize("key", [(1, 0), (1, True), (1, 5), (1, 2.0), (1,), 5])
+@pytest.mark.parametrize(
+    "key", [(1, 0), (1, True), (1, 5), (1, 2.0), (1,), 5, (None, 3), (True, 1), ("a", 1), (1.0, 2)]
+)
 def test_signature_refuses_a_rank_it_cannot_count(key):
     # rank 0 was counted as rank 3 and True as rank 1; 5 raised an
-    # IndexError and 2.0 a TypeError
+    # IndexError and 2.0 a TypeError; a type of None, True, "a" or 1.0 was
+    # counted, and outcome_to_json wrote it as given
     message = re.escape(f"signature counts seat rows: pool {key!r} is no (type, rank) pair of rank 1, 2 or 3")
     with pytest.raises(ValueError, match=message):
         signature(Matching(rows={(0, 3): [0], key: [1]}))
@@ -299,26 +301,3 @@ def test_pool_tables_are_shared_and_equal_a_fresh_build():
 def test_signature_counts_rows():
     m = Matching(rows={(1, 1): [4], (2, 1): (3,), (3, 2): [], (0, 3): [0, 5]})
     assert signature(m) == RankSignature(2, 0, 2)
-
-
-def test_seat_row_values():
-    row = seat_row(97, 2, 5)
-    assert len(row) >= 5
-    assert row[:5] == tuple(Seat(97, 2, i) for i in range(5))
-    assert seat_row(97, 2, 0)[:0] == ()
-
-
-def test_seat_row_longer_request_keeps_the_prefix():
-    short = seat_row(98, 1, 3)
-    long = seat_row(98, 1, 12)
-    assert long[:12] == tuple(Seat(98, 1, i) for i in range(12))
-    assert short[:3] == long[:3]
-    assert seat_row(98, 1, 2)[:2] == (Seat(98, 1, 0), Seat(98, 1, 1))
-
-
-def test_matchings_share_seat_objects(example):
-    g = build_graph(example)
-    first = {seat: seat for _, seat in RankMaximalMatcher(g).matching().pairs}
-    shared = [seat for _, seat in RankMaximalMatcher(g, {0}).matching().pairs if seat in first]
-    assert shared
-    assert all(first[seat] is seat for seat in shared)

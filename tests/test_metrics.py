@@ -7,7 +7,6 @@ import pytest
 from reservematch import (
     ALGORITHMS,
     Instance,
-    MetricValues,
     OutcomeError,
     QuotaTable,
     SatGenConfig,
@@ -185,7 +184,7 @@ def suite_relative(instance, tags):
     """Per-instance ratio of each (algorithm, metric) to the suite's best."""
     values = {tag: evaluate(instance, ALGORITHMS[tag](instance)) for tag in tags}
     opts = suite_optimum(values)
-    return {(tag, m): ratio(v.value(m), opts[m]) for tag, v in values.items() for m in METRICS}
+    return {(tag, m): ratio(getattr(v, m), opts[m]) for tag, v in values.items() for m in METRICS}
 
 
 def test_ratios_on_the_example(example):
@@ -228,11 +227,6 @@ def test_metric_bounds_on_random_instances():
             assert v.p1 <= sum(inst.quotas.rank1)
             if v.p3:
                 assert v.p3_min <= v.p3 <= v.p3_max <= 100.0
-
-
-def test_value_names_an_unknown_metric():
-    with pytest.raises(ValueError, match="^unknown metric 'p4'$"):
-        MetricValues(0, 0, 0.0, 0.0, 0.0).value("p4")
 
 
 def test_evaluate_rejects_a_selection_that_is_not_the_matched_set(example):
