@@ -15,12 +15,11 @@ Each student is drawn as a 3-bit type-set code, so a pool is one numpy
 array of codes, and every per-student input comes from that array in bulk:
 score means by indexing a table of the 8 means, the priority order by a
 stable argsort of the scores, and the type set of every student
-(``Instance.type_sets``) by one gather from the 8 type sets, which the
-pools share.  A pool is grouped by type set (``Instance.type_groups``)
-before it is returned, so generation pays for the grouping, not the first
-rule.  The parsed reserve factors and one priority tuple per pool size,
-which lets the pools of a size share their percentile table (see
-:mod:`reservematch.model`), are kept too.
+(``Instance.type_sets``, in priority order) by one gather from the 8 type
+sets, which the pools share.  A pool is grouped by type set
+(``Instance.type_groups``) before it is returned, so generation pays for
+the grouping, not the first rule.  The parsed reserve factors are kept
+too.
 
 numpy is imported by the functions that draw, not by the module, so
 loading the package to read an instance or run a rule does not load it.
@@ -34,7 +33,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .model import Instance, QuotaTable, StudentId, _is_int, gather
+from .model import Instance, QuotaTable, _is_int, gather
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,12 +118,6 @@ def _parse_factor(value: float | int | str | Fraction) -> Fraction:
 _TYPE_SETS = tuple(frozenset(compress((1, 2, 3), (code & 1, code & 2, code & 4))) for code in range(8))
 
 
-@lru_cache(maxsize=8)
-def _priority(n: int) -> tuple[StudentId, ...]:
-    """The priority of every generated pool of ``n`` students."""
-    return tuple(range(n))
-
-
 def _draw_codes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw the type-set codes of ``n`` students per the conditional model."""
     import numpy as np
@@ -200,22 +193,20 @@ def gen_quotas(capacity: int, psi_factor: float | int | str | Fraction = 1) -> Q
 def gen_instance(config: SatGenConfig) -> Instance:
     """Assemble a full instance from a config.
 
-    Students are relabeled so ids follow the priority order (descending
-    score, generation index breaking the measure-zero ties), which is also
-    the order used by the instance file format.  A config is valid once
-    built, so the instance is too.  Its ``type_groups`` is read before
-    it is returned, so the grouping is timed as generation's.
+    Students are numbered in priority order (descending score, generation
+    index breaking the measure-zero ties), as :class:`Instance` requires.
+    A config is valid once built, so the instance is too.  Its
+    ``type_groups`` is read before it is returned, so the grouping is
+    timed as generation's.
     """
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
-    n = config.n_students
-    codes = _draw_codes(rng, n)
+    codes = _draw_codes(rng, config.n_students)
     scores = _draw_scores(rng, codes)
     order = np.argsort(-scores, kind="stable")
     instance = Instance(
         type_sets=gather(_TYPE_SETS, codes[order].tolist()),
-        priority=_priority(n),
         capacity=config.capacity,
         quotas=gen_quotas(config.capacity, config.psi_factor),
         type_names=DEFAULT_TYPE_NAMES,

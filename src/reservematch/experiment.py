@@ -81,6 +81,9 @@ class ExperimentSpec:
         for factor in self.psi_factors:
             for qc in self.capacities:
                 SatGenConfig(capacity=qc, seed=0, n_students=self.n_students, psi_factor=factor)
+            # its text names a plot file (emit_plot_data)
+            if "/" in str(factor):
+                raise SettingsError(f"reserve factor '{factor}' holds a '/', which no plot file name can; give it as a decimal")
         if len(set(self.capacities)) != len(self.capacities):
             raise SettingsError("a capacity is given twice")
         # compare values, so "1" and "1.0" count as one factor
@@ -262,6 +265,8 @@ def _read_ratios(path: Path, metric: str, column: str) -> list[dict]:
                 parse_factor(row["psi_factor"])
             except SettingsError:
                 raise ResultsFormatError(f"{where}, column 'psi_factor': not a reserve factor: {row['psi_factor']!r}") from None
+            if "/" in row["psi_factor"]:
+                raise ResultsFormatError(f"{where}, column 'psi_factor': a '/' names no plot file: {row['psi_factor']!r}")
             try:
                 if not math.isfinite(float(row[column])):
                     raise ValueError

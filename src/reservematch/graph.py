@@ -19,7 +19,6 @@ read only.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
@@ -176,22 +175,21 @@ def build_graph(instance: Instance, subset: set[StudentId] | None = None) -> Res
 
     ``subset`` defaults to the acceptable pool, whose grouping by type set
     the instance caches (:attr:`Instance.type_groups`).  A subset is
-    checked for ids that are unknown or repeated, then turned into its
-    ascending positions in the priority list, so it may reach past the
-    acceptability cutoff.  The rules pass the positions they built, and
-    other quota tables, to :func:`_build`, unchecked.
+    checked for ids that are unknown or repeated; its ids, sorted, are its
+    positions in the priority list, so it may reach past the acceptability
+    cutoff.  The rules pass the positions they built, and other quota
+    tables, to :func:`_build`, unchecked.
     """
     positions = None
     if subset is not None:
         if _strays(subset):
             raise ValueError(f"subset contains unknown students: {sorted(_strays(subset), key=repr)}")
-        rank_of = {sid: pos for pos, sid in enumerate(instance.priority)}
-        positions = sorted({rank_of[sid] for sid in subset if sid in rank_of})
-        if len(positions) != len(subset):
-            unknown = {sid for sid in subset if sid not in rank_of}
-            if unknown:
-                raise ValueError(f"subset contains unknown students: {sorted(unknown)}")
-            repeated = sorted(sid for sid, count in Counter(subset).items() if count > 1)
+        positions = sorted(subset)
+        n = instance.n_students
+        if positions and not 0 <= positions[0] <= positions[-1] < n:
+            raise ValueError(f"subset contains unknown students: {sorted({sid for sid in positions if not 0 <= sid < n})}")
+        if len(set(positions)) != len(positions):
+            repeated = sorted({sid for sid, after in zip(positions, positions[1:]) if sid == after})
             raise ValueError(f"subset repeats students: {repeated}")
     return _build(instance, positions, None)
 

@@ -18,7 +18,7 @@ from itertools import chain, repeat
 from operator import attrgetter, contains
 
 from .algorithms import Outcome
-from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, _strays, gather
+from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, _percentile_table, _strays, gather
 
 METRICS = ("p1", "p2", "p3")
 
@@ -63,7 +63,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     capacity = instance.capacity
     rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
     n_types = len(rank1)
-    percentile = instance._percentile
+    percentile = _percentile_table(len(instance.type_sets))
     rows = outcome.matching.rows
     if rows is None:
         raise OutcomeError("outcome's matching has no seat rows: build it with Matching(rows=...)")
@@ -120,8 +120,9 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     if len(selected) != len(matched):
         raise OutcomeError(f"outcome selects {len(selected)} entries for {len(matched)} matched students")
     cut = instance.acceptable_count
-    if cut is not None and not matched.issubset(instance.acceptable):
-        below = next(sid for sid in selected if sid not in instance.acceptable)
+    # an id is a position, so a student below the cutoff has an id of at least it
+    if cut is not None and matched and max(matched) >= cut:
+        below = next(sid for sid in selected if sid >= cut)
         raise OutcomeError(f"student {below} is below the acceptability cutoff {cut}")
 
     if selected:

@@ -1,20 +1,22 @@
 """Domain model for a single-school selection instance.
 
-An instance bundles the applicant pool, the school's strict priority order,
-its capacity, and a two-rank quota table over diversity types.  Type id 0 is
-reserved for the universal type that every student implicitly holds; real
-diversity types are numbered from 1.  Student ``i`` is the type set
-``Instance.type_sets[i]``; the :class:`Student` objects of
-``Instance.students`` are a view that no rule reads.  Instances are
-immutable, safe to share across worker processes, and valid by
-construction: bad fields raise :class:`InstanceFormatError`.
+An instance bundles the applicant pool, its capacity, and a two-rank quota
+table over diversity types.  The school's strict priority order is the
+order of the ids: student ``i`` is the one at position ``i``, so position 0
+is the highest priority, and an id is a position wherever the library
+reads one.  Type id 0 is reserved for the universal type that every
+student implicitly holds; real diversity types are numbered from 1.
+Student ``i`` is the type set ``Instance.type_sets[i]``; the
+:class:`Student` objects of ``Instance.students`` are a view that no rule
+reads.  Instances are immutable, safe to share across worker processes,
+and valid by construction: bad fields raise :class:`InstanceFormatError`.
 
-The pools of a sweep share their size and, since generated ids follow
-priority, their priority order.  So the priority percentiles that
-``evaluate`` reads come from one table per priority order, kept in a small
-bounded cache and shared by every instance that has it.  The table is read
-only.  An instance keeps no map from id to position: the rules work on
-positions, and ``build_graph``, given ids, builds its own.
+The pools of a sweep share their size.  So the ids ``0..n-1``
+(``Instance.priority``) are one tuple per size, and the priority
+percentiles that ``evaluate`` reads are one table per size whose keys are
+that tuple's objects; both are kept in small bounded caches, shared by
+every instance of that size, and read only.  The rules return ids taken
+from the shared tuple, so a table lookup finds its key by identity.
 
 The pool path looks students up in bulk, never one element at a time
 through a bound ``__getitem__``: :func:`gather` takes any number of
@@ -32,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import filterfalse
@@ -82,15 +83,15 @@ class InstanceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
-    """A selection problem: students, priority order, capacity, and quotas.
+    """A selection problem: students in priority order, capacity, and quotas.
 
-    ``type_sets[i]`` holds the real types of student ``i``.  ``priority`` is
-    a permutation of the ids 0..n-1; position 0 is the highest priority.
-    ``acceptable_count`` optionally cuts the priority list: only the first
-    ``acceptable_count`` students may be selected (``None`` means everyone
-    is acceptable, which is the only case the experiments exercise).
-    ``scores`` carries the raw priority scores when the instance came from a
-    generator; it is informational and listed in student-id order.  The
+    ``type_sets[i]`` holds the real types of student ``i``, the student at
+    position ``i`` of the priority order; position 0 is the highest
+    priority.  ``acceptable_count`` optionally cuts the priority list: only
+    the first ``acceptable_count`` students may be selected (``None`` means
+    everyone is acceptable, which is the only case the experiments
+    exercise).  ``scores`` carries the raw priority scores when the
+    instance came from a generator; it is informational.  The
     sequences are tuples, and so are the rows of ``quotas``, a
     :class:`QuotaTable`.  Construction raises :class:`InstanceFormatError`,
     listing every problem (only those of a field of the wrong kind, if
@@ -98,7 +99,6 @@ class Instance:
     """
 
     type_sets: tuple[frozenset[TypeId], ...]
-    priority: tuple[StudentId, ...]
     capacity: int
     quotas: QuotaTable
     acceptable_count: int | None = None
@@ -107,7 +107,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         # first: the checks below read these as sequences, and a list would stay mutable
-        kinds = {"type_sets": tuple, "priority": tuple, "type_names": (tuple, type(None)), "scores": (tuple, type(None))}
+        kinds = {"type_sets": tuple, "type_names": (tuple, type(None)), "scores": (tuple, type(None))}
         shapes = [f"{name}: must be a tuple, got a {type(getattr(self, name)).__name__}"
                   for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)]
         quotas = self.quotas
@@ -123,15 +123,6 @@ class Instance:
 
         if not _is_int(self.capacity) or self.capacity < 1:
             errors.append(f"capacity: must be an integer >= 1, got {self.capacity!r}")
-
-        # n integers are a permutation of the ids iff they have a table
-        strays = _strays(self.priority)
-        if strays:
-            errors.append(f"priority: {len(strays)} entry(s) are not integers; first {strays[0]!r}")
-        elif len(self.priority) != n or self._percentile is None:
-            repeated = sorted(sid for sid, count in Counter(self.priority).items() if count > 1)
-            twice = f"; student {repeated[0]} is listed more than once" if repeated else ""
-            errors.append(f"priority: not a permutation of the student ids{twice}")
 
         if len(quotas.rank1) != len(quotas.rank2):
             errors.append("quotas: rank1 and rank2 must have equal length")
@@ -209,11 +200,6 @@ class Instance:
         return self.quotas.n_types
 
     @cached_property
-    def _percentile(self) -> dict[StudentId, float] | None:
-        # Priority percentile of each student, the top one scoring 100; shared, so read only
-        return _percentile_table(self.priority)
-
-    @cached_property
     def students(self) -> tuple[Student, ...]:
         """Each student as a :class:`Student`, by id; built when first read."""
         return tuple(map(Student, range(len(self.type_sets)), self.type_sets))
@@ -228,23 +214,31 @@ class Instance:
         return group_by_types(self.type_sets, self.acceptable)
 
     @property
+    def priority(self) -> tuple[StudentId, ...]:
+        """Every student, highest priority first: the ids ``0..n-1``, one
+        tuple shared by the instances of a size."""
+        return _ids(len(self.type_sets))
+
+    @property
     def acceptable(self) -> tuple[StudentId, ...]:
         """Acceptable students, highest priority first."""
-        if self.acceptable_count is None:
-            return self.priority
         return self.priority[: self.acceptable_count]
 
 
 @lru_cache(maxsize=8)
-def _percentile_table(priority: tuple[StudentId, ...]) -> dict[StudentId, float] | None:
-    """The priority percentile of each student of ``priority``, or ``None``
-    unless it is a permutation of 0..n-1.  A sweep's pools of one size hold
-    the same priority tuple, so the lookup finds their table by identity.
-    Read only."""
-    n = len(priority)
-    if sorted(priority) != list(range(n)):
-        return None
-    return {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(priority)}
+def _ids(n: int) -> tuple[StudentId, ...]:
+    """The ids of ``n`` students, ``0..n-1``: the priority of every
+    instance of that size.  Read only."""
+    return tuple(range(n))
+
+
+@lru_cache(maxsize=8)
+def _percentile_table(n: int) -> dict[StudentId, float]:
+    """The priority percentile of each of ``n`` students, the top one
+    scoring 100.  Its keys are the objects of :func:`_ids`, which the
+    rules' selections hold, so a lookup matches them by identity.  Read
+    only."""
+    return {sid: 100.0 * (n - sid) / n for sid in _ids(n)}
 
 
 def gather(seq: Any, indices: Sequence[Any]) -> tuple[Any, ...]:
@@ -297,7 +291,7 @@ def parse_instance(text: str) -> Instance:
     ``rank1``/``rank2`` integer arrays parallel to ``types``), ``students``
     (array of type-id lists, array order = priority order), and optionally
     ``scores`` (floats, priority order) and ``acceptable`` (int cutoff).
-    Students are re-identified as 0..n-1 in priority order.  Raises
+    Student ``i`` is the ``i``-th entry of ``students``.  Raises
     :class:`InstanceFormatError` on malformed JSON, a missing field or one
     of the wrong JSON kind, a type id that is not an integer (booleans
     included), and a score that is not a number or too large for a float,
@@ -349,7 +343,6 @@ def parse_instance(text: str) -> Instance:
 
     return Instance(
         type_sets=type_sets,
-        priority=tuple(range(len(type_sets))),
         capacity=capacity,
         quotas=QuotaTable((0, *rank1), (0, *rank2)),
         acceptable_count=doc.get("acceptable"),
@@ -361,11 +354,9 @@ def parse_instance(text: str) -> Instance:
 def serialize_instance(instance: Instance) -> str:
     """Render an instance in the JSON format accepted by ``parse_instance``.
 
-    Students are written in priority order, and types by name.  Parsing
-    the output reproduces the instance exactly when its ids follow the
-    priority order and it has ``type_names`` (both hold for everything the
-    generators emit).  Otherwise the parsed instance is relabeled in
-    priority order, and unnamed types come back named ``t1..tk``.
+    Students are written in priority order, which is id order, and types
+    by name.  Parsing the output reproduces the instance exactly, except
+    that unnamed types come back named ``t1..tk``.
     """
     names = instance.type_names or [f"t{t}" for t in range(1, instance.n_types)]
     doc: dict[str, Any] = {
@@ -375,10 +366,10 @@ def serialize_instance(instance: Instance) -> str:
             "rank1": list(instance.quotas.rank1[1:]),
             "rank2": list(instance.quotas.rank2[1:]),
         },
-        "students": [sorted(instance.type_sets[sid]) for sid in instance.priority],
+        "students": [sorted(types) for types in instance.type_sets],
     }
     if instance.scores is not None:
-        doc["scores"] = [instance.scores[sid] for sid in instance.priority]
+        doc["scores"] = list(instance.scores)
     if instance.acceptable_count is not None:
         doc["acceptable"] = instance.acceptable_count
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

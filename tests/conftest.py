@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from reservematch import Instance, QuotaTable, evaluate
+from reservematch import Instance, Matching, Outcome, QuotaTable, evaluate
 from reservematch.experiment import ExperimentSpec, run_experiment
+from reservematch.model import gather
 
 
 def make_example() -> Instance:
@@ -24,7 +25,6 @@ def make_example() -> Instance:
             frozenset({1}),
             frozenset({2, 3}),
         ),
-        priority=(0, 1, 2, 3, 4, 5),
         capacity=3,
         quotas=QuotaTable((0, 1, 1, 0, 0), (0, 0, 0, 1, 1)),
         type_names=("t1", "t2", "t3", "t4"),
@@ -64,17 +64,26 @@ def random_instance(rnd: random.Random, *, max_students: int = 12, max_types: in
         frozenset(t for t in range(1, m + 1) if rnd.random() < 0.5)
         for _ in range(n)
     )
-    priority = list(range(n))
-    rnd.shuffle(priority)
+    order = list(range(n))
+    rnd.shuffle(order)
     return Instance(
-        type_sets=type_sets,
-        priority=tuple(priority),
+        type_sets=gather(type_sets, order),
         capacity=capacity,
         quotas=QuotaTable(
             (0, *(rnd.randint(0, max_quota) for _ in range(m))),
             (0, *(rnd.randint(0, max_quota) for _ in range(m))),
         ),
     )
+
+
+def with_old_ids(outcome: Outcome, old) -> Outcome:
+    """``outcome`` with student ``i`` named ``old[i]`` in its selection and
+    its seat rows.  The golden tests build some instances by drawing type
+    sets and shuffling them into priority order, ``old[i]`` being the draw
+    index of the student at position ``i``, and their pins name each
+    student by that index."""
+    rows = {pool: list(gather(old, row)) for pool, row in outcome.matching.rows.items()}
+    return Outcome(outcome.algorithm, gather(old, outcome.selected), Matching(rows=rows))
 
 
 def check_outcome(instance: Instance, outcome) -> None:

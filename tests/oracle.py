@@ -17,7 +17,7 @@ from reservematch import (
     ReservationGraph,
     build_graph,
 )
-from reservematch.model import StudentId
+from reservematch.model import StudentId, gather
 
 MAX_STUDENTS = 10
 MAX_SEATS = 12
@@ -142,7 +142,7 @@ def random_small_instance(
     Type membership is independent with probability one half; quotas are
     uniform in [0, 2] per (type, rank) and redrawn until the total seat
     count (universal seats included) fits the enumeration limit.  The
-    priority order is a random permutation.
+    type sets are drawn, then shuffled into priority order.
     """
     n = rnd.randint(1, max_students)
     m = rnd.randint(1, max_types)
@@ -156,11 +156,10 @@ def random_small_instance(
         frozenset(t for t in range(1, m + 1) if rnd.random() < 0.5)
         for _ in range(n)
     )
-    priority = list(range(n))
-    rnd.shuffle(priority)
+    order = list(range(n))
+    rnd.shuffle(order)
     return Instance(
-        type_sets=type_sets,
-        priority=tuple(priority),
+        type_sets=gather(type_sets, order),
         capacity=capacity,
         quotas=QuotaTable((0, *rank1), (0, *rank2)),
     )

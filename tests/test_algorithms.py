@@ -25,6 +25,7 @@ from reservematch import (
 )
 from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
+from reservematch.model import InstanceFormatError
 
 from conftest import check_outcome, random_instance
 from oracle import oracle_as_select, random_small_instance
@@ -84,16 +85,12 @@ def test_golden_priority_only(example):
 # degenerate cases
 
 def zero_quota_instance(n=6, capacity=3) -> Instance:
-    rnd = random.Random(1)
-    type_sets = (frozenset({1}),) * n
-    priority = list(range(n))
-    rnd.shuffle(priority)
-    return Instance(type_sets, tuple(priority), capacity, QuotaTable((0, 0), (0, 0)))
+    return Instance((frozenset({1}),) * n, capacity, QuotaTable((0, 0), (0, 0)))
 
 
 def test_zero_quotas_select_the_priority_prefix():
     inst = zero_quota_instance()
-    prefix = inst.priority[:3]
+    prefix = (0, 1, 2)
     for tag in ALGORITHMS:
         out = ALGORITHMS[tag](inst)
         assert out.selected == prefix, tag
@@ -102,7 +99,7 @@ def test_zero_quotas_select_the_priority_prefix():
 
 
 def test_single_student():
-    inst = Instance((frozenset({1}),), (0,), 1, QuotaTable((0, 1), (0, 0)))
+    inst = Instance((frozenset({1}),), 1, QuotaTable((0, 1), (0, 0)))
     for tag in ALGORITHMS:
         out = ALGORITHMS[tag](inst)
         assert out.selected == (0,)
@@ -111,8 +108,7 @@ def test_single_student():
 
 def test_capacity_beyond_pool_selects_everyone():
     inst = Instance(
-        (frozenset({1}), frozenset()),
-        (1, 0),
+        (frozenset(), frozenset({1})),
         5,
         QuotaTable((0, 1), (0, 0)),
     )
@@ -124,7 +120,7 @@ def test_capacity_beyond_pool_selects_everyone():
 
 def test_acceptability_cutoff_restricts_selection(example):
     cut = Instance(
-        example.type_sets, example.priority, example.capacity, example.quotas, acceptable_count=2
+        example.type_sets, example.capacity, example.quotas, acceptable_count=2
     )
     for tag in ALGORITHMS:
         out = ALGORITHMS[tag](cut)
@@ -139,14 +135,21 @@ def test_check_outcome_rejects_a_student_matched_twice(example):
         check_outcome(replace(example, acceptable_count=2), Outcome("as", (0, 1), Matching(rows=rows)))
 
 
-@pytest.mark.parametrize("tag", sorted(ALGORITHMS))
+@pytest.mark.parametrize("tag", ALGORITHMS)
 def test_a_priority_that_repeats_a_student_ends_in_a_typed_error(tag):
-    # every rule ends in a ValueError subclass that names the student, be it
-    # evaluate's OutcomeError or a rejection when the instance is built
+    # ids are priority positions, so a repeated student can come only as a
+    # priority passed where the capacity now stands, which construction
+    # refuses, or as a rule's outcome that seats one id twice, which
+    # evaluate refuses naming the student; both are ValueError subclasses
+    type_sets = (frozenset({1}), frozenset({1}), frozenset())
+    with pytest.raises(InstanceFormatError, match="quotas: must be a QuotaTable, got a int"):
+        Instance(type_sets, (1, 1, 0), 2, QuotaTable((0, 1), (0, 1)))
+    inst = Instance(type_sets, 2, QuotaTable((0, 1), (0, 1)))
+    out = ALGORITHMS[tag](inst)
+    assert out.selected == (0, 1), tag
+    rows = {key: [1 if sid == 0 else sid for sid in row] for key, row in out.matching.rows.items()}
     with pytest.raises(ValueError, match=r"\bstudent 1\b") as raised:
-        type_sets = (frozenset({1}), frozenset({1}), frozenset())
-        inst = Instance(type_sets, (1, 1, 0), 2, QuotaTable((0, 1), (0, 1)))
-        evaluate(inst, ALGORITHMS[tag](inst))
+        evaluate(inst, Outcome(tag, (1, 1), Matching(rows=rows)))
     assert type(raised.value) is not ValueError
 
 
@@ -167,7 +170,6 @@ def types_instance(types, rank1, rank2, capacity, acceptable_count=None) -> Inst
     """Students 0..n-1 in priority order holding the given type sets."""
     return Instance(
         type_sets=tuple(map(frozenset, types)),
-        priority=tuple(range(len(types))),
         capacity=capacity,
         quotas=QuotaTable(rank1, rank2),
         acceptable_count=acceptable_count,
@@ -251,7 +253,7 @@ def naive_ehyy(inst):
     for sid in pool:
         if sid not in seat_of and len(seat_of) < target:
             seat_of[sid] = Seat(0, 3, sum(seat.rank == 3 for seat in seat_of.values()))
-    selected = tuple(sorted(seat_of, key=inst.priority.index))
+    selected = tuple(sorted(seat_of))
     return Outcome("ehyy", selected, Matching(frozenset(seat_of.items())))
 
 
@@ -314,11 +316,8 @@ def test_ehyy_equals_a_s_when_everyone_holds_every_type():
         n = rnd.randint(1, 10)
         m = rnd.randint(1, 3)
         all_types = frozenset(range(1, m + 1))
-        priority = list(range(n))
-        rnd.shuffle(priority)
         inst = Instance(
             type_sets=(all_types,) * n,
-            priority=tuple(priority),
             capacity=rnd.randint(1, 6),
             quotas=QuotaTable(
                 (0, *(rnd.randint(0, 2) for _ in range(m))),
@@ -330,47 +329,38 @@ def test_ehyy_equals_a_s_when_everyone_holds_every_type():
 
 def relabeled(inst, rnd):
     """The instance with its real types permuted, quotas and names moving
-    with them, and its students re-identified by a random permutation,
-    the priority order kept; returns it and the map of old ids to new."""
-    m, n = inst.n_types - 1, inst.n_students
+    with them."""
+    m = inst.n_types - 1
     old_type = [0, *rnd.sample(range(1, m + 1), m)]  # new type id -> old
-    old_id = rnd.sample(range(n), n)  # new student id -> old
-    new_type, new_id = [0] * (m + 1), [0] * n
+    new_type = [0] * (m + 1)
     for t, old in enumerate(old_type):
         new_type[old] = t
-    for sid, old in enumerate(old_id):
-        new_id[old] = sid
-    type_sets = tuple(frozenset(new_type[t] for t in inst.type_sets[old]) for old in old_id)
     q = inst.quotas
-    relabeled = Instance(
-        type_sets=type_sets,
-        priority=tuple(new_id[sid] for sid in inst.priority),
-        capacity=inst.capacity,
+    return replace(
+        inst,
+        type_sets=tuple(frozenset(new_type[t] for t in types) for types in inst.type_sets),
         quotas=QuotaTable(tuple(q.rank1[t] for t in old_type), tuple(q.rank2[t] for t in old_type)),
-        acceptable_count=inst.acceptable_count,
         type_names=None if inst.type_names is None else tuple(inst.type_names[t - 1] for t in old_type[1:]),
-        scores=None if inst.scores is None else tuple(inst.scores[old] for old in old_id),
     )
-    return relabeled, new_id
 
 
 def test_label_free_rules_commute_with_relabeling():
     # as, sy1, sy2 and pos are defined by priority, type sets and quotas
-    # alone, so renumbering the types and the students maps their answer
-    # and keeps its signature and metrics; ehyy and pog break ties by type
-    # number, so only pos >= pog is checked for them
+    # alone, so renumbering the types keeps their answer, its signature and
+    # its metrics; ehyy and pog break ties by type number, so only
+    # pos >= pog is checked for them
     rnd = random.Random(45)
-    pools = [many_class_instance()]
+    pools = [many_class_instance()[0]]
     for factor in ("1.0", "2.0", "2.6154"):
         for n, count in ((30, 4), (100, 4), (400, 4), (1600, 1), (6400, 1)):
             for _ in range(count):
                 config = SatGenConfig(capacity=rnd.randint(1, n), seed=rnd.randrange(2**32), n_students=n, psi_factor=factor)
                 pools.append(gen_instance(config))
     for inst in pools:
-        other, new_id = relabeled(inst, rnd)  # an Instance, so checked when built
+        other = relabeled(inst, rnd)  # an Instance, so checked when built
         for select in (a_s_select, sy1_select, sy2_select, pos_select):
             a, b = select(inst), select(other)
-            assert b.selected == tuple(new_id[sid] for sid in a.selected), a.algorithm
+            assert b.selected == a.selected, a.algorithm
             assert signature(b.matching) == signature(a.matching), a.algorithm
             assert evaluate(other, b) == evaluate(inst, a), a.algorithm
         for each in (inst, other):

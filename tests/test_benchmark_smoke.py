@@ -4,9 +4,10 @@ perfbench imports ``ALGORITHMS``, ``SatGenConfig``, ``gen_instance``,
 ``evaluate``, ``build_graph``, ``RankMaximalMatcher``, ``Matching`` and
 ``Seat`` from the package root, ``ExperimentSpec``, ``run_experiment`` and
 ``derive_seed`` from ``experiment`` (whose ``_cell_rows`` it patches), and
-``suite_optimum`` from ``metrics``, and drives the rules from outside the
-package, so an API change that breaks it fails here, not only when the
-benchmark is next run.  ``tests/test_public_api.py`` checks that each of
+``suite_optimum`` from ``metrics``; it reads the ``Instance`` attributes
+``priority``, ``acceptable`` and ``students``, and drives the rules from
+outside the package, so an API change that breaks it fails here, not only
+when the benchmark is next run.  ``tests/test_public_api.py`` checks that each of
 these names resolves.
 """
 

@@ -265,6 +265,8 @@ def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
         ({"psi_factors": ["1.0"]}, "psi_factors must be a tuple, got a list"),
         ({"algorithms": ["as"]}, "algorithms must be a tuple, got a list"),
         ({"capacities": (qc for qc in (5,))}, "capacities must be a tuple, got a generator"),
+        # the factor's text names a plot file
+        ({"psi_factors": ("1.0", "1/2")}, "reserve factor '1/2' holds a '/', which no plot file name can; give it as a decimal"),
     ],
 )
 def test_a_sweep_spec_checks_itself_when_built(tmp_path, settings, message):
@@ -459,6 +461,7 @@ def test_plotdata_names_a_short_row_and_a_bad_capacity(tmp_path, capsys):
     [
         ("abc,10,as,p1,1.0,1.0,3", "line 2, column 'psi_factor': not a reserve factor: 'abc'"),
         ("/../../escaped,10,as,p1,1.0,1.0,3", "line 2, column 'psi_factor': not a reserve factor: '/../../escaped'"),
+        ("1/2,10,as,p1,1.0,1.0,3", "line 2, column 'psi_factor': a '/' names no plot file: '1/2'"),
         ("1.0,10,as,p1,oops,1.0,3", "line 2, column 'avg_ratio': not a number: 'oops'"),
         ("1.0,10,as,p1,nan,1.0,3", "line 2, column 'avg_ratio': not a number: 'nan'"),
     ],

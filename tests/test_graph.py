@@ -69,6 +69,23 @@ def test_subset_must_not_repeat_a_student(example):
         build_graph(example, [0, 0, 1])
 
 
+@pytest.mark.parametrize("subset, problem", [
+    # an id is a position, so the sorted subset's ends bound it to 0..n-1
+    ([-1], "subset contains unknown students: [-1]"),
+    ([6], "subset contains unknown students: [6]"),
+    ([-1, 0, 6], "subset contains unknown students: [-1, 6]"),
+    ([7, 2], "subset contains unknown students: [7]"),
+    ([5, 5, -2], "subset contains unknown students: [-2]"),
+    ([1, 0, 1], "subset repeats students: [1]"),
+])
+def test_subset_ids_are_positions_in_range(example, subset, problem):
+    with pytest.raises(ValueError, match="^" + re.escape(problem) + "$"):
+        build_graph(example, subset)
+    # in range and unrepeated, the order it comes in does not matter
+    kept = sorted({sid for sid in subset if 0 <= sid < example.n_students})
+    assert build_graph(example, kept[::-1]) == build_graph(example, set(kept)) == _build(example, kept, None)
+
+
 def test_signature_counts():
     m = Matching(rows={(1, 1): [4], (2, 1): [3], (0, 3): [0], (3, 2): []})
     assert signature(m) == RankSignature(2, 0, 1)
@@ -150,12 +167,11 @@ def test_classes_partition_students_by_pools(example):
 
 def test_type_sets_reaching_the_same_pools_merge_in_priority_order():
     # type 3 has no seat at either rank, so {1} and {1, 3}, {2} and {2, 3},
-    # and {} and {3} each form one class; under the shuffled priority the
-    # positions of {1, 3} (0, 6) and {1} (2, 7) interleave, so the merged
-    # class must be sorted, while a class of one type set keeps its group
+    # and {} and {3} each form one class; the positions of {1, 3} (0, 6)
+    # and {1} (2, 7) interleave, so the merged class must be sorted, while a
+    # class of one type set keeps its group
     inst = Instance(
-        type_sets=tuple(map(frozenset, ({1}, {1, 3}, {3}, (), {1}, {1, 3}, {2, 3}, {2}))),
-        priority=(5, 3, 0, 6, 2, 7, 1, 4),
+        type_sets=tuple(map(frozenset, ({1, 3}, (), {1}, {2, 3}, {3}, {2}, {1, 3}, {1}))),
         capacity=4,
         quotas=QuotaTable((0, 1, 1, 0), (0, 0, 1, 0)),
     )

@@ -45,7 +45,7 @@ def test_percentile_definition(example):
 
 
 def test_single_student_no_quotas():
-    inst = Instance((frozenset(),), (0,), 1, QuotaTable((0,), (0,)))
+    inst = Instance((frozenset(),), 1, QuotaTable((0,), (0,)))
     out = ALGORITHMS["as"](inst)
     v = evaluate(inst, out)
     assert (v.p1, v.p2) == (0, 0)
@@ -205,7 +205,7 @@ def test_single_algorithm_suite_is_self_normalized(example):
 
 def test_zero_optimum_counts_as_met():
     inst = Instance(
-        (frozenset(),) * 3, (0, 1, 2), 2, QuotaTable((0, 1), (0, 0))
+        (frozenset(),) * 3, 2, QuotaTable((0, 1), (0, 0))
     )
     values = {tag: evaluate(inst, ALGORITHMS[tag](inst)) for tag in ALGORITHMS}
     opts = suite_optimum(values)

@@ -28,6 +28,7 @@ from reservematch import (
     gen_instance,
     signature,
 )
+from reservematch.model import gather
 
 
 def milp_signature(graph, pinned=()) -> RankSignature:
@@ -93,10 +94,10 @@ def hand_built_pool(seed: int) -> Instance:
     hi = max(1, cap // m * 2)
     rank1 = tuple(rnd.randint(0, hi) for _ in range(m))
     rank2 = tuple(rnd.randint(0, hi) for _ in range(m))
-    priority = list(range(n))
-    rnd.shuffle(priority)
+    order = list(range(n))
+    rnd.shuffle(order)
     acceptable = rnd.choice([None, None, rnd.randint(0, n)])
-    return Instance(type_sets, tuple(priority), cap, QuotaTable((0, *rank1), (0, *rank2)), acceptable)
+    return Instance(gather(type_sets, order), cap, QuotaTable((0, *rank1), (0, *rank2)), acceptable)
 
 
 # In both pools no rank-maximal matching uses a universal seat.  A

@@ -2,6 +2,8 @@ import json
 import random
 import re
 from dataclasses import FrozenInstanceError, replace
+from itertools import chain
+from operator import is_
 
 import pytest
 
@@ -11,12 +13,13 @@ from reservematch import (
     QuotaTable,
     SatGenConfig,
     Student,
+    build_graph,
     evaluate,
     gen_instance,
     parse_instance,
     serialize_instance,
 )
-from reservematch.model import InstanceFormatError, gather
+from reservematch.model import InstanceFormatError, _percentile_table, gather
 
 from conftest import Id, Ids, make_example, random_instance
 
@@ -34,41 +37,49 @@ def test_example_is_valid(example):
 def test_capacity_must_be_positive(example):
     for capacity in (0, True):
         with pytest.raises(InstanceFormatError, match="capacity"):
-            Instance(example.type_sets, example.priority, capacity, example.quotas)
+            Instance(example.type_sets, capacity, example.quotas)
 
 
 def test_priority_must_be_permutation(example):
-    with pytest.raises(InstanceFormatError, match="permutation"):
-        Instance(example.type_sets, (0, 1, 2, 3, 4), 3, example.quotas)
-    with pytest.raises(InstanceFormatError, match="permutation"):
-        Instance(example.type_sets, (0, 1, 2, 3, 4, 4), 3, example.quotas)
+    # the priority is the ids in order, a permutation by construction; a
+    # priority passed where the capacity now stands shifts the quota table
+    # into the cutoff's place, and construction refuses it
+    assert example.priority == (0, 1, 2, 3, 4, 5)
+    assert sorted(example.priority) == list(range(example.n_students))
+    for priority in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)):
+        with pytest.raises(InstanceFormatError, match=exactly("quotas: must be a QuotaTable, got a int")):
+            Instance(example.type_sets, priority, 3, example.quotas)
 
 
-@pytest.mark.parametrize("priority, problem", [
-    # each of these once passed the check: True and 1.0 sort and hash like
-    # student 1, and then every rule's outcome failed evaluate (True) or
-    # as, sy1, sy2 and pos raised TypeError (1.0)
-    ((0, True, 2), "priority: 1 entry(s) are not integers; first True"),
-    ((0, 1.0, 2), "priority: 1 entry(s) are not integers; first 1.0"),
-    ((None, 1.5, 2), "priority: 2 entry(s) are not integers; first None"),
-    # these built, and then every rule's outcome failed evaluate: the
-    # outcome held student 1 where the priority held a twin of it
-    ((0, Ids.ID1, 2), "priority: 1 entry(s) are not integers; first <Ids.ID1: 1>"),
-    ((0, Id(1), 2), "priority: 1 entry(s) are not integers; first 1"),
-    # a repeated student, as in (1, 1, 0), once gave every rule's outcome a
-    # percentile from the student's later place
-    ((1, 1, 0), "priority: not a permutation of the student ids; student 1 is listed more than once"),
-    ((0, 1, 3), "priority: not a permutation of the student ids"),
-])
-def test_priority_entries_are_student_ids(priority, problem):
-    type_sets = (frozenset({1}), frozenset(), frozenset({1}))
-    with pytest.raises(InstanceFormatError, match=exactly(problem)):
-        Instance(type_sets, priority, 2, QuotaTable((0, 1), (0, 0)))
+@pytest.mark.parametrize("source", ["generated", "parsed", "hand-built", "cut"])
+def test_priority_entries_are_student_ids(source):
+    # however an instance is built, its priority holds the ids 0..n-1 in
+    # order as exact ints, its students carry those ids, and its acceptable
+    # students are a prefix of them
+    generated = gen_instance(SatGenConfig(capacity=40, seed=4, n_students=100))
+    inst = {
+        "generated": lambda: generated,
+        "parsed": lambda: parse_instance(serialize_instance(generated)),
+        "hand-built": lambda: random_instance(random.Random(7)),
+        "cut": lambda: replace(generated, acceptable_count=37),
+    }[source]()
+    n = inst.n_students
+    assert inst.priority == tuple(range(n))
+    assert all(type(sid) is int for sid in inst.priority)
+    assert [s.id for s in inst.students] == list(inst.priority)
+    cut = n if inst.acceptable_count is None else inst.acceptable_count
+    assert inst.acceptable == inst.priority[:cut]
 
 
 def test_a_repeated_student_at_capacity_one_is_refused():
-    with pytest.raises(InstanceFormatError, match="student 0 is listed more than once"):
+    # an old-style priority that repeats student 0 is refused when the
+    # instance is built, and so is a subset that repeats them when a graph
+    # is built on it
+    with pytest.raises(InstanceFormatError, match=exactly("quotas: must be a QuotaTable, got a int")):
         Instance((frozenset(), frozenset()), (0, 0), 1, QuotaTable((0,), (0,)))
+    inst = Instance((frozenset(), frozenset()), 1, QuotaTable((0,), (0,)))
+    with pytest.raises(ValueError, match=re.escape("subset repeats students: [0]")):
+        build_graph(inst, [0, 0])
 
 
 @pytest.mark.parametrize("quotas, problem", [
@@ -86,18 +97,18 @@ def test_a_repeated_student_at_capacity_one_is_refused():
 ])
 def test_quota_entries_are_integers(quotas, problem):
     with pytest.raises(InstanceFormatError, match=exactly(problem)):
-        Instance((frozenset({1}), frozenset()), (0, 1), 1, quotas)
+        Instance((frozenset({1}), frozenset()), 1, quotas)
 
 
 def test_universal_type_quota_must_be_zero(example):
     with pytest.raises(InstanceFormatError, match="universal"):
-        Instance(example.type_sets, example.priority, 3, QuotaTable((1, 1, 1, 0, 0), (0, 0, 0, 1, 1)))
+        Instance(example.type_sets, 3, QuotaTable((1, 1, 1, 0, 0), (0, 0, 0, 1, 1)))
 
 
 def test_undeclared_types_reported(example):
     type_sets = example.type_sets[:3] + (frozenset({9}),) + example.type_sets[4:]
     with pytest.raises(InstanceFormatError, match="undeclared"):
-        Instance(type_sets, example.priority, 3, example.quotas)
+        Instance(type_sets, 3, example.quotas)
 
 
 def test_undeclared_type_reported_once_for_many_students():
@@ -120,7 +131,7 @@ def test_non_integer_type_ids_reported(example, type_id):
     type_sets = example.type_sets[:5] + (frozenset({type_id}),)
     problem = f"students: type id {type_id!r} is not an integer; 1 student(s) hold it, first student 5"
     with pytest.raises(InstanceFormatError, match=exactly(problem)):
-        Instance(type_sets, example.priority, 3, example.quotas)
+        Instance(type_sets, 3, example.quotas)
 
 
 def test_non_integer_type_ids_reported_once_for_many_students():
@@ -129,7 +140,7 @@ def test_non_integer_type_ids_reported_once_for_many_students():
     type_sets = [frozenset({True, 5})] * 1000
     type_sets[-1] = frozenset({True, 5, 2.5})
     with pytest.raises(InstanceFormatError) as info:
-        Instance(tuple(type_sets), tuple(range(1000)), 3, QuotaTable((0, 1), (0, 0)))
+        Instance(tuple(type_sets), 3, QuotaTable((0, 1), (0, 0)))
     message = str(info.value)
     assert len(message) < 300, message
     assert "type id True is not an integer; 1000 student(s) hold it, first student 0" in message
@@ -139,21 +150,23 @@ def test_non_integer_type_ids_reported_once_for_many_students():
 def test_negative_quota_reported(example):
     for rank1 in ((0, -1, 1, 0, 0), (0, True, 1, 0, 0)):
         with pytest.raises(InstanceFormatError, match="non-negative"):
-            Instance(example.type_sets, example.priority, 3, QuotaTable(rank1, (0, 0, 0, 1, 1)))
+            Instance(example.type_sets, 3, QuotaTable(rank1, (0, 0, 0, 1, 1)))
 
 
 def test_priority_round_trip():
+    # a file lists the students in priority order, so parsing it gives
+    # every student their id back
     rnd = random.Random(5)
     for _ in range(30):
         inst = random_instance(rnd)
-        # evaluate's p3 reads each student's percentile from this table
-        n = inst.n_students
-        assert inst._percentile == {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(inst.priority)}
+        parsed = parse_instance(serialize_instance(inst))
+        assert parsed.type_sets == inst.type_sets
+        assert parsed.priority is inst.priority == tuple(range(inst.n_students))
 
 
 def test_acceptable_cutoff():
     inst = make_example()
-    cut = Instance(inst.type_sets, inst.priority, 3, inst.quotas, acceptable_count=2)
+    cut = Instance(inst.type_sets, 3, inst.quotas, acceptable_count=2)
     assert cut.acceptable == (0, 1)
     assert 0 in cut.acceptable and 2 not in cut.acceptable
 
@@ -178,6 +191,26 @@ def test_parse_example_document(example):
 
 def test_serialize_then_parse_is_identity(example):
     assert parse_instance(serialize_instance(example)) == example
+
+
+def test_serialize_permutes_into_priority_order(example):
+    # ids are priority positions, so the permutation into priority order is
+    # the identity: a shuffled pool's students are written in id order,
+    # scores with them, and parse back with the same ids
+    order = (3, 0, 5, 1, 4, 2)
+    shuffled = Instance(
+        type_sets=gather(example.type_sets, order),
+        capacity=3,
+        quotas=example.quotas,
+        type_names=example.type_names,
+        scores=(6.0, 5.5, 4.0, 3.25, 2.0, 1.0),
+    )
+    doc = json.loads(serialize_instance(shuffled))
+    assert doc["students"] == [sorted(shuffled.type_sets[sid]) for sid in shuffled.priority]
+    assert doc["scores"] == list(shuffled.scores)
+    relabeled = parse_instance(serialize_instance(shuffled))
+    assert relabeled == shuffled
+    assert [relabeled.students[i].types for i in range(6)] == [example.type_sets[old] for old in order]
 
 
 def test_a_parsed_pool_shares_its_type_sets():
@@ -210,7 +243,6 @@ def test_unnamed_types_parse_back_named(example):
 def test_roundtrip_with_scores_and_cutoff(example, scores):
     inst = Instance(
         example.type_sets,
-        example.priority,
         example.capacity,
         example.quotas,
         acceptable_count=4,
@@ -218,22 +250,6 @@ def test_roundtrip_with_scores_and_cutoff(example, scores):
         scores=scores,
     )
     assert parse_instance(serialize_instance(inst)) == inst
-
-
-def test_serialize_permutes_into_priority_order(example):
-    shuffled = Instance(
-        type_sets=gather(example.type_sets, (3, 0, 5, 1, 4, 2)),
-        priority=(1, 3, 5, 0, 4, 2),
-        capacity=3,
-        quotas=example.quotas,
-        type_names=example.type_names,
-    )
-    # parsing the serialized text relabels students in priority order
-    relabeled = parse_instance(serialize_instance(shuffled))
-    assert relabeled.priority == (0, 1, 2, 3, 4, 5)
-    assert [relabeled.students[i].types for i in range(6)] == [
-        shuffled.students[sid].types for sid in shuffled.priority
-    ]
 
 
 @pytest.mark.parametrize(
@@ -279,32 +295,52 @@ def test_parse_names_a_type_name_that_is_no_string():
         parse_instance(text)
 
 
-def test_percentile_table_is_shared_per_size_and_order():
-    # generated pools of one size hold one priority tuple and share one
-    # percentile table, whose values are 100 (n - pos) / n bit for bit
-    a = gen_instance(SatGenConfig(capacity=10, seed=1, n_students=50))
-    b = gen_instance(SatGenConfig(capacity=30, seed=2, n_students=50, psi_factor="2.0"))
-    assert a.priority is b.priority and a._percentile is b._percentile
-    assert [x.hex() for x in a._percentile.values()] == [(100.0 * (50 - pos) / 50).hex() for pos in range(50)]
-    assert list(a._percentile) == list(range(50))
-    assert gen_instance(SatGenConfig(capacity=10, seed=1, n_students=60))._percentile is not a._percentile
+def test_percentile_table_is_shared_per_size():
+    # generated, parsed and hand-built instances of one size share one
+    # priority tuple and one percentile table, whose values are
+    # 100 (n - id) / n bit for bit and whose keys are that tuple's objects;
+    # every rule selects and seats those objects too, so evaluate finds its
+    # keys by identity.  n is past the small ints that CPython shares, so
+    # a table or a selection built from fresh ints fails here
+    n = 400
+    rnd = random.Random(33)
+    a = gen_instance(SatGenConfig(capacity=100, seed=1, n_students=n))
+    b = gen_instance(SatGenConfig(capacity=300, seed=2, n_students=n, psi_factor="2.0"))
+    hand_built = Instance(
+        tuple(frozenset(t for t in (1, 2, 3, 4) if rnd.random() < 0.3) for _ in range(n)),
+        150,
+        QuotaTable((0, 20, 10, 5, 0), (0, 10, 10, 0, 5)),
+        acceptable_count=320,
+    )
+    ids, table = a.priority, _percentile_table(n)
+    assert ids == tuple(range(n))
+    assert [x.hex() for x in table.values()] == [(100.0 * (n - sid) / n).hex() for sid in range(n)]
+    assert all(map(is_, table, ids))
+    for inst in (a, b, parse_instance(serialize_instance(b)), hand_built):
+        assert inst.priority is ids and _percentile_table(inst.n_students) is table
+        for rule in ALGORITHMS.values():
+            out = rule(inst)
+            seated = [*chain.from_iterable(out.matching.rows.values())]
+            assert all(map(is_, out.selected, gather(ids, out.selected))), out.algorithm
+            assert all(map(is_, seated, gather(ids, seated))), out.algorithm
+    assert _percentile_table(n + 1) is not table
 
 
 def test_percentile_table_of_hand_built_instances():
-    # shuffled priorities and cutoffs get their own tables, over every
-    # student; a priority given as a list is refused, since it would stay
-    # mutable after the check
+    # instances with cutoffs read the table of their size, over every
+    # student, and evaluate's p3 is the mean of its entries over the
+    # selection
     rnd = random.Random(31)
     for _ in range(100):
         inst = random_instance(rnd, max_students=20)
         if rnd.random() < 0.5:
             inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
         n = inst.n_students
-        assert inst._percentile == {sid: 100.0 * (n - pos) / n for pos, sid in enumerate(inst.priority)}
-        assert list(inst._percentile) == list(inst.priority)
-        with pytest.raises(InstanceFormatError, match=exactly("priority: must be a tuple, got a list")):
-            replace(inst, priority=list(inst.priority))
-
+        assert _percentile_table(n) == {sid: 100.0 * (n - sid) / n for sid in range(n)}
+        for rule in ALGORITHMS.values():
+            out = rule(inst)
+            pcts = [100.0 * (n - sid) / n for sid in out.selected]
+            assert evaluate(inst, out).p3 == (sum(pcts) / len(pcts) if pcts else 0.0)
 
 
 @pytest.mark.parametrize("seq", [
@@ -365,7 +401,7 @@ def test_type_set_that_is_not_a_frozenset_reported(example):
         "type_sets: 3 entry(s) are a set, not a frozenset; first type_sets[1]",
     )
     with pytest.raises(InstanceFormatError, match=exactly(*problems)):
-        Instance(type_sets, example.priority, 3, example.quotas)
+        Instance(type_sets, 3, example.quotas)
 
 
 def test_rules_never_build_the_student_view():
@@ -390,7 +426,8 @@ def test_rules_never_build_the_student_view():
         ({"scores": (1.0, 2.0)}, "scores: must have one entry per student"),
         # a list is refused, not converted: it would stay mutable
         ({"type_sets": list(make_example().type_sets)}, "type_sets: must be a tuple, got a list"),
-        ({"priority": [0, 1, 2, 3, 4, 5]}, "priority: must be a tuple, got a list"),
+        # a cutoff past the last position, which no student holds
+        ({"acceptable_count": 7}, "acceptable_count: must be an integer in [0, 6], got 7"),
         ({"type_names": ["t1", "t2", "t3", "t4"], "scores": [1.0] * 6},
          "type_names: must be a tuple, got a list; scores: must be a tuple, got a list"),
         # what a file cannot hold: these built, and their files did not parse

@@ -23,7 +23,6 @@ def two_by_two() -> Instance:
     # two students, two seats of distinct (type, rank) classes, everyone eligible
     return Instance(
         type_sets=(frozenset({1, 2}), frozenset({1, 2})),
-        priority=(0, 1),
         capacity=2,
         quotas=QuotaTable((0, 1, 0), (0, 0, 1)),
     )
@@ -59,7 +58,6 @@ def test_enumeration_contains_the_five_rank_maximal_matchings(example):
 def test_enumeration_without_edges_uses_universal_seats_only():
     inst = Instance(
         type_sets=(frozenset(),) * 4,
-        priority=(0, 1, 2, 3),
         capacity=3,
         quotas=QuotaTable((0, 1), (0, 1)),
     )
@@ -102,7 +100,6 @@ def test_enumeration_has_no_duplicates_and_valid_matchings(example):
 def test_size_limits_enforced():
     big = Instance(
         type_sets=(frozenset(),) * 11,
-        priority=tuple(range(11)),
         capacity=1,
         quotas=QuotaTable((0,), (0,)),
     )
@@ -110,7 +107,6 @@ def test_size_limits_enforced():
         MatchingOracle(build_graph(big))
     wide = Instance(
         type_sets=(frozenset(),),
-        priority=(0,),
         capacity=2,
         quotas=QuotaTable((0, 6), (0, 5)),
     )
@@ -127,7 +123,6 @@ def test_oracle_signature_example(example):
 def test_oracle_signature_universal_only():
     inst = Instance(
         type_sets=(frozenset(),) * 5,
-        priority=tuple(range(5)),
         capacity=3,
         quotas=QuotaTable((0, 2), (0, 0)),
     )
@@ -147,11 +142,10 @@ def test_oracle_greedy_example(example):
 def test_oracle_greedy_zero_quotas():
     inst = Instance(
         type_sets=(frozenset({1}),) * 5,
-        priority=(4, 2, 0, 1, 3),
         capacity=2,
         quotas=QuotaTable((0, 0), (0, 0)),
     )
-    assert oracle_as_select(inst) == (4, 2)
+    assert oracle_as_select(inst) == (0, 1)
 
 
 def test_random_small_instances_are_valid_and_in_bounds():

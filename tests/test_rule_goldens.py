@@ -9,7 +9,9 @@ No generated pool has two type sets with the same pools (every type has a
 positive rank-1 quota), so one hand-built instance pins all six rules where
 such type sets share a class.  A second one, with 292 classes, pins the
 engine rules where a pool's classes arrive in an order other than class
-order.  A deliberate change of behaviour must update the pins and explain
+order.  Both draw their type sets, then shuffle them into priority order,
+and their pins name each student by their place in the draw
+(``with_old_ids``).  A deliberate change of behaviour must update the pins and explain
 itself in CHANGES.md.
 """
 
@@ -29,7 +31,9 @@ from reservematch import (
 )
 from reservematch.algorithms import outcome_to_json
 from reservematch.experiment import derive_seed
-from reservematch.model import serialize_instance
+from reservematch.model import gather, serialize_instance
+
+from conftest import with_old_ids
 
 # name: (n_students, capacity, psi_factor, seed)
 POOLS = {
@@ -121,33 +125,34 @@ MERGED = {
 }
 
 
-def merged_instance() -> Instance:
-    """40 students in a shuffled priority with a cutoff at 34; type 4 has
-    no seats at either rank, so {1, 4} reaches the same pools as {1}."""
+def merged_instance() -> tuple[Instance, list[int]]:
+    """40 students, shuffled into priority order, with a cutoff at 34, and
+    each one's place in the draw; type 4 has no seats at either rank, so
+    {1, 4} reaches the same pools as {1}."""
     rnd = random.Random(2024)
     n = 40
     type_sets = tuple(
         frozenset(t for t in (1, 2, 3, 4) if rnd.random() < 0.25) for _ in range(n)
     )
-    priority = list(range(n))
-    rnd.shuffle(priority)
-    return Instance(
-        type_sets=type_sets,
-        priority=tuple(priority),
+    old = list(range(n))
+    rnd.shuffle(old)
+    instance = Instance(
+        type_sets=gather(type_sets, old),
         capacity=12,
         quotas=QuotaTable((0, 3, 3, 2, 0), (0, 2, 2, 0, 0)),
         acceptable_count=34,
     )
+    return instance, old
 
 
 def test_merged_class_outputs_are_pinned():
-    instance = merged_instance()
+    instance, old = merged_instance()
     graph = build_graph(instance)
     type_sets = {instance.students[sid].types for sid in graph.students}
     assert len(graph.classes) < len(type_sets)  # some type sets share pools
     for tag, rule in ALGORITHMS.items():
         outcome = rule(instance)
-        assert (sha256(outcome_to_json(outcome)), repr(evaluate(instance, outcome))) == MERGED[tag], tag
+        assert (sha256(outcome_to_json(with_old_ids(outcome, old))), repr(evaluate(instance, outcome))) == MERGED[tag], tag
 
 
 # tag: (sha256 of outcome_to_json, repr of evaluate) on many_class_instance()
@@ -163,29 +168,30 @@ MANY_CLASS = {
 }
 
 
-def many_class_instance() -> Instance:
-    """400 students in a shuffled priority with a cutoff at 360, each
-    holding each of 12 types with probability 0.3, against 30 seats and
-    reserves of 2-4 (rank 1) and 1-3 (rank 2) per type."""
+def many_class_instance() -> tuple[Instance, list[int]]:
+    """400 students, shuffled into priority order, with a cutoff at 360,
+    each holding each of 12 types with probability 0.3, against 30 seats
+    and reserves of 2-4 (rank 1) and 1-3 (rank 2) per type; and each
+    student's place in the draw."""
     rnd = random.Random(4242)
     n = 400
     type_sets = tuple(
         frozenset(t for t in range(1, 13) if rnd.random() < 0.3) for _ in range(n)
     )
-    priority = list(range(n))
-    rnd.shuffle(priority)
-    return Instance(
-        type_sets=type_sets,
-        priority=tuple(priority),
+    old = list(range(n))
+    rnd.shuffle(old)
+    instance = Instance(
+        type_sets=gather(type_sets, old),
         capacity=30,
         quotas=QuotaTable((0, 2, 2, 2, 2, 4, 3, 2, 4, 3, 3, 3, 4), (0, 1, 2, 1, 2, 2, 1, 1, 1, 2, 2, 1, 3)),
         acceptable_count=360,
     )
+    return instance, old
 
 
 def test_many_class_outputs_are_pinned():
-    instance = many_class_instance()
+    instance, old = many_class_instance()
     assert len(build_graph(instance).classes) >= 100
     for tag, (digest, values) in MANY_CLASS.items():
         outcome = ALGORITHMS[tag](instance)
-        assert (sha256(outcome_to_json(outcome)), repr(evaluate(instance, outcome))) == (digest, values), tag
+        assert (sha256(outcome_to_json(with_old_ids(outcome, old))), repr(evaluate(instance, outcome))) == (digest, values), tag

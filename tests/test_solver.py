@@ -14,6 +14,7 @@ from reservematch import (
     signature,
 )
 from reservematch.graph import _build
+from reservematch.model import gather
 from reservematch.solver import InfeasibleForcedError, RankMaximalMatcher
 
 from conftest import make_example, random_instance
@@ -168,9 +169,9 @@ def high_reserve_instance(rnd: random.Random):
         frozenset(t for t in range(1, m + 1) if rnd.random() < 0.35)
         for _ in range(n)
     )
-    priority = list(range(n))
-    rnd.shuffle(priority)
-    return Instance(type_sets, tuple(priority), cap, QuotaTable((0, *rank1), (0, *rank2)))
+    order = list(range(n))
+    rnd.shuffle(order)
+    return Instance(gather(type_sets, order), cap, QuotaTable((0, *rank1), (0, *rank2)))
 
 
 # 466 and 714 start with pools where pinning needs a zero-cost cycle through
@@ -245,9 +246,9 @@ def test_try_force_with_everyone_pinned_accepts(example):
 @pytest.mark.parametrize(
     "forced, matched",
     [
-        ((), (4, 2, 0, 5)),  # no pins: the top four by priority
-        ((0, 5, 1, 3), (0, 5, 1, 3)),  # every matched unit pinned
-        ((3,), (4, 2, 0, 3)),  # the last member pinned, then the top three
+        ((), (0, 1, 2, 3)),  # no pins: the top four by priority
+        ((2, 3, 4, 5), (2, 3, 4, 5)),  # every matched unit pinned
+        ((5,), (0, 1, 2, 5)),  # the last member pinned, then the top three
     ],
 )
 def test_a_class_matches_its_pins_then_its_top_members(forced, matched):
@@ -255,7 +256,6 @@ def test_a_class_matches_its_pins_then_its_top_members(forced, matched):
     # before the universal ones; the cap of four leaves two unmatched
     inst = Instance(
         type_sets=(frozenset({1}),) * 6,
-        priority=(4, 2, 0, 5, 1, 3),
         capacity=4,
         quotas=QuotaTable((0, 2), (0, 0)),
     )
@@ -318,7 +318,7 @@ def test_select_equals_the_try_force_scan(example):
         cases.append((inst, (), None))
     late = gen_instance(SatGenConfig(capacity=20, seed=9, psi_factor=2.6154))
     cases += [(example, (5,), None), (late, late.acceptable[-3:], None)]
-    large = [many_class_instance(), many_type_instance()]
+    large = [many_class_instance()[0], many_type_instance()]
     for n in (800, 6400):
         for factor in ("1.0", "2.0", "2.6154"):
             large.append(gen_instance(SatGenConfig(capacity=n // 2, seed=n + 1, n_students=n, psi_factor=factor)))
@@ -341,7 +341,7 @@ def many_type_instance() -> Instance:
     capacity 800 and 20 seats per type and rank: 1,450 classes."""
     rnd = random.Random(0)
     type_sets = tuple(frozenset(t for t in range(1, 17) if rnd.random() < 0.3) for _ in range(1600))
-    return Instance(type_sets, tuple(range(1600)), 800, QuotaTable((0,) + (20,) * 16, (0,) + (20,) * 16))
+    return Instance(type_sets, 800, QuotaTable((0,) + (20,) * 16, (0,) + (20,) * 16))
 
 
 def chosen_in_one_pass(matcher, c) -> tuple:
