@@ -18,7 +18,7 @@ from itertools import chain, repeat
 from operator import attrgetter, contains
 
 from .algorithms import Outcome
-from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, _percentile_table, _strays, gather
+from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, _ids_and_percentiles, _strays, gather
 
 METRICS = ("p1", "p2", "p3")
 
@@ -63,7 +63,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     capacity = instance.capacity
     rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
     n_types = len(rank1)
-    percentile = _percentile_table(len(instance.type_sets))
+    percentile = _ids_and_percentiles(len(instance.type_sets))[1]
     rows = outcome.matching.rows
     if rows is None:
         raise OutcomeError("outcome's matching has no seat rows: build it with Matching(rows=...)")

@@ -14,9 +14,10 @@ and valid by construction: bad fields raise :class:`InstanceFormatError`.
 The pools of a sweep share their size.  So the ids ``0..n-1``
 (``Instance.priority``) are one tuple per size, and the priority
 percentiles that ``evaluate`` reads are one table per size whose keys are
-that tuple's objects; both are kept in small bounded caches, shared by
-every instance of that size, and read only.  The rules return ids taken
-from the shared tuple, so a table lookup finds its key by identity.
+that tuple's objects; the two are one entry of a small bounded cache, so
+they are evicted together, shared by every instance of that size, and
+read only.  The rules return ids taken from the shared tuple, so a table
+lookup finds its key by identity.
 
 The pool path looks students up in bulk, never one element at a time
 through a bound ``__getitem__``: :func:`gather` takes any number of
@@ -217,7 +218,7 @@ class Instance:
     def priority(self) -> tuple[StudentId, ...]:
         """Every student, highest priority first: the ids ``0..n-1``, one
         tuple shared by the instances of a size."""
-        return _ids(len(self.type_sets))
+        return _ids_and_percentiles(len(self.type_sets))[0]
 
     @property
     def acceptable(self) -> tuple[StudentId, ...]:
@@ -226,19 +227,15 @@ class Instance:
 
 
 @lru_cache(maxsize=8)
-def _ids(n: int) -> tuple[StudentId, ...]:
-    """The ids of ``n`` students, ``0..n-1``: the priority of every
-    instance of that size.  Read only."""
-    return tuple(range(n))
-
-
-@lru_cache(maxsize=8)
-def _percentile_table(n: int) -> dict[StudentId, float]:
-    """The priority percentile of each of ``n`` students, the top one
-    scoring 100.  Its keys are the objects of :func:`_ids`, which the
-    rules' selections hold, so a lookup matches them by identity.  Read
+def _ids_and_percentiles(n: int) -> tuple[tuple[StudentId, ...], dict[StudentId, float]]:
+    """The ids of ``n`` students, ``0..n-1``, which are the priority of
+    every instance of that size, and the priority percentile of each, the
+    top one scoring 100.  The percentiles are keyed by the objects of the
+    ids, which the rules' selections hold, so a lookup matches them by
+    identity; one entry holds both, so they are evicted together.  Read
     only."""
-    return {sid: 100.0 * (n - sid) / n for sid in _ids(n)}
+    ids = tuple(range(n))
+    return ids, {sid: 100.0 * (n - sid) / n for sid in ids}
 
 
 def gather(seq: Any, indices: Sequence[Any]) -> tuple[Any, ...]:

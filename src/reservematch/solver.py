@@ -62,14 +62,14 @@ cycle is dropped then; a failed search does not replace it.
 
 The rules' greedy scan runs inside the engine: ``select`` walks the
 graph's positions in priority order through one pin loop, and
-``try_force`` is the same loop on one student.  The map from ids to
-positions is built only when a caller pins by id, through ``forced`` or
-``try_force``.
+``try_force`` is the same loop on one student.  A caller that pins by id,
+through ``forced`` or ``try_force``, has the id found by bisection in the
+graph's students, which are ascending ids.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -172,16 +172,12 @@ class RankMaximalMatcher:
             self._potential = self._potentials()
             self._admit(self._potential)
 
-    @cached_property
-    def _index(self) -> dict[StudentId, int]:
-        # built only when a caller pins by id: the scan walks positions
-        return {sid: i for i, sid in enumerate(self._graph.students)}
-
     def _position(self, sid: StudentId) -> int:
-        """Position of ``sid`` in the graph, which holds only ids that
-        are exactly an ``int`` (:func:`~reservematch.model._is_int`)."""
-        i = self._index.get(sid) if _is_int(sid) else None
-        if i is None:
+        """Position of ``sid`` in the graph, whose students are ascending
+        ids, each exactly an ``int`` (:func:`~reservematch.model._is_int`)."""
+        students = self._graph.students
+        i = bisect_left(students, sid) if _is_int(sid) else len(students)
+        if i == len(students) or students[i] != sid:
             raise ValueError(f"forced student {sid} is not in the graph")
         return i
 

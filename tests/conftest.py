@@ -1,4 +1,6 @@
 import random
+import signal
+import threading
 import time
 from enum import IntEnum
 from pathlib import Path
@@ -29,6 +31,32 @@ def make_example() -> Instance:
         quotas=QuotaTable((0, 1, 1, 0, 0), (0, 0, 0, 1, 1)),
         type_names=("t1", "t2", "t3", "t4"),
     )
+
+
+# seconds any one test may run; the slowest takes a few
+TEST_TIME_BOUND_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_bound(request):
+    """Fail a test that runs past ``TEST_TIME_BOUND_S`` with a
+    ``TimeoutError`` naming it, instead of hanging the suite.  POSIX only,
+    and only in the main thread, where signals are delivered; a forked
+    sweep worker does not inherit the timer."""
+    if not hasattr(signal, "setitimer") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{request.node.nodeid} ran past {TEST_TIME_BOUND_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_BOUND_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import reservematch
 from reservematch import ALGORITHMS, Matching, SatGenConfig, SettingsError, load_instance, serialize_instance
 from reservematch import experiment
 from reservematch.cli import main
@@ -124,6 +128,15 @@ def test_invalid_instance_is_runtime_error(tmp_path, capsys, field):
 
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
+
+
+def test_module_entry_point_prints_usage():
+    src = str(Path(reservematch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "reservematch.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: reservematch ")
 
 
 def sweep_args(out_dir, seed="7"):
@@ -308,6 +321,17 @@ def test_run_experiment_rejects_non_integer_settings(tmp_path, settings):
     with pytest.raises(SettingsError):
         run_experiment(ExperimentSpec(**{**fields, **settings}), progress=False)
     assert not (tmp_path / "x").exists()
+
+
+def test_sweep_reports_each_cell_unless_quiet(tmp_path, capsys):
+    spec = ExperimentSpec(out_dir=tmp_path / "loud", n_students=30, capacities=(5, 10), seeds_per_cell=1)
+    lines = ["[sweep] cell 1/2 done\n", "[sweep] cell 2/2 done\n"]
+    run_experiment(spec, progress=True)
+    assert capsys.readouterr().err == "".join(lines)
+    quiet = ["sweep", "--out", str(tmp_path / "quiet"), "--n", "30", "--qc", "5,10", "--seeds-per-cell", "1", "--quiet"]
+    assert main(quiet) == 0
+    err = capsys.readouterr().err
+    assert err and not any(line in err for line in lines)  # it still names the files it wrote
 
 
 def test_single_instance_smoke_sweep_is_fast(tmp_path):

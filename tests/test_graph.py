@@ -11,6 +11,7 @@ from reservematch import (
     RankMaximalMatcher,
     RankSignature,
     SatGenConfig,
+    Seat,
     SeatPool,
     build_graph,
     gen_instance,
@@ -312,6 +313,19 @@ def test_pool_tables_are_shared_and_equal_a_fresh_build():
             assert g.classes == grouped_by_pools(inst, g)
             empty_rank += any(a == 0 or b == 0 for a, b in zip(quotas.rank1[1:], quotas.rank2[1:]))
     assert empty_rank > 100
+
+
+def test_matching_repr_shows_the_form_it_was_built_from():
+    assert repr(Matching(rows={(1, 1): [4], (0, 3): [0, 5]})) == "Matching(rows={(1, 1): [4], (0, 3): [0, 5]})"
+    pairs = frozenset({(4, Seat(1, 1, 0))})
+    assert repr(Matching(pairs)) == "Matching(frozenset({(4, Seat(type=1, rank=1, index=0))}))"
+
+
+def test_a_matching_equals_no_other_kind_of_object():
+    m = Matching(rows={(0, 3): [0]})
+    assert m.__eq__(object()) is NotImplemented
+    assert (m == object()) is False
+    assert m != m.pairs  # not even its own pairs
 
 
 def test_signature_counts_rows():

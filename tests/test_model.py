@@ -19,7 +19,7 @@ from reservematch import (
     parse_instance,
     serialize_instance,
 )
-from reservematch.model import InstanceFormatError, _percentile_table, gather
+from reservematch.model import InstanceFormatError, _ids_and_percentiles, gather
 
 from conftest import Id, Ids, make_example, random_instance
 
@@ -312,18 +312,31 @@ def test_percentile_table_is_shared_per_size():
         QuotaTable((0, 20, 10, 5, 0), (0, 10, 10, 0, 5)),
         acceptable_count=320,
     )
-    ids, table = a.priority, _percentile_table(n)
+    ids, table = a.priority, _ids_and_percentiles(n)[1]
     assert ids == tuple(range(n))
     assert [x.hex() for x in table.values()] == [(100.0 * (n - sid) / n).hex() for sid in range(n)]
     assert all(map(is_, table, ids))
     for inst in (a, b, parse_instance(serialize_instance(b)), hand_built):
-        assert inst.priority is ids and _percentile_table(inst.n_students) is table
+        assert inst.priority is ids and _ids_and_percentiles(inst.n_students)[1] is table
         for rule in ALGORITHMS.values():
             out = rule(inst)
             seated = [*chain.from_iterable(out.matching.rows.values())]
             assert all(map(is_, out.selected, gather(ids, out.selected))), out.algorithm
             assert all(map(is_, seated, gather(ids, seated))), out.algorithm
-    assert _percentile_table(n + 1) is not table
+    assert _ids_and_percentiles(n + 1)[1] is not table
+
+
+def test_ids_and_percentiles_are_evicted_together():
+    # reading the ids of more sizes than the cache holds evicts the table
+    # of a size with them, so the table evaluate reads next is still keyed
+    # by the objects of that size's ids: a lookup never falls back to ==
+    n = 800
+    inst = gen_instance(SatGenConfig(capacity=400, seed=3, n_students=n))
+    values = evaluate(inst, ALGORITHMS["as"](inst))
+    for size in range(300, 309):
+        Instance((frozenset(),) * size, 1, QuotaTable((0,), (0,))).priority
+    assert all(map(is_, _ids_and_percentiles(n)[1], inst.priority))
+    assert evaluate(inst, ALGORITHMS["as"](inst)) == values
 
 
 def test_percentile_table_of_hand_built_instances():
@@ -336,7 +349,7 @@ def test_percentile_table_of_hand_built_instances():
         if rnd.random() < 0.5:
             inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
         n = inst.n_students
-        assert _percentile_table(n) == {sid: 100.0 * (n - sid) / n for sid in range(n)}
+        assert _ids_and_percentiles(n)[1] == {sid: 100.0 * (n - sid) / n for sid in range(n)}
         for rule in ALGORITHMS.values():
             out = rule(inst)
             pcts = [100.0 * (n - sid) / n for sid in out.selected]

@@ -1,5 +1,8 @@
 import ast
+import contextlib
 import importlib
+import io
+import re
 from pathlib import Path
 
 import reservematch
@@ -123,3 +126,17 @@ def test_every_public_method_has_a_caller():
         callers = benchmark.union(*(attribute_reads(other) for other in modules if other != path))
         uncalled += [f"{path.stem}.{name}" for name in sorted(public_methods(path) - callers)]
     assert uncalled == []
+
+
+def test_readme_library_use_prints_what_its_comments_say():
+    # the block runs as written, and a print whose comment is a value
+    # prints that value
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(comments) == 3
+    assert printed[:2] == comments[:2] == ["(1, 3, 4)", "RankSignature(rank1=2, rank2=1, rank3=0)"]

@@ -211,12 +211,13 @@ def test_matcher_seats_are_well_formed(example):
 
 
 def test_forced_student_outside_the_graph_is_rejected(example):
-    g = build_graph(example, {0, 1})
-    # True and 1.0 hash like student 1, but no id is a bool or a float
-    for forced in ([3], [0, 99], [True], [0, 1.0]):
+    g = build_graph(example, {0, 1, 4})
+    # 3 falls between the graph's ids; True and 1.0 hash like student 1,
+    # but no id is a bool or a float
+    for forced in ([3], [0, 99], [-1], [True], [0, 1.0]):
         with pytest.raises(ValueError, match="not in the graph"):
             RankMaximalMatcher(g, forced)
-    for sid in (3, True, 1.0):
+    for sid in (3, -1, True, 1.0):
         with pytest.raises(ValueError, match=f"forced student {sid} is not in the graph"):
             RankMaximalMatcher(g).try_force(sid)
 
