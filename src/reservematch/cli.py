@@ -72,7 +72,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--psi-factors", type=_str_list, help="comma-separated reserve factors")
     sweep.add_argument("--seeds-per-cell", type=int)
     sweep.add_argument("--seed", dest="master_seed", type=int, help="master seed")
-    sweep.add_argument("--algos", dest="algorithms", type=_str_list)
     sweep.add_argument("--jobs", type=int)
     sweep.add_argument("--quiet", action="store_true", default=False)
 

@@ -65,19 +65,16 @@ class ExperimentSpec:
     psi_factors: tuple[str, ...] = ("1.0",)
     seeds_per_cell: int = 100
     master_seed: int = 1729
-    algorithms: tuple[str, ...] = tuple(ALGORITHMS)
 
     def __post_init__(self) -> None:
         # first, as Instance does: a list would stay mutable, and a generator has no length
-        for name in ("capacities", "psi_factors", "algorithms"):
+        for name in ("capacities", "psi_factors"):
             if not isinstance(getattr(self, name), tuple):
                 raise SettingsError(f"{name} must be a tuple, got a {type(getattr(self, name)).__name__}")
         if not self.capacities:
             raise SettingsError("no capacities given")
         if not self.psi_factors:
             raise SettingsError("no reserve factors given")
-        if not self.algorithms:
-            raise SettingsError("no algorithms given")
         for factor in self.psi_factors:
             for qc in self.capacities:
                 SatGenConfig(capacity=qc, seed=0, n_students=self.n_students, psi_factor=factor)
@@ -93,11 +90,6 @@ class ExperimentSpec:
             raise SettingsError("seeds_per_cell must be an integer >= 1")
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise SettingsError("master_seed must be an integer >= 0")
-        for tag in self.algorithms:
-            if not isinstance(tag, str) or tag not in ALGORITHMS:
-                raise SettingsError(f"unknown algorithm tag {tag!r}")
-        if len(set(self.algorithms)) != len(self.algorithms):
-            raise SettingsError("an algorithm tag is given twice")
 
 
 def derive_seed(master_seed: int, factor_index: int, capacity_index: int, replicate: int) -> int:
@@ -110,20 +102,15 @@ def derive_seed(master_seed: int, factor_index: int, capacity_index: int, replic
 
 def _cell_rows(args: tuple) -> list[dict]:
     """Run one cell and return its per-instance rows (worker function)."""
-    n_students, factor, qc, seeds, algorithms = args
+    n_students, factor, qc, seeds = args
     rows: list[dict] = []
     for replicate, seed in enumerate(seeds):
         config = SatGenConfig(capacity=qc, seed=seed, n_students=n_students, psi_factor=factor)
         instance = gen_instance(config)
-        values = {}
-        selected = {}
-        for tag in algorithms:
-            outcome = ALGORITHMS[tag](instance)
-            values[tag] = evaluate(instance, outcome)
-            selected[tag] = outcome.selected
+        outcomes = {tag: rule(instance) for tag, rule in ALGORITHMS.items()}
+        values = {tag: evaluate(instance, outcome) for tag, outcome in outcomes.items()}
         opts = suite_optimum(values)
-        for tag in algorithms:
-            v = values[tag]
+        for tag, v in values.items():
             rows.append(
                 {
                     "psi_factor": factor,
@@ -138,7 +125,7 @@ def _cell_rows(args: tuple) -> list[dict]:
                     "ratio_p1": f"{ratio(v.p1, opts['p1']):.6f}",
                     "ratio_p2": f"{ratio(v.p2, opts['p2']):.6f}",
                     "ratio_p3": f"{ratio(v.p3, opts['p3']):.6f}",
-                    "selected": " ".join(map(str, selected[tag])),
+                    "selected": " ".join(map(str, outcomes[tag].selected)),
                 }
             )
     return rows
@@ -177,10 +164,12 @@ def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> N
 def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -> dict[str, Path]:
     """Execute a sweep and write its result files.
 
-    Returns the paths of the written files.  With ``jobs > 1`` cells run in
-    separate processes; rows are assembled in cell order either way, so the
-    outputs do not depend on the degree of parallelism.  ``jobs < 1``
-    raises :class:`SettingsError` before any cell runs.
+    Returns the paths of the written files.  Every cell runs the six rules
+    of ``ALGORITHMS``.  With ``jobs > 1`` cells run in separate processes,
+    at most one per cell (a single cell runs in this process); rows are
+    assembled in cell order either way, so the outputs do not depend on the
+    degree of parallelism.  ``jobs < 1`` raises :class:`SettingsError`
+    before any cell runs.
     """
     if not _is_int(jobs) or jobs < 1:
         raise SettingsError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -192,7 +181,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
     for fi, factor in enumerate(spec.psi_factors):
         for qi, qc in enumerate(spec.capacities):
             seeds = [derive_seed(spec.master_seed, fi, qi, r) for r in range(spec.seeds_per_cell)]
-            cells.append((spec.n_students, factor, qc, seeds, spec.algorithms))
+            cells.append((spec.n_students, factor, qc, seeds))
             quotas = gen_quotas(qc, factor)
             reserves = sum(quotas.rank1) + sum(quotas.rank2)
             manifest_cells.append(
@@ -200,7 +189,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
             )
 
     rows: list[dict] = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, len(cells))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         cell_map = pool.map if pool is not None else map
         for i, cell_rows in enumerate(cell_map(_cell_rows, cells)):
             rows.extend(cell_rows)
@@ -218,7 +208,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
         "psi_factors": list(spec.psi_factors),
         "seeds_per_cell": spec.seeds_per_cell,
         "master_seed": spec.master_seed,
-        "algorithms": list(spec.algorithms),
+        "algorithms": list(ALGORITHMS),
         "seed_scheme": "numpy SeedSequence(master_seed, spawn_key=(factor_index, capacity_index, replicate))",
         "cells": manifest_cells,
         "package_version": __version__,

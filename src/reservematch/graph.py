@@ -84,18 +84,10 @@ class Matching:
             pairs += zip(row, map(Seat, repeat(t), repeat(rank), range(len(row))))
         return frozenset(pairs)
 
-    def __len__(self) -> int:
-        if self.rows is None:
-            return len(self.pairs)
-        return sum(map(len, self.rows.values()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
         return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
 
     def __repr__(self) -> str:
         if self.rows is None:
@@ -106,8 +98,8 @@ class Matching:
 def signature(matching: Matching) -> RankSignature:
     """Count matched seats by rank; universal-type seats count as rank 3.
     Raises ``ValueError`` unless its rows are a mapping whose keys are
-    (type, rank) pairs of exactly ``int`` values with a rank of 1, 2 or 3,
-    and whose rows are sequences."""
+    (type, rank) pairs of exactly ``int`` values, the universal type at
+    rank 3 and any other type at rank 1 or 2, and whose rows are sequences."""
     rows = matching.rows
     if rows is None:
         raise ValueError("signature counts seat rows: build the matching with Matching(rows=...)")
@@ -115,9 +107,10 @@ def signature(matching: Matching) -> RankSignature:
         raise ValueError(f"signature counts seat rows: a {type(rows).__name__} is no mapping of pools to rows")
     counts = [0, 0, 0]
     for key, row in rows.items():
-        # as evaluate: (None, 3) or (True, 1) is no pool; a rank of 0 would count as rank 3
-        if type(key) is not tuple or len(key) != 2 or _strays(key) or not 1 <= key[1] <= 3:
-            raise ValueError(f"signature counts seat rows: pool {key!r} is no (type, rank) pair of rank 1, 2 or 3")
+        # as evaluate: (None, 3), (True, 1), (1, 3) and (0, 1) are no pools; a rank of 0 would count as rank 3
+        if type(key) is not tuple or len(key) != 2 or _strays(key) or key[1] not in ((3,) if key[0] == UNIVERSAL_TYPE else (1, 2)):
+            raise ValueError(f"signature counts seat rows: pool {key!r} is no (type, rank) pair of ints"
+                             " with rank 3 for the universal type and 1 or 2 for any other")
         # as evaluate: a row lists its students in seat order, and a set or an iterator has none
         if not isinstance(row, Sequence):
             raise ValueError(f"signature counts seat rows: pool {key!r} holds a {type(row).__name__}, not a sequence in seat order")

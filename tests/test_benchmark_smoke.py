@@ -8,10 +8,11 @@ perfbench imports ``ALGORITHMS``, ``SatGenConfig``, ``gen_instance``,
 ``priority``, ``acceptable`` and ``students``, and drives the rules from
 outside the package, so an API change that breaks it fails here, not only
 when the benchmark is next run.  ``tests/test_public_api.py`` checks that each of
-these names resolves.
+these names resolves, and the benchmark's own checker tests run here too.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,11 @@ def test_short_benchmark_run_is_correct(trace):
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc["correct"] is True and doc["failed"] == 0, proc.stderr[-2000:]
     assert doc["attempted"] > 0 and doc["metrics"]
+
+
+def test_benchmark_checker_tests_pass():
+    # they build Matching(pairs) and Seat and read Instance.students, as the checker does
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/test_perfbench.py", "-k", "reject"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert re.search(r"\b4 passed\b", proc.stdout), proc.stdout[-2000:]

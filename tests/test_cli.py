@@ -189,6 +189,7 @@ def test_sweep_outputs_and_determinism(tmp_path):
     m2 = json.loads((second / "manifest.json").read_text())
     m1.pop("created_unix"), m2.pop("created_unix")
     assert m1 == m2
+    assert m1["algorithms"] == list(ALGORITHMS)
 
 
 def test_sweep_different_master_seed_differs(tmp_path):
@@ -211,8 +212,6 @@ def test_sweep_rejects_capacity_above_pool(tmp_path):
         "--psi-factors=-2",
         "--jobs=0",
         "--jobs=-3",
-        "--algos=,",
-        "--algos=as,as",
         "--seed=-1",
         "--qc=5,5",
         "--psi-factors=1.0,1.0",
@@ -224,6 +223,15 @@ def test_sweep_rejects_bad_input_before_any_cell(tmp_path, extra):
     out = tmp_path / "x"
     rc = main(["sweep", "--out", str(out), "--n", "30", "--qc", "5", "--seeds-per-cell", "1", "--quiet", extra])
     assert rc == 1
+    assert not out.exists()
+
+
+def test_sweep_has_no_algorithm_subset_flag(tmp_path, capsys):
+    # every rule is scored against the best of the whole suite, so a sweep runs all six
+    out = tmp_path / "x"
+    rc = main(["sweep", "--out", str(out), "--n", "30", "--qc", "5", "--seeds-per-cell", "1", "--quiet", "--algos", "as"])
+    assert rc == 1
+    assert "unrecognized arguments: --algos as" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -263,7 +271,6 @@ def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
 @pytest.mark.parametrize(
     "settings, message",
     [
-        ({"algorithms": ()}, "no algorithms given"),
         ({"capacities": (5, 31)}, "capacity 31 must be an integer in [1, 30]"),
         ({"capacities": (5, 5)}, "a capacity is given twice"),
         ({"psi_factors": ("2", "2.0")}, "a reserve factor is given twice"),
@@ -271,12 +278,9 @@ def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
         ({"n_students": 0}, "n_students must be an integer >= 1, got 0"),
         ({"seeds_per_cell": 0}, "seeds_per_cell must be an integer >= 1"),
         ({"master_seed": -1}, "master_seed must be an integer >= 0"),
-        ({"algorithms": ("as", "xx")}, "unknown algorithm tag 'xx'"),
-        ({"algorithms": ("as", "as")}, "an algorithm tag is given twice"),
         # a list stayed mutable after the checks, and a generator had no length
         ({"capacities": [5]}, "capacities must be a tuple, got a list"),
         ({"psi_factors": ["1.0"]}, "psi_factors must be a tuple, got a list"),
-        ({"algorithms": ["as"]}, "algorithms must be a tuple, got a list"),
         ({"capacities": (qc for qc in (5,))}, "capacities must be a tuple, got a generator"),
         # the factor's text names a plot file
         ({"psi_factors": ("1.0", "1/2")}, "reserve factor '1/2' holds a '/', which no plot file name can; give it as a decimal"),
@@ -312,7 +316,6 @@ def test_run_experiment_rejects_zero_jobs(tmp_path):
         {"seeds_per_cell": True},
         {"master_seed": 1.5},
         {"psi_factors": (True,)},
-        {"algorithms": (["as"],)},
     ],
 )
 def test_run_experiment_rejects_non_integer_settings(tmp_path, settings):
@@ -391,9 +394,34 @@ def test_parallel_sweep_is_byte_identical(tmp_path):
         master_seed=3,
     )
     run_experiment(spec2, jobs=2, progress=False)
-    assert (tmp_path / "serial" / "per_instance.csv").read_bytes() == (
-        tmp_path / "parallel" / "per_instance.csv"
-    ).read_bytes()
+    for name in ("per_instance.csv", "ratios.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+
+
+def test_a_sweep_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    # a pool starts all its workers at the first submit, so --jobs 64 forked 64 processes for 9 cells
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    spec = ExperimentSpec(out_dir=tmp_path / "two", n_students=20, capacities=(5, 10), seeds_per_cell=1)
+    run_experiment(spec, jobs=50, progress=False)
+    assert asked == [2]
+    run_experiment(replace(spec, out_dir=tmp_path / "one", capacities=(5,)), jobs=50, progress=False)
+    assert asked == [2]
+    assert (tmp_path / "one" / "per_instance.csv").exists()
 
 
 def test_serial_sweep_runs_each_cell_once(tmp_path, monkeypatch):

@@ -161,7 +161,7 @@ def test_a_changed_pool_setting_is_refused_or_works():
 def test_a_changed_sweep_setting_is_refused_or_works(tmp_path):
     rnd = random.Random(2912)
     names = {"n_students": "n_students", "capacities": "capacit", "psi_factors": "factor",
-             "seeds_per_cell": "seeds_per_cell", "master_seed": "master_seed", "algorithms": "algorithm"}
+             "seeds_per_cell": "seeds_per_cell", "master_seed": "master_seed"}
     refused = built = 0
     for case in range(300):
         n = rnd.randint(2, 8)
@@ -171,7 +171,6 @@ def test_a_changed_sweep_setting_is_refused_or_works(tmp_path):
             "psi_factors": tuple(rnd.sample(("1.0", "2.0", "2.6154"), rnd.randint(1, 2))),
             "seeds_per_cell": 1,
             "master_seed": rnd.randrange(1000),
-            "algorithms": tuple(rnd.sample(list(ALGORITHMS), rnd.randint(1, 3))),
         }
         field = rnd.choice(list(fields))
         value = fields[field]

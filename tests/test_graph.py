@@ -96,13 +96,17 @@ def test_signature_counts():
 
 
 @pytest.mark.parametrize(
-    "key", [(1, 0), (1, True), (1, 5), (1, 2.0), (1,), 5, (None, 3), (True, 1), ("a", 1), (1.0, 2)]
+    "key", [(1, 0), (1, True), (1, 5), (1, 2.0), (1,), 5, (None, 3), (True, 1), ("a", 1), (1.0, 2), (1, 3), (0, 1), (0, 2)]
 )
 def test_signature_refuses_a_rank_it_cannot_count(key):
     # rank 0 was counted as rank 3 and True as rank 1; 5 raised an
     # IndexError and 2.0 a TypeError; a type of None, True, "a" or 1.0 was
-    # counted, and outcome_to_json wrote it as given
-    message = re.escape(f"signature counts seat rows: pool {key!r} is no (type, rank) pair of rank 1, 2 or 3")
+    # counted, and outcome_to_json wrote it as given; (1, 3) was counted as
+    # rank 3 and (0, 1) and (0, 2) as rank 1 and 2, though no instance has them
+    message = re.escape(
+        f"signature counts seat rows: pool {key!r} is no (type, rank) pair of ints"
+        " with rank 3 for the universal type and 1 or 2 for any other"
+    )
     with pytest.raises(ValueError, match=message):
         signature(Matching(rows={(0, 3): [0], key: [1]}))
     with pytest.raises(ValueError, match=message):

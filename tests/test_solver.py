@@ -74,9 +74,9 @@ def test_compatibility_examples(example):
 
 def test_matching_size_is_min_of_cap_and_students(example):
     g = build_graph(example)
-    assert len(RankMaximalMatcher(g).matching()) == 3
+    assert sum(signature(RankMaximalMatcher(g).matching())) == 3
     small = build_graph(example, {0, 1})
-    assert len(RankMaximalMatcher(small).matching()) == 2
+    assert sum(signature(RankMaximalMatcher(small).matching())) == 2
 
 
 def test_determinism(example):
