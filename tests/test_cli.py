@@ -424,6 +424,21 @@ def test_a_sweep_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
     assert (tmp_path / "one" / "per_instance.csv").exists()
 
 
+def test_a_one_cell_sweep_with_many_jobs_matches_a_serial_one(tmp_path):
+    # one cell runs in this process whatever --jobs says, and writes the same bytes
+    spec = ExperimentSpec(out_dir=tmp_path / "serial", n_students=25, capacities=(5,), seeds_per_cell=2, master_seed=3)
+    run_experiment(spec, jobs=1, progress=False)
+    run_experiment(replace(spec, out_dir=tmp_path / "jobs4"), jobs=4, progress=False)
+    for name in ("per_instance.csv", "ratios.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "jobs4" / name).read_bytes()
+
+
+def test_a_sweep_spec_takes_no_algorithm_subset(tmp_path):
+    # every cell runs the whole suite, whose best each rule's ratios are taken against
+    with pytest.raises(TypeError, match="algorithms"):
+        ExperimentSpec(out_dir=tmp_path / "x", algorithms=("as",))
+
+
 def test_serial_sweep_runs_each_cell_once(tmp_path, monkeypatch):
     calls = []
     cell_rows = experiment._cell_rows
