@@ -28,7 +28,7 @@ from itertools import compress
 from typing import Any, Callable, Sequence
 
 from .graph import Matching, _build, signature
-from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, gather
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE
 from .solver import RankMaximalMatcher
 
 
@@ -47,19 +47,15 @@ def _greedy_scan(instance: Instance, quotas: QuotaTable | None = None) -> tuple[
     until the capacity is reached.  The scan runs inside the engine
     (:meth:`RankMaximalMatcher.select`), over the graph's positions, which
     are the acceptable students in priority order; returns the chosen
-    positions and the matcher."""
+    positions, which are their ids, and the matcher."""
     matcher = RankMaximalMatcher(_build(instance, None, quotas))
     return matcher.select(), matcher
-
-
-def _ids(instance: Instance, positions: list[int]) -> tuple[StudentId, ...]:
-    return gather(instance.acceptable, positions)
 
 
 def a_s_select(instance: Instance) -> Outcome:
     """Highest-priority students compatible with a rank-maximal matching."""
     chosen, matcher = _greedy_scan(instance)
-    return Outcome("as", _ids(instance, chosen), matcher.matching())
+    return Outcome("as", tuple(chosen), matcher.matching())
 
 
 def sy1_select(instance: Instance) -> Outcome:
@@ -69,7 +65,7 @@ def sy1_select(instance: Instance) -> Outcome:
     """
     reduced = QuotaTable(instance.quotas.rank1, (0,) * instance.n_types)
     chosen, matcher = _greedy_scan(instance, reduced)
-    return Outcome("sy1", _ids(instance, chosen), matcher.matching())
+    return Outcome("sy1", tuple(chosen), matcher.matching())
 
 
 def sy2_select(instance: Instance) -> Outcome:

@@ -229,7 +229,8 @@ def _read_ratios(path: Path, metric: str, column: str) -> list[dict]:
     """The rows of ``ratios.csv`` for ``metric``, each checked for the
     columns a plot table reads: a known rule in ``algorithm``, a reserve
     factor in ``psi_factor``, a finite number in ``column`` and an integer
-    ``qc``, which the row then holds as an ``int``."""
+    ``qc``, which the row then holds as an ``int``; no two rows share a
+    reserve factor, capacity and rule."""
     needed = ("psi_factor", "qc", "algorithm", "metric", column)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -238,6 +239,7 @@ def _read_ratios(path: Path, metric: str, column: str) -> list[dict]:
             if name not in header:
                 raise ResultsFormatError(f"{path}, line 1: no column {name!r}")
         rows = []
+        first: dict[tuple[str, int, str], int] = {}  # (psi_factor, qc, algorithm) -> line
         for row in reader:
             where = f"{path}, line {reader.line_num}"
             for name in needed:
@@ -262,6 +264,11 @@ def _read_ratios(path: Path, metric: str, column: str) -> list[dict]:
                     raise ValueError
             except ValueError:
                 raise ResultsFormatError(f"{where}, column {column!r}: not a number: {row[column]!r}") from None
+            key = (row["psi_factor"], row["qc"], row["algorithm"])
+            if key in first:
+                raise ResultsFormatError(f"{where}: repeats line {first[key]}:"
+                                         f" psi_factor {key[0]}, qc {key[1]}, rule {key[2]!r}, metric {metric!r}")
+            first[key] = reader.line_num
             rows.append(row)
     return rows
 
@@ -271,8 +278,8 @@ def emit_plot_data(results_dir: Path, metric: str, case: str, out_dir: Path | No
 
     Rows are capacities, columns are algorithms, values are the chosen
     ratio (``case`` is ``avg`` or ``worst``).  A ``ratios.csv`` that lacks
-    a needed column or a cell's rule, or names an unknown rule, raises
-    :class:`ResultsFormatError`.
+    a needed column or a cell's rule, names an unknown rule, or repeats a
+    cell's rule, raises :class:`ResultsFormatError`.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, _strays, gather, group_by_types
+from .model import Instance, QuotaTable, StudentId, TypeId, UNIVERSAL_TYPE, _strays, group_by_types
 
 
 class Seat(NamedTuple):
@@ -199,7 +199,7 @@ def _build(instance: Instance, positions: Sequence[int] | None, quotas: QuotaTab
         members = instance.acceptable
         by_types = instance.type_groups
     else:
-        members = gather(instance.priority, positions)
+        members = tuple(positions)
         by_types = group_by_types(instance.type_sets, members)
     if quotas is None:
         quotas = instance.quotas

@@ -14,11 +14,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter, contains
 
 from .algorithms import Outcome
-from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, _ids_and_percentiles, _strays, gather
+from .model import Instance, StudentId, TypeId, UNIVERSAL_TYPE, _strays, gather
 
 METRICS = ("p1", "p2", "p3")
 
@@ -42,6 +43,13 @@ class OutcomeError(ValueError):
     """An outcome that is not a valid seating of its instance."""
 
 
+@lru_cache(maxsize=8)
+def _percentiles(n: int) -> tuple[float, ...]:
+    """The priority percentiles of ``n`` students by id, 100 (n - id) / n:
+    the top one scores 100, and they fall as the id grows.  Read only."""
+    return tuple(100.0 * (n - sid) / n for sid in range(n))
+
+
 def _pool_label(t: object, rank: object) -> str:
     return f"t{t}:r{rank}"
 
@@ -63,7 +71,7 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     capacity = instance.capacity
     rank1, rank2 = instance.quotas.rank1, instance.quotas.rank2
     n_types = len(rank1)
-    percentile = _ids_and_percentiles(len(instance.type_sets))[1]
+    n = len(instance.type_sets)
     rows = outcome.matching.rows
     if rows is None:
         raise OutcomeError("outcome's matching has no seat rows: build it with Matching(rows=...)")
@@ -98,8 +106,10 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
     if _strays(seated):
         raise OutcomeError(f"outcome references unknown student {_strays(seated)[0]!r}")
     matched = set(seated)
-    if not percentile.keys() >= matched:
-        raise OutcomeError(f"outcome references unknown student {min(matched - percentile.keys())}")
+    # an id is a position, so every id is known iff both ends are; no seat gives hi < lo
+    lo, hi = min(matched, default=0), max(matched, default=-1)
+    if lo < 0 or hi >= n:
+        raise OutcomeError(f"outcome references unknown student {min(sid for sid in matched if not 0 <= sid < n)}")
     if len(matched) != len(seated):
         twice = next(sid for sid, count in Counter(seated).items() if count > 1)
         raise OutcomeError(f"student {twice} is matched twice")
@@ -121,14 +131,15 @@ def evaluate(instance: Instance, outcome: Outcome) -> MetricValues:
         raise OutcomeError(f"outcome selects {len(selected)} entries for {len(matched)} matched students")
     cut = instance.acceptable_count
     # an id is a position, so a student below the cutoff has an id of at least it
-    if cut is not None and matched and max(matched) >= cut:
+    if cut is not None and hi >= cut:
         below = next(sid for sid in selected if sid >= cut)
         raise OutcomeError(f"student {below} is below the acceptability cutoff {cut}")
 
     if selected:
-        pcts = gather(percentile, selected)
-        p3 = sum(pcts) / len(pcts)
-        p3_min, p3_max = min(pcts), max(pcts)
+        pct = _percentiles(n)
+        p3 = sum(gather(pct, selected)) / len(selected)
+        # the selection is the matched set, and a percentile falls as the id grows
+        p3_min, p3_max = pct[hi], pct[lo]
     else:
         p3 = p3_min = p3_max = 0.0
     return MetricValues(p1, p2, p3, p3_min, p3_max)

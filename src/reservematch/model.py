@@ -11,23 +11,16 @@ Student ``i`` is the type set ``Instance.type_sets[i]``; the
 reads.  Instances are immutable, safe to share across worker processes,
 and valid by construction: bad fields raise :class:`InstanceFormatError`.
 
-The pools of a sweep share their size.  So the ids ``0..n-1``
-(``Instance.priority``) are one tuple per size, and the priority
-percentiles that ``evaluate`` reads are one table per size whose keys are
-that tuple's objects; the two are one entry of a small bounded cache, so
-they are evicted together, shared by every instance of that size, and
-read only.  The rules return ids taken from the shared tuple, so a table
-lookup finds its key by identity.
-
 The pool path looks students up in bulk, never one element at a time
 through a bound ``__getitem__``: :func:`gather` takes any number of
 entries of a sequence, such as ``type_sets``, in one C call.
 
-``students`` and ``type_groups`` are ``functools.cached_property``
-caches.  Every graph over the acceptable pool starts from ``type_groups``,
-which :func:`reservematch.datagen.gen_instance` reads before it returns a
-pool; a graph over chosen positions groups its students afresh with the
-same :func:`group_by_types`.
+``students``, ``priority`` and ``type_groups`` are
+``functools.cached_property`` caches.  Every graph over the acceptable
+pool starts from ``type_groups``, which
+:func:`reservematch.datagen.gen_instance` reads before it returns a pool;
+a graph over chosen positions groups its students afresh with the same
+:func:`group_by_types`.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import filterfalse
 from operator import is_, itemgetter
 from typing import Any, Collection, Sequence
@@ -214,28 +207,16 @@ class Instance:
         has computed it already.  Read only."""
         return group_by_types(self.type_sets, self.acceptable)
 
-    @property
+    @cached_property
     def priority(self) -> tuple[StudentId, ...]:
-        """Every student, highest priority first: the ids ``0..n-1``, one
-        tuple shared by the instances of a size."""
-        return _ids_and_percentiles(len(self.type_sets))[0]
+        """Every student, highest priority first: the ids ``0..n-1``; built
+        when first read."""
+        return tuple(range(len(self.type_sets)))
 
     @property
     def acceptable(self) -> tuple[StudentId, ...]:
         """Acceptable students, highest priority first."""
         return self.priority[: self.acceptable_count]
-
-
-@lru_cache(maxsize=8)
-def _ids_and_percentiles(n: int) -> tuple[tuple[StudentId, ...], dict[StudentId, float]]:
-    """The ids of ``n`` students, ``0..n-1``, which are the priority of
-    every instance of that size, and the priority percentile of each, the
-    top one scoring 100.  The percentiles are keyed by the objects of the
-    ids, which the rules' selections hold, so a lookup matches them by
-    identity; one entry holds both, so they are evicted together.  Read
-    only."""
-    ids = tuple(range(n))
-    return ids, {sid: 100.0 * (n - sid) / n for sid in ids}
 
 
 def gather(seq: Any, indices: Sequence[Any]) -> tuple[Any, ...]:

@@ -25,7 +25,6 @@ from reservematch import (
 )
 from reservematch.algorithms import Outcome
 from reservematch.graph import Matching
-from reservematch.model import InstanceFormatError
 
 from conftest import check_outcome, random_instance
 from oracle import oracle_as_select, random_small_instance
@@ -136,15 +135,11 @@ def test_check_outcome_rejects_a_student_matched_twice(example):
 
 
 @pytest.mark.parametrize("tag", ALGORITHMS)
-def test_a_priority_that_repeats_a_student_ends_in_a_typed_error(tag):
+def test_an_outcome_that_seats_a_student_twice_ends_in_a_typed_error(tag):
     # ids are priority positions, so a repeated student can come only as a
-    # priority passed where the capacity now stands, which construction
-    # refuses, or as a rule's outcome that seats one id twice, which
-    # evaluate refuses naming the student; both are ValueError subclasses
-    type_sets = (frozenset({1}), frozenset({1}), frozenset())
-    with pytest.raises(InstanceFormatError, match="quotas: must be a QuotaTable, got a int"):
-        Instance(type_sets, (1, 1, 0), 2, QuotaTable((0, 1), (0, 1)))
-    inst = Instance(type_sets, 2, QuotaTable((0, 1), (0, 1)))
+    # rule's outcome that seats one id twice, which evaluate refuses naming
+    # the student with a ValueError subclass
+    inst = Instance((frozenset({1}), frozenset({1}), frozenset()), 2, QuotaTable((0, 1), (0, 1)))
     out = ALGORITHMS[tag](inst)
     assert out.selected == (0, 1), tag
     rows = {key: [1 if sid == 0 else sid for sid in row] for key, row in out.matching.rows.items()}

@@ -514,6 +514,16 @@ def test_plotdata_names_an_unknown_rule(tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_plotdata_names_a_repeated_row(tmp_path, capsys):
+    # the last of two rows for one cell and rule was plotted; a capacity
+    # is compared as a number
+    text = RATIO_HEADER + "1.0,5,as,p1,1.0,1.0,3\n1.0,5,as,p2,1.0,1.0,3\n1.0,05,as,p1,0.123456,1.0,3\n"
+    message, err = plotdata_error(tmp_path, capsys, text)
+    assert message.endswith("ratios.csv, line 4: repeats line 2: psi_factor 1.0, qc 5, rule 'as', metric 'p1'")
+    assert err == f"error: {message}\n"
+    assert not list((tmp_path / "results").glob("plot_*"))
+
+
 def test_plotdata_names_a_short_row_and_a_bad_capacity(tmp_path, capsys):
     message, _ = plotdata_error(tmp_path, capsys, RATIO_HEADER + "1.0,10,as,p1\n")
     assert "ratios.csv, line 2: no value in column 'avg_ratio'" in message

@@ -240,7 +240,7 @@ def seating_problem(inst, rows):
     if len(seated) > inst.capacity or len(set(seated)) < len(seated):
         return "over capacity or twice"
     if not set(seated) <= set(inst.acceptable):
-        return "below the cutoff"
+        return "unknown or below the cutoff"
     for (t, rank), row in rows.items():
         if (t, rank) not in quotas or len(row) > quotas[(t, rank)]:
             return "unknown or overfull pool"
@@ -251,10 +251,11 @@ def seating_problem(inst, rows):
 
 def test_a_moved_or_replaced_seat_is_refused_or_counted():
     # one seated student of a valid outcome moves to another pool, or is
-    # replaced by another student, seated, unseated or below the cutoff;
-    # the selection follows the rows, and evaluate refuses the outcome iff
-    # it is no valid seating, and otherwise counts p1, p2 and p3 as the
-    # rows and 100·(n − id)/n over the selection give them
+    # replaced by another student, seated, unseated, below the cutoff or
+    # past either end of the pool (-1 or n); the selection follows the
+    # rows, and evaluate refuses the outcome iff it is no valid seating,
+    # and otherwise counts p1, p2 and p3 as the rows and 100·(n − id)/n
+    # over the selection give them
     rnd = random.Random(2914)
     refused = counted = 0
     for _ in range(600):
@@ -273,7 +274,7 @@ def test_a_moved_or_replaced_seat_is_refused_or_counted():
             to = rnd.choice([pool for pool in pools if pool != key])
             rows.setdefault(to, []).append(rows[key].pop(i))
         else:
-            rows[key][i] = rnd.choice([sid for sid in range(n) if sid != rows[key][i]])
+            rows[key][i] = rnd.choice([sid for sid in range(-1, n + 1) if sid != rows[key][i]])
         selected = tuple(sorted(sid for row in rows.values() for sid in row))
         problem = seating_problem(inst, rows)
         try:

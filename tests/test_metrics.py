@@ -55,9 +55,13 @@ def test_single_student_no_quotas():
 def test_evaluate_rejects_foreign_students(example):
     # a fractional id is no student, in the universal pool or in a reserve
     # pool, and neither is a float or a bool equal to a student's id, whether
-    # it is matched or only selected, nor a selected entry that cannot be hashed
+    # it is matched or only selected, nor a selected entry that cannot be
+    # hashed; an id past either end of the pool is none, and of two such the
+    # smaller is named
     for sid, matched, pool in (
         (9, 9, (0, 3)),
+        (-1, -1, (0, 3)),
+        (-1, -1, (1, 1)),
         (0.5, 0.5, (0, 3)),
         (0.5, 0.5, (1, 1)),
         (4.0, 4.0, (0, 3)),
@@ -70,6 +74,9 @@ def test_evaluate_rejects_foreign_students(example):
         bad = Outcome("as", (sid,), Matching(rows={pool: [matched]}))
         with pytest.raises(OutcomeError, match=re.escape(f"unknown student {sid}")):
             evaluate(example, bad)
+    both = Outcome("as", (-3, 9), Matching(rows={(0, 3): [9, -3]}))
+    with pytest.raises(OutcomeError, match=re.escape("unknown student -3") + "$"):
+        evaluate(example, both)
 
 
 def test_evaluate_rejects_a_student_below_the_cutoff(example):

@@ -2,14 +2,14 @@ import json
 import random
 import re
 from dataclasses import FrozenInstanceError, replace
-from itertools import chain
-from operator import is_
 
 import pytest
 
 from reservematch import (
     ALGORITHMS,
     Instance,
+    Matching,
+    Outcome,
     QuotaTable,
     SatGenConfig,
     Student,
@@ -19,7 +19,8 @@ from reservematch import (
     parse_instance,
     serialize_instance,
 )
-from reservematch.model import InstanceFormatError, _ids_and_percentiles, gather
+from reservematch.metrics import _percentiles
+from reservematch.model import InstanceFormatError, gather
 
 from conftest import Id, Ids, make_example, random_instance
 
@@ -38,17 +39,6 @@ def test_capacity_must_be_positive(example):
     for capacity in (0, True):
         with pytest.raises(InstanceFormatError, match="capacity"):
             Instance(example.type_sets, capacity, example.quotas)
-
-
-def test_priority_must_be_permutation(example):
-    # the priority is the ids in order, a permutation by construction; a
-    # priority passed where the capacity now stands shifts the quota table
-    # into the cutoff's place, and construction refuses it
-    assert example.priority == (0, 1, 2, 3, 4, 5)
-    assert sorted(example.priority) == list(range(example.n_students))
-    for priority in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)):
-        with pytest.raises(InstanceFormatError, match=exactly("quotas: must be a QuotaTable, got a int")):
-            Instance(example.type_sets, priority, 3, example.quotas)
 
 
 @pytest.mark.parametrize("source", ["generated", "parsed", "hand-built", "cut"])
@@ -72,11 +62,7 @@ def test_priority_entries_are_student_ids(source):
 
 
 def test_a_repeated_student_at_capacity_one_is_refused():
-    # an old-style priority that repeats student 0 is refused when the
-    # instance is built, and so is a subset that repeats them when a graph
-    # is built on it
-    with pytest.raises(InstanceFormatError, match=exactly("quotas: must be a QuotaTable, got a int")):
-        Instance((frozenset(), frozenset()), (0, 0), 1, QuotaTable((0,), (0,)))
+    # a subset that repeats student 0 is refused when a graph is built on it
     inst = Instance((frozenset(), frozenset()), 1, QuotaTable((0,), (0,)))
     with pytest.raises(ValueError, match=re.escape("subset repeats students: [0]")):
         build_graph(inst, [0, 0])
@@ -94,6 +80,9 @@ def test_a_repeated_student_at_capacity_one_is_refused():
     (QuotaTable((0, 1), [0, 0]), "quotas: rank2 must be a tuple, got a list"),
     (((0, 1), (0, 0)), "quotas: must be a QuotaTable, got a tuple"),
     (None, "quotas: must be a QuotaTable, got a NoneType"),
+    # an old-style priority passed where the capacity now stands shifts
+    # the capacity into the quotas' place
+    (3, "quotas: must be a QuotaTable, got a int"),
 ])
 def test_quota_entries_are_integers(quotas, problem):
     with pytest.raises(InstanceFormatError, match=exactly(problem)):
@@ -161,7 +150,7 @@ def test_priority_round_trip():
         inst = random_instance(rnd)
         parsed = parse_instance(serialize_instance(inst))
         assert parsed.type_sets == inst.type_sets
-        assert parsed.priority is inst.priority == tuple(range(inst.n_students))
+        assert parsed.priority == inst.priority == tuple(range(inst.n_students))
 
 
 def test_acceptable_cutoff():
@@ -296,12 +285,11 @@ def test_parse_names_a_type_name_that_is_no_string():
 
 
 def test_percentile_table_is_shared_per_size():
-    # generated, parsed and hand-built instances of one size share one
-    # priority tuple and one percentile table, whose values are
-    # 100 (n - id) / n bit for bit and whose keys are that tuple's objects;
-    # every rule selects and seats those objects too, so evaluate finds its
-    # keys by identity.  n is past the small ints that CPython shares, so
-    # a table or a selection built from fresh ints fails here
+    # generated, parsed and hand-built instances of one size read one
+    # percentile table, indexed by id, whose values are 100 (n - id) / n
+    # bit for bit.  n is past the small ints that CPython shares, and a
+    # selection and seating copied into fresh int objects evaluate alike:
+    # an id is found by its value
     n = 400
     rnd = random.Random(33)
     a = gen_instance(SatGenConfig(capacity=100, seed=1, n_students=n))
@@ -312,31 +300,22 @@ def test_percentile_table_is_shared_per_size():
         QuotaTable((0, 20, 10, 5, 0), (0, 10, 10, 0, 5)),
         acceptable_count=320,
     )
-    ids, table = a.priority, _ids_and_percentiles(n)[1]
-    assert ids == tuple(range(n))
-    assert [x.hex() for x in table.values()] == [(100.0 * (n - sid) / n).hex() for sid in range(n)]
-    assert all(map(is_, table, ids))
+    table = _percentiles(n)
+    assert [x.hex() for x in table] == [(100.0 * (n - sid) / n).hex() for sid in range(n)]
+    assert _percentiles(n) is table and _percentiles(n + 1) is not table
+
+    def fresh(sids):
+        return [int(str(sid)) for sid in sids]
+
     for inst in (a, b, parse_instance(serialize_instance(b)), hand_built):
-        assert inst.priority is ids and _ids_and_percentiles(inst.n_students)[1] is table
         for rule in ALGORITHMS.values():
             out = rule(inst)
-            seated = [*chain.from_iterable(out.matching.rows.values())]
-            assert all(map(is_, out.selected, gather(ids, out.selected))), out.algorithm
-            assert all(map(is_, seated, gather(ids, seated))), out.algorithm
-    assert _ids_and_percentiles(n + 1)[1] is not table
-
-
-def test_ids_and_percentiles_are_evicted_together():
-    # reading the ids of more sizes than the cache holds evicts the table
-    # of a size with them, so the table evaluate reads next is still keyed
-    # by the objects of that size's ids: a lookup never falls back to ==
-    n = 800
-    inst = gen_instance(SatGenConfig(capacity=400, seed=3, n_students=n))
-    values = evaluate(inst, ALGORITHMS["as"](inst))
-    for size in range(300, 309):
-        Instance((frozenset(),) * size, 1, QuotaTable((0,), (0,))).priority
-    assert all(map(is_, _ids_and_percentiles(n)[1], inst.priority))
-    assert evaluate(inst, ALGORITHMS["as"](inst)) == values
+            rows = {key: fresh(row) for key, row in out.matching.rows.items()}
+            copied = Outcome(out.algorithm, tuple(fresh(out.selected)), Matching(rows=rows))
+            pcts = [table[sid] for sid in out.selected]
+            expected = (sum(pcts) / len(pcts), min(pcts), max(pcts))
+            for values in (evaluate(inst, out), evaluate(inst, copied)):
+                assert (values.p3, values.p3_min, values.p3_max) == expected, out.algorithm
 
 
 def test_percentile_table_of_hand_built_instances():
@@ -349,7 +328,7 @@ def test_percentile_table_of_hand_built_instances():
         if rnd.random() < 0.5:
             inst = replace(inst, acceptable_count=rnd.randint(0, inst.n_students))
         n = inst.n_students
-        assert _ids_and_percentiles(n)[1] == {sid: 100.0 * (n - sid) / n for sid in range(n)}
+        assert _percentiles(n) == tuple(100.0 * (n - sid) / n for sid in range(n))
         for rule in ALGORITHMS.values():
             out = rule(inst)
             pcts = [100.0 * (n - sid) / n for sid in out.selected]
@@ -452,7 +431,7 @@ def test_rules_never_build_the_student_view():
         ({"scores": (10**400, 5, 4, 3, 2, 1)}, "scores[0] must be a finite number"),
     ],
 )
-def test_validate_reports_table_lengths(example, change, message):
+def test_replace_refuses_a_bad_field(example, change, message):
     # with no type slots, the students' types are undeclared as well
     with pytest.raises(InstanceFormatError, match=re.escape(message)):
         replace(example, **change)

@@ -1,8 +1,9 @@
 """Every name a module imports is read somewhere in that module, every
 local a package function assigns is read somewhere in that function, the
 engine modules build no comprehension inside a loop and gather no
-sequence through a bound ``__getitem__``, and no package module but
-``graph.py`` takes a matching's ``.pairs``.
+sequence through a bound ``__getitem__``, no package module but
+``graph.py`` takes a matching's ``.pairs``, and none but ``model.py``
+takes an instance's ``.priority``.
 
 A standard-library ``ast`` scan, so the suite needs no linter.  Names listed
 in a module's ``__all__`` count as read (the package root re-exports), and
@@ -220,17 +221,19 @@ def test_pool_path_gathers_in_one_call(path):
     assert getitem_gathers(path.read_text(encoding="utf-8")) == []
 
 
-def pairs_reads(source: str) -> list[str]:
-    """Attributes ``.pairs`` that ``source`` takes, read or stored.
+def attribute_reads(source: str, attr: str) -> list[str]:
+    """Attributes named ``attr`` that ``source`` takes, read or stored.
 
     Seat rows are the one seating form the library reads; a matching's
     ``(student, Seat)`` pairs exist only in :mod:`reservematch.graph`,
     which derives them for callers that compare matchings or check seats.
-    An attribute named by a string, as in ``getattr(m, "pairs")``, is not
-    followed.
+    A student's id is their priority position, so the package reads ids
+    as positions, and ``Instance.priority``, the ids in order, is only for
+    callers outside it.  An attribute named by a string, as in
+    ``getattr(m, "pairs")``, is not followed.
     """
     lines = sorted(
-        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr == "pairs"
+        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr == attr
     )
     return [f"line {line}" for line in lines]
 
@@ -244,9 +247,14 @@ def test_scan_flags_a_pairs_attribute_only():
         "rows = m.rows\n"
         "kept = getattr(m, 'pairs')\n"
     )
-    assert pairs_reads(source) == ["line 2", "line 3"]
+    assert attribute_reads(source, "pairs") == ["line 2", "line 3"]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "graph.py"], ids=lambda p: p.name)
 def test_package_reads_seat_rows_not_pairs(path):
-    assert pairs_reads(path.read_text(encoding="utf-8")) == []
+    assert attribute_reads(path.read_text(encoding="utf-8"), "pairs") == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "model.py"], ids=lambda p: p.name)
+def test_package_reads_ids_as_positions_not_priority(path):
+    assert attribute_reads(path.read_text(encoding="utf-8"), "priority") == []
