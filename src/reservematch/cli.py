@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``gen`` writes a synthetic instance file, ``run`` applies one
-algorithm to an instance file, ``sweep`` executes a full experiment grid,
-and ``plotdata`` turns sweep results into wide per-figure tables.  Progress
-and diagnostics go to stderr; results go to files (plus a short stdout
-summary for ``run``).  Exit codes: 0 success, 1 usage error (a
+algorithm to an instance file, and ``sweep`` executes a full experiment
+grid and writes its results, the wide per-figure tables included.
+Progress and diagnostics go to stderr; results go to files (plus a short
+stdout summary for ``run``).  Exit codes: 0 success, 1 usage error (a
 ``SettingsError`` from the library's checks or the parser), 2 runtime
 error.  A flag left out takes the library's default.
 """
@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .algorithms import ALGORITHMS, outcome_to_json
 from .datagen import SatGenConfig, SettingsError, gen_instance
-from .experiment import ExperimentSpec, emit_plot_data, run_experiment
+from .experiment import ExperimentSpec, run_experiment
 from .graph import signature
 from .metrics import evaluate
 from .model import load_instance, save_instance
@@ -75,12 +75,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--jobs", type=int)
     sweep.add_argument("--quiet", action="store_true", default=False)
 
-    plot = sub.add_parser("plotdata", help="emit plot-ready wide tables from sweep results")
-    plot.add_argument("--results", type=Path, required=True, help="sweep output directory")
-    plot.add_argument("--metric", required=True, choices=("p1", "p2", "p3"))
-    plot.add_argument("--case", required=True, choices=("avg", "worst"))
-    plot.add_argument("--out", type=Path, help="directory for the tables (default: results dir)")
-
     return parser
 
 
@@ -128,18 +122,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plotdata(args: argparse.Namespace) -> int:
-    written = emit_plot_data(args.results, args.metric, args.case, args.out)
-    for path in written:
-        print(f"[plotdata] {path}", file=sys.stderr)
-    return 0
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "run": _cmd_run,
     "sweep": _cmd_sweep,
-    "plotdata": _cmd_plotdata,
 }
 
 

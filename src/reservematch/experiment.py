@@ -13,6 +13,10 @@ Files written to the output directory:
   metric values, suite-relative ratios, and the selected ids (audit trail);
 * ``ratios.csv``: one row per (cell, algorithm, metric) with the average
   and worst-case ratios;
+* ``plot_{metric}_{case}_psi{factor}.csv``: the paper's per-figure tables,
+  one per metric, case (``avg`` or ``worst``) and reserve factor, with a
+  row per capacity and a column per algorithm, each value copied from
+  ``ratios.csv``;
 * ``manifest.json``: the full configuration, derived seeds, and per-cell
   reserve totals.
 """
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -78,9 +81,11 @@ class ExperimentSpec:
         for factor in self.psi_factors:
             for qc in self.capacities:
                 SatGenConfig(capacity=qc, seed=0, n_students=self.n_students, psi_factor=factor)
-            # its text names a plot file (emit_plot_data)
+            # its text names the plot files
             if "/" in str(factor):
                 raise SettingsError(f"reserve factor '{factor}' holds a '/', which no plot file name can; give it as a decimal")
+            if str(factor) != str(factor).strip():
+                raise SettingsError(f"reserve factor {str(factor)!r} has whitespace at an end, which its plot file names would keep")
         if len(set(self.capacities)) != len(self.capacities):
             raise SettingsError("a capacity is given twice")
         # compare values, so "1" and "1.0" count as one factor
@@ -161,15 +166,33 @@ def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> N
         writer.writerows(rows)
 
 
+def _write_plot_tables(out_dir: Path, ratio_rows: Sequence[dict]) -> dict[str, Path]:
+    """Write one wide table per metric, case (``avg`` or ``worst``) and
+    reserve factor: a row per capacity, ascending, a column per rule, each
+    value the ratio ``ratios.csv`` holds.  Returns the paths by file stem."""
+    tables: dict[tuple[str, str], dict[int, dict[str, dict]]] = {}  # (factor, metric) -> qc -> rule -> row
+    for row in ratio_rows:
+        key = (str(row["psi_factor"]), row["metric"])
+        tables.setdefault(key, {}).setdefault(row["qc"], {})[row["algorithm"]] = row
+    written = {}
+    for (factor, metric), by_qc in tables.items():
+        for case in ("avg", "worst"):
+            stem = f"plot_{metric}_{case}_psi{factor}"
+            written[stem] = out_dir / f"{stem}.csv"
+            rows = [{"qc": qc, **{tag: r[f"{case}_ratio"] for tag, r in by_qc[qc].items()}} for qc in sorted(by_qc)]
+            _write_csv(written[stem], ("qc", *ALGORITHMS), rows)
+    return written
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -> dict[str, Path]:
     """Execute a sweep and write its result files.
 
-    Returns the paths of the written files.  Every cell runs the six rules
-    of ``ALGORITHMS``.  With ``jobs > 1`` cells run in separate processes,
-    at most one per cell (a single cell runs in this process); rows are
-    assembled in cell order either way, so the outputs do not depend on the
-    degree of parallelism.  ``jobs < 1`` raises :class:`SettingsError`
-    before any cell runs.
+    Returns the paths of the written files by name; a plot table's name is
+    its file stem.  Every cell runs the six rules of ``ALGORITHMS``.  With
+    ``jobs > 1`` cells run in separate processes, at most one per cell (a
+    single cell runs in this process); rows are assembled in cell order
+    either way, so the outputs do not depend on the degree of parallelism.
+    ``jobs < 1`` raises :class:`SettingsError` before any cell runs.
     """
     if not _is_int(jobs) or jobs < 1:
         raise SettingsError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -201,7 +224,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
     ratio_path = out_dir / "ratios.csv"
     manifest_path = out_dir / "manifest.json"
     _write_csv(per_instance, PER_INSTANCE_FIELDS, rows)
-    _write_csv(ratio_path, RATIO_FIELDS, _aggregate(rows))
+    ratio_rows = _aggregate(rows)
+    _write_csv(ratio_path, RATIO_FIELDS, ratio_rows)
+    tables = _write_plot_tables(out_dir, ratio_rows)
     manifest = {
         "n_students": spec.n_students,
         "capacities": list(spec.capacities),
@@ -217,102 +242,5 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress: bool = True) -
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return {"per_instance": per_instance, "ratios": ratio_path, "manifest": manifest_path}
+    return {"per_instance": per_instance, "ratios": ratio_path, **tables, "manifest": manifest_path}
 
-
-class ResultsFormatError(ValueError):
-    """A results file that cannot be read as a sweep wrote it; the message
-    names the file, the line and the column."""
-
-
-def _read_ratios(path: Path, metric: str, column: str) -> list[dict]:
-    """The rows of ``ratios.csv`` for ``metric``, each checked for the
-    columns a plot table reads: a known rule in ``algorithm``, a reserve
-    factor in ``psi_factor``, a finite number in ``column`` and an integer
-    ``qc``, which the row then holds as an ``int``; no two rows share a
-    reserve factor, capacity and rule."""
-    needed = ("psi_factor", "qc", "algorithm", "metric", column)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or ()
-        for name in needed:
-            if name not in header:
-                raise ResultsFormatError(f"{path}, line 1: no column {name!r}")
-        rows = []
-        first: dict[tuple[str, int, str], int] = {}  # (psi_factor, qc, algorithm) -> line
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            for name in needed:
-                if row[name] is None:
-                    raise ResultsFormatError(f"{where}: no value in column {name!r}")
-            if row["metric"] != metric:
-                continue
-            if row["algorithm"] not in ALGORITHMS:
-                raise ResultsFormatError(f"{where}, column 'algorithm': unknown rule {row['algorithm']!r}")
-            try:
-                row["qc"] = int(row["qc"])
-            except ValueError:
-                raise ResultsFormatError(f"{where}, column 'qc': not a capacity: {row['qc']!r}") from None
-            try:
-                parse_factor(row["psi_factor"])
-            except SettingsError:
-                raise ResultsFormatError(f"{where}, column 'psi_factor': not a reserve factor: {row['psi_factor']!r}") from None
-            if "/" in row["psi_factor"]:
-                raise ResultsFormatError(f"{where}, column 'psi_factor': a '/' names no plot file: {row['psi_factor']!r}")
-            try:
-                if not math.isfinite(float(row[column])):
-                    raise ValueError
-            except ValueError:
-                raise ResultsFormatError(f"{where}, column {column!r}: not a number: {row[column]!r}") from None
-            key = (row["psi_factor"], row["qc"], row["algorithm"])
-            if key in first:
-                raise ResultsFormatError(f"{where}: repeats line {first[key]}:"
-                                         f" psi_factor {key[0]}, qc {key[1]}, rule {key[2]!r}, metric {metric!r}")
-            first[key] = reader.line_num
-            rows.append(row)
-    return rows
-
-
-def emit_plot_data(results_dir: Path, metric: str, case: str, out_dir: Path | None = None) -> list[Path]:
-    """Write one wide plot table per reserve factor found in the results.
-
-    Rows are capacities, columns are algorithms, values are the chosen
-    ratio (``case`` is ``avg`` or ``worst``).  A ``ratios.csv`` that lacks
-    a needed column or a cell's rule, names an unknown rule, or repeats a
-    cell's rule, raises :class:`ResultsFormatError`.
-    """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if case not in ("avg", "worst"):
-        raise ValueError(f"case must be 'avg' or 'worst', got {case!r}")
-    results_dir = Path(results_dir)
-    ratio_path = results_dir / "ratios.csv"
-    if not ratio_path.exists():
-        raise FileNotFoundError(f"no ratios.csv under {results_dir}")
-    column = f"{case}_ratio"
-    rows = _read_ratios(ratio_path, metric, column)
-    if not rows:
-        raise ValueError(f"no rows for metric {metric!r} in {ratio_path}")
-
-    out_dir = Path(out_dir) if out_dir is not None else results_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    factors = sorted({row["psi_factor"] for row in rows})
-    for factor in factors:
-        subset = [row for row in rows if row["psi_factor"] == factor]
-        algorithms = sorted({row["algorithm"] for row in subset}, key=list(ALGORITHMS).index)
-        capacities = sorted({row["qc"] for row in subset})
-        table = {(r["qc"], r["algorithm"]): r[column] for r in subset}
-        for qc in capacities:
-            for a in algorithms:
-                if (qc, a) not in table:
-                    raise ResultsFormatError(
-                        f"{ratio_path}: no row for rule {a!r} at psi_factor {factor}, qc {qc}, metric {metric!r}"
-                    )
-        path = out_dir / f"plot_{metric}_{case}_psi{factor}.csv"
-        out_rows = [
-            {"qc": qc, **{a: table[(qc, a)] for a in algorithms}} for qc in capacities
-        ]
-        _write_csv(path, ["qc", *algorithms], out_rows)
-        written.append(path)
-    return written

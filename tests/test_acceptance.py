@@ -278,20 +278,18 @@ def test_criterion_9_performance_and_determinism(baseline_sweep, tmp_path):
             assert first == second, name
 
 
-def test_plot_tables_reproduce_figure_headlines(baseline_sweep, high_reserve_sweep, tmp_path):
-    # supplementary to the criteria: the wide plot tables show the headline
-    # curve shapes directly
-    from reservematch.experiment import emit_plot_data
-
-    (path,) = emit_plot_data(baseline_sweep.out_dir, "p1", "avg", tmp_path)
-    with open(path, newline="") as fh:
+def test_plot_tables_reproduce_figure_headlines(baseline_sweep, high_reserve_sweep):
+    # supplementary to the criteria: the wide plot tables each sweep writes
+    # show the headline curve shapes directly
+    with open(baseline_sweep.out_dir / "plot_p1_avg_psi1.0.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["qc"]) for r in rows] == list(GRID)
     for row in rows:
         for tag in DIVERSITY:
             assert abs(float(row[tag]) - 1.0) <= 0.005, (row["qc"], tag)
 
-    (path,) = emit_plot_data(high_reserve_sweep.out_dir, "p3", "worst", tmp_path)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            assert float(row["pog"]) == 1.0 and float(row["pos"]) == 1.0, row["qc"]
+    with open(high_reserve_sweep.out_dir / "plot_p3_worst_psi2.6154.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["qc"]) for r in rows] == list(HIGH_GRID)
+    for row in rows:
+        assert float(row["pog"]) == 1.0 and float(row["pos"]) == 1.0, row["qc"]

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,8 +13,8 @@ import pytest
 import reservematch
 from reservematch import ALGORITHMS, Matching, SatGenConfig, SettingsError, load_instance, serialize_instance
 from reservematch import experiment
-from reservematch.cli import main
-from reservematch.experiment import ExperimentSpec, ResultsFormatError, derive_seed, emit_plot_data, run_experiment
+from reservematch.cli import _build_parser, main
+from reservematch.experiment import ExperimentSpec, derive_seed, run_experiment
 
 from conftest import make_example
 
@@ -164,7 +165,10 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert main(sweep_args(first)) == 0
     assert main(sweep_args(second)) == 0
 
-    for name in ("per_instance.csv", "ratios.csv"):
+    tables = [f"plot_{metric}_{case}_psi{factor}.csv"
+              for metric in ("p1", "p2", "p3") for case in ("avg", "worst") for factor in ("1.0", "2.0")]
+    assert sorted(p.name for p in first.iterdir()) == sorted(["per_instance.csv", "ratios.csv", "manifest.json", *tables])
+    for name in ("per_instance.csv", "ratios.csv", *tables):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
     # each ratios.csv row is the mean and min of its cell's rounded per-instance ratios
@@ -184,6 +188,21 @@ def test_sweep_outputs_and_determinism(tmp_path):
         assert row["avg_ratio"] == f"{sum(cell) / len(cell):.6f}"
         assert row["worst_ratio"] == f"{min(cell):.6f}"
         assert float(row["worst_ratio"]) <= float(row["avg_ratio"])
+
+    # each plot table cell is its ratios.csv row's value, capacities ascending
+    cells = {}
+    for name in tables:
+        with open(first / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["qc"] for row in rows] == ["5", "10"]
+        _, metric, case, factor = name.removesuffix(".csv").split("_")
+        for row in rows:
+            for tag in ALGORITHMS:
+                cells[(factor.removeprefix("psi"), row["qc"], tag, metric, case)] = row[tag]
+    assert cells == {
+        (row["psi_factor"], row["qc"], row["algorithm"], row["metric"], case): row[f"{case}_ratio"]
+        for row in aggregated for case in ("avg", "worst")
+    }
 
     m1 = json.loads((first / "manifest.json").read_text())
     m2 = json.loads((second / "manifest.json").read_text())
@@ -217,6 +236,7 @@ def test_sweep_rejects_capacity_above_pool(tmp_path):
         "--psi-factors=1.0,1.0",
         "--psi-factors=1,1.0",
         "--psi-factors=2,2.0,2.00",
+        "--psi-factors=1.0\n",
     ],
 )
 def test_sweep_rejects_bad_input_before_any_cell(tmp_path, extra):
@@ -282,8 +302,11 @@ def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
         ({"capacities": [5]}, "capacities must be a tuple, got a list"),
         ({"psi_factors": ["1.0"]}, "psi_factors must be a tuple, got a list"),
         ({"capacities": (qc for qc in (5,))}, "capacities must be a tuple, got a generator"),
-        # the factor's text names a plot file
+        # the factor's text names plot files
         ({"psi_factors": ("1.0", "1/2")}, "reserve factor '1/2' holds a '/', which no plot file name can; give it as a decimal"),
+        ({"psi_factors": (" 1.0",)}, "reserve factor ' 1.0' has whitespace at an end, which its plot file names would keep"),
+        ({"psi_factors": ("1.0\n",)}, "reserve factor '1.0\\n' has whitespace at an end, which its plot file names would keep"),
+        ({"psi_factors": ("\t2",)}, "reserve factor '\\t2' has whitespace at an end, which its plot file names would keep"),
     ],
 )
 def test_a_sweep_spec_checks_itself_when_built(tmp_path, settings, message):
@@ -394,7 +417,10 @@ def test_parallel_sweep_is_byte_identical(tmp_path):
         master_seed=3,
     )
     run_experiment(spec2, jobs=2, progress=False)
-    for name in ("per_instance.csv", "ratios.csv"):
+    names = sorted(p.name for p in (tmp_path / "serial").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "parallel").glob("*.csv"))
+    assert len(names) == 2 + 6
+    for name in names:
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
 
 
@@ -475,109 +501,47 @@ def test_sweep_never_reads_seat_pairs(example_file, tmp_path, monkeypatch):
         assert out.read_bytes() == (RUN_OUT / f"{tag}.json").read_bytes(), tag
 
 
-def plotdata_error(tmp_path, capsys, text):
-    """Write ``text`` as a results directory's ratios.csv and run plotdata
-    on it: the exception the library raises, and the CLI's exit code and
-    message."""
-    results = tmp_path / "results"
-    results.mkdir()
-    (results / "ratios.csv").write_text(text, encoding="utf-8")
-    with pytest.raises(ResultsFormatError) as caught:
-        emit_plot_data(results, "p1", "avg")
-    capsys.readouterr()
-    assert main(["plotdata", "--results", str(results), "--metric", "p1", "--case", "avg"]) == 2
-    return str(caught.value), capsys.readouterr().err
-
-
-RATIO_HEADER = "psi_factor,qc,algorithm,metric,avg_ratio,worst_ratio,n_instances\n"
-
-
-def test_plotdata_names_a_missing_column(tmp_path, capsys):
-    message, err = plotdata_error(
-        tmp_path, capsys, "psi_factor,qc,algorithm,avg_ratio,worst_ratio,n_instances\n1.0,10,as,1.0,1.0,3\n"
-    )
-    assert "ratios.csv, line 1: no column 'metric'" in message
-    assert err == f"error: {message}\n"
-
-
-def test_plotdata_names_a_missing_rule(tmp_path, capsys):
-    text = RATIO_HEADER + "1.0,10,as,p1,1.0,1.0,3\n1.0,10,ehyy,p1,0.5,0.5,3\n1.0,20,as,p1,1.0,1.0,3\n"
-    message, err = plotdata_error(tmp_path, capsys, text)
-    assert "ratios.csv: no row for rule 'ehyy' at psi_factor 1.0, qc 20, metric 'p1'" in message
-    assert err == f"error: {message}\n"
-
-
-def test_plotdata_names_an_unknown_rule(tmp_path, capsys):
-    text = RATIO_HEADER + "1.0,10,as,p1,1.0,1.0,3\n1.0,10,zz,p1,0.5,0.5,3\n"
-    message, err = plotdata_error(tmp_path, capsys, text)
-    assert "ratios.csv, line 3, column 'algorithm': unknown rule 'zz'" in message
-    assert err == f"error: {message}\n"
-
-
-def test_plotdata_names_a_repeated_row(tmp_path, capsys):
-    # the last of two rows for one cell and rule was plotted; a capacity
-    # is compared as a number
-    text = RATIO_HEADER + "1.0,5,as,p1,1.0,1.0,3\n1.0,5,as,p2,1.0,1.0,3\n1.0,05,as,p1,0.123456,1.0,3\n"
-    message, err = plotdata_error(tmp_path, capsys, text)
-    assert message.endswith("ratios.csv, line 4: repeats line 2: psi_factor 1.0, qc 5, rule 'as', metric 'p1'")
-    assert err == f"error: {message}\n"
-    assert not list((tmp_path / "results").glob("plot_*"))
-
-
-def test_plotdata_names_a_short_row_and_a_bad_capacity(tmp_path, capsys):
-    message, _ = plotdata_error(tmp_path, capsys, RATIO_HEADER + "1.0,10,as,p1\n")
-    assert "ratios.csv, line 2: no value in column 'avg_ratio'" in message
-    (tmp_path / "results" / "ratios.csv").unlink()
-    (tmp_path / "results").rmdir()
-    message, _ = plotdata_error(tmp_path, capsys, RATIO_HEADER + "1.0,ten,as,p1,1.0,1.0,3\n")
-    assert "ratios.csv, line 2, column 'qc': not a capacity: 'ten'" in message
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("abc,10,as,p1,1.0,1.0,3", "line 2, column 'psi_factor': not a reserve factor: 'abc'"),
-        ("/../../escaped,10,as,p1,1.0,1.0,3", "line 2, column 'psi_factor': not a reserve factor: '/../../escaped'"),
-        ("1/2,10,as,p1,1.0,1.0,3", "line 2, column 'psi_factor': a '/' names no plot file: '1/2'"),
-        ("1.0,10,as,p1,oops,1.0,3", "line 2, column 'avg_ratio': not a number: 'oops'"),
-        ("1.0,10,as,p1,nan,1.0,3", "line 2, column 'avg_ratio': not a number: 'nan'"),
-    ],
-)
-def test_plotdata_names_a_bad_reserve_factor_and_a_bad_ratio(tmp_path, capsys, row, message):
-    # the factor named a plot file, and the ratio was copied into the table
-    caught, err = plotdata_error(tmp_path, capsys, RATIO_HEADER + row + "\n")
-    assert f"ratios.csv, {message}" in caught
-    assert err == f"error: {caught}\n"
-    assert not list((tmp_path / "results").glob("plot_*"))
-
-
-def test_plotdata_wide_tables(tmp_path, capsys):
+def test_sweep_writes_wide_tables(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(sweep_args(out)) == 0
-    rc = main(["plotdata", "--results", str(out), "--metric", "p1", "--case", "avg"])
-    assert rc == 0
     table = (out / "plot_p1_avg_psi1.0.csv").read_text().splitlines()
     assert table[0] == "qc,as,ehyy,sy1,sy2,pog,pos"
     assert table[1].startswith("5,") and table[2].startswith("10,")
     assert (out / "plot_p1_avg_psi2.0.csv").exists()
+    # one line per file written
+    err = capsys.readouterr().err.splitlines()
+    assert sorted(err) == sorted(f"[sweep] {path.stem}: {path}" for path in out.iterdir())
 
 
-def test_plotdata_missing_results_is_runtime_error(tmp_path):
-    assert main(["plotdata", "--results", str(tmp_path / "empty"), "--metric", "p1", "--case", "avg"]) == 2
+def test_plot_tables_follow_the_capacities_not_the_given_order(tmp_path):
+    # capacities ascend in a table whatever order the spec gives them in;
+    # a factor given as a number names its files by its text
+    spec = ExperimentSpec(out_dir=tmp_path / "x", n_students=20, capacities=(10, 5), psi_factors=(2.0, "1.0"),
+                          seeds_per_cell=1)
+    paths = run_experiment(spec, progress=False)
+    for factor in ("2.0", "1.0"):
+        table = paths[f"plot_p2_worst_psi{factor}"].read_text().splitlines()
+        assert [line.split(",")[0] for line in table] == ["qc", "5", "10"]
 
 
-def test_api_emit_plot_data_validates_arguments(tmp_path):
-    with pytest.raises(ValueError):
-        emit_plot_data(tmp_path, "p9", "avg")
-    with pytest.raises(ValueError):
-        emit_plot_data(tmp_path, "p1", "median")
+def test_plotdata_is_no_command(tmp_path, capsys):
+    # a sweep writes its own tables
+    assert main(["plotdata", "--results", str(tmp_path), "--metric", "p1", "--case", "avg"]) == 1
+    assert "invalid choice: 'plotdata'" in capsys.readouterr().err
 
 
-def test_plotdata_names_a_metric_without_rows(tmp_path, capsys):
-    results = tmp_path / "results"
-    results.mkdir()
-    (results / "ratios.csv").write_text(RATIO_HEADER + "1.0,10,as,p2,1.0,1.0,3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"^no rows for metric 'p1' in .*ratios\.csv$"):
-        emit_plot_data(results, "p1", "avg")
-    assert main(["plotdata", "--results", str(results), "--metric", "p1", "--case", "avg"]) == 2
-    assert "no rows for metric 'p1'" in capsys.readouterr().err
+def readme_cli_lines() -> list[str]:
+    """The ``reservematch`` commands of README's CLI block, each with its
+    backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("reservematch ")]
+
+
+def test_readme_cli_block_parses():
+    # parsing runs nothing; a subcommand or flag the CLI lacks is a SettingsError
+    lines = readme_cli_lines()
+    assert [line.split()[1] for line in lines] == ["gen", "run", "sweep", "sweep"]
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

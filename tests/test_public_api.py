@@ -22,8 +22,7 @@ def test_exports_have_no_duplicates():
 
 def test_every_exception_of_an_imported_module_is_exported():
     # callers catch what the exported functions raise by the name the
-    # package root gives it; experiment is not loaded by the root, so its
-    # ResultsFormatError is not among these
+    # package root gives it
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     modules = [node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
     errors = set()
