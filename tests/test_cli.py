@@ -236,7 +236,12 @@ def test_sweep_rejects_capacity_above_pool(tmp_path):
         "--psi-factors=1.0,1.0",
         "--psi-factors=1,1.0",
         "--psi-factors=2,2.0,2.00",
+        # a factor's text names plot files in the output directory
+        "--psi-factors=1/2",
+        "--psi-factors=/../../escaped",
         "--psi-factors=1.0\n",
+        "--psi-factors= 1.0",
+        "--psi-factors=\t2",
     ],
 )
 def test_sweep_rejects_bad_input_before_any_cell(tmp_path, extra):
@@ -295,6 +300,7 @@ def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
         ({"capacities": (5, 5)}, "a capacity is given twice"),
         ({"psi_factors": ("2", "2.0")}, "a reserve factor is given twice"),
         ({"psi_factors": ("1.0", "-2")}, "psi_factor must be a positive number, got '-2'"),
+        ({"psi_factors": ("nan",)}, "psi_factor must be a positive number, got 'nan'"),
         ({"n_students": 0}, "n_students must be an integer >= 1, got 0"),
         ({"seeds_per_cell": 0}, "seeds_per_cell must be an integer >= 1"),
         ({"master_seed": -1}, "master_seed must be an integer >= 0"),
@@ -304,6 +310,7 @@ def test_run_experiment_rejects_an_empty_grid(tmp_path, settings, message):
         ({"capacities": (qc for qc in (5,))}, "capacities must be a tuple, got a generator"),
         # the factor's text names plot files
         ({"psi_factors": ("1.0", "1/2")}, "reserve factor '1/2' holds a '/', which no plot file name can; give it as a decimal"),
+        ({"psi_factors": ("/../../escaped",)}, "psi_factor must be a positive number, got '/../../escaped'"),
         ({"psi_factors": (" 1.0",)}, "reserve factor ' 1.0' has whitespace at an end, which its plot file names would keep"),
         ({"psi_factors": ("1.0\n",)}, "reserve factor '1.0\\n' has whitespace at an end, which its plot file names would keep"),
         ({"psi_factors": ("\t2",)}, "reserve factor '\\t2' has whitespace at an end, which its plot file names would keep"),
@@ -538,10 +545,11 @@ def readme_cli_lines() -> list[str]:
     return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("reservematch ")]
 
 
-def test_readme_cli_block_parses():
+def test_readme_cli_block_names_each_command():
+    assert [line.split()[1] for line in readme_cli_lines()] == ["gen", "run", "sweep", "sweep"]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_parses(line):
     # parsing runs nothing; a subcommand or flag the CLI lacks is a SettingsError
-    lines = readme_cli_lines()
-    assert [line.split()[1] for line in lines] == ["gen", "run", "sweep", "sweep"]
-    parser = _build_parser()
-    for line in lines:
-        parser.parse_args(shlex.split(line)[1:])
+    _build_parser().parse_args(shlex.split(line)[1:])
